@@ -9,6 +9,16 @@ from any k nodes follows from that check, and repairs are accepted only
 when the repaired state passes it again, so the property survives any
 failure sequence and any helper choices.
 
+The check visits only H's maximal members (HSet.maximal).  Every member
+of H lies below a maximal one, and lowering h_i drops trailing columns
+of node i from the selection; a subset of independent columns stays
+independent, so the maximal members decide the whole of H.  Their
+selections are gathered from one M x (n*d) array of the Q matrices and
+decided by galois.full_column_rank, one call per group of equal total:
+batched int64 numpy elimination for q < 2^31, rank_of_rows on each
+selection above that.  reconstruct_check batches its C(n, k) subsets
+the same way.
+
 Construction and repair draw coefficients uniformly at random (Philox
 counter-based generator, fully seeded) and retry on rejection.  At the
 mandated field size a single attempt fails only with polynomially small
@@ -17,16 +27,20 @@ probability, so retries are rare and bounded.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .galois import (
+    BATCH_Q_LIMIT,
     FieldConfig,
     FieldMatrix,
     field_new,
+    full_column_rank,
     identity,
     mat_hstack,
     mat_mul,
@@ -57,19 +71,29 @@ class CodeError(Exception):
 
 
 class ConstructionFailed(CodeError):
-    """No sampled code passed verification within the attempt budget."""
+    """No sampled code passed verification within the attempt budget.
 
-    def __init__(self, attempts: int) -> None:
+    rejected_by holds, per attempt, the selection vector h that
+    invariant_failure reported.
+    """
+
+    def __init__(self, attempts: int, rejected_by: tuple[tuple[int, ...], ...] = ()) -> None:
         super().__init__(f"construction rejected {attempts} times")
         self.attempts = attempts
+        self.rejected_by = rejected_by
 
 
 class RepairFailed(CodeError):
-    """No sampled repair passed verification within the attempt budget."""
+    """No sampled repair passed verification within the attempt budget.
 
-    def __init__(self, attempts: int) -> None:
+    rejected_by holds, per attempt, the selection vector h that
+    invariant_failure reported.
+    """
+
+    def __init__(self, attempts: int, rejected_by: tuple[tuple[int, ...], ...] = ()) -> None:
         super().__init__(f"repair rejected {attempts} times")
         self.attempts = attempts
+        self.rejected_by = rejected_by
 
 
 class InvalidHelpers(CodeError):
@@ -149,36 +173,75 @@ def _selection_rows(state: CodeState, h: Sequence[int]) -> list[list[int]]:
     return rows
 
 
+def _coefficients(state: CodeState) -> np.ndarray:
+    """[Q_1 | ... | Q_n] as one M x (n*d) array.
+
+    int64 where galois.full_column_rank eliminates in numpy; Python ints
+    (dtype=object) above that, so any residue fits.
+    """
+    params = state.params
+    dtype = np.int64 if state.field.q < BATCH_Q_LIMIT else object
+    flat = np.array([qm.entries for qm in state.Q], dtype=dtype)
+    return flat.reshape(params.n, params.M, params.d).transpose(1, 0, 2).reshape(params.M, -1)
+
+
+def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
+    """First maximal h, in by_total_desc order, whose selection loses
+    full column rank; None when every admissible selection keeps it.
+
+    Checking the maximal members suffices: see the module docstring.
+    Groups of equal total are decided one batch at a time, largest
+    total first, and the sweep stops at the first group with a failure.
+    """
+    flat = _coefficients(state)
+    q = state.field.q
+    for members, columns in hset.maximal_selections:
+        ok = full_column_rank(flat[:, columns].transpose(1, 0, 2), q)
+        if not ok.all():
+            return members[int(np.argmin(ok))]
+    return None
+
+
 def invariant_check(state: CodeState, hset: HSet) -> bool:
     """True iff every admissible selection keeps full column rank.
 
-    Visits vectors with the largest totals first and stops at the first
-    failure.
+    Decided on H's maximal members only, which imply every other rank
+    condition; invariant_failure names the failing h.
     """
-    q = state.field.q
-    for h in hset.by_total_desc:
-        want = sum(h)
-        if want == 0:
-            continue
-        if rank_of_rows(_selection_rows(state, h), q) != want:
-            return False
-    return True
+    return invariant_failure(state, hset) is None
+
+
+@lru_cache(maxsize=None)
+def _subset_columns(n: int, k: int, d: int) -> np.ndarray:
+    """(C(n, k), k*d) column indices of every k-node block of [Q_1 | ... | Q_n]."""
+    return np.array(
+        [
+            [j * d + c for j in subset for c in range(d)]
+            for subset in itertools.combinations(range(n), k)
+        ],
+        dtype=np.intp,
+    )
 
 
 def reconstruct_check(state: CodeState) -> bool:
-    """True iff every k-subset of nodes spans the whole file."""
-    import itertools
+    """True iff every k-subset of nodes spans the whole file.
 
+    Each subset's M x k*d block has rank M exactly when its transpose
+    has full column rank, which one batched kernel call decides.
+    """
     params = state.params
-    q = state.field.q
-    for subset in itertools.combinations(range(params.n), params.k):
-        rows = [
-            [e for j in subset for e in state.Q[j].row(r)]
-            for r in range(params.M)
-        ]
-        if rank_of_rows(rows, q) != params.M:
-            return False
-    return True
+    columns = _subset_columns(params.n, params.k, params.d)
+    blocks = _coefficients(state)[:, columns].transpose(1, 2, 0)
+    return bool(full_column_rank(blocks, state.field.q).all())
+
+
+def _rejections(states: Sequence[CodeState], hset: HSet) -> tuple[tuple[int, ...], ...]:
+    """The h that rejected each state.
+
+    Recomputed only once an attempt budget is spent, so accepted calls
+    run exactly one invariant_check per attempt.
+    """
+    return tuple(invariant_failure(state, hset) for state in states)
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -209,6 +272,7 @@ def construct(
         )
     rng = _generator(rng_seed)
     q = field.q
+    rejected = []
     for attempt in range(1, max_attempts + 1):
         draws = rng.integers(0, q, size=(params.n, params.M, params.d), dtype=np.int64)
         matrices = tuple(
@@ -230,7 +294,8 @@ def construct(
         )
         if invariant_check(state, hset):
             return state
-    raise ConstructionFailed(max_attempts)
+        rejected.append(state)
+    raise ConstructionFailed(max_attempts, _rejections(rejected, hset))
 
 
 def _validate_helpers(params: Params, failed: int, helpers: Sequence[int]) -> tuple[int, ...]:
@@ -285,6 +350,7 @@ def repair_random(
     rng = _generator(rng_seed)
     q = state.field.q
     d = params.d
+    rejected = []
     for attempt in range(1, max_attempts + 1):
         bs = rng.integers(0, q, size=(d, d), dtype=np.int64)
         zs = rng.integers(0, q, size=(d, d), dtype=np.int64)
@@ -300,7 +366,8 @@ def repair_random(
         candidate = replace(apply_repair_plan(state, plan), attempts=attempt)
         if invariant_check(candidate, hset):
             return candidate
-    raise RepairFailed(max_attempts)
+        rejected.append(candidate)
+    raise RepairFailed(max_attempts, _rejections(rejected, hset))
 
 
 def witness_repair_check(

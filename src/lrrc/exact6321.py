@@ -36,14 +36,12 @@ from .galois import (
     GaloisError,
     NotPrime,
     field_new,
-    identity,
     is_prime,
     mat_hstack,
     mat_inv,
     mat_mul,
     mat_rank,
     mat_solve,
-    select_columns,
 )
 from .code_core import CodeState, decode, encode
 from .mfhs import Params, params_new

@@ -1,15 +1,21 @@
 """Exact dense linear algebra over prime fields GF(q).
 
 Matrices are immutable, row-major, and store canonical residues in
-[0, q).  Rank, determinant, inversion, and solving all reduce to
-Gaussian elimination with row swaps; over a field any nonzero pivot is
-exact, so no pivoting strategy beyond "first nonzero" is needed.
+[0, q).  Rank, inversion, and solving all reduce to Gaussian
+elimination with row swaps; over a field any nonzero pivot is exact, so
+no pivoting strategy beyond "first nonzero" is needed.
+
+full_column_rank decides full column rank for a whole stack of
+equal-shape matrices at once.  For q < 2^31 it eliminates in int64
+numpy arrays; above that it falls back to rank_of_rows per matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "GaloisError",
@@ -26,17 +32,17 @@ __all__ = [
     "next_prime",
     "mat_mul",
     "mat_rank",
-    "mat_det",
     "mat_inv",
     "mat_solve",
     "mat_transpose",
     "mat_hstack",
-    "select_columns",
     "identity",
     "zeros",
     "matrix_to_dict",
     "matrix_from_dict",
     "rank_of_rows",
+    "BATCH_Q_LIMIT",
+    "full_column_rank",
 ]
 
 
@@ -245,14 +251,6 @@ def mat_hstack(mats: Sequence[FieldMatrix]) -> FieldMatrix:
     return FieldMatrix(rows, total_cols, tuple(out), first.field)
 
 
-def select_columns(a: FieldMatrix, x: int) -> FieldMatrix:
-    """First x columns of a; x may be 0 (empty selection) up to a.cols."""
-    if not (0 <= x <= a.cols):
-        raise OutOfRange(f"cannot take first {x} of {a.cols} columns")
-    entries = tuple(a.entries[i * a.cols + j] for i in range(a.rows) for j in range(x))
-    return FieldMatrix(a.rows, x, entries, a.field)
-
-
 def rank_of_rows(rows: list[list[int]], q: int) -> int:
     """Rank over GF(q) of a row-list matrix.  Mutates its argument.
 
@@ -293,36 +291,46 @@ def mat_rank(a: FieldMatrix) -> int:
     return rank_of_rows(a.to_rows(), a.field.q)
 
 
-def mat_det(a: FieldMatrix) -> int:
-    """Determinant as a canonical residue; 0 when singular."""
-    if a.rows != a.cols:
-        raise NotSquare(f"{a.rows}x{a.cols}")
-    q = a.field.q
-    n = a.rows
-    rows = a.to_rows()
-    det = 1 % q
-    for col in range(n):
-        pivot = -1
-        for r in range(col, n):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot < 0:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = (-det) % q
-        prow = rows[col]
-        det = det * prow[col] % q
-        inv = pow(prow[col], q - 2, q)
-        for r in range(col + 1, n):
-            f = rows[r][col]
-            if f:
-                factor = f * inv % q
-                rrow = rows[r]
-                for j in range(col, n):
-                    rrow[j] = (rrow[j] - factor * prow[j]) % q
-    return det
+# Below this modulus a product of two residues stays under 2^62, so
+# row * p - f * pivot_row cannot overflow int64.
+BATCH_Q_LIMIT = 2**31
+
+
+def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
+    """Which matrices of a (B, m, s) stack have full column rank s mod q.
+
+    Entries must be canonical residues.  For q < BATCH_Q_LIMIT the whole
+    stack is eliminated together in int64, fraction-free: each lower row
+    becomes row * p - f * pivot_row mod q, with pivot p and the row's
+    own entry f below it, so no modular inverse is needed.  Larger q
+    runs rank_of_rows on each matrix; pass such stacks with dtype=object
+    when residues may not fit int64.  Returns a bool array of length B.
+    """
+    count, m, s = stack.shape
+    if q >= BATCH_Q_LIMIT:
+        return np.array(
+            [rank_of_rows(mat.tolist(), q) == s for mat in stack], dtype=bool
+        )
+    if s > m:
+        return np.zeros(count, dtype=bool)
+    # (m, s, B): the batch is the contiguous axis, so every row
+    # operation below is one long vector operation
+    a = np.array(stack.transpose(1, 2, 0), dtype=np.int64, order="C")
+    ok = np.ones(count, dtype=bool)
+    batch = np.arange(count)
+    for col in range(s):
+        nonzero = a[col:, col] != 0
+        ok &= nonzero.any(axis=0)
+        # a matrix without a pivot here keeps p = f = 0, so its rows
+        # just zero out; its verdict is already False
+        pivot = nonzero.argmax(axis=0) + col
+        prow = a[pivot, :, batch].T.copy()
+        a[pivot, :, batch] = a[col].T
+        a[col] = prow
+        a[col + 1:, col + 1:] = (
+            a[col + 1:, col + 1:] * prow[col] - a[col + 1:, col, None] * prow[col + 1:]
+        ) % q
+    return ok
 
 
 def mat_solve(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:

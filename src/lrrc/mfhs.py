@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache, cached_property
 from typing import Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 H_ENUMERATION_LIMIT = 10_000_000
 
 
@@ -324,6 +326,49 @@ class HSet:
         tightest rank conditions, so failures surface early.
         """
         return tuple(sorted(self.members, key=lambda h: (-sum(h), h)))
+
+    @cached_property
+    def maximal(self) -> tuple[tuple[int, ...], ...]:
+        """Members h with no h + e_i in H, in by_total_desc order.
+
+        Every member is dominated by one of these: from any member, raise
+        one coordinate at a time while staying in H; the walk ends at a
+        maximal member.  A dominated h selects a column subset of its
+        dominator's selection, so full column rank of the maximal
+        selections implies it for all of H.
+        """
+        d = self.params.d
+        index = self._index
+        return tuple(
+            h for h in self.by_total_desc
+            if not any(
+                v < d and h[:i] + (v + 1,) + h[i + 1:] in index
+                for i, v in enumerate(h)
+            )
+        )
+
+    @cached_property
+    def maximal_selections(self) -> tuple[tuple[tuple[tuple[int, ...], ...], np.ndarray], ...]:
+        """The maximal members grouped by total, in by_total_desc order.
+
+        Each group pairs its members with a (members, total) array of
+        column indices into [Q_1 | ... | Q_n]: h selects the first h_i of
+        node i's d columns, which sit at i*d .. i*d + d - 1 (0-based i).
+        """
+        d = self.params.d
+        groups: dict[int, list[tuple[int, ...]]] = {}
+        for h in self.maximal:
+            groups.setdefault(sum(h), []).append(h)
+        return tuple(
+            (
+                tuple(members),
+                np.array(
+                    [[i * d + j for i, v in enumerate(h) for j in range(v)] for h in members],
+                    dtype=np.intp,
+                ),
+            )
+            for members in groups.values()
+        )
 
     def __contains__(self, h: object) -> bool:
         return tuple(h) in self._index  # type: ignore[arg-type]

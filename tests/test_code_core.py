@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -11,11 +12,14 @@ from lrrc.code_core import (
     ConstructionFailed,
     InvalidHelpers,
     RankDeficient,
+    RepairFailed,
+    _selection_rows,
     apply_repair_plan,
     construct,
     decode,
     encode,
     invariant_check,
+    invariant_failure,
     reconstruct_check,
     repair_random,
     required_field_size,
@@ -23,13 +27,30 @@ from lrrc.code_core import (
     state_to_dict,
     witness_repair_check,
 )
-from lrrc.galois import FieldMatrix, field_new, mat_mul, mat_rank, mat_transpose
+from lrrc.galois import (
+    BATCH_Q_LIMIT,
+    FieldMatrix,
+    field_new,
+    mat_mul,
+    mat_rank,
+    mat_transpose,
+    next_prime,
+    rank_of_rows,
+)
 from lrrc.mfhs import HNotMember, h_enumerate, params_new
 
 P321 = params_new(6, 3, 2, 1)
 P641 = params_new(6, 4, 3, 1)
 H321 = h_enumerate(P321)
 H641 = h_enumerate(P641)
+# family size 4; its H takes several seconds to enumerate, so fetch it
+# through the cached h_enumerate only inside tests
+P8422 = params_new(8, 4, 2, 2)
+CROSS_CHECK_POINTS = (P641, P321, P8422)
+
+
+def _point_id(params) -> str:
+    return f"{params.n}-{params.k}-{params.d}-{params.r}"
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +242,121 @@ def test_stored_view_matches_generator_math():
     for i in range(6):
         expect = mat_mul(mat_transpose(file), state.Q[i])
         assert stored[i].to_rows() == expect.to_rows()
+
+
+def _short_rank(state, h) -> bool:
+    return rank_of_rows(_selection_rows(state, h), state.field.q) < sum(h)
+
+
+def pure_sweep(state, hset) -> bool:
+    """The reference verdict: one pure-Python rank per member of H."""
+    return not any(_short_rank(state, h) for h in hset)
+
+
+def _random_state(params, q, rng):
+    f = field_new(q)
+    size = params.M * params.d
+    return CodeState(
+        params=params, field=f, packet_width=1,
+        Q=tuple(
+            FieldMatrix(params.M, params.d, tuple(rng.randrange(q) for _ in range(size)), f)
+            for _ in range(params.n)
+        ),
+    )
+
+
+def _plant_defect(state, hset, rng):
+    """Overwrite one column of one maximal selection with a random
+    combination of that selection's other columns."""
+    params, q = state.params, state.field.q
+    h = rng.choice([m for m in hset.maximal if sum(m) > 1])
+    cols = [(i, c) for i, v in enumerate(h) for c in range(v)]
+    node, col = rng.choice(cols)
+    weights = {ic: rng.randrange(1, q) for ic in cols if ic != (node, col)}
+    rows = [qm.to_rows() for qm in state.Q]
+    for r in range(params.M):
+        rows[node][r][col] = sum(w * rows[i][r][c] for (i, c), w in weights.items()) % q
+    return CodeState(
+        params=params, field=state.field, packet_width=1,
+        Q=tuple(FieldMatrix.from_rows(m, state.field) for m in rows),
+    )
+
+
+@pytest.mark.parametrize("params", CROSS_CHECK_POINTS, ids=_point_id)
+def test_invariant_check_agrees_with_pure_sweep_on_random_states(params):
+    hset = h_enumerate(params)
+    rng = random.Random(f"random-states/{params}")
+    verdicts = []
+    for q in (7, 11, 13, 31, 307, 7639):
+        for _ in range(4):
+            state = _random_state(params, q, rng)
+            verdict = invariant_check(state, hset)
+            assert verdict == pure_sweep(state, hset), (q, state_to_dict(state))
+            verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("params", CROSS_CHECK_POINTS, ids=_point_id)
+def test_invariant_catches_planted_defects(params):
+    hset = h_enumerate(params)
+    rng = random.Random(f"planted/{params}")
+    for q in (307, 7639):
+        state = construct(params, field_new(q), hset, rng_seed=q, max_attempts=64)
+        assert invariant_check(state, hset) and pure_sweep(state, hset)
+        assert invariant_failure(state, hset) is None
+        for _ in range(4):
+            broken = _plant_defect(state, hset, rng)
+            assert not pure_sweep(broken, hset)
+            assert not invariant_check(broken, hset)
+
+
+@pytest.mark.parametrize("params", CROSS_CHECK_POINTS, ids=_point_id)
+def test_invariant_failure_names_a_rank_deficient_h(params):
+    hset = h_enumerate(params)
+    rng = random.Random(f"failure/{params}")
+    state = construct(params, field_new(7639), hset, rng_seed=3)
+    for _ in range(6):
+        broken = _plant_defect(state, hset, rng)
+        h = invariant_failure(broken, hset)
+        assert h in hset.maximal
+        assert _short_rank(broken, h)
+        # no maximal member earlier in the sweep order fails
+        earlier = hset.maximal[:hset.maximal.index(h)]
+        assert not any(_short_rank(broken, m) for m in earlier)
+
+
+def test_construction_failure_names_rejecting_h():
+    with pytest.raises(ConstructionFailed) as err:
+        construct(P321, field_new(2), H321, rng_seed=0, max_attempts=3)
+    assert str(err.value) == "construction rejected 3 times"
+    assert len(err.value.rejected_by) == 3
+    assert all(h in H321.maximal for h in err.value.rejected_by)
+
+
+def test_repair_failure_names_rejecting_h(small_state):
+    # nodes 4 and 5 share one matrix, so no repair of node 1 can pass
+    twins = small_state.Q[:4] + (small_state.Q[3],) + small_state.Q[5:]
+    broken = CodeState(params=P321, field=small_state.field, packet_width=1, Q=twins)
+    with pytest.raises(RepairFailed) as err:
+        repair_random(broken, 1, (4, 5), rng_seed=0, max_attempts=2)
+    assert str(err.value) == "repair rejected 2 times"
+    assert len(err.value.rejected_by) == 2
+    for h in err.value.rejected_by:
+        assert h in H321.maximal
+        # a rejected candidate differs from broken only in node 1, so an
+        # h that skips node 1 must fail on broken itself
+        assert _short_rank(broken, h) or h[0] > 0
+
+
+def test_large_field_falls_back_to_pure_kernel():
+    q = next_prime(2**31)
+    assert q >= BATCH_Q_LIMIT
+    state = construct(P321, field_new(q), H321, rng_seed=11)
+    assert pure_sweep(state, H321)
+    assert reconstruct_check(state)
+    repaired = repair_random(state, 2, (4, 6), rng_seed=12)
+    assert invariant_check(repaired, H321) and pure_sweep(repaired, H321)
+    assert reconstruct_check(repaired)
+    broken = _plant_defect(repaired, H321, random.Random(13))
+    assert not invariant_check(broken, H321)
+    assert _short_rank(broken, invariant_failure(broken, H321))

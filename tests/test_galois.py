@@ -4,20 +4,21 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrrc.galois import (
+    BATCH_Q_LIMIT,
     DimensionMismatch,
     FieldMatrix,
     NotPrime,
-    NotSquare,
     OutOfRange,
     SingularMatrix,
     field_new,
+    full_column_rank,
     is_prime,
-    mat_det,
     mat_hstack,
     mat_inv,
     mat_mul,
@@ -28,7 +29,6 @@ from lrrc.galois import (
     matrix_to_dict,
     next_prime,
     rank_of_rows,
-    select_columns,
 )
 
 
@@ -118,16 +118,12 @@ def test_mat_mul_small():
         mat_mul(a, _m(f, [[1, 2, 3]]))
 
 
-def test_transpose_hstack_select():
+def test_transpose_and_hstack():
     f = field_new(11)
     a = _m(f, [[1, 2, 3], [4, 5, 6]])
     assert mat_transpose(a).to_rows() == [[1, 4], [2, 5], [3, 6]]
     b = _m(f, [[7], [8]])
     assert mat_hstack([a, b]).to_rows() == [[1, 2, 3, 7], [4, 5, 6, 8]]
-    assert select_columns(a, 2).to_rows() == [[1, 2], [4, 5]]
-    assert select_columns(a, 0).cols == 0
-    with pytest.raises(OutOfRange):
-        select_columns(a, 4)
 
 
 def test_rank_pinned_cases():
@@ -159,20 +155,78 @@ def test_rank_bounds_and_transpose_invariance(r, c, data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4), st.data())
-def test_det_matches_cofactor_expansion(n, data):
+def test_full_rank_iff_cofactor_det_nonzero(n, data):
     q = 17
     f = field_new(q)
     entries = data.draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
     a = FieldMatrix(n, n, tuple(entries), f)
     rows = [list(a.row(i)) for i in range(n)]
-    assert mat_det(a) == det_by_cofactors(rows, q)
-    assert (mat_det(a) != 0) == (mat_rank(a) == n)
+    assert (det_by_cofactors(rows, q) != 0) == (mat_rank(a) == n)
 
 
-def test_det_requires_square():
-    f = field_new(7)
-    with pytest.raises(NotSquare):
-        mat_det(_m(f, [[1, 2, 3]]))
+def _residues(q: int) -> st.SearchStrategy[int]:
+    # entries near q - 1 make the largest products, where int64 would wrap
+    return st.one_of(
+        st.integers(0, q - 1), st.integers(max(0, q - 4), q - 1), st.sampled_from([0, 1])
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 7, 13, 2147483647]),
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_full_column_rank_matches_rank_of_rows(q, s, extra_rows, count, data):
+    """Tall (extra_rows > 0) and square stacks against the pure kernel.
+
+    Some matrices get a last column that is a combination of the others
+    mod q; only exact modular arithmetic cancels it, so a kernel whose
+    products wrap would call those matrices regular.
+    """
+    assert q < BATCH_Q_LIMIT
+    m = s + extra_rows
+    mats = []
+    for _ in range(count):
+        rows = [data.draw(st.lists(_residues(q), min_size=s, max_size=s)) for _ in range(m)]
+        if s > 1 and data.draw(st.booleans()):
+            weights = data.draw(st.lists(_residues(q), min_size=s - 1, max_size=s - 1))
+            for row in rows:
+                row[-1] = sum(w * e for w, e in zip(weights, row)) % q
+        mats.append(rows)
+    stack = np.array(mats, dtype=np.int64).reshape(count, m, s)
+    want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
+    assert full_column_rank(stack, q).tolist() == want
+
+
+def test_full_column_rank_pinned_cases():
+    q = 2147483647
+    top = q - 1
+    # [[-1, -1], [-1, 1]] has det -2, regular; [[-1, -1], [-1, -1]] is
+    # not, and neither is [[-1, 1], [1, -1]], whose det (-1)(-1) - 1
+    # vanishes only if (q - 1)^2 is computed without wrapping
+    stack = np.array(
+        [[[top, top], [top, 1]], [[top, top], [top, top]], [[top, 1], [1, top]]], dtype=np.int64
+    )
+    assert full_column_rank(stack, q).tolist() == [True, False, False]
+    # more columns than rows can never have full column rank
+    assert full_column_rank(np.ones((2, 1, 2), dtype=np.int64), 7).tolist() == [False, False]
+    # the zero-column selection is trivially independent
+    assert full_column_rank(np.zeros((1, 3, 0), dtype=np.int64), 7).tolist() == [True]
+
+
+def test_full_column_rank_falls_back_above_limit():
+    q = next_prime(BATCH_Q_LIMIT)
+    top = q - 1
+    stack = np.array(
+        [[[top, top], [top, 1], [0, 0]], [[top, 1], [top, 1], [1, 1]], [[top, top], [1, 1], [0, 0]]],
+        dtype=object,
+    )
+    want = [rank_of_rows(mat.tolist(), q) == 2 for mat in stack]
+    assert want == [True, True, False]
+    assert full_column_rank(stack, q).tolist() == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -226,5 +280,6 @@ def test_all_two_by_two_ranks_over_gf2():
     f = field_new(2)
     for entries in itertools.product((0, 1), repeat=4):
         a = FieldMatrix(2, 2, entries, f)
-        expect = 2 if mat_det(a) != 0 else (1 if any(entries) else 0)
+        regular = det_by_cofactors([list(entries[:2]), list(entries[2:])], 2) != 0
+        expect = 2 if regular else (1 if any(entries) else 0)
         assert mat_rank(a) == expect

@@ -194,6 +194,31 @@ def test_h_enumerate_counts_frozen():
     assert len(h_enumerate(params_new(6, 3, 2, 1))) == 159
 
 
+MAXIMAL_COUNTS = {(6, 4, 3, 1): (384, 1128), (6, 3, 2, 1): (81, 159), (8, 4, 2, 2): (250, 407)}
+
+
+@pytest.mark.parametrize("point", sorted(MAXIMAL_COUNTS), ids=lambda p: "-".join(map(str, p)))
+def test_maximal_antichain_pinned(point):
+    p = params_new(*point)
+    hs = h_enumerate(p)
+    assert (len(hs.maximal), len(hs)) == MAXIMAL_COUNTS[point]
+    assert all(sum(h) == p.M for h in hs.maximal)
+    # sweep order is kept, and no maximal member lies below another
+    assert list(hs.maximal) == [h for h in hs.by_total_desc if h in set(hs.maximal)]
+    for h in hs:
+        above = [m for m in hs.maximal if all(a <= b for a, b in zip(h, m))]
+        assert above, h
+        if h in hs.maximal:
+            assert above == [h]
+    # the batched gather selects the first h_i columns of each node
+    grouped = [h for members, _ in hs.maximal_selections for h in members]
+    assert grouped == list(hs.maximal)
+    for members, columns in hs.maximal_selections:
+        assert columns.shape == (len(members), sum(members[0]))
+        for h, row in zip(members, columns.tolist()):
+            assert row == [i * p.d + c for i, v in enumerate(h) for c in range(v)]
+
+
 def test_h_enumerate_members_all_pass_membership():
     p = params_new(6, 3, 2, 1)
     hs = h_enumerate(p)
