@@ -50,6 +50,7 @@ from .exact6321 import ExactCodeError, build_exact_code, code_to_dict, verify_ex
 
 FAILURE_POLICIES = ("round-robin", "uniform-random", "adversarial-sweep")
 HELPER_POLICIES = ("uniform-random", "exhaustive-per-failure")
+CHECKS = ("invariant", "reconstruction", "witness")
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,7 @@ def simulate(config: SimConfig) -> SimReport:
     t_start = time.perf_counter()
     params = config.params
     hset = h_enumerate(params)
-    bound = required_field_size(params, hset)
-    q = next_prime(bound) if config.q == "auto" else int(config.q)
+    q, bound = _resolve_field(params, hset, config.q)
     field = field_new(q)
     master = random.Random(config.seed)
 
@@ -316,6 +316,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip() != "")
 
 
+def _parse_checks(text: str) -> list[str]:
+    """Comma-separated check names, each one of CHECKS."""
+    wanted = [c.strip() for c in text.split(",") if c.strip()]
+    unknown = [c for c in wanted if c not in CHECKS]
+    if unknown:
+        raise ModelError(f"unknown checks: {unknown}")
+    return wanted
+
+
 def _add_params_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("n", type=int)
     sub.add_argument("k", type=int)
@@ -323,7 +332,7 @@ def _add_params_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("r", type=int)
 
 
-def _resolve_field(params: Params, hset: HSet, choice: str) -> tuple[int, int]:
+def _resolve_field(params: Params, hset: HSet, choice: int | str) -> tuple[int, int]:
     bound = required_field_size(params, hset)
     if choice == "auto":
         return next_prime(bound), bound
@@ -390,12 +399,9 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    wanted = _parse_checks(args.checks)
     state = _load_state(args.state)
     hset = h_enumerate(state.params)
-    wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
-    unknown = [c for c in wanted if c not in ("invariant", "reconstruction", "witness")]
-    if unknown:
-        raise ModelError(f"unknown checks: {unknown}")
     results: dict = {}
     if "invariant" in wanted:
         results["invariant"] = invariant_check(state, hset)
@@ -449,10 +455,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         if None in (args.n, args.k, args.d, args.r):
             raise ModelError("simulate needs --config or all of --n --k --d --r")
-        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-        unknown = [c for c in checks if c not in ("invariant", "reconstruction", "witness")]
-        if unknown:
-            raise ModelError(f"unknown checks: {unknown}")
+        checks = _parse_checks(args.checks)
         config = sim_config_from_dict({
             "params": {"n": args.n, "k": args.k, "d": args.d, "r": args.r},
             "q": args.q,
@@ -460,8 +463,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "rounds": args.rounds,
             "failure_policy": args.failure_policy,
             "helper_policy": args.helper_policy,
-            "checks": {name: name in checks for name in
-                       ("invariant", "reconstruction", "witness")},
+            "checks": {name: name in checks for name in CHECKS},
             "max_attempts": args.max_attempts,
         })
     report = simulate(config)
@@ -559,10 +561,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConstructionFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RepairFailed as exc:
+    except (ConstructionFailed, RepairFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ModelError, ConnectError, CodeError, GaloisError, ExactCodeError,

@@ -49,8 +49,7 @@ class ConnectState:
     """Snapshot after iteration t.
 
     h is the current selection vector, pool the helpers not yet
-    incremented, perm the current nonincreasing order, classes[g] the
-    nodes currently carrying value g (ascending index).
+    incremented, perm the current nonincreasing order.
     """
 
     t: int
@@ -58,7 +57,6 @@ class ConnectState:
     pool: frozenset[int]
     perm: Perm
     failed: int
-    classes: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -66,13 +64,6 @@ class ConnectResult:
     h_prime: tuple[int, ...]
     incremented: tuple[int, ...]
     trace: tuple[ConnectState, ...]
-
-
-def _classes_of(h: Sequence[int], d: int) -> tuple[tuple[int, ...], ...]:
-    out: list[list[int]] = [[] for _ in range(d + 1)]
-    for node, value in enumerate(h, start=1):
-        out[value].append(node)
-    return tuple(tuple(nodes) for nodes in out)
 
 
 def _validate_helpers(params: Params, helpers: Sequence[int], failed: int) -> frozenset[int]:
@@ -186,7 +177,6 @@ def connect_run(params: Params, h: Sequence[int], helpers: Sequence[int], failed
         pool=frozenset(pool),
         perm=perm,
         failed=failed,
-        classes=_classes_of(h, params.d),
     )
     _check_state(params, state)
     trace = [state]
@@ -203,7 +193,6 @@ def connect_run(params: Params, h: Sequence[int], helpers: Sequence[int], failed
             pool=frozenset(pool),
             perm=state.perm,
             failed=failed,
-            classes=_classes_of(current, params.d),
         )
         state = replace(interim, perm=step_resort(interim, x))
         _check_state(params, state)

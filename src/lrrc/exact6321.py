@@ -163,24 +163,30 @@ def build_exact_code(q: int = 7) -> ExactCode:
     code = ExactCode(
         field=field, generator=generator, a=a, abar=abar, b=b, bbar=bbar, Q=matrices
     )
-    problems = _structural_problems(code)
-    if problems:
-        raise ExactCodeError("; ".join(problems))
+    mds, pairs = _structural_entries(code)
+    failing = [e for e in mds + pairs if not e["ok"]]
+    if failing:
+        raise ExactCodeError(f"structural checks failed: {failing}")
     return code
 
 
-def _structural_problems(code: ExactCode) -> list[str]:
-    """Structural conditions every valid code instance satisfies."""
-    out = []
+def _structural_entries(code: ExactCode) -> tuple[list[dict], list[dict]]:
+    """Structural conditions every valid code instance satisfies.
+
+    Returns one entry per four-column generator selection (invertible
+    for the MDS property) and one per within-family node pair (its four
+    columns span the file), each with an "ok" verdict.
+    """
+    mds = []
     for subset in itertools.combinations(range(6), 4):
         cols = mat_hstack([_generator_column(code, j) for j in subset])
-        if mat_rank(cols) != 4:
-            out.append(f"generator columns {tuple(s + 1 for s in subset)} are dependent")
+        mds.append({"columns": [j + 1 for j in subset], "ok": mat_rank(cols) == 4})
+    pairs = []
     for fam in (FAMILY_A, FAMILY_B):
         for i, j in itertools.combinations(fam, 2):
-            if mat_rank(mat_hstack([code.Q[i - 1], code.Q[j - 1]])) != 4:
-                out.append(f"family pair ({i},{j}) does not span the file")
-    return out
+            ok = mat_rank(mat_hstack([code.Q[i - 1], code.Q[j - 1]])) == 4
+            pairs.append({"pair": [i, j], "ok": ok})
+    return mds, pairs
 
 
 def _generator_column(code: ExactCode, j: int) -> FieldMatrix:
@@ -331,16 +337,7 @@ def verify_exact_code(code: ExactCode) -> ExactVerifyReport:
     from the construction; a tampered code yields a failing report, not
     an exception.
     """
-    mds = []
-    for subset in itertools.combinations(range(6), 4):
-        cols = mat_hstack([_generator_column(code, j) for j in subset])
-        mds.append({"columns": [j + 1 for j in subset], "ok": mat_rank(cols) == 4})
-
-    pairs = []
-    for fam in (FAMILY_A, FAMILY_B):
-        for i, j in itertools.combinations(fam, 2):
-            ok = mat_rank(mat_hstack([code.Q[i - 1], code.Q[j - 1]])) == 4
-            pairs.append({"pair": [i, j], "ok": ok})
+    mds, pairs = _structural_entries(code)
 
     state = as_code_state(code)
     file = FieldMatrix(4, 1, tuple(v % code.field.q for v in (1, 2, 3, 4)), code.field)

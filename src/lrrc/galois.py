@@ -1,13 +1,16 @@
 """Exact dense linear algebra over prime fields GF(q).
 
 Matrices are immutable, row-major, and store canonical residues in
-[0, q).  Rank, inversion, and solving all reduce to Gaussian
-elimination with row swaps; over a field any nonzero pivot is exact, so
-no pivoting strategy beyond "first nonzero" is needed.
+[0, q).  There are two elimination routines:
 
-full_column_rank decides full column rank for a whole stack of
-equal-shape matrices at once.  For q < 2^31 it eliminates in int64
-numpy arrays; above that it falls back to rank_of_rows per matrix.
+- rank_of_rows, pure-Python Gaussian elimination with row swaps to
+  echelon form with unit pivots.  Over a field any nonzero pivot is
+  exact, so no pivoting strategy beyond "first nonzero" is needed.
+  mat_rank, mat_solve and mat_inv (through mat_solve) all run on it,
+  and it is the reference the batched kernel is tested against.
+- full_column_rank, which decides full column rank for a whole stack of
+  equal-shape matrices at once.  For q < 2^31 it eliminates in int64
+  numpy arrays; above that it falls back to rank_of_rows per matrix.
 """
 
 from __future__ import annotations
@@ -160,16 +163,6 @@ class FieldMatrix:
             raise DimensionMismatch("ragged rows")
         q = field.q
         return cls(nrows, ncols, tuple(int(e) % q for r in rows for e in r), field)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], field: FieldConfig) -> "FieldMatrix":
-        ncols = len(columns)
-        nrows = len(columns[0]) if ncols else 0
-        if any(len(c) != nrows for c in columns):
-            raise DimensionMismatch("ragged columns")
-        q = field.q
-        entries = tuple(int(columns[j][i]) % q for i in range(nrows) for j in range(ncols))
-        return cls(nrows, ncols, entries, field)
 
     def at(self, i: int, j: int) -> int:
         """Entry at 0-based position (i, j)."""
@@ -338,50 +331,26 @@ def mat_solve(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:
 
     Returns the unique solution when a has full column rank and the
     system is consistent, else None.  a may have more rows than
-    columns.
+    columns.  rank_of_rows brings [a | b] to echelon form with unit
+    pivots: a has full column rank exactly when the first a.cols rows
+    pivot on the diagonal, and the system is consistent exactly when no
+    further row survives.  Back-substitution then reads x off.
     """
     _same_field(a, b)
     if a.rows != b.rows:
         raise DimensionMismatch(f"{a.rows} equation rows vs {b.rows} rhs rows")
     q = a.field.q
-    m, n, w = a.rows, a.cols, b.cols
-    aug = [list(a.row(i)) + list(b.row(i)) for i in range(m)]
-    width = n + w
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = -1
-        for r in range(rank, m):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        prow = aug[rank]
-        inv = pow(prow[col], q - 2, q)
-        for j in range(col, width):
-            prow[j] = prow[j] * inv % q
-        for r in range(m):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                rrow = aug[r]
-                for j in range(col, width):
-                    rrow[j] = (rrow[j] - f * prow[j]) % q
-        pivots.append(col)
-        rank += 1
-        if rank == n:
-            break
-    if rank < n:
+    n = a.cols
+    aug = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
+    if rank_of_rows(aug, q) != n or not all(aug[i][i] for i in range(n)):
         return None
-    for r in range(rank, m):
-        if any(aug[r][n + j] for j in range(w)):
-            return None
-    out = [[0] * w for _ in range(n)]
-    for r, col in enumerate(pivots):
-        for j in range(w):
-            out[col][j] = aug[r][n + j]
-    return FieldMatrix.from_rows(out, a.field)
+    x = [row[n:] for row in aug[:n]]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            f = aug[i][j]
+            if f:
+                x[i] = [(v - f * u) % q for v, u in zip(x[i], x[j])]
+    return FieldMatrix.from_rows(x, a.field)
 
 
 def mat_inv(a: FieldMatrix) -> FieldMatrix:

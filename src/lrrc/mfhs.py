@@ -13,9 +13,14 @@ of b over all n! orders.  The capped score c(pi) truncates b(pi) so it
 totals exactly M.
 
 H is the set of integer vectors h with 0 <= h_i <= d such that some
-order sorting h nonincreasingly has a capped score weakly majorizing h.
-Members of H index every rank condition a code has to satisfy, so the
-whole verification story in this package runs through this module.
+order pi sorting h nonincreasingly has a capped score c = c(pi) that
+covers h position by position: c_1 + ... + c_m >= h_pi(1) + ... +
+h_pi(m) for every m.  With family size 2, c is nonincreasing and this
+is weak majorization of h by c.  With larger families c need not be
+monotone, and sorting c before comparing would admit vectors no code
+can serve.  Members of H index every rank condition a code has to
+satisfy, so the whole verification story in this package runs through
+this module.
 """
 
 from __future__ import annotations
@@ -181,19 +186,12 @@ def _min_prefix_total(n: int, k: int, d: int, f: int) -> int:
     """Worst k-prefix score total over all node orders.
 
     Scores depend only on the family-id sequence, and families are
-    interchangeable, so beyond n = 8 the search runs over canonical
-    family sequences instead of raw permutations.
+    interchangeable, so the search runs over canonical family sequences
+    instead of the n! raw permutations: its state is the position and
+    the multiset of nodes each family has left, memoized.  A node
+    placed at position i whose family already has f - rem earlier nodes
+    sees z = i - (f - rem) outsiders before it.
     """
-    if n <= 8:
-        family_of = tuple((i // f) + 1 for i in range(n))
-        best = None
-        for perm in itertools.permutations(range(1, n + 1)):
-            seq = [family_of[node - 1] for node in perm[:k]]
-            total = sum(_prefix_scores(seq, d, k))
-            if best is None or total < best:
-                best = total
-        assert best is not None
-        return best
 
     @lru_cache(maxsize=None)
     def best_from(i: int, remaining: tuple[int, ...]) -> int:
@@ -259,6 +257,22 @@ def majorizes(a: Sequence[int], b: Sequence[int]) -> bool:
     return True
 
 
+def _covers_along(params: Params, h: Sequence[int], perm: Perm) -> bool:
+    """Whether each position prefix of perm's capped score covers the
+    same prefix of h read along perm.
+
+    Along a sorting order of h this implies majorizes(c, h), because
+    sorting c only raises its prefix sums.
+    """
+    c = score_vectors(params, perm).c
+    slack = 0
+    for value, node in zip(c, perm.order):
+        slack += value - h[node - 1]
+        if slack < 0:
+            return False
+    return True
+
+
 def _sorting_perms(params: Params, h: Sequence[int]) -> Iterator[Perm]:
     """All node orders along which h is nonincreasing, canonical first.
 
@@ -283,9 +297,10 @@ def canonical_sorting_perm(params: Params, h: Sequence[int]) -> Perm:
 def h_membership(params: Params, h: Sequence[int], exhaustive: bool | None = None) -> MembershipResult:
     """Decide h in H, returning a witness order when it is.
 
-    With family size 2 a single canonical sorting order decides
-    membership (adjacent tied nodes can always be swapped without
-    losing majorization), so the default mode checks just that one.
+    An order is accepted when _covers_along holds for it.  With family
+    size 2 a single canonical sorting order decides membership (adjacent
+    tied nodes can always be swapped without losing coverage), so the
+    default mode checks just that one.
     Pass exhaustive=True to scan every sorting order instead; for
     family sizes above 2 the exhaustive scan is always used.
     """
@@ -295,13 +310,9 @@ def h_membership(params: Params, h: Sequence[int], exhaustive: bool | None = Non
         return MembershipResult(False, None)
     if exhaustive is None:
         exhaustive = params.family_size != 2
-    if not exhaustive:
-        perm = canonical_sorting_perm(params, h)
-        if majorizes(score_vectors(params, perm).c, h):
-            return MembershipResult(True, perm)
-        return MembershipResult(False, None)
-    for perm in _sorting_perms(params, h):
-        if majorizes(score_vectors(params, perm).c, h):
+    perms = _sorting_perms(params, h) if exhaustive else [canonical_sorting_perm(params, h)]
+    for perm in perms:
+        if _covers_along(params, h, perm):
             return MembershipResult(True, perm)
     return MembershipResult(False, None)
 

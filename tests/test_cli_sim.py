@@ -191,6 +191,16 @@ def test_simulate_unknown_policy_is_usage_error(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("verify", "--state", "unused.json"),
+    ("simulate", "--n", "6", "--k", "3", "--d", "2", "--r", "1"),
+])
+def test_unknown_check_is_usage_error(capsys, command):
+    code, _, err = invoke(capsys, *command, "--checks", "invariant,bogus")
+    assert code == 2
+    assert "unknown checks: ['bogus']" in err
+
+
 def test_simulate_determinism_programmatic():
     cfg = SimConfig(params=params_new(6, 3, 2, 1), seed=19, rounds=6,
                     failure_policy="uniform-random")

@@ -11,6 +11,7 @@ from lrrc.exact6321 import (
     FAMILY_B,
     FieldTooSmall,
     InvalidPair,
+    _structural_entries,
     as_code_state,
     build_exact_code,
     code_to_dict,
@@ -162,6 +163,10 @@ def test_tampered_code_fails_verification(code7):
     broken = dataclasses.replace(code7, Q=code7.Q[:5] + (zero,))
     report = verify_exact_code(broken)
     assert not report.passed
+    mds, pairs = _structural_entries(broken)
+    assert all(e["ok"] for e in mds)
+    assert [e["pair"] for e in pairs if not e["ok"]] == [[4, 6], [5, 6]]
+    assert report.family_pairs == tuple(pairs)
 
 
 def test_generic_view_reconstructs_but_skips_random_invariant(code7):

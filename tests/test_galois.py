@@ -246,6 +246,23 @@ def test_inverse_round_trip(n, data):
         ]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 7, 13]), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 3), st.data())
+def test_solve_verdict_matches_ranks(q, m, n, w, data):
+    f = field_new(q)
+    # mostly zeros and ones, so singular and inconsistent systems are common
+    entry = st.sampled_from([0, 0, 1, q - 1]) | st.integers(0, q - 1)
+    a = FieldMatrix(m, n, tuple(data.draw(st.lists(entry, min_size=m * n, max_size=m * n))), f)
+    b = FieldMatrix(m, w, tuple(data.draw(st.lists(entry, min_size=m * w, max_size=m * w))), f)
+    x = mat_solve(a, b)
+    rank_a = mat_rank(a)
+    if rank_a < n or mat_rank(mat_hstack([a, b])) > rank_a:
+        assert x is None
+    else:
+        assert x is not None and mat_mul(a, x) == b
+
+
 def test_solve_consistent_and_inconsistent():
     f = field_new(7)
     a = _m(f, [[1, 2], [3, 4]])
