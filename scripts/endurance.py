@@ -2,9 +2,10 @@
 """Long-haul repair endurance run.
 
 Constructs a code, then hammers it with failure rounds under the chosen
-policies while re-checking the full invariant after every accepted
-repair.  Prints the aggregate JSON to stdout; optionally stores the
-whole report.
+policies.  Every accepted repair has passed the full invariant check;
+the report records that verdict and re-runs the reconstruction check.
+Prints the aggregate JSON to stdout; optionally stores the whole
+report.
 """
 
 from __future__ import annotations

@@ -163,14 +163,18 @@ def _helper_sets(config: SimConfig, failed: int, master: random.Random) -> list[
     return list(itertools.combinations(universe, config.params.d))
 
 
-def _run_checks(config: SimConfig, state: CodeState, hset: HSet,
-                failed: int | None, helpers: tuple[int, ...] | None) -> dict:
+def _run_checks(wanted: list[str], state: CodeState, hset: HSet,
+                failed: int | None = None, helpers: tuple[int, ...] | None = None) -> dict:
+    """Run the named checks, each one of CHECKS, on state.
+
+    The witness check needs the failed node and its helpers.
+    """
     out: dict = {}
-    if config.check_invariant:
+    if "invariant" in wanted:
         out["invariant"] = invariant_check(state, hset)
-    if config.check_reconstruction:
+    if "reconstruction" in wanted:
         out["reconstruction"] = reconstruct_check(state)
-    if config.check_witness and failed is not None and helpers is not None:
+    if "witness" in wanted:
         out["witness"] = all(
             witness_repair_check(state, failed, helpers, h, hset) for h in hset
         )
@@ -196,6 +200,12 @@ def simulate(config: SimConfig) -> SimReport:
     total_attempts = 0
     accepted = 0
     failure: dict | None = None
+    # construct and repair_random return a state only after
+    # invariant_check(state, hset) passed on this same cached hset, so
+    # that verdict is recorded, not computed again
+    carried = {"invariant": True} if config.check_invariant else {}
+    rerun = ["reconstruction"] if config.check_reconstruction else []
+    witness = ["witness"] if config.check_witness else []
 
     t0 = time.perf_counter()
     try:
@@ -207,29 +217,19 @@ def simulate(config: SimConfig) -> SimReport:
             "error": "ConstructionFailed",
             "attempts": exc.attempts,
             "field_below_bound": q < bound,
-            "wall_time_s": time.perf_counter() - t0,
         }
-        aggregate = {
-            "events_total": 0,
-            "events_passed": 0,
-            "total_attempts": 0,
-            "retry_histogram": {},
-            "repair_failure_rate": 0.0,
-            "wall_time_s": time.perf_counter() - t_start,
+        planned: list[list[int]] = []
+    else:
+        construction = {
+            "ok": True,
+            "attempts": state.attempts,
+            "field_below_bound": state.field_below_bound,
+            "checks": {**carried, **_run_checks(rerun, state, hset)},
         }
-        return SimReport(config=config, version=__version__, q=q,
-                         construction=construction, events=[],
-                         aggregate=aggregate, passed=False)
+        planned = _planned_failures(config, master)
+    construction["wall_time_s"] = time.perf_counter() - t0
 
-    construction = {
-        "ok": True,
-        "attempts": state.attempts,
-        "field_below_bound": state.field_below_bound,
-        "checks": _run_checks(config, state, hset, None, None),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-
-    for round_no, failures in enumerate(_planned_failures(config, master), start=1):
+    for round_no, failures in enumerate(planned, start=1):
         if failure:
             break
         for failed in failures:
@@ -265,9 +265,9 @@ def simulate(config: SimConfig) -> SimReport:
                 break
             assert advanced is not None
             state = advanced
-            event["checks"] = _run_checks(
-                config, state, hset, failed, helper_sets[0]
-            )
+            event["checks"] = {
+                **carried, **_run_checks(rerun + witness, state, hset, failed, helper_sets[0])
+            }
             event["wall_time_s"] = time.perf_counter() - t0
             events.append(event)
 
@@ -402,19 +402,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     wanted = _parse_checks(args.checks)
     state = _load_state(args.state)
     hset = h_enumerate(state.params)
-    results: dict = {}
-    if "invariant" in wanted:
-        results["invariant"] = invariant_check(state, hset)
-    if "reconstruction" in wanted:
-        results["reconstruction"] = reconstruct_check(state)
+    failed = helpers = None
     if "witness" in wanted:
         if args.witness_failed is None or not args.witness_helpers:
             raise ModelError("witness check needs --witness-failed and --witness-helpers")
-        helpers = _parse_int_list(args.witness_helpers)
-        results["witness"] = all(
-            witness_repair_check(state, args.witness_failed, helpers, h, hset)
-            for h in hset
-        )
+        failed, helpers = args.witness_failed, _parse_int_list(args.witness_helpers)
+    results = _run_checks(wanted, state, hset, failed, helpers)
     _emit(results)
     return 0 if all(results.values()) else 1
 

@@ -53,9 +53,10 @@ from .galois import (
 from .mfhs import (
     HNotMember,
     HSet,
+    InvalidHelpers,
     Params,
+    checked_helpers,
     h_enumerate,
-    helper_universe,
     params_from_dict,
     params_to_dict,
 )
@@ -94,10 +95,6 @@ class RepairFailed(CodeError):
         super().__init__(f"repair rejected {attempts} times")
         self.attempts = attempts
         self.rejected_by = rejected_by
-
-
-class InvalidHelpers(CodeError):
-    """Helper set is not d distinct nodes from the failed node's universe."""
 
 
 class RankDeficient(CodeError):
@@ -298,23 +295,6 @@ def construct(
     raise ConstructionFailed(max_attempts, _rejections(rejected, hset))
 
 
-def _validate_helpers(params: Params, failed: int, helpers: Sequence[int]) -> tuple[int, ...]:
-    if not (1 <= failed <= params.n):
-        raise InvalidHelpers(f"failed node {failed} outside 1..{params.n}")
-    ordered = tuple(sorted(helpers))
-    if len(set(ordered)) != len(ordered):
-        raise InvalidHelpers(f"duplicate helpers in {helpers}")
-    if len(ordered) != params.d:
-        raise InvalidHelpers(f"need exactly d = {params.d} helpers, got {len(ordered)}")
-    universe = helper_universe(params, failed)
-    stray = [x for x in ordered if x not in universe]
-    if stray:
-        raise InvalidHelpers(
-            f"helpers {stray} are not eligible for node {failed} (universe {sorted(universe)})"
-        )
-    return ordered
-
-
 def apply_repair_plan(state: CodeState, plan: RepairPlan) -> CodeState:
     """Replace the failed node's matrix as the plan dictates.
 
@@ -342,10 +322,11 @@ def repair_random(
     Coefficients are sampled uniformly; a candidate replacement is kept
     only if the whole state passes invariant_check again.  The returned
     state's attempts field counts the samples used.  States whose
-    candidate was rejected are never returned or mutated.
+    candidate was rejected are never returned or mutated.  Raises
+    InvalidHelpers when helpers fail mfhs.checked_helpers.
     """
     params = state.params
-    ordered = _validate_helpers(params, failed, helpers)
+    ordered = checked_helpers(params, failed, helpers)
     hset = h_enumerate(params)
     rng = _generator(rng_seed)
     q = state.field.q
@@ -390,7 +371,7 @@ def witness_repair_check(
     h = tuple(h)
     if h not in hset:
         raise HNotMember(f"{h} is not admissible")
-    ordered = _validate_helpers(params, failed, helpers)
+    ordered = checked_helpers(params, failed, helpers)
     result = connect_run(params, h, ordered, failed)
 
     def unit(col: int) -> FieldMatrix:

@@ -25,8 +25,8 @@ from .mfhs import (
     HNotMember,
     Params,
     Perm,
+    checked_helpers,
     h_membership,
-    helper_universe,
     majorizes,
     score_vectors,
 )
@@ -66,24 +66,12 @@ class ConnectResult:
     trace: tuple[ConnectState, ...]
 
 
-def _validate_helpers(params: Params, helpers: Sequence[int], failed: int) -> frozenset[int]:
-    hs = frozenset(helpers)
-    if len(hs) != len(tuple(helpers)):
-        raise ValueError(f"duplicate helpers in {tuple(helpers)}")
-    universe = helper_universe(params, failed)
-    if not hs <= universe:
-        raise ValueError(f"helpers {sorted(hs)} stray outside {sorted(universe)}")
-    if len(hs) != params.d:
-        raise ValueError(f"need exactly d = {params.d} helpers, got {len(hs)}")
-    return hs
-
-
 def initial_perm(params: Params, h: Sequence[int], helpers: Sequence[int], failed: int) -> Perm:
     """Starting order: h descending, helpers first inside every tied
     class, remaining ties by ascending node index."""
     if not h_membership(params, h).member:
         raise HNotMember(f"{tuple(h)} is not admissible for {params}")
-    hs = _validate_helpers(params, helpers, failed)
+    hs = checked_helpers(params, failed, helpers)
     order = sorted(
         range(1, params.n + 1),
         key=lambda node: (-h[node - 1], 0 if node in hs else 1, node),
@@ -168,7 +156,7 @@ def connect_run(params: Params, h: Sequence[int], helpers: Sequence[int], failed
     """
     h = tuple(h)
     perm = initial_perm(params, h, helpers, failed)
-    pool = set(_validate_helpers(params, helpers, failed))
+    pool = set(helpers)  # initial_perm has checked them
 
     current = list(h)
     state = ConnectState(

@@ -19,8 +19,9 @@ matrices are
 Family A is {1,2,3}, family B is {4,5,6}.  Each repair rule names the
 one packet every helper sends (a coefficient pair over its two stored
 packets); the newcomer's 2x2 combine matrix is then solved, not
-guessed, from the coding matrices, and build-time verification replays
-every rule on a basis of files to confirm bit-exact regeneration.
+guessed, from the coding matrices.  verify_exact_code replays every
+rule once, on the four-file block that holds the packets of all four
+basis files, to confirm bit-exact regeneration.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .galois import (
     GaloisError,
     NotPrime,
     field_new,
+    identity,
     is_prime,
     mat_hstack,
     mat_inv,
@@ -193,12 +195,6 @@ def _generator_column(code: ExactCode, j: int) -> FieldMatrix:
     return FieldMatrix(4, 1, code.generator.column(j), code.field)
 
 
-def _family_of(node: int) -> tuple[int, ...]:
-    if node in FAMILY_A:
-        return FAMILY_A
-    return FAMILY_B
-
-
 def _sends_for(code: ExactCode, failed: int, helper: int) -> tuple[int, int]:
     """Coefficient pair helper applies to its own packets for this repair.
 
@@ -318,24 +314,18 @@ class ExactVerifyReport:
         }
 
 
-def _basis_files(field: FieldConfig) -> list[FieldMatrix]:
-    files = []
-    for i in range(4):
-        entries = [0] * 4
-        entries[i] = 1
-        files.append(FieldMatrix(4, 1, tuple(entries), field))
-    return files
-
-
 def verify_exact_code(code: ExactCode) -> ExactVerifyReport:
     """Replay every structural and repair obligation, recording each.
 
     Checks: all 15 four-column generator selections invertible, all six
     within-family node pairs full rank, file recovery from all 20 node
     triples, and bit-exact regeneration for all 30 (failed, unavailable)
-    pairs on a basis of files (120 regenerations).  Nothing is assumed
-    from the construction; a tampered code yields a failing report, not
-    an exception.
+    pairs: 30 regenerations of a four-file block.  The file X = I_4
+    stores Q_i itself at node i, and row j of that W x 2 block is what
+    the basis file e_j stores; regeneration acts on each row alone, so
+    one regeneration replays a rule on all four basis files.  Nothing is
+    assumed from the construction; a tampered code yields a failing
+    report, not an exception.
     """
     mds, pairs = _structural_entries(code)
 
@@ -351,23 +341,16 @@ def verify_exact_code(code: ExactCode) -> ExactVerifyReport:
             ok = False
         recon.append({"nodes": list(triple), "ok": ok})
 
+    basis = encode(as_code_state(code, packet_width=4), identity(4, code.field))
     repairs = []
-    basis = _basis_files(code.field)
     for failed in range(1, 7):
         for unavailable in range(1, 7):
             if unavailable == failed:
                 continue
-            ok = True
-            for bf in basis:
-                packets = encode(state, bf)
-                try:
-                    rebuilt = exact_repair(code, packets, failed, unavailable)
-                except (GaloisError, ExactCodeError):
-                    ok = False
-                    break
-                if rebuilt != packets[failed - 1]:
-                    ok = False
-                    break
+            try:
+                ok = exact_repair(code, basis, failed, unavailable) == basis[failed - 1]
+            except (GaloisError, ExactCodeError):
+                ok = False
             repairs.append({"failed": failed, "unavailable": unavailable, "ok": ok})
 
     passed = (

@@ -59,6 +59,10 @@ class HNotMember(ModelError):
     """A selection vector was expected to belong to H but does not."""
 
 
+class InvalidHelpers(ModelError, ValueError):
+    """Helper set is not d distinct nodes from the failed node's universe."""
+
+
 @dataclass(frozen=True)
 class Params:
     """Code parameters at the minimum-bandwidth point.
@@ -167,6 +171,25 @@ def helper_universe(params: Params, node: int) -> frozenset[int]:
     layout = family_layout(params)
     g = layout.family_of[node - 1]
     return frozenset(i for i in range(1, params.n + 1) if layout.family_of[i - 1] != g)
+
+
+def checked_helpers(params: Params, failed: int, helpers: Sequence[int]) -> tuple[int, ...]:
+    """The helpers in ascending order, once they are d distinct nodes of
+    the failed node's helper universe; raises InvalidHelpers otherwise."""
+    if not (1 <= failed <= params.n):
+        raise InvalidHelpers(f"failed node {failed} outside 1..{params.n}")
+    ordered = tuple(sorted(helpers))
+    if len(set(ordered)) != len(ordered):
+        raise InvalidHelpers(f"duplicate helpers in {tuple(helpers)}")
+    if len(ordered) != params.d:
+        raise InvalidHelpers(f"need exactly d = {params.d} helpers, got {len(ordered)}")
+    universe = helper_universe(params, failed)
+    stray = [x for x in ordered if x not in universe]
+    if stray:
+        raise InvalidHelpers(
+            f"helpers {stray} are not eligible for node {failed} (universe {sorted(universe)})"
+        )
+    return ordered
 
 
 def _prefix_scores(family_seq: Sequence[int], d: int, upto: int) -> list[int]:
@@ -294,23 +317,20 @@ def canonical_sorting_perm(params: Params, h: Sequence[int]) -> Perm:
     return Perm(tuple(order))
 
 
-def h_membership(params: Params, h: Sequence[int], exhaustive: bool | None = None) -> MembershipResult:
+def h_membership(params: Params, h: Sequence[int]) -> MembershipResult:
     """Decide h in H, returning a witness order when it is.
 
     An order is accepted when _covers_along holds for it.  With family
-    size 2 a single canonical sorting order decides membership (adjacent
-    tied nodes can always be swapped without losing coverage), so the
-    default mode checks just that one.
-    Pass exhaustive=True to scan every sorting order instead; for
-    family sizes above 2 the exhaustive scan is always used.
+    size 2 the canonical sorting order alone decides membership
+    (adjacent tied nodes can always be swapped without losing
+    coverage); for larger families every sorting order is scanned.
     """
     if len(h) != params.n:
         raise LengthMismatch(f"h over {len(h)} nodes, params say {params.n}")
     if any(v < 0 or v > params.d for v in h):
         return MembershipResult(False, None)
-    if exhaustive is None:
-        exhaustive = params.family_size != 2
-    perms = _sorting_perms(params, h) if exhaustive else [canonical_sorting_perm(params, h)]
+    pair = params.family_size == 2
+    perms = [canonical_sorting_perm(params, h)] if pair else _sorting_perms(params, h)
     for perm in perms:
         if _covers_along(params, h, perm):
             return MembershipResult(True, perm)

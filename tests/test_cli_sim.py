@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from lrrc import cli_sim
 from lrrc.cli_sim import SimConfig, run_cli, sim_config_from_dict, simulate
+from lrrc.galois import FieldMatrix
 from lrrc.mfhs import ModelError, params_new
 
 
@@ -37,6 +40,12 @@ def test_enumerate_h_streams_members(capsys):
     assert len(lines) == 159
     assert {"h", "witness_perm"} <= set(lines[0])
     assert "159" in err
+
+
+def test_enumerate_h_over_budget_is_usage_error(capsys):
+    code, _, err = invoke(capsys, "enumerate-h", "12", "6", "8", "2")
+    assert code == 2
+    assert "exceed" in err
 
 
 def test_construct_writes_state(tmp_path, capsys):
@@ -220,6 +229,37 @@ def test_simulate_adversarial_exhaustive():
     assert report.aggregate["events_total"] == 6
     # each failure tries all three helper pairs
     assert report.aggregate["total_attempts"] >= 18
+
+
+def test_construction_failure_report():
+    # GF(2) cannot host a code for 159 rank conditions within 16 attempts
+    report = simulate(SimConfig(params=params_new(6, 3, 2, 1), q=2, rounds=3))
+    doc = report.to_dict(include_timing=False)
+    assert report.passed is False
+    assert doc["construction"] == {"ok": False, "error": "ConstructionFailed",
+                                   "attempts": 16, "field_below_bound": True}
+    assert doc["events"] == []
+    assert doc["aggregate"] == {"events_total": 0, "events_passed": 0, "total_attempts": 0,
+                                "retry_histogram": {}, "repair_failure_rate": 0.0}
+
+
+def test_corrupted_construction_is_caught_by_the_next_repair(monkeypatch):
+    # simulate records the invariant verdict construct reached instead of
+    # sweeping H again; a state that never passed it still cannot advance,
+    # because every repair re-checks the whole state
+    real_construct = cli_sim.construct
+
+    def construct_zeroing_q4(*args, **kwargs):
+        state = real_construct(*args, **kwargs)
+        p = state.params
+        zero = FieldMatrix(p.M, p.d, (0,) * (p.M * p.d), state.field)
+        return dataclasses.replace(state, Q=state.Q[:3] + (zero,) + state.Q[4:])
+
+    monkeypatch.setattr(cli_sim, "construct", construct_zeroing_q4)
+    report = simulate(SimConfig(params=params_new(6, 3, 2, 1), rounds=2))
+    assert report.passed is False
+    assert [(e["round"], e.get("error")) for e in report.events] == [(1, "RepairFailed")]
+    assert report.aggregate["failure"] == {"round": 1, "failed": 1, "error": "RepairFailed"}
 
 
 def test_sim_config_validation():

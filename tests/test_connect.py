@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrrc import code_core, mfhs
 from lrrc.connect import (
     InternalContradiction,
     connect_run,
@@ -70,6 +71,14 @@ def test_helper_validation():
         connect_run(P641, h, helpers=(3, 4), failed=1)  # wrong count
     with pytest.raises(ValueError):
         connect_run(P641, h, helpers=(3, 3, 4), failed=1)  # duplicate
+
+
+def test_one_helper_validator_for_repair_and_connect():
+    assert code_core.InvalidHelpers is mfhs.InvalidHelpers
+    assert issubclass(mfhs.InvalidHelpers, (mfhs.ModelError, ValueError))
+    assert mfhs.checked_helpers(P641, 1, (5, 3, 4)) == (3, 4, 5)
+    with pytest.raises(mfhs.InvalidHelpers):
+        connect_run(P641, (1, 1, 1, 1, 1, 1), helpers=(3, 4, 5), failed=7)
 
 
 def test_sum_preserved_and_failed_drained():

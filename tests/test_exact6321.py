@@ -19,7 +19,7 @@ from lrrc.exact6321 import (
     repair_rule,
     verify_exact_code,
 )
-from lrrc.galois import FieldMatrix, mat_rank
+from lrrc.galois import FieldMatrix, identity, mat_rank
 from lrrc.mfhs import h_enumerate
 from lrrc.code_core import invariant_check, reconstruct_check, encode
 
@@ -128,6 +128,21 @@ def test_exact_repair_regenerates_stored_packets(code7):
                 continue
             rebuilt = exact_repair(code7, stored, failed, unavailable)
             assert rebuilt.to_rows() == stored[failed - 1].to_rows(), (failed, unavailable)
+
+
+@pytest.mark.parametrize("q", [7, 13])
+def test_block_regeneration_stacks_basis_regenerations(q):
+    # verify_exact_code regenerates the identity file's W=4 block once
+    # per rule; each row must be what the basis file e_j regenerates to
+    code = build_exact_code(q)
+    block = encode(as_code_state(code, packet_width=4), identity(4, code.field))
+    basis = [
+        encode(as_code_state(code), FieldMatrix(4, 1, tuple(int(i == j) for i in range(4)), code.field))
+        for j in range(4)
+    ]
+    for failed, unavailable in itertools.permutations(range(1, 7), 2):
+        rows = [exact_repair(code, stored, failed, unavailable).to_rows()[0] for stored in basis]
+        assert exact_repair(code, block, failed, unavailable).to_rows() == rows, (failed, unavailable)
 
 
 def test_repair_bandwidth_is_one_symbol_per_helper(code7):

@@ -19,6 +19,7 @@ from lrrc.mfhs import (
     OutOfScope,
     Perm,
     PreconditionViolated,
+    TooLarge,
     canonical_sorting_perm,
     family_layout,
     file_size,
@@ -206,9 +207,13 @@ def test_membership_canonical_suffices_for_pair_families():
     for h in itertools.product(range(p.d + 1), repeat=p.n):
         if sum(h) > p.M:
             continue
-        fast = h_membership(p, h).member
-        slow = h_membership(p, h, exhaustive=True).member
-        assert fast == slow, h
+        assert h_membership(p, h).member == exhaustive_membership(p, h), h
+
+
+def test_enumeration_budget_refuses_up_front():
+    # 9^12 candidates: the budget check must fire before any is visited
+    with pytest.raises(TooLarge):
+        h_enumerate(params_new(12, 6, 8, 2))
 
 
 def test_h_enumerate_counts_frozen():
