@@ -21,6 +21,12 @@ monotone, and sorting c before comparing would admit vectors no code
 can serve.  Members of H index every rank condition a code has to
 satisfy, so the whole verification story in this package runs through
 this module.
+
+The cap never decides membership.  Each c-prefix is min(b-prefix, M),
+and every h-prefix is at most sum(h); so when sum(h) <= M, c covers an
+h-prefix exactly when b does, and when sum(h) > M no order covers h.
+h_membership therefore searches sorting orders on raw scores alone,
+memoized on placed counts per family as _min_prefix_total is for M.
 """
 
 from __future__ import annotations
@@ -280,61 +286,60 @@ def majorizes(a: Sequence[int], b: Sequence[int]) -> bool:
     return True
 
 
-def _covers_along(params: Params, h: Sequence[int], perm: Perm) -> bool:
-    """Whether each position prefix of perm's capped score covers the
-    same prefix of h read along perm.
-
-    Along a sorting order of h this implies majorizes(c, h), because
-    sorting c only raises its prefix sums.
-    """
-    c = score_vectors(params, perm).c
-    slack = 0
-    for value, node in zip(c, perm.order):
-        slack += value - h[node - 1]
-        if slack < 0:
-            return False
-    return True
-
-
-def _sorting_perms(params: Params, h: Sequence[int]) -> Iterator[Perm]:
-    """All node orders along which h is nonincreasing, canonical first.
-
-    Nodes are grouped by h value (descending); within a group every
-    arrangement is a valid tie-break, and the ascending-index
-    arrangement comes first.
-    """
-    groups: dict[int, list[int]] = {}
-    for node in range(1, params.n + 1):
-        groups.setdefault(h[node - 1], []).append(node)
-    ordered_groups = [groups[v] for v in sorted(groups, reverse=True)]
-    for arrangement in itertools.product(*(itertools.permutations(g) for g in ordered_groups)):
-        yield Perm(tuple(itertools.chain.from_iterable(arrangement)))
-
-
-def canonical_sorting_perm(params: Params, h: Sequence[int]) -> Perm:
-    """Nodes by descending h value, ties by ascending node index."""
-    order = sorted(range(1, params.n + 1), key=lambda node: (-h[node - 1], node))
-    return Perm(tuple(order))
-
-
 def h_membership(params: Params, h: Sequence[int]) -> MembershipResult:
     """Decide h in H, returning a witness order when it is.
 
-    An order is accepted when _covers_along holds for it.  With family
-    size 2 the canonical sorting order alone decides membership
-    (adjacent tied nodes can always be swapped without losing
-    coverage); for larger families every sorting order is scanned.
+    Past the 0..d and sum(h) <= M checks, the lemma above lets a
+    depth-first search on raw scores decide: it places h's value groups
+    largest first, a node at position i whose family has p earlier nodes
+    scoring (d - (i - p))+, and keeps slack = b-prefix - h-prefix >= 0.
+    Inside a group, families with equal placed and left-in-group counts
+    are interchangeable (every placed count is fixed at the group's
+    end), so one node per such state is tried, lowest index first;
+    failed (placed counts, slack) states are remembered.  The witness is
+    the lexicographically least covering order; with family size 2 it is
+    the canonical one (h descending, ties by ascending node index).
     """
     if len(h) != params.n:
         raise LengthMismatch(f"h over {len(h)} nodes, params say {params.n}")
-    if any(v < 0 or v > params.d for v in h):
+    if sum(h) > params.M or min(h) < 0 or max(h) > params.d:
         return MembershipResult(False, None)
-    pair = params.family_size == 2
-    perms = [canonical_sorting_perm(params, h)] if pair else _sorting_perms(params, h)
-    for perm in perms:
-        if _covers_along(params, h, perm):
-            return MembershipResult(True, perm)
-    return MembershipResult(False, None)
+    n, d, f = params.n, params.d, params.family_size
+    canonical = sorted(range(1, n + 1), key=lambda node: (-h[node - 1], node))
+    placed = [0] * params.num_families
+    order: list[int] = []
+    failed: set[tuple[tuple[int, ...], int]] = set()
+
+    def extend(group: list[int], slack: int) -> bool:
+        i = len(order)
+        if not group:
+            # zeros cannot lower the slack, so they close in index order
+            if i == n or h[canonical[i] - 1] == 0:
+                order.extend(canonical[i:])
+                return True
+            group = [x for x in canonical[i:] if h[x - 1] == h[canonical[i] - 1]]
+        if failed and (tuple(placed), slack) in failed:
+            return False
+        tried = set()
+        for node in group:
+            g = (node - 1) // f
+            z = i - placed[g]
+            gain = (d - z if z < d else 0) - h[node - 1]
+            family_state = (placed[g], sum((x - 1) // f == g for x in group)) if group[1:] else None
+            if slack + gain < 0 or family_state in tried:
+                continue
+            tried.add(family_state)
+            order.append(node)
+            placed[g] += 1
+            if extend([x for x in group if x != node], slack + gain):
+                return True
+            order.pop()
+            placed[g] -= 1
+        failed.add((tuple(placed), slack))
+        return False
+
+    found = extend([], 0)
+    return MembershipResult(found, Perm(tuple(order)) if found else None)
 
 
 @dataclass(frozen=True)
@@ -409,13 +414,6 @@ class HSet:
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.members)
-
-    def witness_for(self, h: Sequence[int]) -> Perm:
-        try:
-            i = self.members.index(tuple(h))
-        except ValueError:
-            raise HNotMember(f"{tuple(h)} is not in H") from None
-        return Perm(self.witnesses[i])
 
 
 @lru_cache(maxsize=None)

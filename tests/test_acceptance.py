@@ -28,7 +28,6 @@ from lrrc.connect import connect_run
 from lrrc.galois import field_new, next_prime
 from lrrc.mfhs import (
     Perm,
-    _sorting_perms,
     file_size,
     h_enumerate,
     helper_universe,
@@ -36,6 +35,8 @@ from lrrc.mfhs import (
     score_vectors,
     swap_preserves,
 )
+
+from membership_oracle import sorting_perms
 
 P641 = params_new(6, 4, 3, 1)
 P321 = params_new(6, 3, 2, 1)
@@ -86,7 +87,7 @@ def test_04_tie_swap_preservation_sweep(verdict):
     checks = 0
     ok = True
     for h in hs:
-        for perm in _sorting_perms(P641, h):
+        for perm in sorting_perms(P641, h):
             vals = [h[node - 1] for node in perm.order]
             for i in range(1, 6):
                 if vals[i - 1] == vals[i]:

@@ -37,7 +37,9 @@ from lrrc.galois import (
     next_prime,
     rank_of_rows,
 )
-from lrrc.mfhs import HNotMember, h_enumerate, params_new
+from lrrc.mfhs import HNotMember, h_enumerate, helper_universe, params_new
+
+from membership_oracle import in_scope_points
 
 P321 = params_new(6, 3, 2, 1)
 P641 = params_new(6, 4, 3, 1)
@@ -360,3 +362,24 @@ def test_large_field_falls_back_to_pure_kernel():
     broken = _plant_defect(repaired, H321, random.Random(13))
     assert not invariant_check(broken, H321)
     assert _short_rank(broken, invariant_failure(broken, H321))
+
+
+# every in-scope point with n <= 8 whose (d+1)^n candidates fit 100,000
+SCOPE_POINTS = [p for p in in_scope_points(8) if (p[2] + 1) ** p[0] <= 100_000]
+
+
+def test_scope_sweep_covers_98_points():
+    assert len(SCOPE_POINTS) == 98
+
+
+@pytest.mark.parametrize("nkdr", SCOPE_POINTS, ids=lambda p: "-".join(map(str, p)))
+def test_scope_sweep_constructs_and_repairs_every_node(nkdr):
+    params = params_new(*nkdr)
+    hset = h_enumerate(params)
+    q = next_prime(required_field_size(params, hset))
+    state = construct(params, field_new(q), hset, rng_seed=0)
+    for node in range(1, params.n + 1):
+        helpers = sorted(helper_universe(params, node))[: params.d]
+        state = repair_random(state, node, helpers, rng_seed=node)
+    assert invariant_check(state, hset)
+    assert reconstruct_check(state)

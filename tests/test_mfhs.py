@@ -20,7 +20,6 @@ from lrrc.mfhs import (
     Perm,
     PreconditionViolated,
     TooLarge,
-    canonical_sorting_perm,
     family_layout,
     file_size,
     h_enumerate,
@@ -33,6 +32,8 @@ from lrrc.mfhs import (
     score_vectors,
     swap_preserves,
 )
+
+from membership_oracle import covers_along, exhaustive_witness, in_scope_points, sorting_perms
 
 
 def brute_force_file_size_full(n: int, k: int, d: int, r: int) -> int:
@@ -66,14 +67,7 @@ def test_file_size_frozen(nkdr, expect):
 
 
 # every in-scope (n, k, d, r) small enough for the n! oracle
-SMALL_POINTS = [
-    (n, k, d, r)
-    for n in range(2, 7)
-    for d in range(1, n)
-    for r in range(n - d - 1)
-    if n % (n - d - r) == 0
-    for k in range(1, n + 1)
-]
+SMALL_POINTS = in_scope_points(6)
 
 
 @pytest.mark.parametrize("nkdr", SMALL_POINTS)
@@ -160,37 +154,41 @@ def test_majorizes_basics():
         majorizes((1, 2), (1, 2, 3))
 
 
-def covers_along(p, h, order) -> bool:
-    """Every position prefix of order's capped score covers h's."""
-    c = score_vectors(p, Perm(tuple(order))).c
-    along = [h[i - 1] for i in order]
-    return all(sum(c[:m]) >= sum(along[:m]) for m in range(1, p.n + 1))
-
-
-def exhaustive_membership(p, h) -> bool:
-    """Oracle: try every permutation that sorts h nonincreasingly."""
-    idx = sorted(range(p.n), key=lambda i: (-h[i], i))
-    classes: dict[int, list[int]] = {}
-    for i in idx:
-        classes.setdefault(h[i], []).append(i)
-    pools = [classes[v] for v in sorted(classes, reverse=True)]
-    for combo in itertools.product(*[itertools.permutations(pool) for pool in pools]):
-        order = [i + 1 for pool in combo for i in pool]
-        if covers_along(p, h, order):
-            return True
-    return False
-
-
-def test_membership_matches_exhaustive_oracle_small():
-    p = params_new(6, 3, 2, 1)
-    agree = 0
+@pytest.mark.parametrize("nkdr", SMALL_POINTS, ids=lambda p: "-".join(map(str, p)))
+def test_membership_matches_exhaustive_oracle_small(nkdr):
+    # every candidate the sum test does not settle, with its witness:
+    # the search returns the oracle's first covering order, which with
+    # family size 2 is the canonical sorting order
+    p = params_new(*nkdr)
     for h in itertools.product(range(p.d + 1), repeat=p.n):
         if sum(h) > p.M:
             continue
-        got = h_membership(p, h).member
-        assert got == exhaustive_membership(p, h), h
-        agree += 1
-    assert agree > 0
+        got = h_membership(p, h)
+        want = exhaustive_witness(p, h)
+        assert got.member == (want is not None), h
+        if got.member:
+            assert got.witness.order == want, h
+            assert covers_along(p, h, got.witness.order), h
+            if p.family_size == 2:
+                assert want == next(sorting_perms(p, h)).order, h
+
+
+@settings(deadline=None)
+@given(st.sampled_from(in_scope_points(8)), st.data())
+def test_capped_and_raw_scores_cover_alike(nkdr, data):
+    """For sum(h) <= M, c covers h's position prefixes along an order
+    exactly when b does, because each c-prefix is min(b-prefix, M)."""
+    p = params_new(*nkdr)
+    order = data.draw(st.permutations(range(1, p.n + 1)))
+    h = [0] * p.n
+    budget = p.M
+    for node in data.draw(st.permutations(range(1, p.n + 1))):
+        h[node - 1] = data.draw(st.integers(0, min(p.d, budget)))
+        budget -= h[node - 1]
+    b = score_vectors(p, Perm(tuple(order))).b
+    along = [h[i - 1] for i in order]
+    by_b = all(sum(b[:m]) >= sum(along[:m]) for m in range(1, p.n + 1))
+    assert covers_along(p, h, order) == by_b
 
 
 def test_membership_covers_position_by_position():
@@ -200,14 +198,6 @@ def test_membership_covers_position_by_position():
     # score majorizes h once sorted, but not position by position.
     p = params_new(8, 5, 3, 1)
     assert h_membership(p, (2, 0, 0, 0, 0, 3, 3, 0)).member is False
-
-
-def test_membership_canonical_suffices_for_pair_families():
-    p = params_new(6, 4, 3, 1)
-    for h in itertools.product(range(p.d + 1), repeat=p.n):
-        if sum(h) > p.M:
-            continue
-        assert h_membership(p, h).member == exhaustive_membership(p, h), h
 
 
 def test_enumeration_budget_refuses_up_front():
@@ -265,7 +255,8 @@ def test_h_set_contains_and_lookup():
     assert (3, 2, 2, 0, 0, 0) in hs
     assert (3, 3, 3, 3, 3, 3) not in hs
     assert (1, 1, 1, 1, 1, 1) in hs
-    assert hs.witness_for((3, 2, 2, 0, 0, 0)) is not None
+    witness = hs.witnesses[hs.members.index((3, 2, 2, 0, 0, 0))]
+    assert covers_along(p, (3, 2, 2, 0, 0, 0), witness)
     totals = [sum(h) for h in hs.by_total_desc]
     assert totals == sorted(totals, reverse=True)
     assert totals[0] == p.M
@@ -284,21 +275,20 @@ def test_zero_vector_and_unit_vectors_admissible():
 
 def test_canonical_sorting_perm():
     p = params_new(6, 4, 3, 1)
-    h = (0, 2, 3, 0, 1, 1)
-    assert canonical_sorting_perm(p, h).order == (3, 2, 5, 6, 1, 4)
+    assert h_membership(p, (0, 2, 3, 0, 1, 1)).witness.order == (3, 2, 5, 6, 1, 4)
 
 
 def test_swap_preserves_pinned_pair():
     p = params_new(6, 4, 3, 1)
     # equal adjacent values may be swapped without leaving the set
     h = (3, 2, 2, 0, 0, 0)
-    assert swap_preserves(p, h, canonical_sorting_perm(p, h), 2)
+    assert swap_preserves(p, h, h_membership(p, h).witness, 2)
 
 
 def test_swap_preserves_preconditions():
     p = params_new(6, 4, 3, 1)
     h = (3, 2, 2, 0, 0, 0)
-    perm = canonical_sorting_perm(p, h)
+    perm = h_membership(p, h).witness
     with pytest.raises(PreconditionViolated):
         swap_preserves(p, h, perm, 1)  # values 3 and 2 differ
     with pytest.raises(PreconditionViolated):
@@ -306,7 +296,7 @@ def test_swap_preserves_preconditions():
     p3 = params_new(6, 3, 2, 1)
     h3 = (2, 2, 0, 0, 0, 0)
     with pytest.raises(PreconditionViolated):
-        swap_preserves(p3, h3, canonical_sorting_perm(p3, h3), 1)  # three-node families
+        swap_preserves(p3, h3, h_membership(p3, h3).witness, 1)  # three-node families
 
 
 def test_membership_rejects_over_cap_entries():
