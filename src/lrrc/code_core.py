@@ -41,7 +41,6 @@ from .galois import (
     FieldMatrix,
     field_new,
     full_column_rank,
-    identity,
     mat_hstack,
     mat_mul,
     mat_solve,
@@ -245,6 +244,11 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _check_attempts(max_attempts: int) -> None:
+    if max_attempts < 1:
+        raise CodeError(f"max_attempts must be at least 1, got {max_attempts}")
+
+
 def construct(
     params: Params,
     field: FieldConfig,
@@ -257,8 +261,10 @@ def construct(
 
     The sampling order is fixed (node 1 first, each matrix row-major),
     so one seed always yields one code.  Raises ConstructionFailed when
-    max_attempts samples were all rejected.
+    max_attempts samples were all rejected, and CodeError when
+    max_attempts is below 1.
     """
+    _check_attempts(max_attempts)
     bound = required_field_size(params, hset)
     below = field.q < bound
     if below:
@@ -323,8 +329,10 @@ def repair_random(
     only if the whole state passes invariant_check again.  The returned
     state's attempts field counts the samples used.  States whose
     candidate was rejected are never returned or mutated.  Raises
-    InvalidHelpers when helpers fail mfhs.checked_helpers.
+    InvalidHelpers when helpers fail mfhs.checked_helpers, and
+    CodeError when max_attempts is below 1.
     """
+    _check_attempts(max_attempts)
     params = state.params
     ordered = checked_helpers(params, failed, helpers)
     hset = h_enumerate(params)
@@ -360,41 +368,23 @@ def witness_repair_check(
 ) -> bool:
     """Deterministic single-h repair witness.
 
-    Runs the helper-increment procedure on h, then builds the plan it
-    prescribes: the j-th incremented helper s_j contributes its column
-    number h'_{s_j} (the one fresh column beyond the h_{s_j} already
-    counted), the remaining helpers pad the unused trailing slots, and
-    the mix matrix is the identity.  Returns whether the replaced
-    state's selection under the original h keeps full column rank.
+    Runs the helper-increment procedure on h.  The repair it prescribes
+    rebuilds the failed node from one column per incremented helper:
+    the j-th incremented helper s_j sends its column number h'_{s_j},
+    the one fresh column beyond the h_{s_j} already counted.  Under h
+    the repaired state then selects exactly the columns that the
+    current state selects under h' (h'_failed = 0, every other node's
+    first h'_i columns), so the witness holds iff that selection of the
+    current state keeps full column rank.
     """
     params = state.params
     h = tuple(h)
     if h not in hset:
         raise HNotMember(f"{h} is not admissible")
     ordered = checked_helpers(params, failed, helpers)
-    result = connect_run(params, h, ordered, failed)
-
-    def unit(col: int) -> FieldMatrix:
-        entries = [0] * params.d
-        entries[col - 1] = 1
-        return FieldMatrix(params.d, 1, tuple(entries), state.field)
-
-    leftovers = [x for x in ordered if x not in set(result.incremented)]
-    plan_helpers = tuple(result.incremented) + tuple(leftovers)
-    combine = tuple(
-        unit(result.h_prime[x - 1]) for x in result.incremented
-    ) + tuple(unit(1) for _ in leftovers)
-    plan = RepairPlan(
-        failed=failed,
-        helpers=plan_helpers,
-        combine=combine,
-        mix=identity(params.d, state.field),
-    )
-    candidate = apply_repair_plan(state, plan)
+    h_prime = connect_run(params, h, ordered, failed).h_prime
     want = sum(h)
-    if want == 0:
-        return True
-    return rank_of_rows(_selection_rows(candidate, h), state.field.q) == want
+    return want == 0 or rank_of_rows(_selection_rows(state, h_prime), state.field.q) == want
 
 
 def encode(state: CodeState, file: FieldMatrix) -> tuple[FieldMatrix, ...]:
@@ -421,6 +411,9 @@ def decode(state: CodeState, nodes: Sequence[int], packets: Sequence[FieldMatrix
         raise CodeError(f"{len(nodes)} nodes but {len(packets)} packet blocks")
     if len(set(nodes)) != len(nodes):
         raise CodeError(f"duplicate nodes in {nodes}")
+    stray = [i for i in nodes if not 1 <= i <= state.params.n]
+    if stray:
+        raise CodeError(f"nodes {stray} outside 1..{state.params.n}")
     if len(nodes) < state.params.k:
         raise RankDeficient(f"{len(nodes)} nodes cannot determine the file, need k = {state.params.k}")
     stacked_q = mat_hstack([state.Q[i - 1] for i in nodes])

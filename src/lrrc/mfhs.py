@@ -12,6 +12,21 @@ family of pi(i).  The supported file size M is the worst k-prefix total
 of b over all n! orders.  The capped score c(pi) truncates b(pi) so it
 totals exactly M.
 
+M has a closed form.  With F = n / f families, M is the sum over
+positions i = 0..k-1 (0-based) of (d - i + floor(i / F))+, the total of
+the round-robin order that takes one node from each family in turn.
+Write p_i for the number of earlier nodes from the family of the node
+at position i, so that z_i = i - p_i and position i scores
+phi(p_i - i) with phi(x) = (d + x)+, convex and nondecreasing.
+  - In any order at most jF positions have p < j (each family has at
+    most j of them), so the p values of the first k positions, sorted
+    ascending as p*_i, satisfy p*_i >= floor(i / F).
+  - Pairing the p values with the positions in sorted order can only
+    lower a sum of phi(p - i), phi being convex, and lowering each p*_i
+    to floor(i / F) lowers it further, phi being nondecreasing.
+  - Round-robin attains p_i = floor(i / F) at every i < k, because each
+    family has f = n / F >= ceil(k / F) nodes.
+
 H is the set of integer vectors h with 0 <= h_i <= d such that some
 order pi sorting h nonincreasingly has a capped score c = c(pi) that
 covers h position by position: c_1 + ... + c_m >= h_pi(1) + ... +
@@ -26,7 +41,7 @@ The cap never decides membership.  Each c-prefix is min(b-prefix, M),
 and every h-prefix is at most sum(h); so when sum(h) <= M, c covers an
 h-prefix exactly when b does, and when sum(h) > M no order covers h.
 h_membership therefore searches sorting orders on raw scores alone,
-memoized on placed counts per family as _min_prefix_total is for M.
+memoized on placed counts per family.
 """
 
 from __future__ import annotations
@@ -139,7 +154,8 @@ class ScoreVector:
 def params_new(n: int, k: int, d: int, r: int) -> Params:
     """Validate (n, k, d, r) and derive M, alpha, beta.
 
-    Scope: family size f = n - d - r at least 2 and dividing n.
+    Scope: family size f = n - d - r at least 2 and dividing n.  M is
+    the round-robin closed form of the module docstring.
     """
     for name, v in (("n", n), ("k", k), ("d", d), ("r", r)):
         if not isinstance(v, int):
@@ -155,7 +171,7 @@ def params_new(n: int, k: int, d: int, r: int) -> Params:
         raise OutOfScope(f"family size n-d-r = {f} is below 2")
     if n % f != 0:
         raise OutOfScope(f"family size {f} does not divide n = {n}")
-    M = _min_prefix_total(n, k, d, f)
+    M = _round_robin_total(k, d, n // f)
     assert M >= d, "the first reader position always contributes d packets"
     return Params(n=n, k=k, d=d, r=r, M=M, alpha=d, beta=1)
 
@@ -211,41 +227,15 @@ def _prefix_scores(family_seq: Sequence[int], d: int, upto: int) -> list[int]:
     return out
 
 
-def _min_prefix_total(n: int, k: int, d: int, f: int) -> int:
-    """Worst k-prefix score total over all node orders.
-
-    Scores depend only on the family-id sequence, and families are
-    interchangeable, so the search runs over canonical family sequences
-    instead of the n! raw permutations: its state is the position and
-    the multiset of nodes each family has left, memoized.  A node
-    placed at position i whose family already has f - rem earlier nodes
-    sees z = i - (f - rem) outsiders before it.
-    """
-
-    @lru_cache(maxsize=None)
-    def best_from(i: int, remaining: tuple[int, ...]) -> int:
-        if i == k:
-            return 0
-        out = None
-        tried: set[int] = set()
-        for idx, rem in enumerate(remaining):
-            if rem == 0 or rem in tried:
-                continue
-            tried.add(rem)
-            z = i - (f - rem)
-            contrib = d - z if z < d else 0
-            nxt = tuple(sorted(remaining[:idx] + remaining[idx + 1:] + (rem - 1,), reverse=True))
-            total = contrib + best_from(i + 1, nxt)
-            out = total if out is None or total < out else out
-        assert out is not None
-        return out
-
-    return best_from(0, (f,) * (n // f))
+def _round_robin_total(k: int, d: int, families: int) -> int:
+    """M: the k-prefix score total of the round-robin order, which the
+    module docstring shows is the worst over all node orders."""
+    return sum(max(d - i + i // families, 0) for i in range(k))
 
 
 def file_size(params: Params) -> int:
     """Recompute the supported file size M from scratch."""
-    return _min_prefix_total(params.n, params.k, params.d, params.family_size)
+    return _round_robin_total(params.k, params.d, params.num_families)
 
 
 def _truncate(b: Sequence[int], m_target: int) -> tuple[int, ...]:

@@ -1,14 +1,19 @@
-"""Brute-force oracle for membership in H, shared by the test modules.
+"""Reference searches for H and for the file size M, shared by the test
+modules.
 
-It scans every node order that sorts h nonincreasingly and applies the
-definition of H literally: capped scores, compared position by
-position.  lrrc.mfhs decides the same question by a memoized search on
-raw scores; these tests hold the two against each other.
+The membership oracle scans every node order that sorts h
+nonincreasingly and applies the definition of H literally: capped
+scores, compared position by position.  lrrc.mfhs decides the same
+question by a memoized search on raw scores.  The file-size reference
+searches all family sequences for the worst k-prefix total, where
+lrrc.mfhs uses the round-robin closed form.  These tests hold each pair
+against each other.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from lrrc.mfhs import Params, Perm, score_vectors
@@ -54,3 +59,35 @@ def exhaustive_witness(params: Params, h: Sequence[int]) -> tuple[int, ...] | No
         if covers_along(params, h, perm.order):
             return perm.order
     return None
+
+
+def min_prefix_total(n: int, k: int, d: int, f: int) -> int:
+    """Worst k-prefix score total over all node orders, by search.
+
+    Scores depend only on the family-id sequence, and families are
+    interchangeable, so the search runs over canonical family sequences
+    instead of the n! raw permutations: its state is the position and
+    the multiset of nodes each family has left, memoized.  A node
+    placed at position i whose family already has f - rem earlier nodes
+    sees z = i - (f - rem) outsiders before it.
+    """
+
+    @lru_cache(maxsize=None)
+    def best_from(i: int, remaining: tuple[int, ...]) -> int:
+        if i == k:
+            return 0
+        out = None
+        tried: set[int] = set()
+        for idx, rem in enumerate(remaining):
+            if rem == 0 or rem in tried:
+                continue
+            tried.add(rem)
+            z = i - (f - rem)
+            contrib = d - z if z < d else 0
+            nxt = tuple(sorted(remaining[:idx] + remaining[idx + 1:] + (rem - 1,), reverse=True))
+            total = contrib + best_from(i + 1, nxt)
+            out = total if out is None or total < out else out
+        assert out is not None
+        return out
+
+    return best_from(0, (f,) * (n // f))

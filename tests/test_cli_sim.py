@@ -290,6 +290,17 @@ def test_usage_error_exit_code(capsys):
     assert invoke(capsys, "params", "6", "4")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "6", "3", "2", "1", "--max-attempts", "0"),
+    ("simulate", "--n", "6", "--k", "3", "--d", "2", "--r", "1", "--max-attempts", "0"),
+])
+def test_attempt_budget_below_one_is_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "max_attempts must be at least 1" in err
+
+
 def test_version_flag(capsys):
     code, out, _ = invoke(capsys, "--version")
     assert code == 0

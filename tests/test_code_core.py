@@ -8,11 +8,13 @@ import random
 import pytest
 
 from lrrc.code_core import (
+    CodeError,
     CodeState,
     ConstructionFailed,
     InvalidHelpers,
     RankDeficient,
     RepairFailed,
+    RepairPlan,
     _selection_rows,
     apply_repair_plan,
     construct,
@@ -31,12 +33,14 @@ from lrrc.galois import (
     BATCH_Q_LIMIT,
     FieldMatrix,
     field_new,
+    identity,
     mat_mul,
     mat_rank,
     mat_transpose,
     next_prime,
     rank_of_rows,
 )
+from lrrc.connect import connect_run
 from lrrc.mfhs import HNotMember, h_enumerate, helper_universe, params_new
 
 from membership_oracle import in_scope_points
@@ -142,6 +146,25 @@ def test_encode_decode_round_trip():
         decode(state, (1, 2), [stored[0], stored[1]])
 
 
+def test_decode_rejects_node_ids_outside_range(small_state):
+    file = FieldMatrix.from_rows([[v] for v in range(P321.M)], small_state.field)
+    stored = encode(small_state, file)
+    for nodes in ((0, 1, 2), (1, 2, 7)):
+        packets = [stored[(i - 1) % 6] for i in nodes]
+        with pytest.raises(CodeError, match="outside"):
+            decode(small_state, nodes, packets)
+
+
+@pytest.mark.parametrize("budget", (0, -1))
+def test_attempt_budget_below_one_is_refused(small_state, budget):
+    with pytest.raises(CodeError, match="max_attempts") as err:
+        construct(P321, field_new(7639), H321, rng_seed=0, max_attempts=budget)
+    assert not isinstance(err.value, ConstructionFailed)
+    with pytest.raises(CodeError, match="max_attempts") as err:
+        repair_random(small_state, 1, (4, 5), rng_seed=0, max_attempts=budget)
+    assert not isinstance(err.value, RepairFailed)
+
+
 def test_repair_random_restores_invariant(small_state):
     repaired = repair_random(small_state, 2, (4, 6), rng_seed=31)
     assert invariant_check(repaired, H321)
@@ -187,16 +210,57 @@ def test_witness_repair_full_selection_set(small_state):
         assert witness_repair_check(small_state, 1, (4, 5), h, H321), h
 
 
+def plan_replay_witness(state, failed, helpers, h):
+    """The witness by building and applying the repair it prescribes:
+    the j-th incremented helper s_j sends column h'_{s_j}, the other
+    helpers pad the unused slots with their first column, the mix is the
+    identity, and the repaired state's selection under h is ranked."""
+    params = state.params
+    ordered = tuple(sorted(helpers))
+    result = connect_run(params, h, ordered, failed)
+
+    def unit(col):
+        return FieldMatrix(params.d, 1, tuple(int(c == col) for c in range(1, params.d + 1)),
+                           state.field)
+
+    leftovers = [x for x in ordered if x not in result.incremented]
+    plan = RepairPlan(
+        failed=failed,
+        helpers=result.incremented + tuple(leftovers),
+        combine=tuple(unit(result.h_prime[x - 1]) for x in result.incremented)
+        + tuple(unit(1) for _ in leftovers),
+        mix=identity(params.d, state.field),
+    )
+    candidate = apply_repair_plan(state, plan)
+    return sum(h) == 0 or rank_of_rows(_selection_rows(candidate, h), state.field.q) == sum(h)
+
+
+@pytest.mark.parametrize("params", (P321, P641), ids=_point_id)
+def test_witness_at_h_prime_matches_plan_replay(params):
+    # the witness ranks the current state's selection under h'; the
+    # replayed repair's selection under h has the same columns, so the
+    # verdicts agree on any state, rank-deficient ones included
+    hset = h_enumerate(params)
+    rng = random.Random(f"witness/{params}")
+    states = [construct(params, field_new(7639), hset, rng_seed=5, max_attempts=64)]
+    states += [_random_state(params, q, rng) for q in (2, 3, 5)]
+    verdicts = []
+    for state in states:
+        for failed in range(1, params.n + 1):
+            helpers = tuple(sorted(rng.sample(sorted(helper_universe(params, failed)), params.d)))
+            for h in rng.sample(hset.members, min(len(hset), 160)):
+                verdict = witness_repair_check(state, failed, helpers, h, hset)
+                assert verdict == plan_replay_witness(state, failed, helpers, h), (failed, helpers, h)
+                verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_witness_repair_rejects_foreign_h(small_state):
     with pytest.raises(HNotMember):
         witness_repair_check(small_state, 1, (4, 5), (2, 2, 2, 2, 2, 2), H321)
 
 
 def test_apply_repair_plan_is_unverified(small_state):
-    from lrrc.code_core import RepairPlan
-
-    from lrrc.galois import identity
-
     f = small_state.field
     zero_cols = tuple(
         FieldMatrix.from_rows([[0]] * P321.d, f) for _ in range(P321.d)

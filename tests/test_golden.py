@@ -1,0 +1,64 @@
+"""Pinned digests of whole outputs, so a refactor that must leave them
+byte-identical is checked by the suite rather than by hand.
+
+Each digest is the sha256 of a canonical JSON text: a simulate report
+with all three checks on, a six-node exact-code verification report,
+and H's members with their witnesses.  A digest that moves means an
+output moved; if the change is intended, the new digest goes in with
+the reason for the change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from lrrc.cli_sim import SimConfig, simulate
+from lrrc.exact6321 import build_exact_code, verify_exact_code
+from lrrc.mfhs import h_enumerate, params_new
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+SIMULATIONS = {
+    ((6, 3, 2, 1), "auto", 3, 12):
+        "47c6af2b9e63e5254ce96eaf1597c28e8a234a9f2fddd01c0fdc53df8db6f9a4",
+    ((4, 2, 1, 1), "auto", 3, 8):
+        "785796457c6b34224aac3e6c0d9484fbf28000d6c448458597eff5ff8595d9ed",
+    ((4, 2, 1, 1), 3, 1, 8):
+        "a7c8dc44e6b07e6b0c32912f3b27c48db9d52c10e66fd93585a2ff268db90e37",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATIONS, key=str),
+                         ids=lambda c: "-".join(map(str, c[0])) + f"-q{c[1]}-seed{c[2]}-rounds{c[3]}")
+def test_simulate_report_digest(case):
+    nkdr, q, seed, rounds = case
+    report = simulate(SimConfig(params=params_new(*nkdr), q=q, seed=seed, rounds=rounds,
+                                check_invariant=True, check_reconstruction=True,
+                                check_witness=True))
+    assert report.passed
+    assert digest(report.canonical_json()) == SIMULATIONS[case]
+
+
+EXACT_REPORTS = {
+    7: "2622894e0f579b90d3420365952947f2d597afcc9aeab693f956672de19ea027",
+    11: "ee550b9ecd32548c86fcae47bf6093fb5b9437ecd48f541b86ba8a1e66fe4455",
+}
+
+
+@pytest.mark.parametrize("q", sorted(EXACT_REPORTS))
+def test_exact_code_report_digest(q):
+    report = verify_exact_code(build_exact_code(q))
+    assert report.passed
+    assert digest(json.dumps(report.to_dict(), sort_keys=True)) == EXACT_REPORTS[q]
+
+
+def test_h_members_and_witnesses_digest():
+    hset = h_enumerate(params_new(6, 4, 3, 1))
+    text = json.dumps({"members": hset.members, "witnesses": hset.witnesses})
+    assert digest(text) == "044aef47f1971179c27c69801335e4ac7ba27c53af0c96f1d36810ee1d2e3b7c"

@@ -33,7 +33,13 @@ from lrrc.mfhs import (
     swap_preserves,
 )
 
-from membership_oracle import covers_along, exhaustive_witness, in_scope_points, sorting_perms
+from membership_oracle import (
+    covers_along,
+    exhaustive_witness,
+    in_scope_points,
+    min_prefix_total,
+    sorting_perms,
+)
 
 
 def brute_force_file_size_full(n: int, k: int, d: int, r: int) -> int:
@@ -75,9 +81,18 @@ def test_file_size_matches_permutation_oracle(nkdr):
     assert file_size(params_new(*nkdr)) == brute_force_file_size_full(*nkdr)
 
 
+def test_file_size_matches_search_reference():
+    # the closed form against the family-sequence search at every
+    # in-scope point with n <= 16
+    points = in_scope_points(16)
+    assert len(points) == 1850
+    for n, k, d, r in points:
+        assert file_size(params_new(n, k, d, r)) == min_prefix_total(n, k, d, n - d - r), (n, k, d, r)
+
+
 def test_file_size_large_n_pinned():
-    # n=12 has 479M permutations, out of the oracle's reach; the
-    # family-sequence search must still return at once.
+    # n=12 has 479M permutations, out of the n! oracle's reach; the
+    # round-robin order gives 9 + 8 + 7 + 6.
     p = params_new(12, 4, 9, 1)
     assert p.family_size == 2 and p.num_families == 6
     assert file_size(p) == p.M
