@@ -5,7 +5,8 @@ Constructs a code, then hammers it with failure rounds under the chosen
 policies.  Every accepted repair has passed the full invariant check;
 the report records that verdict and re-runs the reconstruction check.
 Prints the aggregate JSON to stdout; optionally stores the whole
-report.
+report.  Exit codes follow the lrrc CLI: 0 passed, 1 a check failed,
+2 invalid parameters or field size.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import argparse
 import json
 import sys
 
-from lrrc.cli_sim import SimConfig, simulate
-from lrrc.mfhs import params_new
+from lrrc.cli_sim import sim_config_from_dict, simulate
+from lrrc.galois import GaloisError
+from lrrc.mfhs import ModelError
 
 
 def main() -> int:
@@ -34,15 +36,18 @@ def main() -> int:
     ap.add_argument("--report", default=None, help="write the full report here")
     args = ap.parse_args()
 
-    config = SimConfig(
-        params=params_new(args.n, args.k, args.d, args.r),
-        q=args.q if args.q == "auto" else int(args.q),
-        seed=args.seed,
-        rounds=args.rounds,
-        failure_policy=args.failure_policy,
-        helper_policy=args.helper_policy,
-    )
-    report = simulate(config)
+    try:
+        report = simulate(sim_config_from_dict({
+            "params": {"n": args.n, "k": args.k, "d": args.d, "r": args.r},
+            "q": args.q,
+            "seed": args.seed,
+            "rounds": args.rounds,
+            "failure_policy": args.failure_policy,
+            "helper_policy": args.helper_policy,
+        }))
+    except (ModelError, GaloisError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.canonical_json(include_timing=True))

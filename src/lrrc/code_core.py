@@ -387,6 +387,46 @@ def witness_repair_check(
     return want == 0 or rank_of_rows(_selection_rows(state, h_prime), state.field.q) == want
 
 
+@lru_cache(maxsize=None)
+def witness_sources(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The members of hset whose repair witnesses imply all the others.
+
+    helpers must already be ordered by checked_helpers.  Call
+    h' = connect_run(h).h_prime the target of h.  It depends only on
+    (H, failed, helpers), never on the code state, and connect_run
+    moves h_failed units onto as many distinct helpers, so
+    sum(h') = sum(h): the witness for h holds iff the current state's
+    selection under h' has full column rank.  If h' <= u componentwise,
+    that selection is a column subset of the selection under u, so full
+    column rank under u implies it under h'.  Every target lies below a
+    maximal target, hence the witness holds for every h in hset exactly
+    when it holds for one source h per maximal target.  The first
+    source in hset order is kept, and the result is in hset order.
+
+    Maximal targets are found by down-closure: t is maximal iff no
+    t + e_i lies at or below any target.  A cold key runs connect_run
+    once per member of hset; later calls with that key are lookups.
+    """
+    params = hset.params
+    first_source: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for h in hset:
+        first_source.setdefault(connect_run(params, h, helpers, failed).h_prime, h)
+    below = set(first_source)
+    stack = list(below)
+    while stack:
+        t = stack.pop()
+        for i, v in enumerate(t):
+            if v:
+                lower = t[:i] + (v - 1,) + t[i + 1:]
+                if lower not in below:
+                    below.add(lower)
+                    stack.append(lower)
+    return tuple(
+        h for t, h in first_source.items()
+        if not any(t[:i] + (v + 1,) + t[i + 1:] in below for i, v in enumerate(t))
+    )
+
+
 def encode(state: CodeState, file: FieldMatrix) -> tuple[FieldMatrix, ...]:
     """Per-node stored packets: node i holds X^T Q_i, a W x d matrix
     read as d packets of W symbols."""

@@ -81,6 +81,40 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert json.loads(out)["invariant"] is False
 
 
+def test_verify_witness_check(tmp_path, capsys):
+    state_path = tmp_path / "state.json"
+    invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3",
+           "--out", str(state_path))
+    witness = ("--witness-failed", "1", "--witness-helpers", "4,5")
+    code, out, _ = invoke(capsys, "verify", "--state", str(state_path),
+                          "--checks", "witness", *witness)
+    assert (code, json.loads(out)) == (0, {"witness": True})
+
+    def verify_copy(dst, src):
+        doc = json.loads(state_path.read_text())
+        doc["Q"][dst - 1] = doc["Q"][src - 1]
+        path = tmp_path / f"q{dst}_is_q{src}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = invoke(capsys, "verify", "--state", str(path),
+                              "--checks", "invariant,witness", *witness)
+        return code, json.loads(out)
+
+    assert verify_copy(5, 4) == (1, {"invariant": False, "witness": False})
+    # every h' zeroes the failed node 1, so its twin Q_2 = Q_1 never meets
+    # Q_1 in a witness selection: the witness misses this corruption
+    assert verify_copy(2, 1) == (1, {"invariant": False, "witness": True})
+
+    code, _, err = invoke(capsys, "verify", "--state", str(state_path),
+                          "--checks", "witness", "--witness-helpers", "4,5")
+    assert code == 2
+    assert "--witness-failed" in err
+    code, _, err = invoke(capsys, "verify", "--state", str(state_path),
+                          "--checks", "witness", "--witness-failed", "1",
+                          "--witness-helpers", "2,4")
+    assert code == 2
+    assert "not eligible" in err
+
+
 def test_repair_subcommand(tmp_path, capsys):
     state_path = tmp_path / "state.json"
     invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3",

@@ -5,8 +5,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from lrrc import code_core
 from lrrc.code_core import (
     CodeError,
     CodeState,
@@ -28,6 +30,7 @@ from lrrc.code_core import (
     state_from_dict,
     state_to_dict,
     witness_repair_check,
+    witness_sources,
 )
 from lrrc.galois import (
     BATCH_Q_LIMIT,
@@ -260,6 +263,81 @@ def test_witness_repair_rejects_foreign_h(small_state):
         witness_repair_check(small_state, 1, (4, 5), (2, 2, 2, 2, 2, 2), H321)
 
 
+def _witness_keys(params):
+    """Every (failed, helpers) pair, helpers ascending as checked_helpers
+    returns them."""
+    return [
+        (failed, helpers)
+        for failed in range(1, params.n + 1)
+        for helpers in itertools.combinations(sorted(helper_universe(params, failed)), params.d)
+    ]
+
+
+@pytest.mark.parametrize("point", ((4, 2, 1, 1), (6, 3, 2, 1), (6, 2, 1, 3), (6, 4, 3, 1)),
+                         ids=lambda p: "-".join(map(str, p)))
+def test_witness_sources_decide_the_full_sweep(point):
+    params = params_new(*point)
+    hset = h_enumerate(params)
+    rng = random.Random(f"sources/{point}")
+    keys = _witness_keys(params)
+    if point == (6, 4, 3, 1):
+        keys = rng.sample(keys, 3)
+    states = [construct(params, field_new(7639), hset, rng_seed=5, max_attempts=64)]
+    states += [_random_state(params, q, rng) for q in (2, 3, 5)]
+    verdicts = []
+    for failed, helpers in keys:
+        sources = witness_sources(hset, failed, helpers)
+        # a defect in one source's target selection must fail the reduced check too
+        source = rng.choice([h for h in sources if sum(h)])
+        target = connect_run(params, source, helpers, failed).h_prime
+        for state in states + [_break_selection(states[0], target, rng)]:
+            full = all(witness_repair_check(state, failed, helpers, h, hset) for h in hset)
+            reduced = all(witness_repair_check(state, failed, helpers, h, hset) for h in sources)
+            assert full == reduced, (state.field.q, failed, helpers)
+            verdicts.append(full)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("point,sources,targets", [
+    ((6, 3, 2, 1), 39, 90),
+    ((6, 4, 3, 1), 119, 468),
+    ((8, 4, 2, 2), 149, 262),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_witness_sources_are_first_sources_of_maximal_targets(point, sources, targets,
+                                                              monkeypatch):
+    params = params_new(*point)
+    hset = h_enumerate(params)
+    position = {h: i for i, h in enumerate(hset.members)}
+    runs = []
+    real_run = code_core.connect_run
+
+    def recording_run(*args):
+        result = real_run(*args)
+        runs.append((args[1], result.h_prime))
+        return result
+
+    # the targets are read off the runs witness_sources makes on a cold memo
+    monkeypatch.setattr(code_core, "connect_run", recording_run)
+    witness_sources.cache_clear()
+    keys = _witness_keys(params)
+    for failed, helpers in keys[:1] if point == (8, 4, 2, 2) else keys:
+        runs.clear()
+        got = witness_sources(hset, failed, helpers)
+        assert [h for h, _ in runs] == list(hset.members)
+        target = dict(runs)
+        first = {}
+        for h, t in runs:
+            first.setdefault(t, h)
+        assert [position[h] for h in got] == sorted(position[h] for h in got)
+        assert all(first[target[h]] == h for h in got)
+        assert (len(got), len(first)) == (sources, targets)
+        tops = np.array([target[h] for h in got])
+        below = np.array(list(first))
+        # pairwise incomparable: each top lies below itself only
+        assert (tops[:, None] <= tops[None, :]).all(-1).sum() == len(got)
+        assert (below[:, None] <= tops[None, :]).all(-1).any(-1).all()
+
+
 def test_apply_repair_plan_is_unverified(small_state):
     f = small_state.field
     zero_cols = tuple(
@@ -334,8 +412,13 @@ def _random_state(params, q, rng):
 def _plant_defect(state, hset, rng):
     """Overwrite one column of one maximal selection with a random
     combination of that selection's other columns."""
+    return _break_selection(state, rng.choice([m for m in hset.maximal if sum(m) > 1]), rng)
+
+
+def _break_selection(state, h, rng):
+    """Overwrite one column of the selection under h with a random
+    combination of that selection's other columns (zero if it has none)."""
     params, q = state.params, state.field.q
-    h = rng.choice([m for m in hset.maximal if sum(m) > 1])
     cols = [(i, c) for i, v in enumerate(h) for c in range(v)]
     node, col = rng.choice(cols)
     weights = {ic: rng.randrange(1, q) for ic in cols if ic != (node, col)}
