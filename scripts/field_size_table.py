@@ -39,6 +39,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=20)
     args = ap.parse_args()
+    if args.trials < 1:
+        ap.error(f"--trials must be at least 1, got {args.trials}")
 
     header = f"{'params':>14} {'|H|':>6} {'bound':>8} {'prime':>8} {'q':>8} {'first-try':>10} {'done':>6}"
     print(header)

@@ -27,7 +27,6 @@ from .mfhs import (
     Params,
     ScoreVector,
     family_layout,
-    file_size,
     h_enumerate,
     h_membership,
     helper_universe,
@@ -88,7 +87,6 @@ __all__ = [
     "Params",
     "ScoreVector",
     "family_layout",
-    "file_size",
     "h_enumerate",
     "h_membership",
     "helper_universe",

@@ -88,6 +88,8 @@ class SimConfig:
 
 
 def sim_config_from_dict(d: dict) -> SimConfig:
+    if not isinstance(d, dict) or "params" not in d:
+        raise ModelError("simulation config lacks ['params']")
     params = params_from_dict(d["params"])
     q = d.get("q", "auto")
     if q != "auto":

@@ -9,12 +9,12 @@ from any k nodes follows from that check, and repairs are accepted only
 when the repaired state passes it again, so the property survives any
 failure sequence and any helper choices.
 
-The check visits only H's maximal members (HSet.maximal).  Every member
-of H lies below a maximal one, and lowering h_i drops trailing columns
-of node i from the selection; a subset of independent columns stays
-independent, so the maximal members decide the whole of H.  Their
-selections are gathered from one M x (n*d) array of the Q matrices and
-decided by galois.full_column_rank, one call per group of equal total:
+The check visits only H's maximal members (HSet.maximal, the members of
+total M).  Every member of H lies below a maximal one, and lowering h_i
+drops trailing columns of node i from the selection; a subset of
+independent columns stays independent, so the maximal members decide
+the whole of H.  Their selections are gathered from one M x (n*d) array
+of the Q matrices and decided by one galois.full_column_rank call:
 batched int64 numpy elimination for q < 2^31, rank_of_rows on each
 selection above that.  reconstruct_check batches its C(n, k) subsets
 the same way.
@@ -182,20 +182,15 @@ def _coefficients(state: CodeState) -> np.ndarray:
 
 
 def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
-    """First maximal h, in by_total_desc order, whose selection loses
-    full column rank; None when every admissible selection keeps it.
+    """First maximal h, in member order, whose selection loses full
+    column rank; None when every admissible selection keeps it.
 
     Checking the maximal members suffices: see the module docstring.
-    Groups of equal total are decided one batch at a time, largest
-    total first, and the sweep stops at the first group with a failure.
+    They all total M, so one batch of M x M selections decides them.
     """
-    flat = _coefficients(state)
-    q = state.field.q
-    for members, columns in hset.maximal_selections:
-        ok = full_column_rank(flat[:, columns].transpose(1, 0, 2), q)
-        if not ok.all():
-            return members[int(np.argmin(ok))]
-    return None
+    selections = _coefficients(state)[:, hset.maximal_columns].transpose(1, 0, 2)
+    ok = full_column_rank(selections, state.field.q)
+    return None if ok.all() else hset.maximal[int(np.argmin(ok))]
 
 
 def invariant_check(state: CodeState, hset: HSet) -> bool:
@@ -398,33 +393,36 @@ def witness_sources(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[
     sum(h') = sum(h): the witness for h holds iff the current state's
     selection under h' has full column rank.  If h' <= u componentwise,
     that selection is a column subset of the selection under u, so full
-    column rank under u implies it under h'.  Every target lies below a
-    maximal target, hence the witness holds for every h in hset exactly
-    when it holds for one source h per maximal target.  The first
-    source in hset order is kept, and the result is in hset order.
+    column rank under u implies it under h'.  Hence the witness holds
+    for every h in hset exactly when it holds for one source h per
+    maximal target.
 
-    Maximal targets are found by down-closure: t is maximal iff no
-    t + e_i lies at or below any target.  A cold key runs connect_run
-    once per member of hset; later calls with that key are lookups.
+    Lemma B: connect_run increments the h_failed helpers that are
+    smallest by (h value, node index), so h + e_x in H implies
+    (h + e_x)' >= h'.
+      - A helper's value does not change while it is in the pool,
+        initial_perm orders equal values by index, and step_resort
+        asserts that bystanders keep their relative order; so the pool
+        is always ordered by (h value, index), and step_select takes
+        its least member.
+      - Raising h at a node that is neither a helper nor the failed
+        node leaves the picked set S unchanged, raising h_failed adds
+        one pick, and raising a helper x only moves x later in the
+        ranking, so the new picks include S minus {x}.  In each case no
+        coordinate of h' falls.
+    By Lemma A of lrrc.mfhs, every member rises by unit steps inside H
+    to a member of total M, so every target lies below the target of a
+    member of hset.maximal.  Those targets all total M, so they are
+    pairwise incomparable: they are exactly the maximal targets, and
+    each of their sources totals M too.  So connect_run runs on
+    hset.maximal only, and the first source of each target is kept, in
+    hset order.  A cold key costs one connect_run per maximal member;
+    later calls with that key are lookups.
     """
-    params = hset.params
     first_source: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for h in hset:
-        first_source.setdefault(connect_run(params, h, helpers, failed).h_prime, h)
-    below = set(first_source)
-    stack = list(below)
-    while stack:
-        t = stack.pop()
-        for i, v in enumerate(t):
-            if v:
-                lower = t[:i] + (v - 1,) + t[i + 1:]
-                if lower not in below:
-                    below.add(lower)
-                    stack.append(lower)
-    return tuple(
-        h for t, h in first_source.items()
-        if not any(t[:i] + (v + 1,) + t[i + 1:] in below for i, v in enumerate(t))
-    )
+    for h in hset.maximal:
+        first_source.setdefault(connect_run(hset.params, h, helpers, failed).h_prime, h)
+    return tuple(first_source.values())
 
 
 def encode(state: CodeState, file: FieldMatrix) -> tuple[FieldMatrix, ...]:
@@ -475,6 +473,10 @@ def state_to_dict(state: CodeState) -> dict:
 
 
 def state_from_dict(d: dict) -> CodeState:
+    missing = [key for key in ("params", "q", "W", "Q")
+               if not isinstance(d, dict) or key not in d]
+    if missing:
+        raise CodeError(f"code state lacks {missing}")
     params = params_from_dict(d["params"])
     field = field_new(int(d["q"]))
     matrices = tuple(matrix_from_dict(md) for md in d["Q"])

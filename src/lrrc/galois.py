@@ -40,7 +40,6 @@ __all__ = [
     "mat_transpose",
     "mat_hstack",
     "identity",
-    "zeros",
     "matrix_to_dict",
     "matrix_from_dict",
     "rank_of_rows",
@@ -184,10 +183,6 @@ class FieldMatrix:
         """Mutable row-list copy, for elimination kernels."""
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-
-def zeros(rows: int, cols: int, field: FieldConfig) -> FieldMatrix:
-    return FieldMatrix(rows, cols, (0,) * (rows * cols), field)
 
 
 def identity(n: int, field: FieldConfig) -> FieldMatrix:
@@ -369,6 +364,10 @@ def matrix_to_dict(a: FieldMatrix) -> dict:
 
 
 def matrix_from_dict(d: dict) -> FieldMatrix:
+    missing = [key for key in ("rows", "cols", "q", "entries")
+               if not isinstance(d, dict) or key not in d]
+    if missing:
+        raise GaloisError(f"matrix lacks {missing}")
     field = field_new(int(d["q"]))
     entries = tuple(int(e) % field.q for e in d["entries"])
     return FieldMatrix(int(d["rows"]), int(d["cols"]), entries, field)

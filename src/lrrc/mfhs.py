@@ -42,6 +42,29 @@ and every h-prefix is at most sum(h); so when sum(h) <= M, c covers an
 h-prefix exactly when b does, and when sum(h) > M no order covers h.
 h_membership therefore searches sorting orders on raw scores alone,
 memoized on placed counts per family.
+
+Lemma A: every h in H with sum(h) < M has some h + e_x in H, so H's
+maximal members (no h + e_x in H) are exactly its members of total M.
+  - Take an order pi sorting h whose raw score b covers h (the cap
+    lemma above), and let s_m = (b-prefix - h-prefix)_m >= 0 after m
+    positions, s_0 = 0.  Then s_n > 0: every order's full total is at
+    least M > sum(h).
+  - Let L < n be the last position with s_L = 0 and x = pi(L + 1).
+    Then b_{L+1} = s_{L+1} + h_x >= h_x + 1, so h_x < d.
+  - Raise h_x by one and move x to the first position g of its tie
+    group; the new order sorts h + e_x, and only positions g..L+1
+    change their scores.  Node x, now at g, has one outsider fewer
+    before it for each shifted node outside its family, and
+    b_{L+1} > 0, so it gains exactly that many.  Each shifted node
+    now has x before it and loses at most one, only if it lies outside
+    x's family.
+  - x's gain covers every shifted node's loss.  So for m in [g, L]
+    the new b-prefix is at least b-prefix_{m-1} + b_{L+1} >=
+    h-prefix_{m-1} + h_x + 1, the new h-prefix at m; from L + 1 on the
+    b-prefixes do not fall, while the h-prefixes rise by one where
+    s >= 1.  So the new order covers h + e_x, whose total is still at
+    most M, and h + e_x lies in H.
+A member of total M is maximal because every h + e_x totals M + 1.
 """
 
 from __future__ import annotations
@@ -233,11 +256,6 @@ def _round_robin_total(k: int, d: int, families: int) -> int:
     return sum(max(d - i + i // families, 0) for i in range(k))
 
 
-def file_size(params: Params) -> int:
-    """Recompute the supported file size M from scratch."""
-    return _round_robin_total(params.k, params.d, params.num_families)
-
-
 def _truncate(b: Sequence[int], m_target: int) -> tuple[int, ...]:
     c = []
     running = 0
@@ -345,17 +363,9 @@ class HSet:
         return frozenset(self.members)
 
     @cached_property
-    def by_total_desc(self) -> tuple[tuple[int, ...], ...]:
-        """Members ordered by descending coordinate total.
-
-        Verification sweeps visit large selections first; those are the
-        tightest rank conditions, so failures surface early.
-        """
-        return tuple(sorted(self.members, key=lambda h: (-sum(h), h)))
-
-    @cached_property
     def maximal(self) -> tuple[tuple[int, ...], ...]:
-        """Members h with no h + e_i in H, in by_total_desc order.
+        """Members h with no h + e_i in H, in member order: by Lemma A of
+        the module docstring, these are exactly the members of total M.
 
         Every member is dominated by one of these: from any member, raise
         one coordinate at a time while staying in H; the walk ends at a
@@ -363,37 +373,19 @@ class HSet:
         dominator's selection, so full column rank of the maximal
         selections implies it for all of H.
         """
-        d = self.params.d
-        index = self._index
-        return tuple(
-            h for h in self.by_total_desc
-            if not any(
-                v < d and h[:i] + (v + 1,) + h[i + 1:] in index
-                for i, v in enumerate(h)
-            )
-        )
+        return tuple(h for h in self.members if sum(h) == self.params.M)
 
     @cached_property
-    def maximal_selections(self) -> tuple[tuple[tuple[tuple[int, ...], ...], np.ndarray], ...]:
-        """The maximal members grouped by total, in by_total_desc order.
+    def maximal_columns(self) -> np.ndarray:
+        """(len(maximal), M) column indices into [Q_1 | ... | Q_n].
 
-        Each group pairs its members with a (members, total) array of
-        column indices into [Q_1 | ... | Q_n]: h selects the first h_i of
-        node i's d columns, which sit at i*d .. i*d + d - 1 (0-based i).
+        Row i is maximal[i]'s selection: h takes the first h_j of node
+        j's d columns, which sit at j*d .. j*d + d - 1 (0-based j).
         """
         d = self.params.d
-        groups: dict[int, list[tuple[int, ...]]] = {}
-        for h in self.maximal:
-            groups.setdefault(sum(h), []).append(h)
-        return tuple(
-            (
-                tuple(members),
-                np.array(
-                    [[i * d + j for i, v in enumerate(h) for j in range(v)] for h in members],
-                    dtype=np.intp,
-                ),
-            )
-            for members in groups.values()
+        return np.array(
+            [[j * d + c for j, v in enumerate(h) for c in range(v)] for h in self.maximal],
+            dtype=np.intp,
         )
 
     def __contains__(self, h: object) -> bool:
@@ -464,6 +456,10 @@ def params_to_dict(params: Params) -> dict:
 
 
 def params_from_dict(d: dict) -> Params:
+    missing = [key for key in ("n", "k", "d", "r")
+               if not isinstance(d, dict) or key not in d]
+    if missing:
+        raise ModelError(f"params lack {missing}")
     params = params_new(int(d["n"]), int(d["k"]), int(d["d"]), int(d["r"]))
     for key in ("M", "alpha", "beta"):
         if key in d and int(d[key]) != getattr(params, key):

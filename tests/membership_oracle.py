@@ -6,8 +6,10 @@ nonincreasingly and applies the definition of H literally: capped
 scores, compared position by position.  lrrc.mfhs decides the same
 question by a memoized search on raw scores.  The file-size reference
 searches all family sequences for the worst k-prefix total, where
-lrrc.mfhs uses the round-robin closed form.  These tests hold each pair
-against each other.
+lrrc.mfhs uses the round-robin closed form.  The maximal-member
+references scan for domination, where lrrc reads the maximal members of
+H and the maximal repair targets off the members of total M.  These
+tests hold each pair against each other.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from lrrc.mfhs import Params, Perm, score_vectors
+from lrrc.mfhs import HSet, Params, Perm, score_vectors
 
 
 def in_scope_points(max_n: int) -> list[tuple[int, int, int, int]]:
@@ -91,3 +93,30 @@ def min_prefix_total(n: int, k: int, d: int, f: int) -> int:
         return out
 
     return best_from(0, (f,) * (n // f))
+
+
+def maximal_by_domination(hset: HSet) -> tuple[tuple[int, ...], ...]:
+    """Members h with no h + e_i in H, by descending total and then
+    lexicographically."""
+    d = hset.params.d
+    return tuple(
+        h for h in sorted(hset.members, key=lambda h: (-sum(h), h))
+        if not any(v < d and h[:i] + (v + 1,) + h[i + 1:] in hset for i, v in enumerate(h))
+    )
+
+
+def maximal_by_down_closure(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The vectors t, in their given order, with no t + e_i at or below
+    any of the vectors."""
+    below = set(vectors)
+    stack = list(below)
+    while stack:
+        t = stack.pop()
+        for i, v in enumerate(t):
+            if v:
+                lower = t[:i] + (v - 1,) + t[i + 1:]
+                if lower not in below:
+                    below.add(lower)
+                    stack.append(lower)
+    return [t for t in vectors if not any(t[:i] + (v + 1,) + t[i + 1:] in below
+                                          for i, v in enumerate(t))]

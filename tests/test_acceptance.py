@@ -28,7 +28,6 @@ from lrrc.connect import connect_run
 from lrrc.galois import field_new, next_prime
 from lrrc.mfhs import (
     Perm,
-    file_size,
     h_enumerate,
     helper_universe,
     params_new,
@@ -45,10 +44,10 @@ P321 = params_new(6, 3, 2, 1)
 def test_01_file_size_values(verdict):
     t0 = time.perf_counter()
     got = {
-        (6, 4, 3, 1): file_size(params_new(6, 4, 3, 1)),
-        (6, 3, 2, 1): file_size(params_new(6, 3, 2, 1)),
-        (4, 2, 1, 1): file_size(params_new(4, 2, 1, 1)),
-        (6, 6, 3, 1): file_size(params_new(6, 6, 3, 1)),
+        (6, 4, 3, 1): params_new(6, 4, 3, 1).M,
+        (6, 3, 2, 1): params_new(6, 3, 2, 1).M,
+        (4, 2, 1, 1): params_new(4, 2, 1, 1).M,
+        (6, 6, 3, 1): params_new(6, 6, 3, 1).M,
     }
     want = {(6, 4, 3, 1): 7, (6, 3, 2, 1): 4, (4, 2, 1, 1): 1, (6, 6, 3, 1): 7}
     dt = time.perf_counter() - t0

@@ -341,6 +341,32 @@ def test_version_flag(capsys):
     assert "lrrc" in out
 
 
+@pytest.mark.parametrize("command,flag,doc,message", [
+    ("verify", "--state", {}, "code state lacks ['params', 'q', 'W', 'Q']"),
+    ("repair", "--state", {}, "code state lacks ['params', 'q', 'W', 'Q']"),
+    ("verify", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": 7639, "W": 1},
+     "code state lacks ['Q']"),
+    ("repair", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": 7639, "W": 1},
+     "code state lacks ['Q']"),
+    ("verify", "--state", {"params": {"n": 6}, "q": 7639, "W": 1, "Q": []},
+     "params lack ['k', 'd', 'r']"),
+    ("verify", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": 7639, "W": 1,
+                           "Q": [{"rows": 4, "cols": 2}]},
+     "matrix lacks ['q', 'entries']"),
+    ("simulate", "--config", {"seed": 3}, "simulation config lacks ['params']"),
+], ids=["verify-empty", "repair-empty", "verify-no-Q", "repair-no-Q", "verify-short-params",
+        "verify-short-matrix", "simulate-no-params"])
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, flag, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    extra = ("--failed", "1", "--helpers", "4,5") if command == "repair" else ()
+    code, out, err = invoke(capsys, command, flag, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_missing_state_file_is_usage_error(tmp_path, capsys):
     code, _, err = invoke(capsys, "verify", "--state", str(tmp_path / "nope.json"))
     assert code == 2

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from lrrc import code_core
@@ -46,7 +45,7 @@ from lrrc.galois import (
 from lrrc.connect import connect_run
 from lrrc.mfhs import HNotMember, h_enumerate, helper_universe, params_new
 
-from membership_oracle import in_scope_points
+from membership_oracle import in_scope_points, maximal_by_domination, maximal_by_down_closure
 
 P321 = params_new(6, 3, 2, 1)
 P641 = params_new(6, 4, 3, 1)
@@ -298,6 +297,11 @@ def test_witness_sources_decide_the_full_sweep(point):
     assert any(verdicts) and not all(verdicts)
 
 
+def _runs(params, hset, failed, helpers):
+    """connect_run on every member of hset for one key, by member."""
+    return {h: connect_run(params, h, helpers, failed) for h in hset}
+
+
 @pytest.mark.parametrize("point,sources,targets", [
     ((6, 3, 2, 1), 39, 90),
     ((6, 4, 3, 1), 119, 468),
@@ -307,35 +311,51 @@ def test_witness_sources_are_first_sources_of_maximal_targets(point, sources, ta
                                                               monkeypatch):
     params = params_new(*point)
     hset = h_enumerate(params)
-    position = {h: i for i, h in enumerate(hset.members)}
     runs = []
     real_run = code_core.connect_run
 
     def recording_run(*args):
-        result = real_run(*args)
-        runs.append((args[1], result.h_prime))
-        return result
+        runs.append(args[1])
+        return real_run(*args)
 
-    # the targets are read off the runs witness_sources makes on a cold memo
     monkeypatch.setattr(code_core, "connect_run", recording_run)
     witness_sources.cache_clear()
     keys = _witness_keys(params)
     for failed, helpers in keys[:1] if point == (8, 4, 2, 2) else keys:
+        first = {}
+        for h, result in _runs(params, hset, failed, helpers).items():
+            first.setdefault(result.h_prime, h)
         runs.clear()
         got = witness_sources(hset, failed, helpers)
-        assert [h for h, _ in runs] == list(hset.members)
-        target = dict(runs)
-        first = {}
-        for h, t in runs:
-            first.setdefault(t, h)
-        assert [position[h] for h in got] == sorted(position[h] for h in got)
-        assert all(first[target[h]] == h for h in got)
+        # a cold key runs connect_run on the maximal members only, in order
+        assert runs == list(hset.maximal)
+        assert got == tuple(first[t] for t in maximal_by_down_closure(list(first)))
         assert (len(got), len(first)) == (sources, targets)
-        tops = np.array([target[h] for h in got])
-        below = np.array(list(first))
-        # pairwise incomparable: each top lies below itself only
-        assert (tops[:, None] <= tops[None, :]).all(-1).sum() == len(got)
-        assert (below[:, None] <= tops[None, :]).all(-1).any(-1).all()
+
+
+@pytest.mark.parametrize("point", ((4, 2, 1, 1), (6, 3, 2, 1), (6, 2, 1, 3), (6, 4, 3, 1)),
+                         ids=lambda p: "-".join(map(str, p)))
+def test_targets_never_fall_along_unit_raises(point):
+    # connect_run increments the h_failed helpers smallest by (h value,
+    # node index), so h + e_x in H implies (h + e_x)' >= h'
+    params = params_new(*point)
+    hset = h_enumerate(params)
+    keys = _witness_keys(params)
+    if point == (6, 4, 3, 1):
+        keys = random.Random(f"monotone/{point}").sample(keys, 3)
+    raises = [
+        (h, up) for h in hset for i, v in enumerate(h)
+        if (up := h[:i] + (v + 1,) + h[i + 1:]) in hset
+    ]
+    assert raises
+    for failed, helpers in keys:
+        runs = _runs(params, hset, failed, helpers)
+        for h, result in runs.items():
+            smallest = sorted(helpers, key=lambda x: (h[x - 1], x))[:h[failed - 1]]
+            assert sorted(result.incremented) == sorted(smallest), (failed, helpers, h)
+        for h, up in raises:
+            low, high = runs[h].h_prime, runs[up].h_prime
+            assert all(a <= b for a, b in zip(low, high)), (failed, helpers, h, up)
 
 
 def test_apply_repair_plan_is_unverified(small_state):
@@ -523,6 +543,7 @@ def test_scope_sweep_covers_98_points():
 def test_scope_sweep_constructs_and_repairs_every_node(nkdr):
     params = params_new(*nkdr)
     hset = h_enumerate(params)
+    assert hset.maximal == maximal_by_domination(hset)
     q = next_prime(required_field_size(params, hset))
     state = construct(params, field_new(q), hset, rng_seed=0)
     for node in range(1, params.n + 1):

@@ -21,7 +21,6 @@ from lrrc.mfhs import (
     PreconditionViolated,
     TooLarge,
     family_layout,
-    file_size,
     h_enumerate,
     h_membership,
     helper_universe,
@@ -69,7 +68,7 @@ PINNED_SIZES = {
 
 @pytest.mark.parametrize("nkdr,expect", sorted(PINNED_SIZES.items()))
 def test_file_size_frozen(nkdr, expect):
-    assert file_size(params_new(*nkdr)) == expect
+    assert params_new(*nkdr).M == expect
 
 
 # every in-scope (n, k, d, r) small enough for the n! oracle
@@ -78,7 +77,7 @@ SMALL_POINTS = in_scope_points(6)
 
 @pytest.mark.parametrize("nkdr", SMALL_POINTS)
 def test_file_size_matches_permutation_oracle(nkdr):
-    assert file_size(params_new(*nkdr)) == brute_force_file_size_full(*nkdr)
+    assert params_new(*nkdr).M == brute_force_file_size_full(*nkdr)
 
 
 def test_file_size_matches_search_reference():
@@ -87,7 +86,7 @@ def test_file_size_matches_search_reference():
     points = in_scope_points(16)
     assert len(points) == 1850
     for n, k, d, r in points:
-        assert file_size(params_new(n, k, d, r)) == min_prefix_total(n, k, d, n - d - r), (n, k, d, r)
+        assert params_new(n, k, d, r).M == min_prefix_total(n, k, d, n - d - r), (n, k, d, r)
 
 
 def test_file_size_large_n_pinned():
@@ -95,7 +94,7 @@ def test_file_size_large_n_pinned():
     # round-robin order gives 9 + 8 + 7 + 6.
     p = params_new(12, 4, 9, 1)
     assert p.family_size == 2 and p.num_families == 6
-    assert file_size(p) == p.M
+    assert p.M == min_prefix_total(12, 4, 9, 2)
     assert p.M == 30
 
 
@@ -235,20 +234,17 @@ def test_maximal_antichain_pinned(point):
     hs = h_enumerate(p)
     assert (len(hs.maximal), len(hs)) == MAXIMAL_COUNTS[point]
     assert all(sum(h) == p.M for h in hs.maximal)
-    # sweep order is kept, and no maximal member lies below another
-    assert list(hs.maximal) == [h for h in hs.by_total_desc if h in set(hs.maximal)]
+    # member order is kept, and no maximal member lies below another
+    assert list(hs.maximal) == [h for h in hs if h in set(hs.maximal)]
     for h in hs:
         above = [m for m in hs.maximal if all(a <= b for a, b in zip(h, m))]
         assert above, h
         if h in hs.maximal:
             assert above == [h]
     # the batched gather selects the first h_i columns of each node
-    grouped = [h for members, _ in hs.maximal_selections for h in members]
-    assert grouped == list(hs.maximal)
-    for members, columns in hs.maximal_selections:
-        assert columns.shape == (len(members), sum(members[0]))
-        for h, row in zip(members, columns.tolist()):
-            assert row == [i * p.d + c for i, v in enumerate(h) for c in range(v)]
+    assert hs.maximal_columns.shape == (len(hs.maximal), p.M)
+    for h, row in zip(hs.maximal, hs.maximal_columns.tolist()):
+        assert row == [i * p.d + c for i, v in enumerate(h) for c in range(v)]
 
 
 def test_h_enumerate_members_all_pass_membership():
@@ -272,9 +268,9 @@ def test_h_set_contains_and_lookup():
     assert (1, 1, 1, 1, 1, 1) in hs
     witness = hs.witnesses[hs.members.index((3, 2, 2, 0, 0, 0))]
     assert covers_along(p, (3, 2, 2, 0, 0, 0), witness)
-    totals = [sum(h) for h in hs.by_total_desc]
-    assert totals == sorted(totals, reverse=True)
-    assert totals[0] == p.M
+    assert hs.maximal_columns.shape == (len(hs.maximal), p.M)
+    row = hs.maximal_columns[hs.maximal.index((3, 2, 2, 0, 0, 0))]
+    assert row.tolist() == [0, 1, 2, 3, 4, 6, 7]
 
 
 def test_zero_vector_and_unit_vectors_admissible():

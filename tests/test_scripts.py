@@ -40,3 +40,12 @@ def test_endurance_rejects_invalid_input(argv, message):
     assert child.stdout == ""
     assert f"error: {message}" in child.stderr
     assert "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_field_size_table_rejects_trials_below_one(trials):
+    child = run("scripts/field_size_table.py", "--trials", trials)
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert f"error: --trials must be at least 1, got {trials}" in child.stderr
+    assert "Traceback" not in child.stderr
