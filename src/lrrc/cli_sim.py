@@ -24,7 +24,6 @@ from .mfhs import (
     HSet,
     ModelError,
     Params,
-    checked_helpers,
     family_layout,
     h_enumerate,
     helper_universe,
@@ -45,8 +44,8 @@ from .code_core import (
     required_field_size,
     state_from_dict,
     state_to_dict,
-    witness_repair_check,
-    witness_sources,
+    witness_holds,
+    witness_repair_check,  # unused here; perfbench's tracer wraps this binding
 )
 from .exact6321 import ExactCodeError, build_exact_code, code_to_dict, verify_exact_code
 
@@ -95,6 +94,8 @@ def sim_config_from_dict(d: dict) -> SimConfig:
     if q != "auto":
         q = int(q)
     checks = d.get("checks", {})
+    if not isinstance(checks, dict):
+        raise ModelError(f"simulation config's checks must be an object, got {type(checks).__name__}")
     cfg = SimConfig(
         params=params,
         q=q,
@@ -172,8 +173,10 @@ def _run_checks(wanted: list[str], state: CodeState, hset: HSet,
     """Run the named checks, each one of CHECKS, on state.
 
     The witness check needs the failed node and its helpers.  It holds
-    for every h in hset exactly when it holds for the members that
-    witness_sources picks, so only those are checked.
+    for every h in hset exactly when the current state keeps full
+    column rank under each maximal repair target h', which
+    witness_targets finds once per (hset, failed, helpers) key, so
+    witness_holds ranks those targets only.
     """
     out: dict = {}
     if "invariant" in wanted:
@@ -181,11 +184,7 @@ def _run_checks(wanted: list[str], state: CodeState, hset: HSet,
     if "reconstruction" in wanted:
         out["reconstruction"] = reconstruct_check(state)
     if "witness" in wanted:
-        ordered = checked_helpers(state.params, failed, helpers)
-        out["witness"] = all(
-            witness_repair_check(state, failed, ordered, h, hset)
-            for h in witness_sources(hset, failed, ordered)
-        )
+        out["witness"] = witness_holds(state, failed, helpers, hset)
     return out
 
 

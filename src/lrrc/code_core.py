@@ -354,6 +354,13 @@ def repair_random(
     raise RepairFailed(max_attempts, _rejections(rejected, hset))
 
 
+def _witness_at(state: CodeState, target: Sequence[int]) -> bool:
+    """True iff the current state's selection under the target h' keeps
+    full column rank, the witness for every h whose target it is."""
+    want = sum(target)
+    return want == 0 or rank_of_rows(_selection_rows(state, target), state.field.q) == want
+
+
 def witness_repair_check(
     state: CodeState,
     failed: int,
@@ -377,14 +384,12 @@ def witness_repair_check(
     if h not in hset:
         raise HNotMember(f"{h} is not admissible")
     ordered = checked_helpers(params, failed, helpers)
-    h_prime = connect_run(params, h, ordered, failed).h_prime
-    want = sum(h)
-    return want == 0 or rank_of_rows(_selection_rows(state, h_prime), state.field.q) == want
+    return _witness_at(state, connect_run(params, h, ordered, failed).h_prime)
 
 
 @lru_cache(maxsize=None)
-def witness_sources(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The members of hset whose repair witnesses imply all the others.
+def witness_targets(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The maximal repair targets h', whose witnesses imply all the others.
 
     helpers must already be ordered by checked_helpers.  Call
     h' = connect_run(h).h_prime the target of h.  It depends only on
@@ -394,8 +399,7 @@ def witness_sources(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[
     selection under h' has full column rank.  If h' <= u componentwise,
     that selection is a column subset of the selection under u, so full
     column rank under u implies it under h'.  Hence the witness holds
-    for every h in hset exactly when it holds for one source h per
-    maximal target.
+    for every h in hset exactly when it holds at every maximal target.
 
     Lemma B: connect_run increments the h_failed helpers that are
     smallest by (h value, node index), so h + e_x in H implies
@@ -413,16 +417,28 @@ def witness_sources(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[
     By Lemma A of lrrc.mfhs, every member rises by unit steps inside H
     to a member of total M, so every target lies below the target of a
     member of hset.maximal.  Those targets all total M, so they are
-    pairwise incomparable: they are exactly the maximal targets, and
-    each of their sources totals M too.  So connect_run runs on
-    hset.maximal only, and the first source of each target is kept, in
-    hset order.  A cold key costs one connect_run per maximal member;
-    later calls with that key are lookups.
+    pairwise incomparable: they are exactly the maximal targets.  So
+    connect_run runs on hset.maximal only, and each distinct target is
+    kept once, in the order of its first source in hset.  A cold key
+    costs one connect_run per maximal member; later calls with that key
+    are lookups.
     """
-    first_source: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for h in hset.maximal:
-        first_source.setdefault(connect_run(hset.params, h, helpers, failed).h_prime, h)
-    return tuple(first_source.values())
+    return tuple(dict.fromkeys(
+        connect_run(hset.params, h, helpers, failed).h_prime for h in hset.maximal
+    ))
+
+
+def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: HSet) -> bool:
+    """True iff the repair witness holds for every h in hset.
+
+    Equal to all(witness_repair_check(state, failed, helpers, h, hset)
+    for h in hset), decided by one rank at each maximal target that
+    witness_targets memoizes per key.  Helpers are validated first, so
+    bad ones raise InvalidHelpers before the memo is consulted; a warm
+    key then runs no connect_run and no membership test.
+    """
+    ordered = checked_helpers(state.params, failed, helpers)
+    return all(_witness_at(state, t) for t in witness_targets(hset, failed, ordered))
 
 
 def encode(state: CodeState, file: FieldMatrix) -> tuple[FieldMatrix, ...]:
@@ -477,6 +493,8 @@ def state_from_dict(d: dict) -> CodeState:
                if not isinstance(d, dict) or key not in d]
     if missing:
         raise CodeError(f"code state lacks {missing}")
+    if not isinstance(d["Q"], list):
+        raise CodeError(f"code state's Q must be a list of matrices, got {type(d['Q']).__name__}")
     params = params_from_dict(d["params"])
     field = field_new(int(d["q"]))
     matrices = tuple(matrix_from_dict(md) for md in d["Q"])

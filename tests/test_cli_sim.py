@@ -354,8 +354,14 @@ def test_version_flag(capsys):
                            "Q": [{"rows": 4, "cols": 2}]},
      "matrix lacks ['q', 'entries']"),
     ("simulate", "--config", {"seed": 3}, "simulation config lacks ['params']"),
+    ("verify", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": 7639, "W": 1,
+                           "Q": 5},
+     "code state's Q must be a list of matrices, got int"),
+    ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "checks": 5},
+     "simulation config's checks must be an object, got int"),
 ], ids=["verify-empty", "repair-empty", "verify-no-Q", "repair-no-Q", "verify-short-params",
-        "verify-short-matrix", "simulate-no-params"])
+        "verify-short-matrix", "simulate-no-params", "verify-Q-not-list",
+        "simulate-checks-not-object"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, flag, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from lrrc import code_core
+from lrrc import code_core, connect, mfhs
 from lrrc.code_core import (
     CodeError,
     CodeState,
@@ -28,8 +28,9 @@ from lrrc.code_core import (
     required_field_size,
     state_from_dict,
     state_to_dict,
+    witness_holds,
     witness_repair_check,
-    witness_sources,
+    witness_targets,
 )
 from lrrc.galois import (
     BATCH_Q_LIMIT,
@@ -272,29 +273,69 @@ def _witness_keys(params):
     ]
 
 
+def _sweep_states(params, hset, rng):
+    """The constructed state, random states at q = 2, 3, 5 and one
+    random state above the int64 batching limit."""
+    states = [construct(params, field_new(7639), hset, rng_seed=5, max_attempts=64)]
+    states += [_random_state(params, q, rng) for q in (2, 3, 5, next_prime(2**31))]
+    return states
+
+
 @pytest.mark.parametrize("point", ((4, 2, 1, 1), (6, 3, 2, 1), (6, 2, 1, 3), (6, 4, 3, 1)),
                          ids=lambda p: "-".join(map(str, p)))
 def test_witness_sources_decide_the_full_sweep(point):
+    # witness_holds ranks the maximal targets only; the reference ranks
+    # every h in H through the single-h check
     params = params_new(*point)
     hset = h_enumerate(params)
     rng = random.Random(f"sources/{point}")
     keys = _witness_keys(params)
     if point == (6, 4, 3, 1):
         keys = rng.sample(keys, 3)
-    states = [construct(params, field_new(7639), hset, rng_seed=5, max_attempts=64)]
-    states += [_random_state(params, q, rng) for q in (2, 3, 5)]
+    states = _sweep_states(params, hset, rng)
     verdicts = []
     for failed, helpers in keys:
-        sources = witness_sources(hset, failed, helpers)
-        # a defect in one source's target selection must fail the reduced check too
-        source = rng.choice([h for h in sources if sum(h)])
-        target = connect_run(params, source, helpers, failed).h_prime
+        # a defect in one target's selection must fail the reduced check too
+        target = rng.choice(witness_targets(hset, failed, helpers))
         for state in states + [_break_selection(states[0], target, rng)]:
             full = all(witness_repair_check(state, failed, helpers, h, hset) for h in hset)
-            reduced = all(witness_repair_check(state, failed, helpers, h, hset) for h in sources)
-            assert full == reduced, (state.field.q, failed, helpers)
+            assert witness_holds(state, failed, helpers, hset) == full, (
+                state.field.q, failed, helpers)
             verdicts.append(full)
     assert any(verdicts) and not all(verdicts)
+
+
+def _refuse(*args):
+    raise AssertionError("a warm witness check recomputed a target")
+
+
+@pytest.mark.parametrize("point", ((6, 3, 2, 1), (6, 2, 1, 3)),
+                         ids=lambda p: "-".join(map(str, p)))
+def test_warm_witness_check_runs_no_connect_or_membership(point, monkeypatch):
+    params = params_new(*point)
+    hset = h_enumerate(params)
+    rng = random.Random(f"warm/{point}")
+    keys = _witness_keys(params)
+    states = _sweep_states(params, hset, rng)
+    states.append(_break_selection(states[0], witness_targets(hset, *keys[0])[0], rng))
+    cold = [witness_holds(state, failed, helpers, hset)
+            for failed, helpers in keys for state in states]
+    assert any(cold) and not all(cold)
+    monkeypatch.setattr(code_core, "connect_run", _refuse)
+    monkeypatch.setattr(mfhs, "h_membership", _refuse)
+    monkeypatch.setattr(connect, "h_membership", _refuse)
+    # helpers in any order hit the same key once checked_helpers sorts them
+    warm = [witness_holds(state, failed, helpers[::-1], hset)
+            for failed, helpers in keys for state in states]
+    assert warm == cold
+    # bad helpers raise before the memo is consulted and never add a key
+    failed, helpers = keys[0]
+    entries = witness_targets.cache_info().currsize
+    for bad in (helpers[:-1], helpers + helpers[:1], helpers[:-1] + (failed,),
+                helpers[:-1] + (params.n + 1,)):
+        with pytest.raises(InvalidHelpers):
+            witness_holds(states[0], failed, bad, hset)
+    assert witness_targets.cache_info().currsize == entries
 
 
 def _runs(params, hset, failed, helpers):
@@ -302,12 +343,12 @@ def _runs(params, hset, failed, helpers):
     return {h: connect_run(params, h, helpers, failed) for h in hset}
 
 
-@pytest.mark.parametrize("point,sources,targets", [
+@pytest.mark.parametrize("point,maximal_targets,targets", [
     ((6, 3, 2, 1), 39, 90),
     ((6, 4, 3, 1), 119, 468),
     ((8, 4, 2, 2), 149, 262),
 ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
-def test_witness_sources_are_first_sources_of_maximal_targets(point, sources, targets,
+def test_witness_sources_are_first_sources_of_maximal_targets(point, maximal_targets, targets,
                                                               monkeypatch):
     params = params_new(*point)
     hset = h_enumerate(params)
@@ -319,18 +360,17 @@ def test_witness_sources_are_first_sources_of_maximal_targets(point, sources, ta
         return real_run(*args)
 
     monkeypatch.setattr(code_core, "connect_run", recording_run)
-    witness_sources.cache_clear()
+    witness_targets.cache_clear()
     keys = _witness_keys(params)
     for failed, helpers in keys[:1] if point == (8, 4, 2, 2) else keys:
-        first = {}
-        for h, result in _runs(params, hset, failed, helpers).items():
-            first.setdefault(result.h_prime, h)
+        # every target, each once, in the order of its first source in H
+        first = list(dict.fromkeys(r.h_prime for r in _runs(params, hset, failed, helpers).values()))
         runs.clear()
-        got = witness_sources(hset, failed, helpers)
+        got = witness_targets(hset, failed, helpers)
         # a cold key runs connect_run on the maximal members only, in order
         assert runs == list(hset.maximal)
-        assert got == tuple(first[t] for t in maximal_by_down_closure(list(first)))
-        assert (len(got), len(first)) == (sources, targets)
+        assert got == tuple(maximal_by_down_closure(first))
+        assert (len(got), len(first)) == (maximal_targets, targets)
 
 
 @pytest.mark.parametrize("point", ((4, 2, 1, 1), (6, 3, 2, 1), (6, 2, 1, 3), (6, 4, 3, 1)),
