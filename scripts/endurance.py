@@ -2,8 +2,9 @@
 """Long-haul repair endurance run.
 
 Constructs a code, then hammers it with failure rounds under the chosen
-policies.  Every accepted repair has passed the full invariant check;
-the report records that verdict and re-runs the reconstruction check.
+policies.  Every accepted repair has passed the full invariant check,
+which implies reconstruction from any k nodes (Lemma C of
+lrrc.code_core); the report records both verdicts.
 Prints the aggregate JSON to stdout; optionally stores the whole
 report.  Exit codes follow the lrrc CLI: 0 passed, 1 a check failed,
 2 invalid parameters or field size.

@@ -33,7 +33,6 @@ from .mfhs import (
     majorizes,
     params_new,
     score_vectors,
-    swap_preserves,
 )
 from .connect import (
     ConnectError,
@@ -93,7 +92,6 @@ __all__ = [
     "majorizes",
     "params_new",
     "score_vectors",
-    "swap_preserves",
     "ConnectError",
     "ConnectResult",
     "ConnectState",

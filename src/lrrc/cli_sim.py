@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .galois import GaloisError, field_new, next_prime
+from .galois import GaloisError, field_new, int_field, next_prime
 from .mfhs import (
     HSet,
     ModelError,
@@ -90,23 +90,25 @@ def sim_config_from_dict(d: dict) -> SimConfig:
     if not isinstance(d, dict) or "params" not in d:
         raise ModelError("simulation config lacks ['params']")
     params = params_from_dict(d["params"])
-    q = d.get("q", "auto")
-    if q != "auto":
-        q = int(q)
+
+    def integer(key: str, default: int) -> int:
+        return int_field(d.get(key, default), f"simulation config's {key}", ModelError)
+
+    q = "auto" if d.get("q", "auto") == "auto" else integer("q", 0)
     checks = d.get("checks", {})
     if not isinstance(checks, dict):
         raise ModelError(f"simulation config's checks must be an object, got {type(checks).__name__}")
     cfg = SimConfig(
         params=params,
         q=q,
-        seed=int(d.get("seed", 0)),
-        rounds=int(d.get("rounds", 0)),
+        seed=integer("seed", 0),
+        rounds=integer("rounds", 0),
         failure_policy=d.get("failure_policy", "round-robin"),
         helper_policy=d.get("helper_policy", "uniform-random"),
         check_invariant=bool(checks.get("invariant", True)),
         check_reconstruction=bool(checks.get("reconstruction", True)),
         check_witness=bool(checks.get("witness", False)),
-        max_attempts=int(d.get("max_attempts", 16)),
+        max_attempts=integer("max_attempts", 16),
     )
     if cfg.failure_policy not in FAILURE_POLICIES:
         raise ModelError(f"unknown failure policy {cfg.failure_policy!r}")
@@ -168,26 +170,6 @@ def _helper_sets(config: SimConfig, failed: int, master: random.Random) -> list[
     return list(itertools.combinations(universe, config.params.d))
 
 
-def _run_checks(wanted: list[str], state: CodeState, hset: HSet,
-                failed: int | None = None, helpers: tuple[int, ...] | None = None) -> dict:
-    """Run the named checks, each one of CHECKS, on state.
-
-    The witness check needs the failed node and its helpers.  It holds
-    for every h in hset exactly when the current state keeps full
-    column rank under each maximal repair target h', which
-    witness_targets finds once per (hset, failed, helpers) key, so
-    witness_holds ranks those targets only.
-    """
-    out: dict = {}
-    if "invariant" in wanted:
-        out["invariant"] = invariant_check(state, hset)
-    if "reconstruction" in wanted:
-        out["reconstruction"] = reconstruct_check(state)
-    if "witness" in wanted:
-        out["witness"] = witness_holds(state, failed, helpers, hset)
-    return out
-
-
 def simulate(config: SimConfig) -> SimReport:
     """Construct a code, then run the configured failure rounds.
 
@@ -208,11 +190,12 @@ def simulate(config: SimConfig) -> SimReport:
     accepted = 0
     failure: dict | None = None
     # construct and repair_random return a state only after
-    # invariant_check(state, hset) passed on this same cached hset, so
-    # that verdict is recorded, not computed again
+    # invariant_check(state, hset) passed on this same cached hset, and
+    # by Lemma C of lrrc.code_core every k nodes of such a state recover
+    # the file, so both verdicts are recorded, not computed again
     carried = {"invariant": True} if config.check_invariant else {}
-    rerun = ["reconstruction"] if config.check_reconstruction else []
-    witness = ["witness"] if config.check_witness else []
+    if config.check_reconstruction:
+        carried["reconstruction"] = True
 
     t0 = time.perf_counter()
     try:
@@ -231,7 +214,7 @@ def simulate(config: SimConfig) -> SimReport:
             "ok": True,
             "attempts": state.attempts,
             "field_below_bound": state.field_below_bound,
-            "checks": {**carried, **_run_checks(rerun, state, hset)},
+            "checks": dict(carried),
         }
         planned = _planned_failures(config, master)
     construction["wall_time_s"] = time.perf_counter() - t0
@@ -272,9 +255,9 @@ def simulate(config: SimConfig) -> SimReport:
                 break
             assert advanced is not None
             state = advanced
-            event["checks"] = {
-                **carried, **_run_checks(rerun + witness, state, hset, failed, helper_sets[0])
-            }
+            event["checks"] = dict(carried)
+            if config.check_witness:
+                event["checks"]["witness"] = witness_holds(state, failed, helper_sets[0], hset)
             event["wall_time_s"] = time.perf_counter() - t0
             events.append(event)
 
@@ -409,12 +392,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     wanted = _parse_checks(args.checks)
     state = _load_state(args.state)
     hset = h_enumerate(state.params)
-    failed = helpers = None
+    if "witness" in wanted and (args.witness_failed is None or not args.witness_helpers):
+        raise ModelError("witness check needs --witness-failed and --witness-helpers")
+    results = {}
+    if "invariant" in wanted:
+        results["invariant"] = invariant_check(state, hset)
+    if "reconstruction" in wanted:
+        results["reconstruction"] = reconstruct_check(state)
     if "witness" in wanted:
-        if args.witness_failed is None or not args.witness_helpers:
-            raise ModelError("witness check needs --witness-failed and --witness-helpers")
-        failed, helpers = args.witness_failed, _parse_int_list(args.witness_helpers)
-    results = _run_checks(wanted, state, hset, failed, helpers)
+        results["witness"] = witness_holds(
+            state, args.witness_failed, _parse_int_list(args.witness_helpers), hset)
     _emit(results)
     return 0 if all(results.values()) else 1
 

@@ -5,9 +5,9 @@ Node i stores the d packets X^T Q_i of a file X (M x W).  The central
 check, invariant_check, demands that for every admissible selection
 vector h the stacked selection [Q_1 E_{h_1} | ... | Q_n E_{h_n}] keeps
 full column rank, where E_x takes the first x columns.  Reconstruction
-from any k nodes follows from that check, and repairs are accepted only
-when the repaired state passes it again, so the property survives any
-failure sequence and any helper choices.
+from any k nodes follows from that check (Lemma C below), and repairs
+are accepted only when the repaired state passes it again, so the
+property survives any failure sequence and any helper choices.
 
 The check visits only H's maximal members (HSet.maximal, the members of
 total M).  Every member of H lies below a maximal one, and lowering h_i
@@ -16,8 +16,28 @@ independent columns stays independent, so the maximal members decide
 the whole of H.  Their selections are gathered from one M x (n*d) array
 of the Q matrices and decided by one galois.full_column_rank call:
 batched int64 numpy elimination for q < 2^31, rank_of_rows on each
-selection above that.  reconstruct_check batches its C(n, k) subsets
-the same way.
+selection above that.
+
+Lemma C: every set S of k nodes contains the support of a maximal
+member of H, so every state that passes invariant_check lets any k
+nodes recover the file.
+  - List S family by family, then the other nodes.  Each node of S then
+    has as earlier outsiders exactly the nodes of S in earlier
+    families, so its count z of earlier outsiders is the start of its
+    family's block.  Along the first k positions z never falls, so the
+    raw score b = (d - z)+ never rises, and nor does its cap c.
+  - The first k positions total at least M, which is the least k-prefix
+    total over all orders (lrrc.mfhs), so c totals M inside S and is 0
+    at every later position.
+  - Take h = c along this order: the node at position i gets c_i.  The
+    order sorts h nonincreasingly, and c covers h with equality, so h
+    is in H with total M.  By Lemma A of lrrc.mfhs, h is maximal.
+  - The M columns that h selects lie in S's M x kd block, so a state
+    that passes the invariant gives that block rank M.
+So simulate, whose states all passed invariant_check, records the
+reconstruction verdict instead of computing it.  reconstruct_check
+still decides the C(n, k) blocks directly, batched like the invariant,
+for lrrc verify and as the tests' reference.
 
 Construction and repair draw coefficients uniformly at random (Philox
 counter-based generator, fully seeded) and retry on rejection.  At the
@@ -41,6 +61,7 @@ from .galois import (
     FieldMatrix,
     field_new,
     full_column_rank,
+    int_field,
     mat_hstack,
     mat_mul,
     mat_solve,
@@ -74,7 +95,12 @@ class ConstructionFailed(CodeError):
     """No sampled code passed verification within the attempt budget.
 
     rejected_by holds, per attempt, the selection vector h that
-    invariant_failure reported.
+    invariant_failure reported.  No single h there is structural: its M
+    selected columns can be M distinct unit vectors, which have full
+    rank in every GF(q).  Only all conditions together can fail, and
+    only at a small q: by the random linear network coding bound (Ho et
+    al., IEEE Trans. IT 2006), a uniform sample fails some condition
+    with probability below 1 once q reaches required_field_size.
     """
 
     def __init__(self, attempts: int, rejected_by: tuple[tuple[int, ...], ...] = ()) -> None:
@@ -87,7 +113,14 @@ class RepairFailed(CodeError):
     """No sampled repair passed verification within the attempt budget.
 
     rejected_by holds, per attempt, the selection vector h that
-    invariant_failure reported.
+    invariant_failure reported.  When the state under repair passes the
+    invariant, no single h there is structural: the 0/1 witness repair
+    for h (see witness_repair_check) makes the selection under h the
+    current state's selection under h' = connect_run(h).h_prime, which
+    has full rank.  Only all conditions together can fail, and only at
+    a small q: by the random linear network coding bound (Ho et al.,
+    IEEE Trans. IT 2006), a uniform sample fails some condition with
+    probability below 1 once q reaches required_field_size.
     """
 
     def __init__(self, attempts: int, rejected_by: tuple[tuple[int, ...], ...] = ()) -> None:
@@ -496,11 +529,11 @@ def state_from_dict(d: dict) -> CodeState:
     if not isinstance(d["Q"], list):
         raise CodeError(f"code state's Q must be a list of matrices, got {type(d['Q']).__name__}")
     params = params_from_dict(d["params"])
-    field = field_new(int(d["q"]))
+    field = field_new(int_field(d["q"], "code state's q", CodeError))
     matrices = tuple(matrix_from_dict(md) for md in d["Q"])
     return CodeState(
         params=params,
         field=field,
-        packet_width=int(d["W"]),
+        packet_width=int_field(d["W"], "code state's W", CodeError),
         Q=matrices,
     )

@@ -42,6 +42,7 @@ __all__ = [
     "identity",
     "matrix_to_dict",
     "matrix_from_dict",
+    "int_field",
     "rank_of_rows",
     "BATCH_Q_LIMIT",
     "full_column_rank",
@@ -363,11 +364,28 @@ def matrix_to_dict(a: FieldMatrix) -> dict:
     return {"rows": a.rows, "cols": a.cols, "q": a.field.q, "entries": list(a.entries)}
 
 
+def int_field(value: object, name: str, error: type[Exception] = GaloisError) -> int:
+    """A field read from a JSON document, as an int.
+
+    Raises error naming the field when the value has a type int() does
+    not take (a list, an object, null), so a wrongly typed input is a
+    usage error, not a TypeError.  A string int() cannot parse still
+    raises ValueError, which the CLI also reports as a usage error.
+    """
+    try:
+        return int(value)  # type: ignore[call-overload]
+    except TypeError:
+        raise error(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
 def matrix_from_dict(d: dict) -> FieldMatrix:
     missing = [key for key in ("rows", "cols", "q", "entries")
                if not isinstance(d, dict) or key not in d]
     if missing:
         raise GaloisError(f"matrix lacks {missing}")
-    field = field_new(int(d["q"]))
-    entries = tuple(int(e) % field.q for e in d["entries"])
-    return FieldMatrix(int(d["rows"]), int(d["cols"]), entries, field)
+    if not isinstance(d["entries"], list):
+        raise GaloisError(f"matrix entries must be a list, got {type(d['entries']).__name__}")
+    field = field_new(int_field(d["q"], "matrix q"))
+    entries = tuple(int_field(e, "matrix entry") % field.q for e in d["entries"])
+    return FieldMatrix(int_field(d["rows"], "matrix rows"), int_field(d["cols"], "matrix cols"),
+                       entries, field)

@@ -76,6 +76,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .galois import int_field
+
 H_ENUMERATION_LIMIT = 10_000_000
 
 
@@ -419,30 +421,6 @@ def h_enumerate(params: Params) -> HSet:
     return HSet(params=params, members=tuple(members), witnesses=tuple(witnesses))
 
 
-def swap_preserves(params: Params, h: Sequence[int], perm: Perm, i: int) -> bool:
-    """Whether swapping tied positions i, i+1 keeps majorization of h.
-
-    Precondition: family size 2, h nonincreasing along perm, and the
-    nodes at positions i and i+1 (1-based) carry equal h values.
-    """
-    if params.family_size != 2:
-        raise PreconditionViolated("tie-swap preservation is a family-size-2 statement")
-    if len(h) != params.n or len(perm.order) != params.n:
-        raise LengthMismatch("h and perm must both cover all n nodes")
-    values = [h[node - 1] for node in perm.order]
-    if any(values[j] < values[j + 1] for j in range(params.n - 1)):
-        raise PreconditionViolated("h is not sorted along perm")
-    if not (1 <= i <= params.n - 1):
-        raise PreconditionViolated(f"position {i} has no successor")
-    if values[i - 1] != values[i]:
-        raise PreconditionViolated(
-            f"positions {i},{i + 1} carry different h values {values[i - 1]},{values[i]}"
-        )
-    swapped = list(perm.order)
-    swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-    return majorizes(score_vectors(params, Perm(tuple(swapped))).c, h)
-
-
 def params_to_dict(params: Params) -> dict:
     return {
         "n": params.n,
@@ -460,8 +438,8 @@ def params_from_dict(d: dict) -> Params:
                if not isinstance(d, dict) or key not in d]
     if missing:
         raise ModelError(f"params lack {missing}")
-    params = params_new(int(d["n"]), int(d["k"]), int(d["d"]), int(d["r"]))
+    params = params_new(*(int_field(d[key], f"params {key}", ModelError) for key in "nkdr"))
     for key in ("M", "alpha", "beta"):
-        if key in d and int(d[key]) != getattr(params, key):
+        if key in d and int_field(d[key], f"params {key}", ModelError) != getattr(params, key):
             raise OutOfScope(f"stored {key}={d[key]} disagrees with derived {getattr(params, key)}")
     return params

@@ -32,10 +32,10 @@ from lrrc.mfhs import (
     helper_universe,
     params_new,
     score_vectors,
-    swap_preserves,
 )
 
 from membership_oracle import sorting_perms
+from tie_swap import swap_preserves
 
 P641 = params_new(6, 4, 3, 1)
 P321 = params_new(6, 3, 2, 1)

@@ -80,6 +80,11 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["invariant"] is False
 
+    doc["Q"] = [doc["Q"][0]] * len(doc["Q"])  # every k nodes span only d columns
+    broken.write_text(json.dumps(doc))
+    code, out, _ = invoke(capsys, "verify", "--state", str(broken), "--checks", "reconstruction")
+    assert (code, json.loads(out)) == (1, {"reconstruction": False})
+
 
 def test_verify_witness_check(tmp_path, capsys):
     state_path = tmp_path / "state.json"
@@ -341,6 +346,25 @@ def test_version_flag(capsys):
     assert "lrrc" in out
 
 
+def test_simulate_records_reconstruction_without_ranking(tmp_path, capsys, monkeypatch):
+    # every accepted state passed invariant_check, which implies
+    # reconstruction (Lemma C of lrrc.code_core); only lrrc verify ranks it
+    def refuse(state):
+        raise AssertionError("reconstruct_check called")
+
+    monkeypatch.setattr(cli_sim, "reconstruct_check", refuse)
+    report = simulate(SimConfig(params=params_new(6, 3, 2, 1), q=7639, seed=4, rounds=6,
+                                check_witness=True))
+    assert report.passed
+    assert report.construction["checks"]["reconstruction"] is True
+    assert [e["checks"] for e in report.events] == [
+        {"invariant": True, "reconstruction": True, "witness": True}] * 6
+    state_path = tmp_path / "state.json"
+    invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3", "--out", str(state_path))
+    with pytest.raises(AssertionError, match="reconstruct_check called"):
+        run_cli(["verify", "--state", str(state_path), "--checks", "reconstruction"])
+
+
 @pytest.mark.parametrize("command,flag,doc,message", [
     ("verify", "--state", {}, "code state lacks ['params', 'q', 'W', 'Q']"),
     ("repair", "--state", {}, "code state lacks ['params', 'q', 'W', 'Q']"),
@@ -359,9 +383,21 @@ def test_version_flag(capsys):
      "code state's Q must be a list of matrices, got int"),
     ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "checks": 5},
      "simulation config's checks must be an object, got int"),
+    ("verify", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": 7639, "W": 1,
+                           "Q": [{"rows": 4, "cols": 2, "q": 7639, "entries": 5}]},
+     "matrix entries must be a list, got int"),
+    ("verify", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": [7639], "W": 1,
+                           "Q": []},
+     "code state's q must be an integer, got list"),
+    ("verify", "--state", {"params": {"n": 6, "k": [3], "d": 2, "r": 1}, "q": 7639, "W": 1,
+                           "Q": []},
+     "params k must be an integer, got list"),
+    ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "seed": [1]},
+     "simulation config's seed must be an integer, got list"),
 ], ids=["verify-empty", "repair-empty", "verify-no-Q", "repair-no-Q", "verify-short-params",
         "verify-short-matrix", "simulate-no-params", "verify-Q-not-list",
-        "simulate-checks-not-object"])
+        "simulate-checks-not-object", "verify-entries-not-list", "verify-q-not-int",
+        "verify-params-k-not-int", "simulate-seed-not-int"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, flag, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -44,7 +44,7 @@ from lrrc.galois import (
     rank_of_rows,
 )
 from lrrc.connect import connect_run
-from lrrc.mfhs import HNotMember, h_enumerate, helper_universe, params_new
+from lrrc.mfhs import HNotMember, Perm, h_enumerate, helper_universe, params_new, score_vectors
 
 from membership_oracle import in_scope_points, maximal_by_domination, maximal_by_down_closure
 
@@ -534,6 +534,21 @@ def test_invariant_failure_names_a_rank_deficient_h(params):
         assert not any(_short_rank(broken, m) for m in earlier)
 
 
+@pytest.mark.parametrize("params", CROSS_CHECK_POINTS, ids=_point_id)
+def test_invariant_implies_reconstruction(params):
+    # Lemma C of lrrc.code_core.  Uniform states at these q fail the
+    # invariant (and mostly reconstruction too), so the constructed
+    # state supplies the passing verdict.
+    hset = h_enumerate(params)
+    rng = random.Random(f"lemma-c/{params}")
+    states = [construct(params, field_new(7639), hset, rng_seed=5, max_attempts=64)]
+    states += [_random_state(params, q, rng) for q in (2, 3, 5, 7) for _ in range(8)]
+    verdicts = [(invariant_check(state, hset), reconstruct_check(state)) for state in states]
+    assert all(recon for inv, recon in verdicts if inv)
+    assert {inv for inv, _ in verdicts} == {True, False}
+    assert not all(recon for _, recon in verdicts)
+
+
 def test_construction_failure_names_rejecting_h():
     with pytest.raises(ConstructionFailed) as err:
         construct(P321, field_new(2), H321, rng_seed=0, max_attempts=3)
@@ -591,3 +606,18 @@ def test_scope_sweep_constructs_and_repairs_every_node(nkdr):
         state = repair_random(state, node, helpers, rng_seed=node)
     assert invariant_check(state, hset)
     assert reconstruct_check(state)
+
+
+@pytest.mark.parametrize("nkdr", SCOPE_POINTS, ids=lambda p: "-".join(map(str, p)))
+def test_every_k_subset_holds_a_maximal_support(nkdr):
+    # Lemma C of lrrc.code_core.  Families are runs of consecutive nodes,
+    # so listing a subset in ascending order lists it family by family.
+    params = params_new(*nkdr)
+    maximal = set(h_enumerate(params).maximal)
+    nodes = range(1, params.n + 1)
+    for subset in itertools.combinations(nodes, params.k):
+        order = subset + tuple(node for node in nodes if node not in subset)
+        c = score_vectors(params, Perm(order)).c
+        h = tuple(c[order.index(node)] for node in nodes)
+        assert h in maximal, (subset, h)
+        assert all(h[node - 1] == 0 for node in nodes if node not in subset), (subset, h)

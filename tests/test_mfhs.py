@@ -29,7 +29,6 @@ from lrrc.mfhs import (
     params_new,
     params_to_dict,
     score_vectors,
-    swap_preserves,
 )
 
 from membership_oracle import (
@@ -39,6 +38,7 @@ from membership_oracle import (
     min_prefix_total,
     sorting_perms,
 )
+from tie_swap import swap_preserves
 
 
 def brute_force_file_size_full(n: int, k: int, d: int, r: int) -> int:
