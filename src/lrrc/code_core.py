@@ -18,6 +18,17 @@ of the Q matrices and decided by one galois.full_column_rank call:
 batched int64 numpy elimination for q < 2^31, rank_of_rows on each
 selection above that.
 
+A repair rechecks only the selections it changes.  Repairing node x
+replaces Q_x alone, so a maximal h with h_x = 0 selects the same
+columns before and after: the columns are unchanged, so the ranks are
+unchanged.  When the state under repair passed invariant_failure on
+the same HSet object, each candidate is ranked on hset.node_rows[x - 1]
+only, the maximal members with h_x > 0 (265 of 384 at (6,4,3,1)).  A
+CodeState remembers that it passed in a private field that is no part
+of its content or JSON form; a state made by its constructor, by
+dataclasses.replace or by state_from_dict starts without it and is
+ranked in full.
+
 Lemma C: every set S of k nodes contains the support of a maximal
 member of H, so every state that passes invariant_check lets any k
 nodes recover the file.
@@ -149,6 +160,13 @@ class CodeState:
     Q: tuple[FieldMatrix, ...]
     attempts: int = 1
     field_below_bound: bool = dc_field(default=False, compare=False)
+    # (hset, None) once this state passed invariant_failure on that
+    # hset object in full; (hset, x) while it differs only at node x
+    # from a state that did.  Set only by invariant_failure and
+    # repair_random; __init__, replace and state_from_dict leave it
+    # empty, so such states are ranked in full.
+    _checked: tuple[HSet, int | None] | None = dc_field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.Q) != self.params.n:
@@ -220,10 +238,23 @@ def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
 
     Checking the maximal members suffices: see the module docstring.
     They all total M, so one batch of M x M selections decides them.
+    A candidate that repair_random marked as differing from a passing
+    state only at node x is ranked on hset.node_rows[x - 1] alone: every
+    other maximal h selects the columns that passed in that state, so
+    the first failure in member order is among those rows.  A state
+    that passes is marked as passing on this hset.
     """
-    selections = _coefficients(state)[:, hset.maximal_columns].transpose(1, 0, 2)
-    ok = full_column_rank(selections, state.field.q)
-    return None if ok.all() else hset.maximal[int(np.argmin(ok))]
+    memo = state._checked
+    rows = None
+    if memo is not None and memo[0] is hset and memo[1] is not None:
+        rows = hset.node_rows[memo[1] - 1]
+    columns = hset.maximal_columns if rows is None else hset.maximal_columns[rows]
+    ok = full_column_rank(_coefficients(state)[:, columns].transpose(1, 0, 2), state.field.q)
+    if ok.all():
+        object.__setattr__(state, "_checked", (hset, None))
+        return None
+    first = int(np.argmin(ok))
+    return hset.maximal[first if rows is None else rows[first]]
 
 
 def invariant_check(state: CodeState, hset: HSet) -> bool:
@@ -354,7 +385,10 @@ def repair_random(
     """Regenerate one node from d helpers, one packet each.
 
     Coefficients are sampled uniformly; a candidate replacement is kept
-    only if the whole state passes invariant_check again.  The returned
+    only if the whole state passes invariant_check again.  When state
+    passed invariant_failure on this hset, each candidate is marked as
+    differing from it only at node failed, so that check ranks only the
+    maximal h with h_failed > 0 (see the module docstring).  The returned
     state's attempts field counts the samples used.  States whose
     candidate was rejected are never returned or mutated.  Raises
     InvalidHelpers when helpers fail mfhs.checked_helpers, and
@@ -364,6 +398,8 @@ def repair_random(
     params = state.params
     ordered = checked_helpers(params, failed, helpers)
     hset = h_enumerate(params)
+    memo = state._checked
+    base_passed = memo is not None and memo[0] is hset and memo[1] is None
     rng = _generator(rng_seed)
     q = state.field.q
     d = params.d
@@ -381,6 +417,8 @@ def repair_random(
             mix=FieldMatrix(d, d, tuple(int(v) for v in zs.reshape(-1)), state.field),
         )
         candidate = replace(apply_repair_plan(state, plan), attempts=attempt)
+        if base_passed:
+            object.__setattr__(candidate, "_checked", (hset, failed))
         if invariant_check(candidate, hset):
             return candidate
         rejected.append(candidate)

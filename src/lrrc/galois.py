@@ -15,6 +15,7 @@ Matrices are immutable, row-major, and store canonical residues in
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -310,12 +311,16 @@ def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
     for col in range(s):
         nonzero = a[col:, col] != 0
         ok &= nonzero.any(axis=0)
-        # a matrix without a pivot here keeps p = f = 0, so its rows
-        # just zero out; its verdict is already False
-        pivot = nonzero.argmax(axis=0) + col
-        prow = a[pivot, :, batch].T.copy()
-        a[pivot, :, batch] = a[col].T
-        a[col] = prow
+        # with every diagonal entry nonzero, each matrix's pivot is its
+        # diagonal row and the swap below would be a self-swap
+        if not nonzero[0].all():
+            # a matrix without a pivot here keeps p = f = 0, so its rows
+            # just zero out; its verdict is already False
+            pivot = nonzero.argmax(axis=0) + col
+            prow = a[pivot, :, batch].T.copy()
+            a[pivot, :, batch] = a[col].T
+            a[col] = prow
+        prow = a[col]
         a[col + 1:, col + 1:] = (
             a[col + 1:, col + 1:] * prow[col] - a[col + 1:, col, None] * prow[col + 1:]
         ) % q
@@ -368,10 +373,14 @@ def int_field(value: object, name: str, error: type[Exception] = GaloisError) ->
     """A field read from a JSON document, as an int.
 
     Raises error naming the field when the value has a type int() does
-    not take (a list, an object, null), so a wrongly typed input is a
-    usage error, not a TypeError.  A string int() cannot parse still
-    raises ValueError, which the CLI also reports as a usage error.
+    not take (a list, an object, null), when it is a bool, and when it
+    is a float with a fractional part (or inf or nan), so a wrongly
+    typed input is a usage error, not a TypeError or a silent
+    truncation.  A string int() cannot parse still raises ValueError,
+    which the CLI also reports as a usage error.
     """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise error(f"{name} must be an integer, got {json.dumps(value)}")
     try:
         return int(value)  # type: ignore[call-overload]
     except TypeError:

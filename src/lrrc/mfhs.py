@@ -390,6 +390,15 @@ class HSet:
             dtype=np.intp,
         )
 
+    @cached_property
+    def node_rows(self) -> tuple[np.ndarray, ...]:
+        """Per node (0-based j), the ascending row indices into maximal
+        and maximal_columns of the members with h_j > 0: the selections
+        that read node j's columns, and so the only ones a change to
+        node j's matrix can alter."""
+        reads = np.array(self.maximal, dtype=np.intp).reshape(-1, self.params.n) > 0
+        return tuple(np.flatnonzero(reads[:, j]) for j in range(self.params.n))
+
     def __contains__(self, h: object) -> bool:
         return tuple(h) in self._index  # type: ignore[arg-type]
 

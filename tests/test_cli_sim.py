@@ -394,10 +394,22 @@ def test_simulate_records_reconstruction_without_ranking(tmp_path, capsys, monke
      "params k must be an integer, got list"),
     ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "seed": [1]},
      "simulation config's seed must be an integer, got list"),
+    ("verify", "--state", {"params": {"n": 6, "k": 3.9, "d": 2, "r": 1}, "q": 7639, "W": 1,
+                           "Q": []},
+     "params k must be an integer, got 3.9"),
+    ("verify", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": 7639, "W": 1.7,
+                           "Q": []},
+     "code state's W must be an integer, got 1.7"),
+    ("verify", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": 7639, "W": True,
+                           "Q": []},
+     "code state's W must be an integer, got true"),
+    ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "rounds": 2.5},
+     "simulation config's rounds must be an integer, got 2.5"),
 ], ids=["verify-empty", "repair-empty", "verify-no-Q", "repair-no-Q", "verify-short-params",
         "verify-short-matrix", "simulate-no-params", "verify-Q-not-list",
         "simulate-checks-not-object", "verify-entries-not-list", "verify-q-not-int",
-        "verify-params-k-not-int", "simulate-seed-not-int"])
+        "verify-params-k-not-int", "simulate-seed-not-int", "verify-k-fractional",
+        "verify-W-fractional", "verify-W-bool", "simulate-rounds-fractional"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, flag, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -36,6 +37,7 @@ from lrrc.galois import (
     BATCH_Q_LIMIT,
     FieldMatrix,
     field_new,
+    full_column_rank,
     identity,
     mat_mul,
     mat_rank,
@@ -570,6 +572,110 @@ def test_repair_failure_names_rejecting_h(small_state):
         # a rejected candidate differs from broken only in node 1, so an
         # h that skips node 1 must fail on broken itself
         assert _short_rank(broken, h) or h[0] > 0
+
+
+def _recommended_state(params, hset, seed):
+    q = next_prime(required_field_size(params, hset))
+    return construct(params, field_new(q), hset, rng_seed=seed)
+
+
+def _low_entropy_plan(state, rng, q_plan):
+    """A repair plan of a random node whose coefficients lie in
+    0..q_plan-1, so that at q_plan = 2, 3, 5 many of them lose rank."""
+    params, f = state.params, state.field
+    failed = rng.randrange(1, params.n + 1)
+    helpers = tuple(sorted(rng.sample(sorted(helper_universe(params, failed)), params.d)))
+
+    def draw(rows, cols):
+        return FieldMatrix(rows, cols, tuple(rng.randrange(q_plan) for _ in range(rows * cols)), f)
+
+    return RepairPlan(failed=failed, helpers=helpers,
+                      combine=tuple(draw(params.d, 1) for _ in helpers),
+                      mix=draw(params.d, params.d))
+
+
+@pytest.mark.parametrize("params", CROSS_CHECK_POINTS, ids=_point_id)
+def test_marked_candidate_reports_what_a_full_sweep_reports(params):
+    # A candidate that differs from a passing state only at the failed
+    # node is ranked on that node's rows alone; the first failing h must
+    # be the one the full sweep of an unmarked copy names.
+    hset = h_enumerate(params)
+    base = _recommended_state(params, hset, seed=21)
+    assert invariant_failure(base, hset) is None
+    rng = random.Random(f"marked/{params}")
+    verdicts = set()
+    for q_plan in (2, 3, 5):
+        for _ in range(10):
+            plan = _low_entropy_plan(base, rng, q_plan)
+            candidate = apply_repair_plan(base, plan)
+            object.__setattr__(candidate, "_checked", (hset, plan.failed))
+            unmarked = state_from_dict(state_to_dict(candidate))
+            h = invariant_failure(candidate, hset)
+            assert h == invariant_failure(unmarked, hset), (q_plan, plan)
+            verdicts.add(h is None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("params", CROSS_CHECK_POINTS, ids=_point_id)
+def test_repair_ranks_only_the_failed_nodes_rows(params, monkeypatch):
+    hset = h_enumerate(params)
+    stacks = []
+
+    def recording(stack, q):
+        stacks.append(stack)
+        return full_column_rank(stack, q)
+
+    def batches():
+        sizes = [len(stack) for stack in stacks]
+        stacks.clear()
+        return sizes
+
+    monkeypatch.setattr(code_core, "full_column_rank", recording)
+    state = _recommended_state(params, hset, seed=4)
+    assert batches() == [len(hset.maximal)] * state.attempts
+    for failed in (1, params.n):
+        helpers = sorted(helper_universe(params, failed))[-params.d:]
+        state = repair_random(state, failed, helpers, rng_seed=failed)
+        rows = hset.node_rows[failed - 1]
+        # the accepted attempt ranked the selections of exactly those rows
+        assert stacks[-1].tolist() == [_selection_rows(state, hset.maximal[i]) for i in rows]
+        assert batches() == [len(rows)] * state.attempts
+        assert len(rows) < len(hset.maximal)
+    # the memo is neither content nor part of the JSON form
+    assert state_from_dict(state_to_dict(state)) == state
+    assert "_checked" not in repr(state)
+    assert set(state_to_dict(state)) == {"params", "q", "W", "Q"}
+    helpers = sorted(helper_universe(params, 2))[:params.d]
+    for fresh in (lambda: state_from_dict(state_to_dict(state)),
+                  lambda: replace(state, attempts=1)):
+        repaired = repair_random(fresh(), 2, helpers, rng_seed=9)
+        assert batches() == [len(hset.maximal)] * repaired.attempts
+        checked = fresh()
+        assert invariant_check(checked, hset)
+        assert batches() == [len(hset.maximal)]
+        # once it passed in full, a repair of it ranks node 2's rows only
+        repaired = repair_random(checked, 2, helpers, rng_seed=9)
+        assert batches() == [len(hset.node_rows[1])] * repaired.attempts
+
+
+def test_repair_of_unmarked_corrupt_state_keeps_its_rejections():
+    # node 3 is corrupted so that a selection without node 1 loses rank;
+    # the state carries no memo, so every attempt is swept in full and
+    # names that selection, as the full sweep did before the memo existed
+    state = _recommended_state(P641, H641, seed=2)
+    q = state.field.q
+    h = next(m for m in H641.maximal if m[0] == 0 and m[2] > 0)
+    rows = [qm.to_rows() for qm in state.Q]
+    others = [(i, c) for i, v in enumerate(h) for c in range(v) if (i, c) != (2, 0)]
+    for r in range(P641.M):
+        rows[2][r][0] = sum((i + c + 1) * rows[i][r][c] for i, c in others) % q
+    corrupt = CodeState(params=P641, field=state.field, packet_width=1,
+                        Q=tuple(FieldMatrix.from_rows(m, state.field) for m in rows))
+    assert _short_rank(corrupt, h)
+    loaded = state_from_dict(state_to_dict(corrupt))
+    with pytest.raises(RepairFailed) as err:
+        repair_random(loaded, 1, (3, 4, 5), rng_seed=6, max_attempts=3)
+    assert err.value.rejected_by == ((0, 0, 1, 0, 3, 3),) * 3
 
 
 def test_large_field_falls_back_to_pure_kernel():

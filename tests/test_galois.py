@@ -18,6 +18,7 @@ from lrrc.galois import (
     SingularMatrix,
     field_new,
     full_column_rank,
+    int_field,
     is_prime,
     mat_hstack,
     mat_inv,
@@ -217,6 +218,41 @@ def test_full_column_rank_pinned_cases():
     assert full_column_rank(np.zeros((1, 3, 0), dtype=np.int64), 7).tolist() == [True]
 
 
+def _swap_skip_stack(q: int, m: int, s: int, col: int, swapped: str) -> np.ndarray:
+    """Twelve m x s matrices over GF(q), upper triangular with a nonzero
+    diagonal, so elimination finds every pivot on the diagonal until
+    column col.  There rows col and col + 1 trade places in no, some or
+    all of them (swapped = "none", "some", "all"), which leaves a zero
+    diagonal entry.  Two "some" members lose rank instead: one has an
+    all-zero column col, one a last column summing the others."""
+    rng = np.random.Generator(np.random.Philox(q * 100 + m * 10 + col))
+    stack = np.triu(rng.integers(0, q, size=(12, m, s)))
+    for i in range(min(m, s)):
+        stack[:, i, i] = rng.integers(1, q, size=12)
+    trade = {"none": [], "some": [1, 4, 5, 9], "all": list(range(12))}[swapped]
+    stack[trade, col], stack[trade, col + 1] = stack[trade, col + 1], stack[trade, col].copy()
+    if swapped == "some":
+        stack[2, :, col] = 0
+        stack[7, :, -1] = stack[7, :, :-1].sum(axis=1) % q
+    return stack
+
+
+@pytest.mark.parametrize("q", [2, 3, 7639, 142151])
+@pytest.mark.parametrize("swapped", ["none", "some", "all"])
+@pytest.mark.parametrize("m,s,col", [(4, 4, 0), (4, 4, 2), (6, 4, 1), (5, 5, 3)])
+def test_full_column_rank_with_and_without_pivot_swaps(q, swapped, m, s, col):
+    """The kernel skips a column's pivot swap when every diagonal entry
+    there is nonzero; the verdicts must match the pure kernel whether
+    no, some or all matrices need the swap."""
+    stack = _swap_skip_stack(q, m, s, col, swapped)
+    want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
+    assert full_column_rank(stack, q).tolist() == want
+    if swapped == "some":
+        assert not want[2] and not want[7] and sum(want) == 10
+    else:
+        assert all(want)
+
+
 def test_full_column_rank_falls_back_above_limit():
     q = next_prime(BATCH_Q_LIMIT)
     top = q - 1
@@ -283,6 +319,14 @@ def test_solve_tall_system():
     x = mat_solve(a, b)
     assert x is not None and x.to_rows() == [[3], [4]]
     assert mat_solve(a, _m(f, [[3], [4], [8]])) is None
+
+
+def test_int_field_refuses_fractions_and_bools():
+    assert [int_field(v, "x") for v in (7, 7.0, "7", " -3 ")] == [7, 7, 7, -3]
+    for value, shown in ((3.9, "3.9"), (True, "true"), (float("inf"), "Infinity"),
+                         (float("nan"), "NaN")):
+        with pytest.raises(OutOfRange, match=f"^x must be an integer, got {shown}$"):
+            int_field(value, "x", OutOfRange)
 
 
 def test_serialization_round_trip():
