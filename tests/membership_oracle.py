@@ -8,8 +8,10 @@ question by a memoized search on raw scores.  The file-size reference
 searches all family sequences for the worst k-prefix total, where
 lrrc.mfhs uses the round-robin closed form.  The maximal-member
 references scan for domination, where lrrc reads the maximal members of
-H and the maximal repair targets off the members of total M.  These
-tests hold each pair against each other.
+H and the maximal repair targets off the members of total M.  The
+filtering enumeration runs h_membership on all (d+1)^n candidates,
+where lrrc.mfhs.h_enumerate tests one canonical candidate per
+family-symmetry orbit.  These tests hold each pair against each other.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from lrrc.mfhs import HSet, Params, Perm, score_vectors
+from lrrc.mfhs import HSet, Params, Perm, h_membership, score_vectors
 
 
 def in_scope_points(max_n: int) -> list[tuple[int, int, int, int]]:
@@ -93,6 +95,20 @@ def min_prefix_total(n: int, k: int, d: int, f: int) -> int:
         return out
 
     return best_from(0, (f,) * (n // f))
+
+
+def filtered_h(params: Params) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """H's members and their witnesses, in lexicographic order, by running
+    h_membership on every one of the (d+1)^n candidates."""
+    members = []
+    witnesses = []
+    for h in itertools.product(range(params.d + 1), repeat=params.n):
+        result = h_membership(params, h)
+        if result.member:
+            members.append(h)
+            assert result.witness is not None
+            witnesses.append(result.witness.order)
+    return tuple(members), tuple(witnesses)
 
 
 def maximal_by_domination(hset: HSet) -> tuple[tuple[int, ...], ...]:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from functools import lru_cache
 
 import pytest
 
-from lrrc import cli_sim
+from lrrc import cli_sim, code_core
 from lrrc.cli_sim import SimConfig, run_cli, sim_config_from_dict, simulate
 from lrrc.galois import FieldMatrix
-from lrrc.mfhs import ModelError, params_new
+from lrrc.mfhs import ModelError, h_enumerate, params_new
 
 
 def invoke(capsys, *argv):
@@ -46,6 +47,13 @@ def test_enumerate_h_over_budget_is_usage_error(capsys):
     code, _, err = invoke(capsys, "enumerate-h", "12", "6", "8", "2")
     assert code == 2
     assert "exceed" in err
+
+
+def test_enumerate_h_over_maximal_budget_is_usage_error(capsys):
+    # few canonical candidates, but 167,281,683 maximal members
+    code, _, err = invoke(capsys, "enumerate-h", "16", "7", "4", "4")
+    assert code == 2
+    assert "maximal members exceed" in err
 
 
 def test_construct_writes_state(tmp_path, capsys):
@@ -299,6 +307,21 @@ def test_corrupted_construction_is_caught_by_the_next_repair(monkeypatch):
     assert report.passed is False
     assert [(e["round"], e.get("error")) for e in report.events] == [(1, "RepairFailed")]
     assert report.aggregate["failure"] == {"round": 1, "failed": 1, "error": "RepairFailed"}
+
+
+def test_simulate_never_lists_h(monkeypatch):
+    # the event path reads |H|, maximal and membership only; members and
+    # witnesses are for enumerate-h and the tests
+    fresh = lru_cache(maxsize=None)(h_enumerate.__wrapped__)
+    monkeypatch.setattr(cli_sim, "h_enumerate", fresh)
+    monkeypatch.setattr(code_core, "h_enumerate", fresh)
+    params = params_new(6, 4, 3, 1)
+    report = simulate(SimConfig(params=params, seed=5, rounds=12, check_witness=True))
+    assert report.passed
+    hset = fresh(params)
+    assert fresh.cache_info().currsize == 1
+    assert "members" not in vars(hset)
+    assert "witnesses" not in vars(hset)
 
 
 def test_sim_config_validation():

@@ -48,7 +48,12 @@ from lrrc.galois import (
 from lrrc.connect import connect_run
 from lrrc.mfhs import HNotMember, Perm, h_enumerate, helper_universe, params_new, score_vectors
 
-from membership_oracle import in_scope_points, maximal_by_domination, maximal_by_down_closure
+from membership_oracle import (
+    filtered_h,
+    in_scope_points,
+    maximal_by_domination,
+    maximal_by_down_closure,
+)
 
 P321 = params_new(6, 3, 2, 1)
 P641 = params_new(6, 4, 3, 1)
@@ -698,6 +703,28 @@ SCOPE_POINTS = [p for p in in_scope_points(8) if (p[2] + 1) ** p[0] <= 100_000]
 
 def test_scope_sweep_covers_98_points():
     assert len(SCOPE_POINTS) == 98
+
+
+@pytest.mark.parametrize("nkdr", SCOPE_POINTS, ids=lambda p: "-".join(map(str, p)))
+def test_orbit_hset_matches_filtering_reference(nkdr):
+    # h_enumerate tests one canonical candidate per orbit; the reference
+    # tests all (d+1)^n of them
+    params = params_new(*nkdr)
+    hset = h_enumerate(params)
+    members, witnesses = filtered_h(params)
+    assert len(hset) == len(members)
+    assert hset.members == members
+    assert hset.witnesses == witnesses
+    assert hset.maximal == tuple(h for h in members if sum(h) == params.M)
+    admitted = set(members)
+    for h in itertools.product(range(params.d + 1), repeat=params.n):
+        assert (h in hset) == (h in admitted), h
+    zeros = (0,) * params.n
+    assert zeros in hset
+    assert zeros[1:] not in hset and zeros + (0,) not in hset
+    for i in range(params.n):
+        for bad in (-1, params.d + 1):
+            assert zeros[:i] + (bad,) + zeros[i + 1:] not in hset
 
 
 @pytest.mark.parametrize("nkdr", SCOPE_POINTS, ids=lambda p: "-".join(map(str, p)))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrrc import mfhs
 from lrrc.mfhs import (
     HNotMember,
     LengthMismatch,
@@ -215,14 +216,43 @@ def test_membership_covers_position_by_position():
 
 
 def test_enumeration_budget_refuses_up_front():
-    # 9^12 candidates: the budget check must fire before any is visited
-    with pytest.raises(TooLarge):
+    # C(C(10, 2) + 5, 6) = 15,890,700 canonical candidates: the budget
+    # check must fire before any is visited
+    with pytest.raises(TooLarge, match="15890700 canonical candidates"):
         h_enumerate(params_new(12, 6, 8, 2))
+
+
+def test_enumeration_budget_refuses_maximal_layer_before_listing(monkeypatch):
+    # 122,760 canonical candidates pass the budget, but the total-16
+    # orbits hold 167,281,683 maximal members: counted, never listed
+    def listed(*_):
+        raise AssertionError("an orbit was listed")
+
+    monkeypatch.setattr(mfhs, "_orbit", listed)
+    with pytest.raises(TooLarge, match="167281683 maximal members"):
+        h_enumerate(params_new(16, 7, 4, 4))
+
+
+def test_members_listing_is_budgeted(monkeypatch):
+    # the maximal layer fits the budget, |H| does not: set-up succeeds,
+    # listing the members is refused before it starts
+    monkeypatch.setattr(mfhs, "H_ENUMERATION_LIMIT", 1000)
+    hs = h_enumerate.__wrapped__(params_new(6, 4, 3, 1))
+    assert (len(hs), len(hs.maximal)) == (1128, 384)
+    assert hs.maximal[0] in hs and (0,) * 6 in hs
+    with pytest.raises(TooLarge, match="1128 members exceed 1000"):
+        hs.members
+    with pytest.raises(TooLarge):
+        hs.witnesses
 
 
 def test_h_enumerate_counts_frozen():
     assert len(h_enumerate(params_new(6, 4, 3, 1))) == 1128
     assert len(h_enumerate(params_new(6, 3, 2, 1))) == 159
+    # (|H|, len(maximal)); filtering all (d+1)^n candidates gave the same
+    for point, counts in (((8, 5, 3, 1), (12_538, 4_096)), ((10, 6, 3, 2), (57_618, 25_050))):
+        hs = h_enumerate(params_new(*point))
+        assert (len(hs), len(hs.maximal)) == counts, point
 
 
 MAXIMAL_COUNTS = {(6, 4, 3, 1): (384, 1128), (6, 3, 2, 1): (81, 159), (8, 4, 2, 2): (250, 407)}
@@ -271,6 +301,16 @@ def test_h_set_contains_and_lookup():
     assert hs.maximal_columns.shape == (len(hs.maximal), p.M)
     row = hs.maximal_columns[hs.maximal.index((3, 2, 2, 0, 0, 0))]
     assert row.tolist() == [0, 1, 2, 3, 4, 6, 7]
+
+
+def test_h_set_compares_by_identity():
+    # witness_targets keys its memo on the HSet, so hashing must not
+    # walk its vectors
+    p = params_new(6, 3, 2, 1)
+    hs = h_enumerate(p)
+    twin = h_enumerate.__wrapped__(p)
+    assert hs == hs and hs != twin
+    assert hash(hs) == object.__hash__(hs)
 
 
 def test_zero_vector_and_unit_vectors_admissible():
