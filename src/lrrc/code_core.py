@@ -15,8 +15,9 @@ drops trailing columns of node i from the selection; a subset of
 independent columns stays independent, so the maximal members decide
 the whole of H.  Their selections are gathered from one M x (n*d) array
 of the Q matrices and decided by one galois.full_column_rank call:
-batched int64 numpy elimination for q < 2^31, rank_of_rows on each
-selection above that.
+batched int64 numpy elimination for q < 2^31, on signed residues that
+are reduced only when the next update could leave int64, and
+rank_of_rows on each selection above that.
 
 A repair rechecks only the selections it changes.  Repairing node x
 replaces Q_x alone, so a maximal h with h_x = 0 selects the same
@@ -205,19 +206,6 @@ def required_field_size(params: Params, hset: HSet) -> int:
     recorded warning; the bound is sufficient, never necessary.
     """
     return params.n * params.d * params.M * len(hset) + 1
-
-
-def _selection_rows(state: CodeState, h: Sequence[int]) -> list[list[int]]:
-    m = state.params.M
-    d = state.params.d
-    rows: list[list[int]] = [[] for _ in range(m)]
-    for node_index, take in enumerate(h):
-        if take:
-            entries = state.Q[node_index].entries
-            for r in range(m):
-                base = r * d
-                rows[r].extend(entries[base:base + take])
-    return rows
 
 
 def _coefficients(state: CodeState) -> np.ndarray:
@@ -425,11 +413,10 @@ def repair_random(
     raise RepairFailed(max_attempts, _rejections(rejected, hset))
 
 
-def _witness_at(state: CodeState, target: Sequence[int]) -> bool:
-    """True iff the current state's selection under the target h' keeps
-    full column rank, the witness for every h whose target it is."""
-    want = sum(target)
-    return want == 0 or rank_of_rows(_selection_rows(state, target), state.field.q) == want
+def _target_columns(d: int, target: Sequence[int]) -> list[int]:
+    """Indices into [Q_1 | ... | Q_n] of the columns selected under target:
+    the first target_i columns of each node i."""
+    return [j * d + c for j, take in enumerate(target) for c in range(take)]
 
 
 def witness_repair_check(
@@ -455,7 +442,9 @@ def witness_repair_check(
     if h not in hset:
         raise HNotMember(f"{h} is not admissible")
     ordered = checked_helpers(params, failed, helpers)
-    return _witness_at(state, connect_run(params, h, ordered, failed).h_prime)
+    target = connect_run(params, h, ordered, failed).h_prime
+    rows = _coefficients(state)[:, _target_columns(params.d, target)].tolist()
+    return rank_of_rows(rows, state.field.q) == sum(target)
 
 
 @lru_cache(maxsize=None)
@@ -499,17 +488,36 @@ def witness_targets(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[
     ))
 
 
+@lru_cache(maxsize=None)
+def _witness_columns(hset: HSet, failed: int, helpers: tuple[int, ...]) -> np.ndarray:
+    """(T, M) column indices of the T selections under
+    witness_targets(hset, failed, helpers), one row per target; every
+    maximal target totals M."""
+    targets = witness_targets(hset, failed, helpers)
+    params = hset.params
+    return np.array(
+        [_target_columns(params.d, t) for t in targets], dtype=np.intp
+    ).reshape(len(targets), params.M)
+
+
 def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: HSet) -> bool:
     """True iff the repair witness holds for every h in hset.
 
     Equal to all(witness_repair_check(state, failed, helpers, h, hset)
     for h in hset), decided by one rank at each maximal target that
-    witness_targets memoizes per key.  Helpers are validated first, so
-    bad ones raise InvalidHelpers before the memo is consulted; a warm
-    key then runs no connect_run and no membership test.
+    witness_targets memoizes per key.  Every target's selection is
+    gathered from one array of the Q matrices with the key's memoized
+    column indices and ranked by rank_of_rows.  Helpers are validated
+    first, so bad ones raise InvalidHelpers before the memo is
+    consulted; a warm key then runs no connect_run and no membership
+    test.
     """
     ordered = checked_helpers(state.params, failed, helpers)
-    return all(_witness_at(state, t) for t in witness_targets(hset, failed, ordered))
+    targets = witness_targets(hset, failed, ordered)
+    columns = _witness_columns(hset, failed, ordered)
+    blocks = _coefficients(state)[:, columns].transpose(1, 0, 2).tolist()
+    q = state.field.q
+    return all(rank_of_rows(rows, q) == sum(t) for t, rows in zip(targets, blocks))
 
 
 def encode(state: CodeState, file: FieldMatrix) -> tuple[FieldMatrix, ...]:

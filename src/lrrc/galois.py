@@ -11,6 +11,10 @@ Matrices are immutable, row-major, and store canonical residues in
 - full_column_rank, which decides full column rank for a whole stack of
   equal-shape matrices at once.  For q < 2^31 it eliminates in int64
   numpy arrays; above that it falls back to rank_of_rows per matrix.
+  Its int64 entries are signed residues in (-q, q), and it reduces them
+  only when exactness needs it: a Python int bound holds the largest
+  |entry| its trailing block can reach, and the block is reduced only
+  before an update whose result could reach 2^63 (bound * q + q * q).
 """
 
 from __future__ import annotations
@@ -281,20 +285,35 @@ def mat_rank(a: FieldMatrix) -> int:
     return rank_of_rows(a.to_rows(), a.field.q)
 
 
-# Below this modulus a product of two residues stays under 2^62, so
-# row * p - f * pivot_row cannot overflow int64.
+# Below this modulus a trailing block just reduced to signed residues
+# (|entry| <= q - 1) always takes one more update inside int64:
+# (q - 1) * q + q * q < 2 * q * q <= 2^63, so full_column_rank needs at
+# most one reduction per column and never overflows.
 BATCH_Q_LIMIT = 2**31
-
 
 def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
     """Which matrices of a (B, m, s) stack have full column rank s mod q.
 
     Entries must be canonical residues.  For q < BATCH_Q_LIMIT the whole
     stack is eliminated together in int64, fraction-free: each lower row
-    becomes row * p - f * pivot_row mod q, with pivot p and the row's
-    own entry f below it, so no modular inverse is needed.  Larger q
-    runs rank_of_rows on each matrix; pass such stacks with dtype=object
-    when residues may not fit int64.  Returns a bool array of length B.
+    becomes row * p - f * pivot_row, with pivot p and the row's own
+    entry f below it, so no modular inverse is needed.  Larger q runs
+    rank_of_rows on each matrix; pass such stacks with dtype=object when
+    residues may not fit int64.  Returns a bool array of length B.
+
+    Reductions are delayed.  Entries are signed residues: np.fmod keeps
+    the sign of its argument, so a reduced entry lies in (-q, q) and is
+    zero exactly when it is 0 mod q.  The invariant: the Python int
+    bound is at least every |entry| of the trailing block.  Before each
+    column's zero test only that column is reduced, then the pivot row
+    once any swap has put it in place, so |p|, |f| and the pivot row's
+    entries are at most q - 1 and an update leaves
+    |row * p - f * pivot_row| <= bound * (q - 1) + (q - 1)^2, below
+    bound * q + q * q.  The block is reduced (bound = q - 1) only when
+    that sum would reach 2^63; otherwise every product and difference
+    stays exact in int64.  Each update then raises bound to
+    bound * q + q * q.  At q = 142151 a 7 x 7 stack is reduced twice,
+    not after each of its six updates.
     """
     count, m, s = stack.shape
     if q >= BATCH_Q_LIMIT:
@@ -307,23 +326,33 @@ def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
     # operation below is one long vector operation
     a = np.array(stack.transpose(1, 2, 0), dtype=np.int64, order="C")
     ok = np.ones(count, dtype=bool)
-    batch = np.arange(count)
+    bound = q - 1
     for col in range(s):
-        nonzero = a[col:, col] != 0
-        ok &= nonzero.any(axis=0)
+        column = a[col:, col]
+        np.fmod(column, q, out=column)
         # with every diagonal entry nonzero, each matrix's pivot is its
-        # diagonal row and the swap below would be a self-swap
-        if not nonzero[0].all():
+        # diagonal row, so the diagonal alone is tested and no row moves
+        if not column[0].all():
             # a matrix without a pivot here keeps p = f = 0, so its rows
             # just zero out; its verdict is already False
+            nonzero = column != 0
+            ok &= nonzero.any(axis=0)
             pivot = nonzero.argmax(axis=0) + col
+            batch = np.arange(count)
             prow = a[pivot, :, batch].T.copy()
             a[pivot, :, batch] = a[col].T
             a[col] = prow
-        prow = a[col]
-        a[col + 1:, col + 1:] = (
-            a[col + 1:, col + 1:] * prow[col] - a[col + 1:, col, None] * prow[col + 1:]
-        ) % q
+        if col + 1 == s:
+            break
+        prow = a[col, col + 1:]
+        np.fmod(prow, q, out=prow)
+        block = a[col + 1:, col + 1:]
+        if bound * q + q * q >= 2**63:
+            np.fmod(block, q, out=block)
+            bound = q - 1
+        bound = bound * q + q * q
+        block *= a[col, col]
+        block -= a[col + 1:, col, None] * prow
     return ok
 
 

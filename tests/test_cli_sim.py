@@ -11,7 +11,7 @@ import pytest
 from lrrc import cli_sim, code_core
 from lrrc.cli_sim import SimConfig, run_cli, sim_config_from_dict, simulate
 from lrrc.galois import FieldMatrix
-from lrrc.mfhs import ModelError, h_enumerate, params_new
+from lrrc.mfhs import ModelError, checked_helpers, h_enumerate, params_new
 
 
 def invoke(capsys, *argv):
@@ -322,6 +322,35 @@ def test_simulate_never_lists_h(monkeypatch):
     assert fresh.cache_info().currsize == 1
     assert "members" not in vars(hset)
     assert "witnesses" not in vars(hset)
+
+
+@pytest.mark.parametrize("q", [7639, 2147483659])
+def test_witness_event_ranks_each_maximal_target_once(q, monkeypatch):
+    # one rank_of_rows call per memoized target, on both sides of the
+    # int64 batching limit; the invariant's batched kernel never calls
+    # code_core's binding
+    calls, events = [], []
+    real_rank = code_core.rank_of_rows
+    real_holds = cli_sim.witness_holds
+
+    def counting_rank(rows, field_q):
+        calls.append(len(rows))
+        return real_rank(rows, field_q)
+
+    def counting_holds(state, failed, helpers, hset):
+        calls.clear()
+        verdict = real_holds(state, failed, helpers, hset)
+        ordered = checked_helpers(hset.params, failed, helpers)
+        events.append((verdict, len(calls), len(code_core.witness_targets(hset, failed, ordered))))
+        return verdict
+
+    monkeypatch.setattr(code_core, "rank_of_rows", counting_rank)
+    monkeypatch.setattr(cli_sim, "witness_holds", counting_holds)
+    params = params_new(6, 3, 2, 1)
+    report = simulate(SimConfig(params=params, q=q, seed=6, rounds=4, check_witness=True))
+    assert report.passed
+    assert len(events) == report.aggregate["events_total"] == 4
+    assert all(verdict and ranks == targets > 0 for verdict, ranks, targets in events)
 
 
 def test_sim_config_validation():

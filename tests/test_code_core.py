@@ -17,7 +17,6 @@ from lrrc.code_core import (
     RankDeficient,
     RepairFailed,
     RepairPlan,
-    _selection_rows,
     apply_repair_plan,
     construct,
     decode,
@@ -312,6 +311,26 @@ def test_witness_sources_decide_the_full_sweep(point):
     assert any(verdicts) and not all(verdicts)
 
 
+def test_witness_gather_on_defects_and_above_the_int64_limit():
+    # witness_holds ranks every target's block out of one gathered
+    # array, int64 below BATCH_Q_LIMIT and Python ints above it; the
+    # single-h check gathers each selection on its own
+    rng = random.Random("gather")
+    keys = rng.sample(_witness_keys(P321), 4)
+    verdicts = []
+    for q in (7639, next_prime(2**31)):
+        state = construct(P321, field_new(q), H321, rng_seed=7, max_attempts=64)
+        for failed, helpers in keys:
+            target = rng.choice(witness_targets(H321, failed, helpers))
+            for checked in (state, _plant_defect(state, H321, rng),
+                            _break_selection(state, target, rng)):
+                full = all(witness_repair_check(checked, failed, helpers, h, H321)
+                           for h in H321)
+                assert witness_holds(checked, failed, helpers, H321) == full, (q, failed, helpers)
+                verdicts.append(full)
+    assert any(verdicts) and not all(verdicts)
+
+
 def _refuse(*args):
     raise AssertionError("a warm witness check recomputed a target")
 
@@ -453,6 +472,19 @@ def test_stored_view_matches_generator_math():
     for i in range(6):
         expect = mat_mul(mat_transpose(file), state.Q[i])
         assert stored[i].to_rows() == expect.to_rows()
+
+
+def _selection_rows(state, h):
+    """The M x sum(h) selection under h, read row by row off the Q
+    matrices' entries: the reference for the kernels' gathers."""
+    d = state.params.d
+    rows = []
+    for r in range(state.params.M):
+        row = []
+        for qm, take in zip(state.Q, h):
+            row.extend(qm.entries[r * d:r * d + take])
+        rows.append(row)
+    return rows
 
 
 def _short_rank(state, h) -> bool:

@@ -174,8 +174,11 @@ def _residues(q: int) -> st.SearchStrategy[int]:
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([2, 7, 13, 2147483647]),
-    st.integers(1, 6),
+    # the kernel reduces its trailing block never (2, 7, 13), at some
+    # columns only (7639, 142151) or at every column after the first
+    # (15556861, 2^31 - 1)
+    st.sampled_from([2, 7, 13, 7639, 142151, 15556861, 2147483647]),
+    st.integers(1, 9),
     st.integers(0, 3),
     st.integers(1, 5),
     st.data(),
@@ -237,7 +240,7 @@ def _swap_skip_stack(q: int, m: int, s: int, col: int, swapped: str) -> np.ndarr
     return stack
 
 
-@pytest.mark.parametrize("q", [2, 3, 7639, 142151])
+@pytest.mark.parametrize("q", [2, 3, 7639, 142151, 2147483647])
 @pytest.mark.parametrize("swapped", ["none", "some", "all"])
 @pytest.mark.parametrize("m,s,col", [(4, 4, 0), (4, 4, 2), (6, 4, 1), (5, 5, 3)])
 def test_full_column_rank_with_and_without_pivot_swaps(q, swapped, m, s, col):
@@ -251,6 +254,65 @@ def test_full_column_rank_with_and_without_pivot_swaps(q, swapped, m, s, col):
         assert not want[2] and not want[7] and sum(want) == 10
     else:
         assert all(want)
+
+
+def _delayed_reduction_stack(q: int, m: int, s: int) -> np.ndarray:
+    """Eight m x s matrices over GF(q) whose elimination meets the
+    largest entries, the pivot swaps and the cancellations:
+    0. every entry q - 1 (rank 1);
+    1. q - 2 on the diagonal and q - 1 elsewhere, -(I + J) mod q;
+    2. random;
+    3. random with a last column that is a combination of the others;
+    4. random with a zero diagonal, so each column may need a swap;
+    5. the same with the planted last column;
+    6, 7. matrices 1 and 2 with their rows reversed."""
+    rng = np.random.Generator(np.random.Philox(q * 1000 + m * 10 + s))
+    full = np.full((m, s), q - 1, dtype=np.int64)
+    minus = full.copy()
+    np.fill_diagonal(minus, q - 2)
+    randoms = rng.integers(0, q, size=(3, m, s))
+    np.fill_diagonal(randoms[2], 0)
+    mats = [full, minus, randoms[0], randoms[1], randoms[2], randoms[2].copy(),
+            minus[::-1], randoms[0][::-1]]
+    weights = [int(w) for w in rng.integers(1, q, size=s - 1)]
+    for planted in (mats[3], mats[5]):
+        for row in planted:
+            row[-1] = sum(w * int(e) for w, e in zip(weights, row[:-1])) % q
+    return np.array(mats, dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", [2, 307, 142151, 78128951, 2147483647])
+@pytest.mark.parametrize("m,s", [(9, 9), (12, 12), (12, 9)])
+def test_full_column_rank_where_delayed_reductions_fall(q, m, s):
+    """Against the pure kernel where the trailing block is reduced
+    never (q = 2), at column 6 only (307), at every other column
+    (142151) or at every column after the first (78128951, 2^31 - 1)."""
+    stack = _delayed_reduction_stack(q, m, s)
+    want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
+    assert full_column_rank(stack, q).tolist() == want
+    assert not want[0] and not want[3] and not want[5]
+    if q > 2:
+        assert want[2] and want[6]
+
+
+def test_full_column_rank_reduces_exactly_when_int64_needs_it():
+    """At q = 2097143, the largest prime below 2^21, 2q^3 lies between
+    2^63 and 2^64, so a reduced block takes one update and then must be
+    reduced again.  Random 8 x 8 matrices, every other one with a
+    planted dependent last column, get entries past 2^63 when one of
+    those reductions is skipped (a threshold of 2^64 does), and the
+    wrapped products call some planted matrices regular."""
+    q = 2097143
+    assert 2**63 <= 2 * q**3 < 2**64
+    rng = np.random.Generator(np.random.Philox(21))
+    stack = rng.integers(0, q, size=(400, 8, 8))
+    for mat in stack[::2]:
+        weights = [int(w) for w in rng.integers(1, q, size=7)]
+        for row in mat:
+            row[-1] = sum(w * int(e) for w, e in zip(weights, row[:-1])) % q
+    want = [rank_of_rows(mat.tolist(), q) == 8 for mat in stack]
+    assert not any(want[::2]) and all(want[1::2])
+    assert full_column_rank(stack, q).tolist() == want
 
 
 def test_full_column_rank_falls_back_above_limit():
