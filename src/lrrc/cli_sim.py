@@ -98,6 +98,12 @@ def sim_config_from_dict(d: dict) -> SimConfig:
     checks = d.get("checks", {})
     if not isinstance(checks, dict):
         raise ModelError(f"simulation config's checks must be an object, got {type(checks).__name__}")
+    for name, value in checks.items():
+        if name not in CHECKS:
+            raise ModelError(f"simulation config has unknown check {name!r}")
+        if not isinstance(value, bool):
+            raise ModelError(f"simulation config's checks.{name} must be true or false, "
+                             f"got {json.dumps(value)}")
     cfg = SimConfig(
         params=params,
         q=q,
@@ -105,9 +111,9 @@ def sim_config_from_dict(d: dict) -> SimConfig:
         rounds=integer("rounds", 0),
         failure_policy=d.get("failure_policy", "round-robin"),
         helper_policy=d.get("helper_policy", "uniform-random"),
-        check_invariant=bool(checks.get("invariant", True)),
-        check_reconstruction=bool(checks.get("reconstruction", True)),
-        check_witness=bool(checks.get("witness", False)),
+        check_invariant=checks.get("invariant", True),
+        check_reconstruction=checks.get("reconstruction", True),
+        check_witness=checks.get("witness", False),
         max_attempts=integer("max_attempts", 16),
     )
     if cfg.failure_policy not in FAILURE_POLICIES:

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 from typing import Sequence
@@ -91,8 +92,9 @@ from .mfhs import (
     h_enumerate,
     params_from_dict,
     params_to_dict,
+    selection_columns,
 )
-from .connect import connect_run
+from .connect import InternalContradiction, connect_run
 
 logger = logging.getLogger(__name__)
 
@@ -256,14 +258,10 @@ def invariant_check(state: CodeState, hset: HSet) -> bool:
 
 @lru_cache(maxsize=None)
 def _subset_columns(n: int, k: int, d: int) -> np.ndarray:
-    """(C(n, k), k*d) column indices of every k-node block of [Q_1 | ... | Q_n]."""
-    return np.array(
-        [
-            [j * d + c for j in subset for c in range(d)]
-            for subset in itertools.combinations(range(n), k)
-        ],
-        dtype=np.intp,
-    )
+    """(C(n, k), k*d) column indices of every k-node block of [Q_1 | ... | Q_n]:
+    the selection that takes all d columns of each node in the block."""
+    return np.array([selection_columns(d, [d * (j in subset) for j in range(n)])
+                     for subset in itertools.combinations(range(n), k)], dtype=np.intp)
 
 
 def reconstruct_check(state: CodeState) -> bool:
@@ -413,12 +411,6 @@ def repair_random(
     raise RepairFailed(max_attempts, _rejections(rejected, hset))
 
 
-def _target_columns(d: int, target: Sequence[int]) -> list[int]:
-    """Indices into [Q_1 | ... | Q_n] of the columns selected under target:
-    the first target_i columns of each node i."""
-    return [j * d + c for j, take in enumerate(target) for c in range(take)]
-
-
 def witness_repair_check(
     state: CodeState,
     failed: int,
@@ -443,13 +435,14 @@ def witness_repair_check(
         raise HNotMember(f"{h} is not admissible")
     ordered = checked_helpers(params, failed, helpers)
     target = connect_run(params, h, ordered, failed).h_prime
-    rows = _coefficients(state)[:, _target_columns(params.d, target)].tolist()
+    rows = _coefficients(state)[:, selection_columns(params.d, target)].tolist()
     return rank_of_rows(rows, state.field.q) == sum(target)
 
 
 @lru_cache(maxsize=None)
-def witness_targets(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The maximal repair targets h', whose witnesses imply all the others.
+def witness_targets(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[int, ...]:
+    """The maximal repair targets h', whose witnesses imply all the
+    others, as row indices into hset.maximal.
 
     helpers must already be ordered by checked_helpers.  Call
     h' = connect_run(h).h_prime the target of h.  It depends only on
@@ -461,43 +454,44 @@ def witness_targets(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[
     column rank under u implies it under h'.  Hence the witness holds
     for every h in hset exactly when it holds at every maximal target.
 
-    Lemma B: connect_run increments the h_failed helpers that are
-    smallest by (h value, node index), so h + e_x in H implies
-    (h + e_x)' >= h'.
-      - A helper's value does not change while it is in the pool,
-        initial_perm orders equal values by index, and step_resort
-        asserts that bystanders keep their relative order; so the pool
-        is always ordered by (h value, index), and step_select takes
-        its least member.
-      - Raising h at a node that is neither a helper nor the failed
-        node leaves the picked set S unchanged, raising h_failed adds
-        one pick, and raising a helper x only moves x later in the
-        ranking, so the new picks include S minus {x}.  In each case no
-        coordinate of h' falls.
+    Lemma B:
+      - Closed form: h' is h with h'_failed = 0 and one unit added to
+        each of the h_failed helpers that are smallest by (h value,
+        node index).  In connect_run a helper's value does not change
+        while it is in the pool, initial_perm orders equal values by
+        index, and step_resort asserts that bystanders keep their
+        relative order; so the pool is always ordered by (h value,
+        index), and step_select takes its least member.
+      - Monotone: h + e_x in H implies (h + e_x)' >= h'.  Raising h at
+        a node that is neither a helper nor the failed node leaves the
+        picked set S unchanged, raising h_failed adds one pick, and
+        raising a helper x only moves x later in the ranking, so the
+        new picks include S minus {x}.  In each case no coordinate of
+        h' falls.
     By Lemma A of lrrc.mfhs, every member rises by unit steps inside H
     to a member of total M, so every target lies below the target of a
     member of hset.maximal.  Those targets all total M, so they are
-    pairwise incomparable: they are exactly the maximal targets.  So
-    connect_run runs on hset.maximal only, and each distinct target is
-    kept once, in the order of its first source in hset.  A cold key
-    costs one connect_run per maximal member; later calls with that key
-    are lookups.
+    pairwise incomparable: they are exactly the maximal targets.
+
+    So each member of hset.maximal gets its target by the closed form,
+    found by bisection in the sorted hset.maximal.  connect_run keeps
+    h' in H, and h' totals M, so by Lemma A it is a maximal member; a
+    target missing from hset.maximal raises InternalContradiction, and
+    a key that returns has certified that all its targets are maximal
+    members.  Each distinct row is kept once, in the order of its first
+    source in hset.maximal; later calls with that key are lookups.
     """
-    return tuple(dict.fromkeys(
-        connect_run(hset.params, h, helpers, failed).h_prime for h in hset.maximal
-    ))
+    maximal = hset.maximal
 
+    def row(h: tuple[int, ...]) -> int:
+        picked = sorted(helpers, key=lambda x: (h[x - 1], x))[:h[failed - 1]]
+        target = tuple(0 if x == failed else v + (x in picked) for x, v in enumerate(h, 1))
+        i = bisect_left(maximal, target)
+        if maximal[i:i + 1] != (target,):
+            raise InternalContradiction(f"target {target} of {h} is not a maximal member of H")
+        return i
 
-@lru_cache(maxsize=None)
-def _witness_columns(hset: HSet, failed: int, helpers: tuple[int, ...]) -> np.ndarray:
-    """(T, M) column indices of the T selections under
-    witness_targets(hset, failed, helpers), one row per target; every
-    maximal target totals M."""
-    targets = witness_targets(hset, failed, helpers)
-    params = hset.params
-    return np.array(
-        [_target_columns(params.d, t) for t in targets], dtype=np.intp
-    ).reshape(len(targets), params.M)
+    return tuple(dict.fromkeys(row(h) for h in maximal))
 
 
 def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: HSet) -> bool:
@@ -505,19 +499,19 @@ def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: H
 
     Equal to all(witness_repair_check(state, failed, helpers, h, hset)
     for h in hset), decided by one rank at each maximal target that
-    witness_targets memoizes per key.  Every target's selection is
-    gathered from one array of the Q matrices with the key's memoized
-    column indices and ranked by rank_of_rows.  Helpers are validated
-    first, so bad ones raise InvalidHelpers before the memo is
-    consulted; a warm key then runs no connect_run and no membership
-    test.
+    witness_targets memoizes per key.  The targets' selections are
+    gathered from one array of the Q matrices by their rows of
+    hset.maximal_columns, as in invariant_failure, and each is ranked
+    by rank_of_rows against M, the total of every maximal target.
+    Helpers are validated first, so bad ones raise InvalidHelpers
+    before the memo is consulted; a key runs no connect_run and no
+    membership test, cold or warm.
     """
     ordered = checked_helpers(state.params, failed, helpers)
-    targets = witness_targets(hset, failed, ordered)
-    columns = _witness_columns(hset, failed, ordered)
+    columns = hset.maximal_columns[list(witness_targets(hset, failed, ordered))]
     blocks = _coefficients(state)[:, columns].transpose(1, 0, 2).tolist()
-    q = state.field.q
-    return all(rank_of_rows(rows, q) == sum(t) for t, rows in zip(targets, blocks))
+    q, m = state.field.q, state.params.M
+    return all(rank_of_rows(rows, q) == m for rows in blocks)
 
 
 def encode(state: CodeState, file: FieldMatrix) -> tuple[FieldMatrix, ...]:

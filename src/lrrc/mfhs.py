@@ -477,6 +477,13 @@ def _orbit(rep: Sequence[int], f: int) -> Iterator[tuple[int, ...]]:
             yield tuple(itertools.chain.from_iterable(parts))
 
 
+def selection_columns(d: int, h: Sequence[int]) -> list[int]:
+    """Indices into [Q_1 | ... | Q_n] of the columns selected under h:
+    the first h_j of node j's d columns, which sit at j*d .. j*d + d - 1
+    (0-based j)."""
+    return [j * d + c for j, v in enumerate(h) for c in range(v)]
+
+
 @dataclass(frozen=True, eq=False)
 class HSet:
     """H for one parameter set, held by its family-symmetry orbits.
@@ -520,16 +527,10 @@ class HSet:
 
     @cached_property
     def maximal_columns(self) -> np.ndarray:
-        """(len(maximal), M) column indices into [Q_1 | ... | Q_n].
-
-        Row i is maximal[i]'s selection: h takes the first h_j of node
-        j's d columns, which sit at j*d .. j*d + d - 1 (0-based j).
-        """
+        """(len(maximal), M) column indices into [Q_1 | ... | Q_n]; row i
+        is selection_columns of maximal[i]."""
         d = self.params.d
-        return np.array(
-            [[j * d + c for j, v in enumerate(h) for c in range(v)] for h in self.maximal],
-            dtype=np.intp,
-        )
+        return np.array([selection_columns(d, h) for h in self.maximal], dtype=np.intp)
 
     @cached_property
     def node_rows(self) -> tuple[np.ndarray, ...]:

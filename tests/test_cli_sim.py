@@ -457,11 +457,21 @@ def test_simulate_records_reconstruction_without_ranking(tmp_path, capsys, monke
      "code state's W must be an integer, got true"),
     ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "rounds": 2.5},
      "simulation config's rounds must be an integer, got 2.5"),
+    ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1},
+                              "checks": {"witness": "false", "invariant": "no"}},
+     "simulation config's checks.witness must be true or false, got \"false\""),
+    ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1},
+                              "checks": {"invariant": 1}},
+     "simulation config's checks.invariant must be true or false, got 1"),
+    ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1},
+                              "checks": {"witnes": True}},
+     "simulation config has unknown check 'witnes'"),
 ], ids=["verify-empty", "repair-empty", "verify-no-Q", "repair-no-Q", "verify-short-params",
         "verify-short-matrix", "simulate-no-params", "verify-Q-not-list",
         "simulate-checks-not-object", "verify-entries-not-list", "verify-q-not-int",
         "verify-params-k-not-int", "simulate-seed-not-int", "verify-k-fractional",
-        "verify-W-fractional", "verify-W-bool", "simulate-rounds-fractional"])
+        "verify-W-fractional", "verify-W-bool", "simulate-rounds-fractional",
+        "simulate-check-string", "simulate-check-int", "simulate-check-unknown"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, flag, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -44,8 +44,8 @@ from lrrc.galois import (
     next_prime,
     rank_of_rows,
 )
-from lrrc.connect import connect_run
-from lrrc.mfhs import HNotMember, Perm, h_enumerate, helper_universe, params_new, score_vectors
+from lrrc.connect import InternalContradiction, connect_run
+from lrrc.mfhs import HNotMember, HSet, Perm, h_enumerate, helper_universe, params_new, score_vectors
 
 from membership_oracle import (
     filtered_h,
@@ -302,7 +302,7 @@ def test_witness_sources_decide_the_full_sweep(point):
     verdicts = []
     for failed, helpers in keys:
         # a defect in one target's selection must fail the reduced check too
-        target = rng.choice(witness_targets(hset, failed, helpers))
+        target = hset.maximal[rng.choice(witness_targets(hset, failed, helpers))]
         for state in states + [_break_selection(states[0], target, rng)]:
             full = all(witness_repair_check(state, failed, helpers, h, hset) for h in hset)
             assert witness_holds(state, failed, helpers, hset) == full, (
@@ -321,7 +321,7 @@ def test_witness_gather_on_defects_and_above_the_int64_limit():
     for q in (7639, next_prime(2**31)):
         state = construct(P321, field_new(q), H321, rng_seed=7, max_attempts=64)
         for failed, helpers in keys:
-            target = rng.choice(witness_targets(H321, failed, helpers))
+            target = H321.maximal[rng.choice(witness_targets(H321, failed, helpers))]
             for checked in (state, _plant_defect(state, H321, rng),
                             _break_selection(state, target, rng)):
                 full = all(witness_repair_check(checked, failed, helpers, h, H321)
@@ -332,7 +332,7 @@ def test_witness_gather_on_defects_and_above_the_int64_limit():
 
 
 def _refuse(*args):
-    raise AssertionError("a warm witness check recomputed a target")
+    raise AssertionError("a witness check ran connect_run or a membership test")
 
 
 @pytest.mark.parametrize("point", ((6, 3, 2, 1), (6, 2, 1, 3)),
@@ -343,7 +343,7 @@ def test_warm_witness_check_runs_no_connect_or_membership(point, monkeypatch):
     rng = random.Random(f"warm/{point}")
     keys = _witness_keys(params)
     states = _sweep_states(params, hset, rng)
-    states.append(_break_selection(states[0], witness_targets(hset, *keys[0])[0], rng))
+    states.append(_break_selection(states[0], hset.maximal[witness_targets(hset, *keys[0])[0]], rng))
     cold = [witness_holds(state, failed, helpers, hset)
             for failed, helpers in keys for state in states]
     assert any(cold) and not all(cold)
@@ -369,6 +369,65 @@ def _runs(params, hset, failed, helpers):
     return {h: connect_run(params, h, helpers, failed) for h in hset}
 
 
+def _connect_run_targets(hset, failed, helpers):
+    """The reference for witness_targets: connect_run on every maximal
+    member, each distinct target once, in the order of its first source."""
+    return tuple(dict.fromkeys(
+        connect_run(hset.params, h, helpers, failed).h_prime for h in hset.maximal
+    ))
+
+
+@pytest.mark.parametrize("point", in_scope_points(6), ids=lambda p: "-".join(map(str, p)))
+def test_closed_form_targets_match_connect_run(point):
+    # every key where the maximal layer has at most 100 members, one
+    # sampled key at the larger points (up to 1362 members at n = 6)
+    params = params_new(*point)
+    hset = h_enumerate(params)
+    keys = _witness_keys(params)
+    if len(hset.maximal) > 100:
+        keys = random.Random(f"closed/{point}").sample(keys, 1)
+    for failed, helpers in keys:
+        rows = witness_targets(hset, failed, helpers)
+        assert tuple(hset.maximal[row] for row in rows) == _connect_run_targets(
+            hset, failed, helpers), (failed, helpers)
+
+
+def test_cold_witness_key_runs_no_connect_or_membership(monkeypatch):
+    rng = random.Random("cold")
+    keys = rng.sample(_witness_keys(P641), 3)
+    expected = {key: _connect_run_targets(H641, *key) for key in keys}
+    state = construct(P641, field_new(142151), H641, rng_seed=1)
+    states = (state, _break_selection(state, expected[keys[0]][0], rng))
+    verdicts = [witness_holds(s, failed, helpers, H641) for failed, helpers in keys for s in states]
+    assert verdicts[:2] == [True, False]
+    monkeypatch.setattr(code_core, "connect_run", _refuse)
+    monkeypatch.setattr(mfhs, "h_membership", _refuse)
+    monkeypatch.setattr(connect, "h_membership", _refuse)
+    cold = []
+    for failed, helpers in keys:
+        witness_targets.cache_clear()
+        rows = witness_targets(H641, failed, helpers)
+        assert tuple(H641.maximal[row] for row in rows) == expected[failed, helpers]
+        for s in states:
+            witness_targets.cache_clear()
+            cold.append(witness_holds(s, failed, helpers, H641))
+    assert cold == verdicts
+
+
+def test_target_outside_the_maximal_layer_is_a_contradiction():
+    # a hand-built HSet whose maximal layer lacks the target of one of
+    # its members fails the key's certificate
+    failed, helpers = 1, (4, 5)
+    source = next(h for h in H321.maximal if h[failed - 1] > 0)
+    target = connect_run(P321, source, helpers, failed).h_prime
+    stripped = HSet(params=P321, size=H321.size, representatives=H321.representatives,
+                    maximal=tuple(h for h in H321.maximal if h != target))
+    with pytest.raises(InternalContradiction, match="not a maximal member"):
+        witness_targets(stripped, failed, helpers)
+    with pytest.raises(InternalContradiction, match="not a maximal member"):
+        witness_holds(construct(P321, field_new(7639), H321, rng_seed=1), failed, helpers, stripped)
+
+
 @pytest.mark.parametrize("point,maximal_targets,targets", [
     ((6, 3, 2, 1), 39, 90),
     ((6, 4, 3, 1), 119, 468),
@@ -392,9 +451,9 @@ def test_witness_sources_are_first_sources_of_maximal_targets(point, maximal_tar
         # every target, each once, in the order of its first source in H
         first = list(dict.fromkeys(r.h_prime for r in _runs(params, hset, failed, helpers).values()))
         runs.clear()
-        got = witness_targets(hset, failed, helpers)
-        # a cold key runs connect_run on the maximal members only, in order
-        assert runs == list(hset.maximal)
+        got = tuple(hset.maximal[row] for row in witness_targets(hset, failed, helpers))
+        # a cold key computes its targets in closed form, with no connect_run
+        assert runs == []
         assert got == tuple(maximal_by_down_closure(first))
         assert (len(got), len(first)) == (maximal_targets, targets)
 
