@@ -52,6 +52,9 @@ from .exact6321 import ExactCodeError, build_exact_code, code_to_dict, verify_ex
 FAILURE_POLICIES = ("round-robin", "uniform-random", "adversarial-sweep")
 HELPER_POLICIES = ("uniform-random", "exhaustive-per-failure")
 CHECKS = ("invariant", "reconstruction", "witness")
+# The keys SimConfig.to_dict emits, the only ones a config may carry.
+CONFIG_KEYS = ("params", "q", "seed", "rounds", "failure_policy", "helper_policy",
+               "checks", "max_attempts")
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,9 @@ class SimConfig:
 def sim_config_from_dict(d: dict) -> SimConfig:
     if not isinstance(d, dict) or "params" not in d:
         raise ModelError("simulation config lacks ['params']")
+    unknown = [key for key in d if key not in CONFIG_KEYS]
+    if unknown:
+        raise ModelError(f"simulation config has unknown key {unknown[0]!r}")
     params = params_from_dict(d["params"])
 
     def integer(key: str, default: int) -> int:

@@ -49,7 +49,8 @@ nodes recover the file.
 So simulate, whose states all passed invariant_check, records the
 reconstruction verdict instead of computing it.  reconstruct_check
 still decides the C(n, k) blocks directly, batched like the invariant,
-for lrrc verify and as the tests' reference.
+for lrrc verify and as the tests' reference; its per-subset verdicts,
+reconstruct_verdicts, decide lrrc.exact6321's reconstruction entries.
 
 Construction and repair draw coefficients uniformly at random (Philox
 counter-based generator, fully seeded) and retry on rejection.  At the
@@ -69,7 +70,6 @@ from typing import Sequence
 import numpy as np
 
 from .galois import (
-    BATCH_Q_LIMIT,
     FieldConfig,
     FieldMatrix,
     field_new,
@@ -82,6 +82,7 @@ from .galois import (
     matrix_from_dict,
     matrix_to_dict,
     rank_of_rows,
+    residue_array,
 )
 from .mfhs import (
     HNotMember,
@@ -211,14 +212,9 @@ def required_field_size(params: Params, hset: HSet) -> int:
 
 
 def _coefficients(state: CodeState) -> np.ndarray:
-    """[Q_1 | ... | Q_n] as one M x (n*d) array.
-
-    int64 where galois.full_column_rank eliminates in numpy; Python ints
-    (dtype=object) above that, so any residue fits.
-    """
+    """[Q_1 | ... | Q_n] as one M x (n*d) galois.residue_array."""
     params = state.params
-    dtype = np.int64 if state.field.q < BATCH_Q_LIMIT else object
-    flat = np.array([qm.entries for qm in state.Q], dtype=dtype)
+    flat = residue_array([qm.entries for qm in state.Q], state.field.q)
     return flat.reshape(params.n, params.M, params.d).transpose(1, 0, 2).reshape(params.M, -1)
 
 
@@ -264,16 +260,26 @@ def _subset_columns(n: int, k: int, d: int) -> np.ndarray:
                      for subset in itertools.combinations(range(n), k)], dtype=np.intp)
 
 
-def reconstruct_check(state: CodeState) -> bool:
-    """True iff every k-subset of nodes spans the whole file.
+def reconstruct_verdicts(state: CodeState) -> np.ndarray:
+    """Per k-subset of nodes, in itertools.combinations order, whether it
+    spans the whole file.
 
     Each subset's M x k*d block has rank M exactly when its transpose
-    has full column rank, which one batched kernel call decides.
+    has full column rank, which one batched kernel call decides for all
+    C(n, k) subsets.  Since decode solves exactly that transposed
+    system, a subset's verdict is also whether decode recovers an
+    encoded file from it.
     """
     params = state.params
     columns = _subset_columns(params.n, params.k, params.d)
     blocks = _coefficients(state)[:, columns].transpose(1, 2, 0)
-    return bool(full_column_rank(blocks, state.field.q).all())
+    return full_column_rank(blocks, state.field.q)
+
+
+def reconstruct_check(state: CodeState) -> bool:
+    """True iff every k-subset of nodes spans the whole file: all of
+    reconstruct_verdicts."""
+    return bool(reconstruct_verdicts(state).all())
 
 
 def _rejections(states: Sequence[CodeState], hset: HSet) -> tuple[tuple[int, ...], ...]:

@@ -50,6 +50,7 @@ __all__ = [
     "int_field",
     "rank_of_rows",
     "BATCH_Q_LIMIT",
+    "residue_array",
     "full_column_rank",
 ]
 
@@ -248,8 +249,9 @@ def mat_hstack(mats: Sequence[FieldMatrix]) -> FieldMatrix:
 def rank_of_rows(rows: list[list[int]], q: int) -> int:
     """Rank over GF(q) of a row-list matrix.  Mutates its argument.
 
-    Entries must already be canonical residues.  This is the hot kernel
-    behind every verification sweep, so it stays loop-only.
+    Entries must already be canonical residues and q must be prime, so
+    every nonzero pivot has an inverse.  This is the hot kernel behind
+    every verification sweep, so it stays loop-only.
     """
     m = len(rows)
     if m == 0:
@@ -266,7 +268,7 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
-        inv = pow(prow[col], q - 2, q)
+        inv = pow(prow[col], -1, q)
         for j in range(col, n):
             prow[j] = prow[j] * inv % q
         for r in range(rank + 1, m):
@@ -291,6 +293,15 @@ def mat_rank(a: FieldMatrix) -> int:
 # most one reduction per column and never overflows.
 BATCH_Q_LIMIT = 2**31
 
+
+def residue_array(values: Sequence, q: int) -> np.ndarray:
+    """Canonical residues mod q as an array to gather full_column_rank
+    stacks from: int64 below BATCH_Q_LIMIT, where the kernel eliminates
+    in numpy, and Python ints (dtype=object) above it, so any residue
+    fits and no product overflows."""
+    return np.array(values, dtype=np.int64 if q < BATCH_Q_LIMIT else object)
+
+
 def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
     """Which matrices of a (B, m, s) stack have full column rank s mod q.
 
@@ -298,8 +309,9 @@ def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
     stack is eliminated together in int64, fraction-free: each lower row
     becomes row * p - f * pivot_row, with pivot p and the row's own
     entry f below it, so no modular inverse is needed.  Larger q runs
-    rank_of_rows on each matrix; pass such stacks with dtype=object when
-    residues may not fit int64.  Returns a bool array of length B.
+    rank_of_rows on each matrix; build such stacks with residue_array, so
+    that residues that do not fit int64 stay Python ints.  Returns a
+    bool array of length B.
 
     Reductions are delayed.  Entries are signed residues: np.fmod keeps
     the sign of its argument, so a reduced entry lies in (-q, q) and is

@@ -364,6 +364,10 @@ def test_sim_config_validation():
             "params": {"n": 6, "k": 3, "d": 2, "r": 1},
             "rounds": -1,
         })
+    # a report's own config is read back unchanged
+    cfg = SimConfig(params=params_new(6, 3, 2, 1), q=7639, seed=4, rounds=3,
+                    failure_policy="uniform-random", check_witness=True, max_attempts=5)
+    assert sim_config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
@@ -466,12 +470,15 @@ def test_simulate_records_reconstruction_without_ranking(tmp_path, capsys, monke
     ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1},
                               "checks": {"witnes": True}},
      "simulation config has unknown check 'witnes'"),
+    ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "round": 3, "sede": 4},
+     "simulation config has unknown key 'round'"),
 ], ids=["verify-empty", "repair-empty", "verify-no-Q", "repair-no-Q", "verify-short-params",
         "verify-short-matrix", "simulate-no-params", "verify-Q-not-list",
         "simulate-checks-not-object", "verify-entries-not-list", "verify-q-not-int",
         "verify-params-k-not-int", "simulate-seed-not-int", "verify-k-fractional",
         "verify-W-fractional", "verify-W-bool", "simulate-rounds-fractional",
-        "simulate-check-string", "simulate-check-int", "simulate-check-unknown"])
+        "simulate-check-string", "simulate-check-int", "simulate-check-unknown",
+        "simulate-key-unknown"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, flag, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

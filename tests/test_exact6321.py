@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
 from lrrc.exact6321 import (
     FAMILY_A,
     FAMILY_B,
+    ExactCodeError,
     FieldTooSmall,
     InvalidPair,
     _structural_entries,
@@ -19,9 +22,9 @@ from lrrc.exact6321 import (
     repair_rule,
     verify_exact_code,
 )
-from lrrc.galois import FieldMatrix, identity, mat_rank
+from lrrc.galois import FieldMatrix, GaloisError, identity, mat_hstack, mat_rank
 from lrrc.mfhs import h_enumerate
-from lrrc.code_core import invariant_check, reconstruct_check, encode
+from lrrc.code_core import CodeError, decode, invariant_check, reconstruct_check, encode
 
 
 @pytest.fixture(scope="module")
@@ -132,8 +135,8 @@ def test_exact_repair_regenerates_stored_packets(code7):
 
 @pytest.mark.parametrize("q", [7, 13])
 def test_block_regeneration_stacks_basis_regenerations(q):
-    # verify_exact_code regenerates the identity file's W=4 block once
-    # per rule; each row must be what the basis file e_j regenerates to
+    # Lemma E replays each rule once, on the identity file's W=4 block;
+    # each row must be what the basis file e_j regenerates to
     code = build_exact_code(q)
     block = encode(as_code_state(code, packet_width=4), identity(4, code.field))
     basis = [
@@ -207,3 +210,86 @@ def test_code_to_dict_rule_table(code7):
 def test_family_constants():
     assert FAMILY_A == (1, 2, 3)
     assert FAMILY_B == (4, 5, 6)
+
+
+def replayed_verdicts(code) -> dict[str, list[bool]]:
+    """verify_exact_code's verdicts, decided by the reference operations:
+    mat_rank for structure, decode for reconstruction and exact_repair
+    on the identity file's W=4 block for the repair rules."""
+    field = code.field
+    gen = code.generator
+    mds = [mat_rank(FieldMatrix.from_rows([[gen.at(i, j) for j in cols] for i in range(4)],
+                                          field)) == 4
+           for cols in itertools.combinations(range(6), 4)]
+    pairs = [mat_rank(mat_hstack([code.Q[i - 1], code.Q[j - 1]])) == 4
+             for fam in (FAMILY_A, FAMILY_B) for i, j in itertools.combinations(fam, 2)]
+    state = as_code_state(code)
+    file = FieldMatrix(4, 1, tuple(v % field.q for v in (1, 2, 3, 4)), field)
+    stored = encode(state, file)
+    recon = []
+    for triple in itertools.combinations(range(1, 7), 3):
+        try:
+            recon.append(decode(state, triple, [stored[i - 1] for i in triple]) == file)
+        except CodeError:
+            recon.append(False)
+    basis = encode(as_code_state(code, packet_width=4), identity(4, field))
+    repairs = []
+    for failed, unavailable in itertools.permutations(range(1, 7), 2):
+        try:
+            repairs.append(exact_repair(code, basis, failed, unavailable) == basis[failed - 1])
+        except (GaloisError, ExactCodeError):
+            repairs.append(False)
+    return {"mds_subsets": mds, "family_pairs": pairs,
+            "reconstructions": recon, "exact_repairs": repairs}
+
+
+TAMPER_KINDS = ("perturb", "zero_column", "copy", "binary", "random")
+
+
+def tampered(code, index: int, rng: random.Random):
+    """Code number index of a cycle over five kinds of damage.  Kinds that
+    act on one matrix cycle through the generator (0) and Q_1..Q_6."""
+    q = code.field.q
+    kind = TAMPER_KINDS[index % len(TAMPER_KINDS)]
+    target = index // len(TAMPER_KINDS) % 7
+    mats = [code.generator, *code.Q]
+    if kind in ("perturb", "zero_column"):
+        mat = mats[target]
+        rows = mat.to_rows()
+        if kind == "perturb":
+            i, j = rng.randrange(mat.rows), rng.randrange(mat.cols)
+            rows[i][j] += rng.randrange(1, q)
+        else:
+            j = rng.randrange(mat.cols)
+            for row in rows:
+                row[j] = 0
+        mats[target] = FieldMatrix.from_rows(rows, code.field)
+    else:
+        node = target % 6 + 1
+        if kind == "copy":
+            mats[node] = mats[node % 6 + 1]
+        else:
+            top = 2 if kind == "binary" else q
+            mats[node] = FieldMatrix.from_rows(
+                [[rng.randrange(top) for _ in range(2)] for _ in range(4)], code.field)
+    return dataclasses.replace(code, generator=mats[0], Q=tuple(mats[1:]))
+
+
+@pytest.mark.parametrize("q, count", [(7, 100), (11, 100), (13, 100), (101, 100),
+                                      (2147483659, 10)])
+def test_certificates_match_replay(q, count):
+    # every verdict of the batched certificates equals the replay's, on
+    # the valid code and on tampered ones; above BATCH_Q_LIMIT the
+    # stacks hold Python ints
+    code = build_exact_code(q)
+    rng = random.Random(q)
+    seen = {group: set() for group in replayed_verdicts(code)}
+    for index in range(-1, count):
+        candidate = code if index < 0 else tampered(code, index, rng)
+        report = verify_exact_code(candidate).to_dict()
+        replay = replayed_verdicts(candidate)
+        for group, want in replay.items():
+            assert [e["ok"] for e in report[group]] == want, (q, index, group)
+            seen[group].update(want)
+        assert report["passed"] == all(all(v) for v in replay.values())
+    assert all(verdicts == {True, False} for verdicts in seen.values()), seen
