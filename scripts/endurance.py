@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from lrrc.cli_sim import sim_config_from_dict, simulate
+from lrrc.cli_sim import FAILURE_POLICIES, HELPER_POLICIES, sim_config_from_dict, simulate
 from lrrc.galois import GaloisError
 from lrrc.mfhs import ModelError
 
@@ -30,9 +30,9 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--failure-policy", default="uniform-random",
-                    choices=("round-robin", "uniform-random", "adversarial-sweep"))
+                    choices=FAILURE_POLICIES)
     ap.add_argument("--helper-policy", default="uniform-random",
-                    choices=("uniform-random", "exhaustive-per-failure"))
+                    choices=HELPER_POLICIES)
     ap.add_argument("--q", default="auto")
     ap.add_argument("--report", default=None, help="write the full report here")
     args = ap.parse_args()

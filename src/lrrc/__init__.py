@@ -43,6 +43,7 @@ from .connect import (
     initial_perm,
 )
 from .code_core import (
+    AttemptsExhausted,
     CodeError,
     CodeState,
     ConstructionFailed,
@@ -98,6 +99,7 @@ __all__ = [
     "InternalContradiction",
     "connect_run",
     "initial_perm",
+    "AttemptsExhausted",
     "CodeError",
     "CodeState",
     "ConstructionFailed",

@@ -16,10 +16,11 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from . import __version__
-from .galois import GaloisError, field_new, int_field, next_prime
+from .galois import GaloisError, field_new, int_field, next_prime, reject_unknown_keys
 from .mfhs import (
     HSet,
     ModelError,
@@ -33,6 +34,8 @@ from .mfhs import (
 )
 from .connect import ConnectError, connect_run, connect_state_to_dict
 from .code_core import (
+    DEFAULT_MAX_ATTEMPTS,
+    AttemptsExhausted,
     CodeError,
     CodeState,
     ConstructionFailed,
@@ -70,7 +73,7 @@ class SimConfig:
     check_invariant: bool = True
     check_reconstruction: bool = True
     check_witness: bool = False
-    max_attempts: int = 16
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
     def to_dict(self) -> dict:
         return {
@@ -92,9 +95,7 @@ class SimConfig:
 def sim_config_from_dict(d: dict) -> SimConfig:
     if not isinstance(d, dict) or "params" not in d:
         raise ModelError("simulation config lacks ['params']")
-    unknown = [key for key in d if key not in CONFIG_KEYS]
-    if unknown:
-        raise ModelError(f"simulation config has unknown key {unknown[0]!r}")
+    reject_unknown_keys(d, CONFIG_KEYS, "simulation config", ModelError)
     params = params_from_dict(d["params"])
 
     def integer(key: str, default: int) -> int:
@@ -120,7 +121,7 @@ def sim_config_from_dict(d: dict) -> SimConfig:
         check_invariant=checks.get("invariant", True),
         check_reconstruction=checks.get("reconstruction", True),
         check_witness=checks.get("witness", False),
-        max_attempts=integer("max_attempts", 16),
+        max_attempts=integer("max_attempts", DEFAULT_MAX_ATTEMPTS),
     )
     if cfg.failure_policy not in FAILURE_POLICIES:
         raise ModelError(f"unknown failure policy {cfg.failure_policy!r}")
@@ -197,10 +198,8 @@ def simulate(config: SimConfig) -> SimReport:
     master = random.Random(config.seed)
 
     events: list[dict] = []
-    attempts_histogram: dict[str, int] = {}
-    total_attempts = 0
-    accepted = 0
     failure: dict | None = None
+    exhausted = 0  # attempts spent by the repair that gave up
     # construct and repair_random return a state only after
     # invariant_check(state, hset) passed on this same cached hset, and
     # by Lemma C of lrrc.code_core every k nodes of such a state recover
@@ -252,14 +251,10 @@ def simulate(config: SimConfig) -> SimReport:
                         max_attempts=config.max_attempts,
                     )
                     event["attempts"].append(candidate.attempts)
-                    total_attempts += candidate.attempts
-                    accepted += 1
-                    key = str(candidate.attempts)
-                    attempts_histogram[key] = attempts_histogram.get(key, 0) + 1
                     if idx == 0:
                         advanced = candidate
             except RepairFailed as exc:
-                total_attempts += exc.attempts
+                exhausted = exc.attempts
                 event["error"] = "RepairFailed"
                 event["wall_time_s"] = time.perf_counter() - t0
                 events.append(event)
@@ -277,13 +272,15 @@ def simulate(config: SimConfig) -> SimReport:
         return "error" not in e and all(e.get("checks", {}).values())
 
     events_passed = sum(1 for e in events if event_ok(e))
+    accepted = [a for e in events for a in e["attempts"]]
+    total_attempts = sum(accepted) + exhausted
     aggregate = {
         "events_total": len(events),
         "events_passed": events_passed,
         "total_attempts": total_attempts,
-        "retry_histogram": attempts_histogram,
+        "retry_histogram": dict(Counter(str(a) for a in accepted)),
         "repair_failure_rate": (
-            (total_attempts - accepted) / total_attempts if total_attempts else 0.0
+            (total_attempts - len(accepted)) / total_attempts if total_attempts else 0.0
         ),
         "wall_time_s": time.perf_counter() - t_start,
     }
@@ -305,7 +302,7 @@ def _seed_from(args: argparse.Namespace) -> int:
         return args.seed
     env = os.environ.get("LRRC_SEED")
     if env is not None:
-        return int(env)
+        return int_field(env, "LRRC_SEED", ModelError)
     return 0
 
 
@@ -314,8 +311,9 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip() != "")
+def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    return tuple(int_field(part, f"{flag} entry", ModelError)
+                 for part in text.split(",") if part.strip() != "")
 
 
 def _parse_checks(text: str) -> list[str]:
@@ -338,7 +336,7 @@ def _resolve_field(params: Params, hset: HSet, choice: int | str) -> tuple[int, 
     bound = required_field_size(params, hset)
     if choice == "auto":
         return next_prime(bound), bound
-    return int(choice), bound
+    return int_field(choice, "--q", ModelError), bound
 
 
 def _load_state(path: str) -> CodeState:
@@ -386,7 +384,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_repair(args: argparse.Namespace) -> int:
     state = _load_state(args.state)
-    helpers = _parse_int_list(args.helpers)
+    helpers = _parse_int_list(args.helpers, "--helpers")
     repaired = repair_random(state, args.failed, helpers, rng_seed=_seed_from(args),
                              max_attempts=args.max_attempts)
     doc = state_to_dict(repaired)
@@ -412,16 +410,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if "reconstruction" in wanted:
         results["reconstruction"] = reconstruct_check(state)
     if "witness" in wanted:
-        results["witness"] = witness_holds(
-            state, args.witness_failed, _parse_int_list(args.witness_helpers), hset)
+        helpers = _parse_int_list(args.witness_helpers, "--witness-helpers")
+        results["witness"] = witness_holds(state, args.witness_failed, helpers, hset)
     _emit(results)
     return 0 if all(results.values()) else 1
 
 
 def _cmd_connect(args: argparse.Namespace) -> int:
     params = params_new(args.n, args.k, args.d, args.r)
-    h = _parse_int_list(args.h)
-    helpers = _parse_int_list(args.helpers)
+    h = _parse_int_list(args.h, "--h")
+    helpers = _parse_int_list(args.helpers, "--helpers")
     result = connect_run(params, h, helpers, args.failed)
     _emit({
         "h": list(h),
@@ -495,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_params_args(sub)
     sub.add_argument("--q", default="auto", help="prime field size or 'auto'")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--max-attempts", type=int, default=16)
+    sub.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     sub.add_argument("--packet-width", type=int, default=1)
     sub.add_argument("--out", default=None, help="write the code state JSON here")
     sub.set_defaults(func=_cmd_construct)
@@ -505,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--failed", type=int, required=True)
     sub.add_argument("--helpers", required=True, help="comma-separated node ids")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--max-attempts", type=int, default=16)
+    sub.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=_cmd_repair)
 
@@ -541,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--failure-policy", default="round-robin", choices=FAILURE_POLICIES)
     sub.add_argument("--helper-policy", default="uniform-random", choices=HELPER_POLICIES)
     sub.add_argument("--checks", default="invariant,reconstruction")
-    sub.add_argument("--max-attempts", type=int, default=16)
+    sub.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
     sub.add_argument("--out", default=None)
     sub.add_argument("--no-timing", action="store_true",
                      help="drop wall-time fields from stdout output")
@@ -560,7 +558,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConstructionFailed, RepairFailed) as exc:
+    except AttemptsExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ModelError, ConnectError, CodeError, GaloisError, ExactCodeError,

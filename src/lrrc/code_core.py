@@ -65,7 +65,7 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,6 +82,7 @@ from .galois import (
     matrix_from_dict,
     matrix_to_dict,
     rank_of_rows,
+    reject_unknown_keys,
     residue_array,
 )
 from .mfhs import (
@@ -106,42 +107,43 @@ class CodeError(Exception):
     pass
 
 
-class ConstructionFailed(CodeError):
-    """No sampled code passed verification within the attempt budget.
+class AttemptsExhausted(CodeError):
+    """No sample passed verification within the attempt budget.
 
     rejected_by holds, per attempt, the selection vector h that
-    invariant_failure reported.  No single h there is structural: its M
-    selected columns can be M distinct unit vectors, which have full
-    rank in every GF(q).  Only all conditions together can fail, and
+    invariant_failure reported.  Each subclass says why no single h
+    there is structural.  Only all conditions together can fail, and
     only at a small q: by the random linear network coding bound (Ho et
     al., IEEE Trans. IT 2006), a uniform sample fails some condition
     with probability below 1 once q reaches required_field_size.
     """
 
+    what = "sampling"
+
     def __init__(self, attempts: int, rejected_by: tuple[tuple[int, ...], ...] = ()) -> None:
-        super().__init__(f"construction rejected {attempts} times")
+        super().__init__(f"{self.what} rejected {attempts} times")
         self.attempts = attempts
         self.rejected_by = rejected_by
 
 
-class RepairFailed(CodeError):
-    """No sampled repair passed verification within the attempt budget.
-
-    rejected_by holds, per attempt, the selection vector h that
-    invariant_failure reported.  When the state under repair passes the
-    invariant, no single h there is structural: the 0/1 witness repair
-    for h (see witness_repair_check) makes the selection under h the
-    current state's selection under h' = connect_run(h).h_prime, which
-    has full rank.  Only all conditions together can fail, and only at
-    a small q: by the random linear network coding bound (Ho et al.,
-    IEEE Trans. IT 2006), a uniform sample fails some condition with
-    probability below 1 once q reaches required_field_size.
+class ConstructionFailed(AttemptsExhausted):
+    """No sampled code passed.  No single h in rejected_by is
+    structural: its M selected columns can be M distinct unit vectors,
+    which have full rank in every GF(q).
     """
 
-    def __init__(self, attempts: int, rejected_by: tuple[tuple[int, ...], ...] = ()) -> None:
-        super().__init__(f"repair rejected {attempts} times")
-        self.attempts = attempts
-        self.rejected_by = rejected_by
+    what = "construction"
+
+
+class RepairFailed(AttemptsExhausted):
+    """No sampled repair passed.  When the state under repair passes
+    the invariant, no single h in rejected_by is structural: the 0/1
+    witness repair for h (see witness_repair_check) makes the selection
+    under h the current state's selection under
+    h' = connect_run(h).h_prime, which has full rank.
+    """
+
+    what = "repair"
 
 
 class RankDeficient(CodeError):
@@ -162,7 +164,7 @@ class CodeState:
     field: FieldConfig
     packet_width: int
     Q: tuple[FieldMatrix, ...]
-    attempts: int = 1
+    attempts: int = dc_field(default=1, compare=False)
     field_below_bound: bool = dc_field(default=False, compare=False)
     # (hset, None) once this state passed invariant_failure on that
     # hset object in full; (hset, x) while it differs only at node x
@@ -282,22 +284,31 @@ def reconstruct_check(state: CodeState) -> bool:
     return bool(reconstruct_verdicts(state).all())
 
 
-def _rejections(states: Sequence[CodeState], hset: HSet) -> tuple[tuple[int, ...], ...]:
-    """The h that rejected each state.
+def _sample_until_accepted(
+    sample: Callable[[np.random.Generator, int], CodeState],
+    hset: HSet,
+    rng_seed: int,
+    max_attempts: int,
+    error: type[AttemptsExhausted],
+) -> CodeState:
+    """The first sample(rng, attempt), for attempt = 1..max_attempts,
+    that passes invariant_check; every sample draws from one Philox
+    generator seeded with rng_seed.
 
-    Recomputed only once an attempt budget is spent, so accepted calls
-    run exactly one invariant_check per attempt.
+    invariant_check runs once per attempt.  When all max_attempts
+    samples were rejected, raises error with the h that rejected each,
+    recomputed only then; raises CodeError when max_attempts is below 1.
     """
-    return tuple(invariant_failure(state, hset) for state in states)
-
-
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def _check_attempts(max_attempts: int) -> None:
     if max_attempts < 1:
         raise CodeError(f"max_attempts must be at least 1, got {max_attempts}")
+    rng = np.random.Generator(np.random.Philox(rng_seed))
+    rejected = []
+    for attempt in range(1, max_attempts + 1):
+        state = sample(rng, attempt)
+        if invariant_check(state, hset):
+            return state
+        rejected.append(state)
+    raise error(max_attempts, tuple(invariant_failure(state, hset) for state in rejected))
 
 
 def construct(
@@ -315,7 +326,6 @@ def construct(
     max_attempts samples were all rejected, and CodeError when
     max_attempts is below 1.
     """
-    _check_attempts(max_attempts)
     bound = required_field_size(params, hset)
     below = field.q < bound
     if below:
@@ -324,32 +334,15 @@ def construct(
             field.q,
             bound,
         )
-    rng = _generator(rng_seed)
-    q = field.q
-    rejected = []
-    for attempt in range(1, max_attempts + 1):
-        draws = rng.integers(0, q, size=(params.n, params.M, params.d), dtype=np.int64)
-        matrices = tuple(
-            FieldMatrix(
-                params.M,
-                params.d,
-                tuple(int(v) for v in node_draw.reshape(-1)),
-                field,
-            )
-            for node_draw in draws
-        )
-        state = CodeState(
-            params=params,
-            field=field,
-            packet_width=packet_width,
-            Q=matrices,
-            attempts=attempt,
-            field_below_bound=below,
-        )
-        if invariant_check(state, hset):
-            return state
-        rejected.append(state)
-    raise ConstructionFailed(max_attempts, _rejections(rejected, hset))
+
+    def sample(rng: np.random.Generator, attempt: int) -> CodeState:
+        draws = rng.integers(0, field.q, size=(params.n, params.M * params.d), dtype=np.int64)
+        matrices = tuple(FieldMatrix(params.M, params.d, tuple(row), field)
+                         for row in draws.tolist())
+        return CodeState(params=params, field=field, packet_width=packet_width, Q=matrices,
+                         attempts=attempt, field_below_bound=below)
+
+    return _sample_until_accepted(sample, hset, rng_seed, max_attempts, ConstructionFailed)
 
 
 def apply_repair_plan(state: CodeState, plan: RepairPlan) -> CodeState:
@@ -386,35 +379,28 @@ def repair_random(
     InvalidHelpers when helpers fail mfhs.checked_helpers, and
     CodeError when max_attempts is below 1.
     """
-    _check_attempts(max_attempts)
     params = state.params
     ordered = checked_helpers(params, failed, helpers)
     hset = h_enumerate(params)
     memo = state._checked
     base_passed = memo is not None and memo[0] is hset and memo[1] is None
-    rng = _generator(rng_seed)
-    q = state.field.q
-    d = params.d
-    rejected = []
-    for attempt in range(1, max_attempts + 1):
-        bs = rng.integers(0, q, size=(d, d), dtype=np.int64)
-        zs = rng.integers(0, q, size=(d, d), dtype=np.int64)
+    field, d = state.field, params.d
+
+    def sample(rng: np.random.Generator, attempt: int) -> CodeState:
+        bs = rng.integers(0, field.q, size=(d, d), dtype=np.int64)
+        zs = rng.integers(0, field.q, size=(d, d), dtype=np.int64)
         plan = RepairPlan(
             failed=failed,
             helpers=ordered,
-            combine=tuple(
-                FieldMatrix(d, 1, tuple(int(v) for v in bs[:, j]), state.field)
-                for j in range(d)
-            ),
-            mix=FieldMatrix(d, d, tuple(int(v) for v in zs.reshape(-1)), state.field),
+            combine=tuple(FieldMatrix(d, 1, tuple(column), field) for column in bs.T.tolist()),
+            mix=FieldMatrix(d, d, tuple(zs.reshape(-1).tolist()), field),
         )
         candidate = replace(apply_repair_plan(state, plan), attempts=attempt)
         if base_passed:
             object.__setattr__(candidate, "_checked", (hset, failed))
-        if invariant_check(candidate, hset):
-            return candidate
-        rejected.append(candidate)
-    raise RepairFailed(max_attempts, _rejections(rejected, hset))
+        return candidate
+
+    return _sample_until_accepted(sample, hset, rng_seed, max_attempts, RepairFailed)
 
 
 def witness_repair_check(
@@ -568,10 +554,11 @@ def state_to_dict(state: CodeState) -> dict:
 
 
 def state_from_dict(d: dict) -> CodeState:
-    missing = [key for key in ("params", "q", "W", "Q")
-               if not isinstance(d, dict) or key not in d]
+    keys = ("params", "q", "W", "Q")
+    missing = [key for key in keys if not isinstance(d, dict) or key not in d]
     if missing:
         raise CodeError(f"code state lacks {missing}")
+    reject_unknown_keys(d, keys, "code state", CodeError)
     if not isinstance(d["Q"], list):
         raise CodeError(f"code state's Q must be a list of matrices, got {type(d['Q']).__name__}")
     params = params_from_dict(d["params"])

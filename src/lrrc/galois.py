@@ -411,14 +411,14 @@ def matrix_to_dict(a: FieldMatrix) -> dict:
 
 
 def int_field(value: object, name: str, error: type[Exception] = GaloisError) -> int:
-    """A field read from a JSON document, as an int.
+    """A field read from a JSON document or the command line, as an int.
 
     Raises error naming the field when the value has a type int() does
-    not take (a list, an object, null), when it is a bool, and when it
-    is a float with a fractional part (or inf or nan), so a wrongly
-    typed input is a usage error, not a TypeError or a silent
-    truncation.  A string int() cannot parse still raises ValueError,
-    which the CLI also reports as a usage error.
+    not take (a list, an object, null), when it is a bool, when it is a
+    float with a fractional part (or inf or nan), and when it is a
+    string int() cannot parse, so a malformed input is a usage error
+    that names its field, not a TypeError, a bare ValueError or a
+    silent truncation.
     """
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise error(f"{name} must be an integer, got {json.dumps(value)}")
@@ -426,13 +426,25 @@ def int_field(value: object, name: str, error: type[Exception] = GaloisError) ->
         return int(value)  # type: ignore[call-overload]
     except TypeError:
         raise error(f"{name} must be an integer, got {type(value).__name__}") from None
+    except ValueError:
+        raise error(f"{name} must be an integer, got {json.dumps(value)}") from None
+
+
+def reject_unknown_keys(d: dict, keys: Sequence[str], name: str,
+                        error: type[Exception] = GaloisError) -> None:
+    """Raise error naming the first key of the JSON object d that is not
+    in keys, the keys its writer emits."""
+    unknown = [key for key in d if key not in keys]
+    if unknown:
+        raise error(f"{name} has unknown key {unknown[0]!r}")
 
 
 def matrix_from_dict(d: dict) -> FieldMatrix:
-    missing = [key for key in ("rows", "cols", "q", "entries")
-               if not isinstance(d, dict) or key not in d]
+    keys = ("rows", "cols", "q", "entries")
+    missing = [key for key in keys if not isinstance(d, dict) or key not in d]
     if missing:
         raise GaloisError(f"matrix lacks {missing}")
+    reject_unknown_keys(d, keys, "matrix")
     if not isinstance(d["entries"], list):
         raise GaloisError(f"matrix entries must be a list, got {type(d['entries']).__name__}")
     field = field_new(int_field(d["q"], "matrix q"))

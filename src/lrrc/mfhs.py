@@ -98,7 +98,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .galois import int_field
+from .galois import int_field, reject_unknown_keys
 
 H_ENUMERATION_LIMIT = 10_000_000
 """Cap on what h_enumerate visits and lists, each checked before the
@@ -603,6 +603,7 @@ def params_from_dict(d: dict) -> Params:
                if not isinstance(d, dict) or key not in d]
     if missing:
         raise ModelError(f"params lack {missing}")
+    reject_unknown_keys(d, ("n", "k", "d", "r", "M", "alpha", "beta"), "params", ModelError)
     params = params_new(*(int_field(d[key], f"params {key}", ModelError) for key in "nkdr"))
     for key in ("M", "alpha", "beta"):
         if key in d and int_field(d[key], f"params {key}", ModelError) != getattr(params, key):

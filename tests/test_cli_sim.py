@@ -380,6 +380,33 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert a.read_text() == b.read_text()
 
 
+def test_unparsable_integer_names_its_field(tmp_path, capsys, monkeypatch):
+    state = tmp_path / "state.json"
+    assert invoke(capsys, "construct", "6", "3", "2", "1", "--out", str(state))[0] == 0
+    cases = [
+        (("repair", "--state", str(state), "--failed", "1", "--helpers", "4,x"),
+         '--helpers entry must be an integer, got "x"'),
+        (("connect", "6", "3", "2", "1", "--h", "2,y", "--failed", "1", "--helpers", "4,5"),
+         '--h entry must be an integer, got "y"'),
+        (("verify", "--state", str(state), "--checks", "witness", "--witness-failed", "1",
+          "--witness-helpers", "4,z"),
+         '--witness-helpers entry must be an integer, got "z"'),
+        (("construct", "6", "3", "2", "1", "--q", "abc"), '--q must be an integer, got "abc"'),
+        (("simulate", "--n", "6", "--k", "3", "--d", "2", "--r", "1", "--q", "abc"),
+         "simulation config's q must be an integer, got \"abc\""),
+    ]
+    for argv, message in cases:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"error: {message}" in err
+    monkeypatch.setenv("LRRC_SEED", "abc")
+    for argv in (("construct", "6", "3", "2", "1"),
+                 ("simulate", "--n", "6", "--k", "3", "--d", "2", "--r", "1", "--rounds", "0")):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert 'error: LRRC_SEED must be an integer, got "abc"' in err
+
+
 def test_usage_error_exit_code(capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     assert invoke(capsys, "params", "6", "4")[0] == 2
@@ -472,13 +499,27 @@ def test_simulate_records_reconstruction_without_ranking(tmp_path, capsys, monke
      "simulation config has unknown check 'witnes'"),
     ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "round": 3, "sede": 4},
      "simulation config has unknown key 'round'"),
+    ("verify", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1, "alpah": 2}, "q": 7639,
+                           "W": 1, "Q": []},
+     "params has unknown key 'alpah'"),
+    ("verify", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": 7639, "W": 1,
+                           "Q": [], "Qx": []},
+     "code state has unknown key 'Qx'"),
+    ("verify", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": 7639, "W": 1,
+                           "Q": [{"rows": 4, "cols": 2, "q": 7639, "entries": [], "colz": 2}]},
+     "matrix has unknown key 'colz'"),
+    ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1, "M": 4, "alpah": 2}},
+     "params has unknown key 'alpah'"),
+    ("simulate", "--config", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "seed": "abc"},
+     "simulation config's seed must be an integer, got \"abc\""),
 ], ids=["verify-empty", "repair-empty", "verify-no-Q", "repair-no-Q", "verify-short-params",
         "verify-short-matrix", "simulate-no-params", "verify-Q-not-list",
         "simulate-checks-not-object", "verify-entries-not-list", "verify-q-not-int",
         "verify-params-k-not-int", "simulate-seed-not-int", "verify-k-fractional",
         "verify-W-fractional", "verify-W-bool", "simulate-rounds-fractional",
         "simulate-check-string", "simulate-check-int", "simulate-check-unknown",
-        "simulate-key-unknown"])
+        "simulate-key-unknown", "verify-params-key-unknown", "verify-state-key-unknown",
+        "verify-matrix-key-unknown", "simulate-params-key-unknown", "simulate-seed-string"])
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, flag, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

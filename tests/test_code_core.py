@@ -10,6 +10,7 @@ import pytest
 
 from lrrc import code_core, connect, mfhs
 from lrrc.code_core import (
+    AttemptsExhausted,
     CodeError,
     CodeState,
     ConstructionFailed,
@@ -668,6 +669,32 @@ def test_repair_failure_names_rejecting_h(small_state):
         # a rejected candidate differs from broken only in node 1, so an
         # h that skips node 1 must fail on broken itself
         assert _short_rank(broken, h) or h[0] > 0
+
+
+def test_budget_errors_share_one_base(small_state):
+    with pytest.raises(AttemptsExhausted) as built:
+        construct(P321, field_new(2), H321, rng_seed=0, max_attempts=3)
+    twins = small_state.Q[:4] + (small_state.Q[3],) + small_state.Q[5:]
+    broken = CodeState(params=P321, field=small_state.field, packet_width=1, Q=twins)
+    with pytest.raises(AttemptsExhausted) as repaired:
+        repair_random(broken, 1, (4, 5), rng_seed=0, max_attempts=2)
+    assert type(built.value) is ConstructionFailed
+    assert type(repaired.value) is RepairFailed
+    assert isinstance(built.value, CodeError)
+    assert (str(built.value), built.value.attempts) == ("construction rejected 3 times", 3)
+    assert (str(repaired.value), repaired.value.attempts) == ("repair rejected 2 times", 2)
+    assert built.value.rejected_by == ((0, 0, 0, 0, 2, 2), (0, 0, 0, 1, 1, 2), (0, 0, 0, 0, 2, 2))
+    assert repaired.value.rejected_by == ((0, 0, 0, 1, 1, 2),) * 2
+
+
+def test_attempts_are_provenance_not_content():
+    # seed 1 at GF(307) is rejected twice before a sample passes
+    state = construct(P641, field_new(307), H641, rng_seed=1, max_attempts=64)
+    assert state.attempts == 3
+    loaded = state_from_dict(state_to_dict(state))
+    assert loaded.attempts == 1
+    assert loaded == state
+    assert replace(state, attempts=7) == state
 
 
 def _recommended_state(params, hset, seed):

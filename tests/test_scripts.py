@@ -32,7 +32,7 @@ def test_module_entry_point_runs_the_cli():
 @pytest.mark.parametrize("argv,message", [
     (("--rounds", "-3"), "rounds must be nonnegative"),
     (("--q", "8"), "field size 8 is not prime"),
-    (("--q", "abc"), "invalid literal"),
+    (("--q", "abc"), "simulation config's q must be an integer"),
 ])
 def test_endurance_rejects_invalid_input(argv, message):
     child = run("scripts/endurance.py", *argv)
