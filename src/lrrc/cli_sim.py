@@ -217,6 +217,7 @@ def simulate(config: SimConfig) -> SimReport:
             "ok": False,
             "error": "ConstructionFailed",
             "attempts": exc.attempts,
+            "rejected_by": [list(h) for h in exc.rejected_by],
             "field_below_bound": q < bound,
         }
         planned: list[list[int]] = []
@@ -224,7 +225,7 @@ def simulate(config: SimConfig) -> SimReport:
         construction = {
             "ok": True,
             "attempts": state.attempts,
-            "field_below_bound": state.field_below_bound,
+            "field_below_bound": q < bound,
             "checks": dict(carried),
         }
         planned = _planned_failures(config, master)
@@ -255,10 +256,13 @@ def simulate(config: SimConfig) -> SimReport:
                         advanced = candidate
             except RepairFailed as exc:
                 exhausted = exc.attempts
+                rejected_by = [list(h) for h in exc.rejected_by]
                 event["error"] = "RepairFailed"
+                event["rejected_by"] = rejected_by
                 event["wall_time_s"] = time.perf_counter() - t0
                 events.append(event)
-                failure = {"round": round_no, "failed": failed, "error": "RepairFailed"}
+                failure = {"round": round_no, "failed": failed, "error": "RepairFailed",
+                           "rejected_by": rejected_by}
                 break
             assert advanced is not None
             state = advanced
@@ -374,7 +378,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         summary = {"q": q, "bound": bound, "attempts": state.attempts,
-                   "field_below_bound": state.field_below_bound,
+                   "field_below_bound": q < bound,
                    "h_count": len(hset), "out": args.out}
         _emit(summary)
     else:

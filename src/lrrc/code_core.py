@@ -154,10 +154,8 @@ class RankDeficient(CodeError):
 class CodeState:
     """One code: parameters, field, packet width W, and the Q matrices.
 
-    attempts records how many samples the producing call consumed;
-    field_below_bound flags a field smaller than the sufficient bound.
-    Both are provenance, not code content, and stay out of the JSON
-    form.
+    attempts records how many samples the producing call consumed.  It
+    is provenance, not code content, and stays out of the JSON form.
     """
 
     params: Params
@@ -165,7 +163,6 @@ class CodeState:
     packet_width: int
     Q: tuple[FieldMatrix, ...]
     attempts: int = dc_field(default=1, compare=False)
-    field_below_bound: bool = dc_field(default=False, compare=False)
     # (hset, None) once this state passed invariant_failure on that
     # hset object in full; (hset, x) while it differs only at node x
     # from a state that did.  Set only by invariant_failure and
@@ -327,8 +324,7 @@ def construct(
     max_attempts is below 1.
     """
     bound = required_field_size(params, hset)
-    below = field.q < bound
-    if below:
+    if field.q < bound:
         logger.warning(
             "field size %d is below the sufficient bound %d; construction may retry more",
             field.q,
@@ -340,7 +336,7 @@ def construct(
         matrices = tuple(FieldMatrix(params.M, params.d, tuple(row), field)
                          for row in draws.tolist())
         return CodeState(params=params, field=field, packet_width=packet_width, Q=matrices,
-                         attempts=attempt, field_below_bound=below)
+                         attempts=attempt)
 
     return _sample_until_accepted(sample, hset, rng_seed, max_attempts, ConstructionFailed)
 

@@ -9,11 +9,14 @@ the helpers a repair witness needs.
 
 Every ordering fact the correctness argument leans on is asserted at
 runtime instead of assumed: only the failed node may drift to a later
-position, the incremented helper crosses nobody, sortedness holds after
-every step, and the capped score of each intermediate order keeps
-majorizing the intermediate h.  Any violation raises
-InternalContradiction; a run that trips it on valid input is a finding
-about the procedure, not a recoverable condition.
+position, the incremented helper crosses nobody, and every state,
+t = 0 included, carries a certificate: mfhs.is_witness holds for its
+h along its order, which is H's definition met by that one order (the
+order sorts h and its score covers h position by position).  The last
+state's certificate proves h' in H, so no membership search runs on
+h'.  Any violation raises InternalContradiction; a run that trips it on
+valid input is a finding about the procedure, not a recoverable
+condition.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .mfhs import (
     Perm,
     checked_helpers,
     h_membership,
-    majorizes,
-    score_vectors,
+    is_witness,
+    majorizes,  # unused here; perfbench's tracer wraps this binding
 )
 
 
@@ -92,25 +95,20 @@ def step_resort(state: ConnectState, x: int) -> Perm:
     state carries the updated h next to the not-yet-updated perm.  The
     sort key is descending h with the previous position breaking ties,
     except that the failed node sinks to the end of its new class (it
-    is the one node allowed to move later).  Asserted: the result is
-    nonincreasing, every pair not involving the failed node or x keeps
-    its relative order, and x crosses no node at all besides possibly
-    the failed one.
+    is the one node allowed to move later).  Asserted: every pair not
+    involving the failed node or x keeps its relative order, and x
+    crosses no node at all besides possibly the failed one.  That the
+    result sorts h is part of the certificate connect_run checks next.
     """
     old_order = state.perm.order
     failed = state.failed
-    n = len(old_order)
-    sentinel = n + 1
+    sentinel = len(old_order) + 1
 
     def key(node: int) -> tuple[int, int]:
         tie = sentinel if node == failed else state.perm.position(node)
         return (-state.h[node - 1], tie)
 
     new_order = tuple(sorted(old_order, key=key))
-
-    values = [state.h[node - 1] for node in new_order]
-    if any(values[j] < values[j + 1] for j in range(n - 1)):
-        raise InternalContradiction(f"re-sorted order {new_order} is not nonincreasing")
 
     kept_old = [node for node in old_order if node not in (failed, x)]
     kept_new = [node for node in new_order if node not in (failed, x)]
@@ -134,15 +132,11 @@ def step_resort(state: ConnectState, x: int) -> Perm:
 
 
 def _check_state(params: Params, state: ConnectState) -> None:
-    values = [state.h[node - 1] for node in state.perm.order]
-    if any(values[j] < values[j + 1] for j in range(params.n - 1)):
+    """The state's certificate: is_witness(h, perm), else
+    InternalContradiction."""
+    if not is_witness(params, state.h, state.perm.order):
         raise InternalContradiction(
-            f"iteration {state.t}: h {state.h} not sorted along {state.perm.order}"
-        )
-    capped = score_vectors(params, state.perm).c
-    if not majorizes(capped, state.h):
-        raise InternalContradiction(
-            f"iteration {state.t}: capped score {capped} fails to majorize {state.h}"
+            f"iteration {state.t}: order {state.perm.order} does not sort and cover {state.h}"
         )
 
 
@@ -151,8 +145,12 @@ def connect_run(params: Params, h: Sequence[int], helpers: Sequence[int], failed
 
     h' agrees with h everywhere except that the failed coordinate drops
     to zero and h_failed helpers each gain exactly one unit.  The trace
-    holds one state per iteration, t = 0 included.  h' is re-checked
-    for admissibility; failure there is an InternalContradiction.
+    holds one state per iteration, t = 0 included, and each state's
+    certificate (mfhs.is_witness along its order) is checked.  The last
+    state's certificate proves h' in H: h' is sorted along an order
+    whose score covers it, sum(h') = sum(h) <= M, and h' <= d because
+    position 1 scores d.  So the one membership search of a run is
+    initial_perm's on h.
     """
     h = tuple(h)
     perm = initial_perm(params, h, helpers, failed)
@@ -187,10 +185,7 @@ def connect_run(params: Params, h: Sequence[int], helpers: Sequence[int], failed
         trace.append(state)
         incremented.append(x)
 
-    h_prime = tuple(current)
-    if not h_membership(params, h_prime).member:
-        raise InternalContradiction(f"output vector {h_prime} left the admissible set")
-    return ConnectResult(h_prime=h_prime, incremented=tuple(incremented), trace=tuple(trace))
+    return ConnectResult(h_prime=tuple(current), incremented=tuple(incremented), trace=tuple(trace))
 
 
 def connect_state_to_dict(state: ConnectState) -> dict:

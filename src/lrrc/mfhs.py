@@ -40,8 +40,10 @@ this module.
 The cap never decides membership.  Each c-prefix is min(b-prefix, M),
 and every h-prefix is at most sum(h); so when sum(h) <= M, c covers an
 h-prefix exactly when b does, and when sum(h) > M no order covers h.
-h_membership therefore searches sorting orders on raw scores alone,
-memoized on placed counts per family.
+is_witness is therefore this definition applied to one order, on raw
+scores; h_membership searches sorting orders the same way, memoized on
+placed counts per family, and connect certifies each step of its
+procedure with is_witness.
 
 Lemma A: every h in H with sum(h) < M has some h + e_x in H, so H's
 maximal members (no h + e_x in H) are exactly its members of total M.
@@ -326,6 +328,32 @@ def majorizes(a: Sequence[int], b: Sequence[int]) -> bool:
     return True
 
 
+def is_witness(params: Params, h: Sequence[int], order: Sequence[int]) -> bool:
+    """Whether order, a permutation of nodes 1..n, proves h in H: h's
+    entries lie in 0..d and total at most M, order sorts h
+    nonincreasingly, and the raw score of order covers h at every
+    position prefix, which by the cap lemma above is the capped score's
+    coverage."""
+    if len(h) != params.n:
+        raise LengthMismatch(f"h over {len(h)} nodes, params say {params.n}")
+    if sum(h) > params.M or min(h) < 0 or max(h) > params.d:
+        return False
+    d, f = params.d, params.family_size
+    placed = [0] * params.num_families
+    slack = 0
+    previous = d
+    for i, node in enumerate(order):
+        value = h[node - 1]
+        g = (node - 1) // f
+        z = i - placed[g]
+        slack += (d - z if z < d else 0) - value
+        if slack < 0 or value > previous:
+            return False
+        previous = value
+        placed[g] += 1
+    return True
+
+
 def h_membership(params: Params, h: Sequence[int]) -> MembershipResult:
     """Decide h in H, returning a witness order when it is.
 
@@ -341,9 +369,9 @@ def h_membership(params: Params, h: Sequence[int]) -> MembershipResult:
     the canonical one (h descending, ties by ascending node index).
 
     The search's first descent is the canonical order itself: each group
-    tries its lowest-index node first, and nothing has failed yet.  So a
-    single pass along that order runs first, without the group and
-    family-state bookkeeping, and when it covers h its order is the
+    tries its lowest-index node first, and nothing has failed yet.  So
+    is_witness runs first on that order, a single pass without the group
+    and family-state bookkeeping, and when it holds, the order is the
     witness the search would return.  At the 98 scope points of the
     tests, the pass alone answers all 126,015 members among the 138,071
     candidates of total at most M, and with or without it every verdict
@@ -352,21 +380,12 @@ def h_membership(params: Params, h: Sequence[int]) -> MembershipResult:
     """
     if len(h) != params.n:
         raise LengthMismatch(f"h over {len(h)} nodes, params say {params.n}")
-    if sum(h) > params.M or min(h) < 0 or max(h) > params.d:
-        return MembershipResult(False, None)
     n, d, f = params.n, params.d, params.family_size
     canonical = sorted(range(1, n + 1), key=lambda node: (-h[node - 1], node))
-    placed = [0] * params.num_families
-    slack = 0
-    for i, node in enumerate(canonical):
-        g = (node - 1) // f
-        z = i - placed[g]
-        slack += (d - z if z < d else 0) - h[node - 1]
-        if slack < 0:
-            break
-        placed[g] += 1
-    else:
+    if is_witness(params, h, canonical):
         return MembershipResult(True, Perm(tuple(canonical)))
+    if sum(h) > params.M or min(h) < 0 or max(h) > params.d:
+        return MembershipResult(False, None)
     placed = [0] * params.num_families
     order: list[int] = []
     failed: set[tuple[tuple[int, ...], int]] = set()

@@ -283,8 +283,12 @@ def test_construction_failure_report():
     report = simulate(SimConfig(params=params_new(6, 3, 2, 1), q=2, rounds=3))
     doc = report.to_dict(include_timing=False)
     assert report.passed is False
+    rejected_by = ([[0, 0, 0, 2, 0, 2]] * 2 + [[0, 0, 0, 1, 1, 2], [0, 0, 0, 1, 2, 1]]
+                   + [[0, 0, 0, 0, 2, 2]] * 9 + [[0, 0, 0, 2, 1, 1], [0, 0, 0, 0, 2, 2],
+                                                 [0, 0, 0, 1, 2, 1]])
     assert doc["construction"] == {"ok": False, "error": "ConstructionFailed",
-                                   "attempts": 16, "field_below_bound": True}
+                                   "attempts": 16, "rejected_by": rejected_by,
+                                   "field_below_bound": True}
     assert doc["events"] == []
     assert doc["aggregate"] == {"events_total": 0, "events_passed": 0, "total_attempts": 0,
                                 "retry_histogram": {}, "repair_failure_rate": 0.0}
@@ -306,7 +310,35 @@ def test_corrupted_construction_is_caught_by_the_next_repair(monkeypatch):
     report = simulate(SimConfig(params=params_new(6, 3, 2, 1), rounds=2))
     assert report.passed is False
     assert [(e["round"], e.get("error")) for e in report.events] == [(1, "RepairFailed")]
-    assert report.aggregate["failure"] == {"round": 1, "failed": 1, "error": "RepairFailed"}
+    # every attempt is rejected by a selection that reads the zeroed node 4
+    rejected_by = [[0, 0, 0, 1, 1, 2]] * 16
+    assert report.events[0]["rejected_by"] == rejected_by
+    assert report.aggregate["failure"] == {"round": 1, "failed": 1, "error": "RepairFailed",
+                                           "rejected_by": rejected_by}
+
+
+def test_repair_failure_report_names_the_rejecting_h(monkeypatch):
+    # GF(3) at (4,2,1,1): round 5's repair of node 1 from node 3 is
+    # rejected twice, both times by h = (1, 0, 0, 0)
+    raised = []
+    real_repair = cli_sim.repair_random
+
+    def recording_repair(*args, **kwargs):
+        try:
+            return real_repair(*args, **kwargs)
+        except code_core.RepairFailed as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(cli_sim, "repair_random", recording_repair)
+    report = simulate(SimConfig(params=params_new(4, 2, 1, 1), q=3, seed=1, rounds=8,
+                                max_attempts=2))
+    assert report.passed is False
+    assert report.events[-1]["round"] == 5
+    assert report.events[-1]["rejected_by"] == [list(h) for h in raised[0].rejected_by]
+    assert report.events[-1]["rejected_by"] == [[1, 0, 0, 0]] * 2
+    assert report.aggregate["failure"] == {"round": 5, "failed": 1, "error": "RepairFailed",
+                                           "rejected_by": [[1, 0, 0, 0]] * 2}
 
 
 def test_simulate_never_lists_h(monkeypatch):

@@ -81,7 +81,6 @@ def test_required_field_size_frozen():
 
 def test_construct_first_attempt_and_checks(small_state):
     assert small_state.attempts == 1
-    assert not small_state.field_below_bound
     assert invariant_check(small_state, H321)
     assert reconstruct_check(small_state)
     assert len(small_state.Q) == 6
@@ -103,7 +102,6 @@ def test_construct_below_bound_sets_flag(caplog):
 
     with caplog.at_level(logging.WARNING, logger="lrrc.code_core"):
         state = construct(P321, field_new(101), H321, rng_seed=5)
-    assert state.field_below_bound
     assert any("below" in rec.message for rec in caplog.records)
     # small fields can still succeed; the invariant must genuinely hold
     assert invariant_check(state, H321)
@@ -517,7 +515,6 @@ def test_serialization_rejects_bad_field(small_state):
 def test_construct_larger_point_at_recommended_field():
     state = construct(P641, field_new(142151), H641, rng_seed=1)
     assert state.attempts == 1
-    assert not state.field_below_bound
     assert reconstruct_check(state)
 
 

@@ -8,17 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrrc import code_core, mfhs
+from lrrc import code_core, connect, mfhs
 from lrrc.connect import (
+    ConnectState,
     InternalContradiction,
+    _check_state,
     connect_run,
     connect_state_to_dict,
     initial_perm,
 )
-from lrrc.mfhs import HNotMember, h_enumerate, majorizes, params_new, score_vectors
+from lrrc.mfhs import HNotMember, Perm, h_enumerate, majorizes, params_new, score_vectors
+from membership_oracle import covers_along
 
 P641 = params_new(6, 4, 3, 1)
 P321 = params_new(6, 3, 2, 1)
+P8531 = params_new(8, 5, 3, 1)
 
 
 def test_initial_perm_orders_by_value_then_helpers_then_index():
@@ -50,8 +54,7 @@ def test_worked_trace():
     assert result.incremented == (4, 5, 3)
     # the failed node ends drained and every intermediate state certifies
     for state in result.trace:
-        sv = score_vectors(P641, state.perm)
-        assert majorizes(sv.c, state.h)
+        assert covers_along(P641, state.h, state.perm.order)
     assert result.trace[-1].h[0] == 0
 
 
@@ -106,7 +109,7 @@ def test_increments_respect_degree_cap():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_random_runs_keep_certificates(data):
-    params = data.draw(st.sampled_from([P641, P321]))
+    params = data.draw(st.sampled_from([P641, P321, P8531]))
     hs = h_enumerate(params)
     h = data.draw(st.sampled_from(hs.members))
     failed = data.draw(st.integers(1, params.n))
@@ -118,8 +121,7 @@ def test_random_runs_keep_certificates(data):
     )))
     result = connect_run(params, h, helpers, failed)
     for state in result.trace:
-        sv = score_vectors(params, state.perm)
-        assert majorizes(sv.c, state.h)
+        assert covers_along(params, state.h, state.perm.order)
         vals = [state.h[node - 1] for node in state.perm.order]
         assert all(vals[j] >= vals[j + 1] for j in range(params.n - 1))
     assert result.h_prime in hs
@@ -149,6 +151,41 @@ def test_full_sweep_small_params_no_contradiction():
                 connect_run(P321, h, helpers, failed)
                 runs += 1
     assert runs == len(hs) * 6 * 3  # 159 * 18 = 2862
+
+
+def test_certificate_covers_position_by_position():
+    # family size 4: the capped score (3, 3, 1, 2, 0, 0, 0, 0) of this
+    # order majorizes h once sorted, but along the order h asks 3, 3, 2
+    # of the first three positions and they score 3, 3, 1
+    order = (8, 5, 3, 6, 4, 2, 7, 1)
+    h = (0, 0, 2, 0, 3, 1, 0, 3)
+    capped = score_vectors(P8531, Perm(order)).c
+    assert capped == (3, 3, 1, 2, 0, 0, 0, 0) and majorizes(capped, h)
+    state = ConnectState(t=0, h=h, pool=frozenset(), perm=Perm(order), failed=1)
+    with pytest.raises(InternalContradiction, match="does not sort and cover"):
+        _check_state(P8531, state)
+
+
+@pytest.mark.parametrize("params", [P641, P8531], ids=["6-4-3-1", "8-5-3-1"])
+def test_one_membership_search_per_run(monkeypatch, params):
+    # the last state's certificate proves h' in H, so the only search is
+    # initial_perm's on h
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return mfhs.h_membership(*args)
+
+    monkeypatch.setattr(connect, "h_membership", counting)
+    hs = h_enumerate(params)
+    runs = 0
+    for h in hs.maximal[:50]:
+        for failed in (1, params.n):
+            helpers = sorted(mfhs.helper_universe(params, failed))[: params.d]
+            connect_run(params, h, helpers, failed)
+            runs += 1
+            assert len(calls) == runs
+    assert [args[1] for args in calls[-2:]] == [hs.maximal[49]] * 2
 
 
 def test_internal_contradiction_is_exported():

@@ -25,6 +25,7 @@ from lrrc.mfhs import (
     h_enumerate,
     h_membership,
     helper_universe,
+    is_witness,
     majorizes,
     params_from_dict,
     params_new,
@@ -204,6 +205,12 @@ def test_capped_and_raw_scores_cover_alike(nkdr, data):
     along = [h[i - 1] for i in order]
     by_b = all(sum(b[:m]) >= sum(along[:m]) for m in range(1, p.n + 1))
     assert covers_along(p, h, order) == by_b
+    # is_witness is this coverage along a sorting order; the order drawn
+    # rarely sorts h, so also try it stably re-sorted by h
+    sorts = all(along[j] >= along[j + 1] for j in range(p.n - 1))
+    assert is_witness(p, h, order) == (covers_along(p, h, order) and sorts)
+    resorted = sorted(order, key=lambda i: -h[i - 1])
+    assert is_witness(p, h, resorted) == covers_along(p, h, resorted)
 
 
 def test_membership_covers_position_by_position():
