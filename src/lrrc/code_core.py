@@ -14,10 +14,14 @@ total M).  Every member of H lies below a maximal one, and lowering h_i
 drops trailing columns of node i from the selection; a subset of
 independent columns stays independent, so the maximal members decide
 the whole of H.  Their selections are gathered from one M x (n*d) array
-of the Q matrices and decided by one galois.full_column_rank call:
-batched int64 numpy elimination for q < 2^31, on signed residues that
-are reduced only when the next update could leave int64, and
-rank_of_rows on each selection above that.
+of the Q matrices, which each CodeState builds once and keeps, by
+galois.first_rank_deficient: in chunks of 4096 in member order, each
+eliminated in batched int64 numpy for q < 2^31, on signed residues that
+are reduced only when the next update could leave int64, and by
+rank_of_rows per selection above that.  The sweep stops at the first
+chunk that holds a failure, so a rejected state costs one chunk at
+most, and memory stays bounded at points with 10^5 and more maximal
+members.
 
 A repair rechecks only the selections it changes.  Repairing node x
 replaces Q_x alone, so a maximal h with h_x = 0 selects the same
@@ -28,7 +32,9 @@ only, the maximal members with h_x > 0 (265 of 384 at (6,4,3,1)).  A
 CodeState remembers that it passed in a private field that is no part
 of its content or JSON form; a state made by its constructor, by
 dataclasses.replace or by state_from_dict starts without it and is
-ranked in full.
+ranked in full.  The candidate's array is the base's array with node
+x's d columns replaced by the new Q_x, which apply_repair_plan computes
+in numpy from the helpers' columns of that same array.
 
 Lemma C: every set S of k nodes contains the support of a maximal
 member of H, so every state that passes invariant_check lets any k
@@ -70,9 +76,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .galois import (
+    DimensionMismatch,
     FieldConfig,
     FieldMatrix,
+    FieldMismatch,
     field_new,
+    first_rank_deficient,
     full_column_rank,
     int_field,
     mat_hstack,
@@ -170,6 +179,10 @@ class CodeState:
     # empty, so such states are ranked in full.
     _checked: tuple[HSet, int | None] | None = dc_field(
         default=None, init=False, compare=False, repr=False)
+    # [Q_1 | ... | Q_n] as a read-only array, once _coefficients or
+    # apply_repair_plan has built it; never content, never copied by
+    # replace.
+    _coef: np.ndarray | None = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.Q) != self.params.n:
@@ -211,10 +224,16 @@ def required_field_size(params: Params, hset: HSet) -> int:
 
 
 def _coefficients(state: CodeState) -> np.ndarray:
-    """[Q_1 | ... | Q_n] as one M x (n*d) galois.residue_array."""
-    params = state.params
-    flat = residue_array([qm.entries for qm in state.Q], state.field.q)
-    return flat.reshape(params.n, params.M, params.d).transpose(1, 0, 2).reshape(params.M, -1)
+    """[Q_1 | ... | Q_n] as one read-only M x (n*d) galois.residue_array,
+    built on first use and kept on the state."""
+    coef = state._coef
+    if coef is None:
+        params = state.params
+        flat = residue_array([qm.entries for qm in state.Q], state.field.q)
+        coef = flat.reshape(params.n, params.M, params.d).transpose(1, 0, 2).reshape(params.M, -1)
+        coef.setflags(write=False)
+        object.__setattr__(state, "_coef", coef)
+    return coef
 
 
 def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
@@ -222,7 +241,8 @@ def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     column rank; None when every admissible selection keeps it.
 
     Checking the maximal members suffices: see the module docstring.
-    They all total M, so one batch of M x M selections decides them.
+    They all total M, so their M x M selections decide them, gathered
+    and ranked by galois.first_rank_deficient in chunks.
     A candidate that repair_random marked as differing from a passing
     state only at node x is ranked on hset.node_rows[x - 1] alone: every
     other maximal h selects the columns that passed in that state, so
@@ -234,11 +254,10 @@ def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     if memo is not None and memo[0] is hset and memo[1] is not None:
         rows = hset.node_rows[memo[1] - 1]
     columns = hset.maximal_columns if rows is None else hset.maximal_columns[rows]
-    ok = full_column_rank(_coefficients(state)[:, columns].transpose(1, 0, 2), state.field.q)
-    if ok.all():
+    first = first_rank_deficient(_coefficients(state), columns, state.field.q)
+    if first is None:
         object.__setattr__(state, "_checked", (hset, None))
         return None
-    first = int(np.argmin(ok))
     return hset.maximal[first if rows is None else rows[first]]
 
 
@@ -344,16 +363,41 @@ def construct(
 def apply_repair_plan(state: CodeState, plan: RepairPlan) -> CodeState:
     """Replace the failed node's matrix as the plan dictates.
 
-    Performs no verification; callers decide whether to keep the
-    result.
+    Computed in numpy from the helpers' columns of state's coefficient
+    array, in its residue_array dtype: int64 below 2^31, where each
+    product of two residues stays below 2^62 and is reduced mod q
+    before the sums, and Python ints above.  The result keeps a copy
+    of that array with the failed node's columns replaced.  Performs no
+    verification; callers decide whether to keep the result.  Raises
+    FieldMismatch and DimensionMismatch, as the matrix products would,
+    when the plan's matrices live in another field or do not fit.
     """
-    columns = [
-        mat_mul(state.Q[x - 1], b) for x, b in zip(plan.helpers, plan.combine)
-    ]
-    replacement = mat_mul(mat_hstack(columns), plan.mix)
+    params, q = state.params, state.field.q
+    d, x = params.d, plan.failed
+    if any(m.field != state.field for m in (*plan.combine, plan.mix)):
+        raise FieldMismatch(f"repair plan is not over GF({q})")
+    if (len(plan.combine), plan.mix.rows) != (len(plan.helpers),) * 2 or any(
+            (b.rows, b.cols) != (d, 1) for b in plan.combine):
+        raise DimensionMismatch(
+            f"repair plan for {len(plan.helpers)} helpers needs as many {d}x1 combine "
+            f"vectors and {len(plan.helpers)} mix rows")
+    coef = _coefficients(state)
+    # helpers[i, j, c] is entry (i, c) of Q_{helpers[j]}
+    picked = [(node - 1) * d + c for node in plan.helpers for c in range(d)]
+    helpers = coef[:, picked].reshape(params.M, len(plan.helpers), d)
+    combine = residue_array([b.entries for b in plan.combine], q)
+    mix = residue_array(plan.mix.entries, q).reshape(plan.mix.rows, plan.mix.cols)
+    columns = (helpers * combine % q).sum(axis=2) % q
+    replacement = (columns[:, :, None] * mix % q).sum(axis=1) % q
     new_q = list(state.Q)
-    new_q[plan.failed - 1] = replacement
-    return replace(state, Q=tuple(new_q))
+    new_q[x - 1] = FieldMatrix(params.M, plan.mix.cols, tuple(replacement.reshape(-1).tolist()),
+                               state.field)
+    repaired = replace(state, Q=tuple(new_q))
+    new_coef = coef.copy()
+    new_coef[:, (x - 1) * d:x * d] = replacement
+    new_coef.setflags(write=False)
+    object.__setattr__(repaired, "_coef", new_coef)
+    return repaired
 
 
 def repair_random(
@@ -391,7 +435,10 @@ def repair_random(
             combine=tuple(FieldMatrix(d, 1, tuple(column), field) for column in bs.T.tolist()),
             mix=FieldMatrix(d, d, tuple(zs.reshape(-1).tolist()), field),
         )
-        candidate = replace(apply_repair_plan(state, plan), attempts=attempt)
+        candidate = apply_repair_plan(state, plan)
+        # the candidate is new and unshared: set its provenance in place,
+        # so that it keeps the array apply_repair_plan built
+        object.__setattr__(candidate, "attempts", attempt)
         if base_passed:
             object.__setattr__(candidate, "_checked", (hset, failed))
         return candidate

@@ -9,12 +9,15 @@ Matrices are immutable, row-major, and store canonical residues in
   mat_rank, mat_solve and mat_inv (through mat_solve) all run on it,
   and it is the reference the batched kernel is tested against.
 - full_column_rank, which decides full column rank for a whole stack of
-  equal-shape matrices at once.  For q < 2^31 it eliminates in int64
-  numpy arrays; above that it falls back to rank_of_rows per matrix.
-  Its int64 entries are signed residues in (-q, q), and it reduces them
-  only when exactness needs it: a Python int bound holds the largest
-  |entry| its trailing block can reach, and the block is reduced only
-  before an update whose result could reach 2^63 (bound * q + q * q).
+  equal-shape matrices at once, and first_rank_deficient, which gathers
+  such stacks from the columns of one coefficient array in chunks of
+  RANK_CHUNK and names the first matrix that fails.  Both run one
+  elimination loop on an int64 array with the batch as its last axis
+  for q < 2^31; above that they fall back to rank_of_rows per matrix.
+  The loop's entries are signed residues in (-q, q) only where a zero
+  test needs them.  A Python int bound holds the largest |entry| its
+  trailing rows can reach, and those rows are reduced only before an
+  update whose result could reach 2^63 (2 * bound * q).
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ __all__ = [
     "rank_of_rows",
     "BATCH_Q_LIMIT",
     "residue_array",
+    "RANK_CHUNK",
     "full_column_rank",
+    "first_rank_deficient",
 ]
 
 
@@ -287,11 +292,21 @@ def mat_rank(a: FieldMatrix) -> int:
     return rank_of_rows(a.to_rows(), a.field.q)
 
 
-# Below this modulus a trailing block just reduced to signed residues
-# (|entry| <= q - 1) always takes one more update inside int64:
-# (q - 1) * q + q * q < 2 * q * q <= 2^63, so full_column_rank needs at
-# most one reduction per column and never overflows.
+# Below this modulus rows just reduced to signed residues (|entry| <=
+# q - 1) always take one more update inside int64: 2 * (q - 1) * q <
+# 2 * q * q <= 2^63, so the elimination loop needs at most one reduction
+# per column and never overflows.
 BATCH_Q_LIMIT = 2**31
+
+# first_rank_deficient eliminates at most this many matrices at once:
+# its working set is two int64 arrays of about m * s * 4096 entries,
+# some 20 MB for 18 x 18 selections, and it stops after the chunk that
+# holds the first failure.
+RANK_CHUNK = 4096
+
+
+def _residue_dtype(q: int) -> type:
+    return np.int64 if q < BATCH_Q_LIMIT else object
 
 
 def residue_array(values: Sequence, q: int) -> np.ndarray:
@@ -299,73 +314,116 @@ def residue_array(values: Sequence, q: int) -> np.ndarray:
     stacks from: int64 below BATCH_Q_LIMIT, where the kernel eliminates
     in numpy, and Python ints (dtype=object) above it, so any residue
     fits and no product overflows."""
-    return np.array(values, dtype=np.int64 if q < BATCH_Q_LIMIT else object)
+    return np.array(values, dtype=_residue_dtype(q))
+
+
+def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
+    """Which matrices of an (m, s, B) stack, batch last, have full column
+    rank s mod q; the elimination loop behind full_column_rank and
+    first_rank_deficient.  It owns a and overwrites it.
+
+    Entries must be canonical residues, in an int64 array for q <
+    BATCH_Q_LIMIT and a residue_array above it, where each matrix goes
+    to rank_of_rows instead.  Below the limit the whole stack is
+    eliminated together, fraction-free: each lower row becomes
+    row * p - f * pivot_row, with pivot p and the row's own entry f
+    below it, so no modular inverse is needed.  The batch is the
+    contiguous axis, so every row operation is one long vector
+    operation.
+
+    Pivots.  With every diagonal entry of a column nonzero, each
+    matrix's pivot is its diagonal row, so the diagonal alone is tested
+    and no row moves.  Otherwise only the matrices whose diagonal entry
+    is 0 are searched, and those with a nonzero entry below it swap that
+    row up.  A matrix without one is rank deficient; it keeps p = f = 0,
+    so its rows just zero out.
+
+    Delayed reductions.  np.fmod keeps the sign of its argument, so a
+    reduced entry lies in (-q, q) and is zero exactly when it is 0 mod
+    q.  Invariant: the Python int bound is at least every |entry| of
+    the trailing rows (col and below) in the trailing columns (col + 1
+    on).  Before each column's zero test only that column is reduced,
+    so |p| and |f| are at most q - 1, while the rows themselves, the
+    pivot row among them, are at most bound.  An update leaves
+    |row * p - f * pivot_row| <= 2 * bound * (q - 1) < 2 * bound * q,
+    and every product and difference on the way is no larger.  The
+    trailing rows are reduced (bound = q - 1) only when 2 * bound * q
+    would reach 2^63, which keeps every update exact in int64; each
+    update then raises bound to 2 * bound * q, the new invariant.  A
+    swap moves a trailing row to the pivot position, inside the same
+    bound.  Since 2 * (q - 1) * q < 2^63 for q < BATCH_Q_LIMIT, a
+    reduction is always followed by at least one update.  At q = 142151
+    a 7 x 7 stack is reduced twice, not after each of its six updates.
+    """
+    m, s, count = a.shape
+    if q >= BATCH_Q_LIMIT:
+        return np.array([rank_of_rows(a[:, :, i].tolist(), q) == s for i in range(count)],
+                        dtype=bool)
+    if s > m:
+        return np.zeros(count, dtype=bool)
+    ok = np.ones(count, dtype=bool)
+    # the products of one update; the first column's update is the largest
+    products = np.empty((m - 1) * (s - 1) * count if s > 1 else 0, dtype=np.int64)
+    bound = q - 1
+    for col in range(s):
+        column = a[col:, col]
+        if col:  # the first column holds canonical residues already
+            np.fmod(column, q, out=column)
+        diagonal = column[0]
+        if np.count_nonzero(diagonal) < count:
+            lacking = np.flatnonzero(diagonal == 0)
+            below = column[:, lacking] != 0
+            found = below.any(axis=0)
+            ok[lacking[~found]] = False
+            swap = lacking[found]
+            pivot = below[:, found].argmax(axis=0) + col
+            rows = a[pivot, col:, swap]
+            a[pivot, col:, swap] = a[col, col:, swap]
+            a[col, col:, swap] = rows
+        if col + 1 == s:
+            break
+        trailing = a[col:, col + 1:]
+        if 2 * bound * q >= 2**63:
+            np.fmod(trailing, q, out=trailing)
+            bound = q - 1
+        bound *= 2 * q
+        block = a[col + 1:, col + 1:]
+        block *= a[col, col]
+        product = products[:block.size].reshape(block.shape)
+        np.multiply(a[col + 1:, col, None], a[col, col + 1:], out=product)
+        block -= product
+    return ok
 
 
 def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
     """Which matrices of a (B, m, s) stack have full column rank s mod q.
 
-    Entries must be canonical residues.  For q < BATCH_Q_LIMIT the whole
-    stack is eliminated together in int64, fraction-free: each lower row
-    becomes row * p - f * pivot_row, with pivot p and the row's own
-    entry f below it, so no modular inverse is needed.  Larger q runs
-    rank_of_rows on each matrix; build such stacks with residue_array, so
-    that residues that do not fit int64 stay Python ints.  Returns a
-    bool array of length B.
-
-    Reductions are delayed.  Entries are signed residues: np.fmod keeps
-    the sign of its argument, so a reduced entry lies in (-q, q) and is
-    zero exactly when it is 0 mod q.  The invariant: the Python int
-    bound is at least every |entry| of the trailing block.  Before each
-    column's zero test only that column is reduced, then the pivot row
-    once any swap has put it in place, so |p|, |f| and the pivot row's
-    entries are at most q - 1 and an update leaves
-    |row * p - f * pivot_row| <= bound * (q - 1) + (q - 1)^2, below
-    bound * q + q * q.  The block is reduced (bound = q - 1) only when
-    that sum would reach 2^63; otherwise every product and difference
-    stays exact in int64.  Each update then raises bound to
-    bound * q + q * q.  At q = 142151 a 7 x 7 stack is reduced twice,
-    not after each of its six updates.
+    Entries must be canonical residues; build stacks for q >=
+    BATCH_Q_LIMIT with residue_array, so that residues that do not fit
+    int64 stay Python ints.  The stack is copied batch last and
+    eliminated as _eliminate describes.  Returns a bool array of length
+    B.
     """
-    count, m, s = stack.shape
-    if q >= BATCH_Q_LIMIT:
-        return np.array(
-            [rank_of_rows(mat.tolist(), q) == s for mat in stack], dtype=bool
-        )
-    if s > m:
-        return np.zeros(count, dtype=bool)
-    # (m, s, B): the batch is the contiguous axis, so every row
-    # operation below is one long vector operation
-    a = np.array(stack.transpose(1, 2, 0), dtype=np.int64, order="C")
-    ok = np.ones(count, dtype=bool)
-    bound = q - 1
-    for col in range(s):
-        column = a[col:, col]
-        np.fmod(column, q, out=column)
-        # with every diagonal entry nonzero, each matrix's pivot is its
-        # diagonal row, so the diagonal alone is tested and no row moves
-        if not column[0].all():
-            # a matrix without a pivot here keeps p = f = 0, so its rows
-            # just zero out; its verdict is already False
-            nonzero = column != 0
-            ok &= nonzero.any(axis=0)
-            pivot = nonzero.argmax(axis=0) + col
-            batch = np.arange(count)
-            prow = a[pivot, :, batch].T.copy()
-            a[pivot, :, batch] = a[col].T
-            a[col] = prow
-        if col + 1 == s:
-            break
-        prow = a[col, col + 1:]
-        np.fmod(prow, q, out=prow)
-        block = a[col + 1:, col + 1:]
-        if bound * q + q * q >= 2**63:
-            np.fmod(block, q, out=block)
-            bound = q - 1
-        bound = bound * q + q * q
-        block *= a[col, col]
-        block -= a[col + 1:, col, None] * prow
-    return ok
+    return _eliminate(np.array(stack.transpose(1, 2, 0), dtype=_residue_dtype(q), order="C"), q)
+
+
+def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int) -> int | None:
+    """The first row of columns whose selection of coef's columns lacks
+    full column rank mod q, or None when every selection has it.
+
+    coef is an m x N residue_array and columns a (B, s) index array into
+    its columns.  Row i selects the m x s matrix coef[:, columns[i]].
+    The rows are gathered in member order, RANK_CHUNK at a time,
+    straight into the batch-last layout that _eliminate works on, and
+    the call returns at the first chunk that holds a failure.  The
+    index it returns is the one a single call on all rows would give,
+    and memory stays bounded however many rows there are.
+    """
+    for start in range(0, len(columns), RANK_CHUNK):
+        ok = _eliminate(np.take(coef, columns[start:start + RANK_CHUNK].T, axis=1), q)
+        if not ok.all():
+            return start + int(np.argmin(ok))
+    return None
 
 
 def mat_solve(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:

@@ -6,9 +6,10 @@ import itertools
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from lrrc import code_core, connect, mfhs
+from lrrc import code_core, connect, galois, mfhs
 from lrrc.code_core import (
     AttemptsExhausted,
     CodeError,
@@ -35,10 +36,14 @@ from lrrc.code_core import (
 )
 from lrrc.galois import (
     BATCH_Q_LIMIT,
+    RANK_CHUNK,
+    DimensionMismatch,
     FieldMatrix,
+    FieldMismatch,
     field_new,
-    full_column_rank,
+    first_rank_deficient,
     identity,
+    mat_hstack,
     mat_mul,
     mat_rank,
     mat_transpose,
@@ -494,6 +499,105 @@ def test_apply_repair_plan_is_unverified(small_state):
     assert not invariant_check(degraded, H321)
 
 
+def _mat_mul_repair(state, plan):
+    """The failed node's replacement by the plan's definition, in
+    pure-Python products: [Q_{x_1} b_1 | ... | Q_{x_d} b_d] @ mix."""
+    columns = [mat_mul(state.Q[x - 1], b) for x, b in zip(plan.helpers, plan.combine)]
+    return mat_mul(mat_hstack(columns), plan.mix)
+
+
+@pytest.mark.parametrize("q", [307, 142151, 2147483647, next_prime(2**31)])
+def test_apply_repair_plan_matches_pure_products(q):
+    # 2^31 - 1 is the largest int64 field, where products of residues
+    # come closest to 2^62; next_prime(2^31) takes the object path
+    rng = random.Random(q)
+    f = field_new(q)
+    d = P641.d
+    top = FieldMatrix(P641.M, d, (q - 1,) * (P641.M * d), f)
+    state = CodeState(params=P641, field=f, packet_width=1, Q=(top,) * P641.n)
+    for trial in range(8):
+        def draw(count):
+            return tuple(q - 1 if trial == 0 else rng.randrange(q) for _ in range(count))
+
+        failed = rng.randrange(1, P641.n + 1)
+        helpers = tuple(rng.sample(sorted(helper_universe(P641, failed)), d))
+        plan = RepairPlan(failed=failed, helpers=helpers,
+                          combine=tuple(FieldMatrix(d, 1, draw(d), f) for _ in helpers),
+                          mix=FieldMatrix(d, d, draw(d * d), f))
+        repaired = apply_repair_plan(state, plan)
+        want = list(state.Q)
+        want[failed - 1] = _mat_mul_repair(state, plan)
+        assert repaired.Q == tuple(want)
+        # the array the candidate carries is the one its matrices give
+        fresh = state_from_dict(state_to_dict(repaired))
+        assert np.array_equal(code_core._coefficients(repaired), code_core._coefficients(fresh))
+        # repair the repaired state next, from the array it carries
+        state = repaired
+
+
+def test_apply_repair_plan_rejects_plans_that_do_not_fit(small_state):
+    f, d = small_state.field, P321.d
+    column = FieldMatrix(d, 1, (1,) * d, f)
+    eye = identity(d, f)
+    other = field_new(next_prime(f.q + 1))
+    for plan in (
+        RepairPlan(failed=1, helpers=(4, 5), combine=(column,), mix=eye),
+        RepairPlan(failed=1, helpers=(4, 5), combine=(column, column), mix=identity(3, f)),
+        RepairPlan(failed=1, helpers=(4, 5), combine=(column, identity(d, f)), mix=eye),
+    ):
+        with pytest.raises(DimensionMismatch):
+            apply_repair_plan(small_state, plan)
+    with pytest.raises(FieldMismatch):
+        apply_repair_plan(small_state, RepairPlan(failed=1, helpers=(4, 5),
+                                                  combine=(column, column),
+                                                  mix=identity(d, other)))
+
+
+def test_coefficient_array_is_cached_read_only(small_state):
+    repaired = repair_random(small_state, 2, (4, 6), rng_seed=31)
+    for state in (small_state, repaired):
+        coef = code_core._coefficients(state)
+        assert code_core._coefficients(state) is coef
+        assert not coef.flags.writeable
+        with pytest.raises(ValueError):
+            coef[0, 0] = 1
+        fresh = state_from_dict(state_to_dict(state))
+        assert fresh._coef is None
+        assert np.array_equal(coef, code_core._coefficients(fresh))
+    # a replaced state may hold other matrices, so it builds its own
+    assert replace(repaired, Q=small_state.Q)._coef is None
+    assert "_coef" not in repr(repaired)
+
+
+def test_sweep_ranks_chunks_up_to_the_first_failure(monkeypatch):
+    """At (10,6,3,2) the 25,050 maximal selections make seven chunks.
+    A passing state ranks all of them; a state whose first failing h
+    lies in chunk c ranks chunks 0..c only and names that h."""
+    params = params_new(10, 6, 3, 2)
+    hset = h_enumerate(params)
+    assert len(hset.maximal) == 25050
+    state = _recommended_state(params, hset, seed=1)
+    eliminate = galois._eliminate
+    chunks = []
+
+    def recording(a, q):
+        chunks.append(a.shape[-1])
+        return eliminate(a, q)
+
+    monkeypatch.setattr(galois, "_eliminate", recording)
+    assert invariant_failure(state, hset) is None
+    assert chunks == [RANK_CHUNK] * 6 + [25050 - 6 * RANK_CHUNK]
+    zero = FieldMatrix(params.M, params.d, (0,) * (params.M * params.d), state.field)
+    # a zero Q_x fails exactly the maximal h with h_x > 0; node 10 is
+    # selected by the first of them, node 1 first in chunk 2
+    for x, first in ((10, 0), (1, 10781)):
+        chunks.clear()
+        broken = replace(state, Q=tuple(zero if i == x else qm for i, qm in enumerate(state.Q, 1)))
+        assert invariant_failure(broken, hset) == hset.maximal[first]
+        assert [h[x - 1] > 0 for h in hset.maximal[:first + 1]] == [False] * first + [True]
+        assert chunks == [RANK_CHUNK] * (first // RANK_CHUNK + 1)
+
+
 def test_serialization_round_trip(small_state):
     doc = state_to_dict(small_state)
     assert doc["q"] == 7639
@@ -741,16 +845,16 @@ def test_repair_ranks_only_the_failed_nodes_rows(params, monkeypatch):
     hset = h_enumerate(params)
     stacks = []
 
-    def recording(stack, q):
-        stacks.append(stack)
-        return full_column_rank(stack, q)
+    def recording(coef, columns, q):
+        stacks.append(coef[:, columns].transpose(1, 0, 2))
+        return first_rank_deficient(coef, columns, q)
 
     def batches():
         sizes = [len(stack) for stack in stacks]
         stacks.clear()
         return sizes
 
-    monkeypatch.setattr(code_core, "full_column_rank", recording)
+    monkeypatch.setattr(code_core, "first_rank_deficient", recording)
     state = _recommended_state(params, hset, seed=4)
     assert batches() == [len(hset.maximal)] * state.attempts
     for failed in (1, params.n):

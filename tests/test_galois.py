@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrrc import galois
 from lrrc.galois import (
     BATCH_Q_LIMIT,
+    RANK_CHUNK,
     DimensionMismatch,
     FieldMatrix,
     NotPrime,
     OutOfRange,
     SingularMatrix,
     field_new,
+    first_rank_deficient,
     full_column_rank,
     int_field,
     is_prime,
@@ -30,6 +33,7 @@ from lrrc.galois import (
     matrix_to_dict,
     next_prime,
     rank_of_rows,
+    residue_array,
 )
 
 
@@ -174,7 +178,7 @@ def _residues(q: int) -> st.SearchStrategy[int]:
 
 @settings(max_examples=150, deadline=None)
 @given(
-    # the kernel reduces its trailing block never (2, 7, 13), at some
+    # the kernel reduces its trailing rows never (2, 7, 13), at some
     # columns only (7639, 142151) or at every column after the first
     # (15556861, 2^31 - 1)
     st.sampled_from([2, 7, 13, 7639, 142151, 15556861, 2147483647]),
@@ -284,9 +288,10 @@ def _delayed_reduction_stack(q: int, m: int, s: int) -> np.ndarray:
 @pytest.mark.parametrize("q", [2, 307, 142151, 78128951, 2147483647])
 @pytest.mark.parametrize("m,s", [(9, 9), (12, 12), (12, 9)])
 def test_full_column_rank_where_delayed_reductions_fall(q, m, s):
-    """Against the pure kernel where the trailing block is reduced
-    never (q = 2), at column 6 only (307), at every other column
-    (142151) or at every column after the first (78128951, 2^31 - 1)."""
+    """Against the pure kernel where the trailing rows are reduced
+    never (q = 2), at column 5 and, in 12 columns, at column 10 (307),
+    at every other column (142151) or at every column after the first
+    (78128951, 2^31 - 1)."""
     stack = _delayed_reduction_stack(q, m, s)
     want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
     assert full_column_rank(stack, q).tolist() == want
@@ -295,24 +300,100 @@ def test_full_column_rank_where_delayed_reductions_fall(q, m, s):
         assert want[2] and want[6]
 
 
-def test_full_column_rank_reduces_exactly_when_int64_needs_it():
-    """At q = 2097143, the largest prime below 2^21, 2q^3 lies between
-    2^63 and 2^64, so a reduced block takes one update and then must be
-    reduced again.  Random 8 x 8 matrices, every other one with a
-    planted dependent last column, get entries past 2^63 when one of
-    those reductions is skipped (a threshold of 2^64 does), and the
-    wrapped products call some planted matrices regular."""
-    q = 2097143
-    assert 2**63 <= 2 * q**3 < 2**64
-    rng = np.random.Generator(np.random.Philox(21))
-    stack = rng.integers(0, q, size=(400, 8, 8))
+def _planted_stack(q: int, seed: int, count: int = 400, size: int = 8,
+                   extreme: bool = False) -> np.ndarray:
+    """count random size x size matrices over GF(q), their entries within
+    2 of 0 or of q - 1 when extreme; every other one has a last column
+    that is a combination of the others, so its rank is size - 1."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    stack = rng.integers(0, q, size=(count, size, size))
+    if extreme:
+        low = rng.integers(0, 3, size=stack.shape)
+        stack = np.where(rng.random(stack.shape) < 0.5, low, q - 1 - low)
     for mat in stack[::2]:
-        weights = [int(w) for w in rng.integers(1, q, size=7)]
+        weights = [int(w) for w in rng.integers(1, q, size=size - 1)]
         for row in mat:
             row[-1] = sum(w * int(e) for w, e in zip(weights, row[:-1])) % q
+    return stack
+
+
+def test_full_column_rank_reduces_exactly_when_int64_needs_it():
+    """At q = 2097143, the largest prime below 2^21, q^3 lies just below
+    2^63: a reduced block takes one update and must then be reduced
+    again.  Random 8 x 8 matrices, every other one with a planted
+    dependent last column, get entries past 2^63 when one of those
+    reductions is skipped (a threshold of 2^65 does), and the wrapped
+    products call some planted matrices regular."""
+    q = 2097143
+    assert 2**63 <= 2 * q**3 < 2**64
+    stack = _planted_stack(q, 21)
     want = [rank_of_rows(mat.tolist(), q) == 8 for mat in stack]
     assert not any(want[::2]) and all(want[1::2])
     assert full_column_rank(stack, q).tolist() == want
+
+
+def test_full_column_rank_reduction_rule_is_tight():
+    """At q = 1482907, 2^63 <= 4(q - 1)q^2 < 2^64.  A block reduced to
+    |entry| <= q - 1 takes one update, to 2(q - 1)q, and the rule
+    2 * bound * q >= 2^63 then reduces it again: two updates in a row
+    could reach 4(q - 1)^3 > 2^63.  A threshold of 2^64 skips exactly
+    those reductions.  Entries within 2 of 0 or of q - 1 then push some
+    entries past 2^63, and the wrapped products call planted matrices
+    regular; uniform entries stay well inside int64."""
+    q = 1482907
+    assert is_prime(q)
+    assert 2**63 <= 4 * (q - 1) * q**2 < 2**64 and 4 * (q - 1) ** 3 >= 2**63
+    stack = _planted_stack(q, 22, count=2000, size=10, extreme=True)
+    want = [rank_of_rows(mat.tolist(), q) == 10 for mat in stack]
+    assert not any(want[::2]) and all(want[1::2])
+    assert full_column_rank(stack, q).tolist() == want
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("m,s", [(6, 6), (8, 5)])
+def test_full_column_rank_swaps_only_the_zero_diagonals(q, m, s):
+    """Over GF(2) and GF(3) about 1/q of a column's diagonal entries are
+    zero, and every third matrix starts with its whole diagonal zero, so
+    nearly every column mixes matrices that need a pivot swap, some that
+    find none, and matrices that need no swap."""
+    rng = np.random.Generator(np.random.Philox(q * 100 + m * 10 + s))
+    stack = rng.integers(0, q, size=(600, m, s))
+    stack[::3, np.arange(s), np.arange(s)] = 0
+    want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
+    assert 0 < sum(want) < len(want)
+    assert full_column_rank(stack, q).tolist() == want
+
+
+@pytest.mark.parametrize("q", [7639, next_prime(BATCH_Q_LIMIT)])
+def test_first_rank_deficient_ranks_chunks_up_to_the_first_failure(q, monkeypatch):
+    """4 x 4 selections from a 4 x 6 array, three chunks' worth.  The
+    first failing row is named wherever it lies, the chunks after its
+    own are never ranked, and at most RANK_CHUNK rows stay one call."""
+    rng = np.random.Generator(np.random.Philox(q))
+    coef = residue_array([[int(v) % q for v in row] for row in rng.integers(0, 2**62, (4, 6))], q)
+    regular = [c for c in itertools.permutations(range(6), 4)
+               if rank_of_rows(coef[:, c].tolist(), q) == 4]
+    columns = np.array([regular[i % len(regular)] for i in range(3 * RANK_CHUNK)], dtype=np.intp)
+    eliminate = galois._eliminate
+    chunks = []
+
+    def recording(a, q):
+        chunks.append(a.shape[-1])
+        return eliminate(a, q)
+
+    monkeypatch.setattr(galois, "_eliminate", recording)
+    assert first_rank_deficient(coef, columns, q) is None
+    assert chunks == [RANK_CHUNK] * 3
+    chunks.clear()
+    assert first_rank_deficient(coef, columns[:RANK_CHUNK], q) is None
+    assert chunks == [RANK_CHUNK]
+    for bad in (0, RANK_CHUNK - 1, RANK_CHUNK, 5000, 3 * RANK_CHUNK - 1):
+        chunks.clear()
+        broken = columns.copy()
+        broken[bad] = (0, 0, 1, 2)
+        broken[bad + 1:] = (1, 1, 2, 3)
+        assert first_rank_deficient(coef, broken, q) == bad
+        assert chunks == [RANK_CHUNK] * (bad // RANK_CHUNK + 1)
 
 
 def test_full_column_rank_falls_back_above_limit():
