@@ -2,13 +2,13 @@
 """Walk through the explicit six-node code at a chosen prime.
 
 Shows the storage assignments, a sample repair rule for every failed
-node, and the verification summary.
+node, and the verification summary.  For the verification report as
+JSON, run `lrrc exact6321 --q Q --verify`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 
 from lrrc.exact6321 import build_exact_code, repair_rule, verify_exact_code
 from lrrc.galois import matrix_to_dict
@@ -17,15 +17,10 @@ from lrrc.galois import matrix_to_dict
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--q", type=int, default=7)
-    ap.add_argument("--json", action="store_true", help="machine-readable output")
     args = ap.parse_args()
 
     code = build_exact_code(args.q)
     report = verify_exact_code(code)
-
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.passed else 1
 
     print(f"explicit code over GF({args.q})")
     print(f"coefficients a={code.a} abar={code.abar} b={code.b} bbar={code.bbar}")

@@ -17,7 +17,6 @@ from .galois import (
     is_prime,
     mat_inv,
     mat_mul,
-    mat_rank,
     mat_solve,
     next_prime,
 )
@@ -26,7 +25,6 @@ from .mfhs import (
     ModelError,
     Params,
     ScoreVector,
-    family_layout,
     h_enumerate,
     h_membership,
     helper_universe,
@@ -79,14 +77,12 @@ __all__ = [
     "is_prime",
     "mat_inv",
     "mat_mul",
-    "mat_rank",
     "mat_solve",
     "next_prime",
     "HSet",
     "ModelError",
     "Params",
     "ScoreVector",
-    "family_layout",
     "h_enumerate",
     "h_membership",
     "helper_universe",

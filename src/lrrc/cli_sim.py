@@ -20,12 +20,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import __version__
-from .galois import GaloisError, field_new, int_field, next_prime, reject_unknown_keys
+from .galois import GaloisError, check_keys, field_new, int_field, next_prime
 from .mfhs import (
     HSet,
     ModelError,
     Params,
-    family_layout,
     h_enumerate,
     helper_universe,
     params_from_dict,
@@ -93,9 +92,7 @@ class SimConfig:
 
 
 def sim_config_from_dict(d: dict) -> SimConfig:
-    if not isinstance(d, dict) or "params" not in d:
-        raise ModelError("simulation config lacks ['params']")
-    reject_unknown_keys(d, CONFIG_KEYS, "simulation config", ModelError)
+    check_keys(d, "simulation config", CONFIG_KEYS, ("params",), ModelError)
     params = params_from_dict(d["params"])
 
     def integer(key: str, default: int) -> int:
@@ -351,7 +348,9 @@ def _load_state(path: str) -> CodeState:
 def _cmd_params(args: argparse.Namespace) -> int:
     params = params_new(args.n, args.k, args.d, args.r)
     payload = params_to_dict(params)
-    payload["families"] = [list(fam) for fam in family_layout(params).members]
+    f = params.family_size
+    payload["families"] = [list(range(g * f + 1, (g + 1) * f + 1))
+                           for g in range(params.num_families)]
     _emit(payload)
     return 0
 
@@ -404,6 +403,8 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     wanted = _parse_checks(args.checks)
+    if not wanted:
+        raise ModelError(f"verify needs at least one check of {', '.join(CHECKS)}")
     state = _load_state(args.state)
     hset = h_enumerate(state.params)
     if "witness" in wanted and (args.witness_failed is None or not args.witness_helpers):

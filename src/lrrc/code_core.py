@@ -80,6 +80,7 @@ from .galois import (
     FieldConfig,
     FieldMatrix,
     FieldMismatch,
+    check_keys,
     field_new,
     first_rank_deficient,
     full_column_rank,
@@ -91,7 +92,6 @@ from .galois import (
     matrix_from_dict,
     matrix_to_dict,
     rank_of_rows,
-    reject_unknown_keys,
     residue_array,
 )
 from .mfhs import (
@@ -369,29 +369,30 @@ def apply_repair_plan(state: CodeState, plan: RepairPlan) -> CodeState:
     before the sums, and Python ints above.  The result keeps a copy
     of that array with the failed node's columns replaced.  Performs no
     verification; callers decide whether to keep the result.  Raises
-    FieldMismatch and DimensionMismatch, as the matrix products would,
-    when the plan's matrices live in another field or do not fit.
+    InvalidHelpers when the plan's failed node and helpers fail
+    mfhs.checked_helpers (combine still pairs with the plan's own helper
+    order), and FieldMismatch and DimensionMismatch, as the matrix
+    products would, when the plan's matrices live in another field or
+    do not fit.
     """
     params, q = state.params, state.field.q
     d, x = params.d, plan.failed
+    checked_helpers(params, x, plan.helpers)
     if any(m.field != state.field for m in (*plan.combine, plan.mix)):
         raise FieldMismatch(f"repair plan is not over GF({q})")
-    if (len(plan.combine), plan.mix.rows) != (len(plan.helpers),) * 2 or any(
+    if len(plan.combine) != d or (plan.mix.rows, plan.mix.cols) != (d, d) or any(
             (b.rows, b.cols) != (d, 1) for b in plan.combine):
-        raise DimensionMismatch(
-            f"repair plan for {len(plan.helpers)} helpers needs as many {d}x1 combine "
-            f"vectors and {len(plan.helpers)} mix rows")
+        raise DimensionMismatch(f"repair plan needs {d} {d}x1 combine vectors and a {d}x{d} mix")
     coef = _coefficients(state)
     # helpers[i, j, c] is entry (i, c) of Q_{helpers[j]}
     picked = [(node - 1) * d + c for node in plan.helpers for c in range(d)]
-    helpers = coef[:, picked].reshape(params.M, len(plan.helpers), d)
+    helpers = coef[:, picked].reshape(params.M, d, d)
     combine = residue_array([b.entries for b in plan.combine], q)
-    mix = residue_array(plan.mix.entries, q).reshape(plan.mix.rows, plan.mix.cols)
+    mix = residue_array(plan.mix.entries, q).reshape(d, d)
     columns = (helpers * combine % q).sum(axis=2) % q
     replacement = (columns[:, :, None] * mix % q).sum(axis=1) % q
     new_q = list(state.Q)
-    new_q[x - 1] = FieldMatrix(params.M, plan.mix.cols, tuple(replacement.reshape(-1).tolist()),
-                               state.field)
+    new_q[x - 1] = FieldMatrix(params.M, d, tuple(replacement.reshape(-1).tolist()), state.field)
     repaired = replace(state, Q=tuple(new_q))
     new_coef = coef.copy()
     new_coef[:, (x - 1) * d:x * d] = replacement
@@ -597,11 +598,7 @@ def state_to_dict(state: CodeState) -> dict:
 
 
 def state_from_dict(d: dict) -> CodeState:
-    keys = ("params", "q", "W", "Q")
-    missing = [key for key in keys if not isinstance(d, dict) or key not in d]
-    if missing:
-        raise CodeError(f"code state lacks {missing}")
-    reject_unknown_keys(d, keys, "code state", CodeError)
+    check_keys(d, "code state", ("params", "q", "W", "Q"), error=CodeError)
     if not isinstance(d["Q"], list):
         raise CodeError(f"code state's Q must be a list of matrices, got {type(d['Q']).__name__}")
     params = params_from_dict(d["params"])

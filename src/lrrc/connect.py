@@ -39,10 +39,6 @@ class ConnectError(Exception):
     pass
 
 
-class EmptyHelperPool(ConnectError):
-    """step_select was called with no helpers left."""
-
-
 class InternalContradiction(ConnectError):
     """A runtime assertion about the procedure's own bookkeeping failed."""
 
@@ -83,9 +79,9 @@ def initial_perm(params: Params, h: Sequence[int], helpers: Sequence[int], faile
 
 
 def step_select(state: ConnectState) -> int:
-    """Next helper to increment: lowest value, then earliest position."""
-    if not state.pool:
-        raise EmptyHelperPool(f"iteration {state.t}: no helpers remain")
+    """Next helper to increment: lowest value, then earliest position.
+    connect_run takes at most h_failed <= d steps from initial_perm's d
+    checked helpers, so the pool is never empty here."""
     return min(state.pool, key=lambda x: (state.h[x - 1], state.perm.position(x)))
 
 

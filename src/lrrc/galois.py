@@ -6,8 +6,8 @@ Matrices are immutable, row-major, and store canonical residues in
 - rank_of_rows, pure-Python Gaussian elimination with row swaps to
   echelon form with unit pivots.  Over a field any nonzero pivot is
   exact, so no pivoting strategy beyond "first nonzero" is needed.
-  mat_rank, mat_solve and mat_inv (through mat_solve) all run on it,
-  and it is the reference the batched kernel is tested against.
+  mat_solve and mat_inv (through mat_solve) run on it, and it is the
+  reference the batched kernel is tested against.
 - full_column_rank, which decides full column rank for a whole stack of
   equal-shape matrices at once, and first_rank_deficient, which gathers
   such stacks from the columns of one coefficient array in chunks of
@@ -42,7 +42,6 @@ __all__ = [
     "is_prime",
     "next_prime",
     "mat_mul",
-    "mat_rank",
     "mat_inv",
     "mat_solve",
     "mat_transpose",
@@ -175,26 +174,10 @@ class FieldMatrix:
         q = field.q
         return cls(nrows, ncols, tuple(int(e) % q for r in rows for e in r), field)
 
-    def at(self, i: int, j: int) -> int:
-        """Entry at 0-based position (i, j)."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise OutOfRange(f"({i},{j}) outside {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         if not (0 <= i < self.rows):
             raise OutOfRange(f"row {i} outside {self.rows}x{self.cols}")
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        if not (0 <= j < self.cols):
-            raise OutOfRange(f"column {j} outside {self.rows}x{self.cols}")
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def to_rows(self) -> list[list[int]]:
-        """Mutable row-list copy, for elimination kernels."""
-        c = self.cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
 
 def identity(n: int, field: FieldConfig) -> FieldMatrix:
@@ -286,10 +269,6 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
         if rank == m:
             break
     return rank
-
-
-def mat_rank(a: FieldMatrix) -> int:
-    return rank_of_rows(a.to_rows(), a.field.q)
 
 
 # Below this modulus rows just reduced to signed residues (|entry| <=
@@ -488,21 +467,26 @@ def int_field(value: object, name: str, error: type[Exception] = GaloisError) ->
         raise error(f"{name} must be an integer, got {json.dumps(value)}") from None
 
 
-def reject_unknown_keys(d: dict, keys: Sequence[str], name: str,
-                        error: type[Exception] = GaloisError) -> None:
-    """Raise error naming the first key of the JSON object d that is not
-    in keys, the keys its writer emits."""
+def check_keys(d: dict, name: str, keys: Sequence[str], required: Sequence[str] | None = None,
+               error: type[Exception] = GaloisError) -> None:
+    """Check the keys of the JSON object d, called name in messages.
+
+    keys are the keys its writer emits, and required (all of keys by
+    default) those it must carry.  Raises error listing the required
+    keys it lacks (all of them when d is not an object), else naming
+    its first key that is not in keys.
+    """
+    missing = [key for key in (keys if required is None else required)
+               if not isinstance(d, dict) or key not in d]
+    if missing:
+        raise error(f"{name} lacks {missing}")
     unknown = [key for key in d if key not in keys]
     if unknown:
         raise error(f"{name} has unknown key {unknown[0]!r}")
 
 
 def matrix_from_dict(d: dict) -> FieldMatrix:
-    keys = ("rows", "cols", "q", "entries")
-    missing = [key for key in keys if not isinstance(d, dict) or key not in d]
-    if missing:
-        raise GaloisError(f"matrix lacks {missing}")
-    reject_unknown_keys(d, keys, "matrix")
+    check_keys(d, "matrix", ("rows", "cols", "q", "entries"))
     if not isinstance(d["entries"], list):
         raise GaloisError(f"matrix entries must be a list, got {type(d['entries']).__name__}")
     field = field_new(int_field(d["q"], "matrix q"))

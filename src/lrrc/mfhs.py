@@ -1,9 +1,11 @@
 """Families, permutation scores, and the admissible selection set H.
 
 Storage nodes 1..n are split into consecutive families of size
-f = n - d - r (nodes 1..f, f+1..2f, and so on).  A newcomer replacing
-node i may download only from nodes outside i's own family, so the
-helper universe of every node has exactly d + r members.
+f = n - d - r (nodes 1..f, f+1..2f, and so on): node i lies in family
+(i - 1) // f, counted from 0, and every family test in this package
+computes that rule inline.  A newcomer replacing node i may download
+only from nodes outside i's own family, so the helper universe of every
+node has exactly d + r members.
 
 A collector reading nodes in order pi gains information at a rate
 described by the score vector b(pi): position i contributes
@@ -94,13 +96,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .galois import int_field, reject_unknown_keys
+from .galois import check_keys, int_field
 
 H_ENUMERATION_LIMIT = 10_000_000
 """Cap on what h_enumerate visits and lists, each checked before the
@@ -167,14 +169,6 @@ class Params:
         return self.n // self.family_size
 
 
-@dataclass(frozen=True)
-class FamilyLayout:
-    """family_of[i-1] is the 1-based family id of node i."""
-
-    family_of: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-
-
 class MembershipResult(NamedTuple):
     member: bool
     witness: "Perm | None"
@@ -233,23 +227,12 @@ def params_new(n: int, k: int, d: int, r: int) -> Params:
     return Params(n=n, k=k, d=d, r=r, M=M, alpha=d, beta=1)
 
 
-@lru_cache(maxsize=None)
-def family_layout(params: Params) -> FamilyLayout:
-    f = params.family_size
-    family_of = tuple((i // f) + 1 for i in range(params.n))
-    members = tuple(
-        tuple(range(g * f + 1, (g + 1) * f + 1)) for g in range(params.num_families)
-    )
-    return FamilyLayout(family_of=family_of, members=members)
-
-
 def helper_universe(params: Params, node: int) -> frozenset[int]:
     """All nodes outside node's family; exactly d + r of them."""
     if not (1 <= node <= params.n):
         raise OutOfScope(f"node {node} outside 1..{params.n}")
-    layout = family_layout(params)
-    g = layout.family_of[node - 1]
-    return frozenset(i for i in range(1, params.n + 1) if layout.family_of[i - 1] != g)
+    f = params.family_size
+    return frozenset(i for i in range(1, params.n + 1) if (i - 1) // f != (node - 1) // f)
 
 
 def checked_helpers(params: Params, failed: int, helpers: Sequence[int]) -> tuple[int, ...]:
@@ -308,8 +291,7 @@ def score_vectors(params: Params, perm: Perm) -> ScoreVector:
     """Raw score b and capped score c of one node order."""
     if len(perm.order) != params.n:
         raise LengthMismatch(f"order over {len(perm.order)} nodes, params say {params.n}")
-    layout = family_layout(params)
-    seq = [layout.family_of[node - 1] for node in perm.order]
+    seq = [(node - 1) // params.family_size for node in perm.order]
     b = _prefix_scores(seq, params.d, params.n)
     return ScoreVector(b=tuple(b), c=_truncate(b, params.M))
 
@@ -372,11 +354,14 @@ def h_membership(params: Params, h: Sequence[int]) -> MembershipResult:
     tries its lowest-index node first, and nothing has failed yet.  So
     is_witness runs first on that order, a single pass without the group
     and family-state bookkeeping, and when it holds, the order is the
-    witness the search would return.  At the 98 scope points of the
-    tests, the pass alone answers all 126,015 members among the 138,071
-    candidates of total at most M, and with or without it every verdict
-    and witness there is the same.  It keeps the tests' reference sweep,
-    which calls this on every candidate, from lengthening the suite.
+    witness the search would return.  The pass does not answer every
+    member: at (10,9,5,0), h = (5,2,0,0,0,4,4,4,4,2) is in H with
+    witness (1,6,7,8,9,10,2,3,4,5), which only the search finds, and a
+    sweep of 310 points with family size at least 3 found 6 such
+    members.  At the 98 scope points of the tests' reference sweep,
+    which calls this on every candidate, the pass alone answers all
+    126,015 members among the 138,071 candidates of total at most M, so
+    it keeps that sweep from lengthening the suite.
     """
     if len(h) != params.n:
         raise LengthMismatch(f"h over {len(h)} nodes, params say {params.n}")
@@ -573,9 +558,6 @@ class HSet:
     def __len__(self) -> int:
         return self.size
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.members)
-
 
 @lru_cache(maxsize=None)
 def h_enumerate(params: Params) -> HSet:
@@ -606,23 +588,12 @@ def h_enumerate(params: Params) -> HSet:
 
 
 def params_to_dict(params: Params) -> dict:
-    return {
-        "n": params.n,
-        "k": params.k,
-        "d": params.d,
-        "r": params.r,
-        "M": params.M,
-        "alpha": params.alpha,
-        "beta": params.beta,
-    }
+    return asdict(params)
 
 
 def params_from_dict(d: dict) -> Params:
-    missing = [key for key in ("n", "k", "d", "r")
-               if not isinstance(d, dict) or key not in d]
-    if missing:
-        raise ModelError(f"params lack {missing}")
-    reject_unknown_keys(d, ("n", "k", "d", "r", "M", "alpha", "beta"), "params", ModelError)
+    check_keys(d, "params", ("n", "k", "d", "r", "M", "alpha", "beta"), ("n", "k", "d", "r"),
+               ModelError)
     params = params_new(*(int_field(d[key], f"params {key}", ModelError) for key in "nkdr"))
     for key in ("M", "alpha", "beta"):
         if key in d and int_field(d[key], f"params {key}", ModelError) != getattr(params, key):

@@ -85,7 +85,7 @@ def test_04_tie_swap_preservation_sweep(verdict):
     hs = h_enumerate(P641)
     checks = 0
     ok = True
-    for h in hs:
+    for h in hs.members:
         for perm in sorting_perms(P641, h):
             vals = [h[node - 1] for node in perm.order]
             for i in range(1, 6):
@@ -102,7 +102,7 @@ def test_05_connect_total_sweep(verdict):
     t0 = time.perf_counter()
     hs = h_enumerate(P641)
     runs = 0
-    for h in hs:
+    for h in hs.members:
         for failed in range(1, 7):
             universe = sorted(helper_universe(P641, failed))
             for helpers in itertools.combinations(universe, P641.d):
@@ -162,7 +162,7 @@ def test_08_witness_repair_over_full_selection_set(verdict):
     hs = h_enumerate(P641)
     state = construct(P641, field_new(142151), hs, rng_seed=3)
     ok = all(
-        witness_repair_check(state, 1, (3, 4, 5), h, hs) for h in hs
+        witness_repair_check(state, 1, (3, 4, 5), h, hs) for h in hs.members
     )
     dt = time.perf_counter() - t0
     verdict(8, "witness repair across the selection set", ok and dt < 300,

@@ -94,6 +94,16 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert (code, json.loads(out)) == (1, {"reconstruction": False})
 
 
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_verify_without_checks_is_usage_error(tmp_path, capsys, checks):
+    # a verify that checks nothing would print {} and pass
+    out_path = tmp_path / "state.json"
+    invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3", "--out", str(out_path))
+    code, out, err = invoke(capsys, "verify", "--state", str(out_path), "--checks", checks)
+    assert (code, out) == (2, "")
+    assert "error: verify needs at least one check of invariant, reconstruction, witness" in err
+
+
 def test_verify_witness_check(tmp_path, capsys):
     state_path = tmp_path / "state.json"
     invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3",
@@ -488,7 +498,7 @@ def test_simulate_records_reconstruction_without_ranking(tmp_path, capsys, monke
     ("repair", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": 7639, "W": 1},
      "code state lacks ['Q']"),
     ("verify", "--state", {"params": {"n": 6}, "q": 7639, "W": 1, "Q": []},
-     "params lack ['k', 'd', 'r']"),
+     "params lacks ['k', 'd', 'r']"),
     ("verify", "--state", {"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "q": 7639, "W": 1,
                            "Q": [{"rows": 4, "cols": 2}]},
      "matrix lacks ['q', 'entries']"),

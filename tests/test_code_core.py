@@ -45,7 +45,6 @@ from lrrc.galois import (
     identity,
     mat_hstack,
     mat_mul,
-    mat_rank,
     mat_transpose,
     next_prime,
     rank_of_rows,
@@ -91,7 +90,7 @@ def test_construct_first_attempt_and_checks(small_state):
     assert len(small_state.Q) == 6
     for q_i in small_state.Q:
         assert (q_i.rows, q_i.cols) == (P321.M, P321.d)
-        assert mat_rank(q_i) == P321.d
+        assert rank_of_rows(_rows(q_i), q_i.field.q) == P321.d
 
 
 def test_construct_determinism():
@@ -154,7 +153,7 @@ def test_encode_decode_round_trip():
         assert (chunk.rows, chunk.cols) == (2, P321.d)
     for nodes in itertools.combinations(range(1, 7), P321.k):
         packets = [stored[i - 1] for i in nodes]
-        assert decode(state, nodes, packets).to_rows() == file.to_rows()
+        assert decode(state, nodes, packets) == file
     with pytest.raises(RankDeficient):
         decode(state, (1, 2), [stored[0], stored[1]])
 
@@ -185,8 +184,8 @@ def test_repair_random_restores_invariant(small_state):
     # untouched nodes keep their storage assignments
     for i in range(6):
         if i != 1:
-            assert repaired.Q[i].to_rows() == small_state.Q[i].to_rows()
-    assert repaired.Q[1].to_rows() != small_state.Q[1].to_rows()
+            assert repaired.Q[i] == small_state.Q[i]
+    assert repaired.Q[1] != small_state.Q[1]
 
 
 def test_repair_new_content_lies_in_helper_span(small_state):
@@ -198,7 +197,7 @@ def test_repair_new_content_lies_in_helper_span(small_state):
 
     span = mat_hstack(span_cols)
     joint = mat_hstack([span, repaired.Q[failed - 1]])
-    assert mat_rank(joint) == mat_rank(span)
+    assert rank_of_rows(_rows(joint), f.q) == rank_of_rows(_rows(span), f.q)
 
 
 def test_repair_helper_validation(small_state):
@@ -219,7 +218,7 @@ def test_repair_determinism(small_state):
 
 
 def test_witness_repair_full_selection_set(small_state):
-    for h in H321:
+    for h in H321.members:
         assert witness_repair_check(small_state, 1, (4, 5), h, H321), h
 
 
@@ -308,7 +307,7 @@ def test_witness_sources_decide_the_full_sweep(point):
         # a defect in one target's selection must fail the reduced check too
         target = hset.maximal[rng.choice(witness_targets(hset, failed, helpers))]
         for state in states + [_break_selection(states[0], target, rng)]:
-            full = all(witness_repair_check(state, failed, helpers, h, hset) for h in hset)
+            full = all(witness_repair_check(state, failed, helpers, h, hset) for h in hset.members)
             assert witness_holds(state, failed, helpers, hset) == full, (
                 state.field.q, failed, helpers)
             verdicts.append(full)
@@ -329,7 +328,7 @@ def test_witness_gather_on_defects_and_above_the_int64_limit():
             for checked in (state, _plant_defect(state, H321, rng),
                             _break_selection(state, target, rng)):
                 full = all(witness_repair_check(checked, failed, helpers, h, H321)
-                           for h in H321)
+                           for h in H321.members)
                 assert witness_holds(checked, failed, helpers, H321) == full, (q, failed, helpers)
                 verdicts.append(full)
     assert any(verdicts) and not all(verdicts)
@@ -370,7 +369,7 @@ def test_warm_witness_check_runs_no_connect_or_membership(point, monkeypatch):
 
 def _runs(params, hset, failed, helpers):
     """connect_run on every member of hset for one key, by member."""
-    return {h: connect_run(params, h, helpers, failed) for h in hset}
+    return {h: connect_run(params, h, helpers, failed) for h in hset.members}
 
 
 def _connect_run_targets(hset, failed, helpers):
@@ -473,7 +472,7 @@ def test_targets_never_fall_along_unit_raises(point):
     if point == (6, 4, 3, 1):
         keys = random.Random(f"monotone/{point}").sample(keys, 3)
     raises = [
-        (h, up) for h in hset for i, v in enumerate(h)
+        (h, up) for h in hset.members for i, v in enumerate(h)
         if (up := h[:i] + (v + 1,) + h[i + 1:]) in hset
     ]
     assert raises
@@ -551,6 +550,14 @@ def test_apply_repair_plan_rejects_plans_that_do_not_fit(small_state):
         apply_repair_plan(small_state, RepairPlan(failed=1, helpers=(4, 5),
                                                   combine=(column, column),
                                                   mix=identity(d, other)))
+    # node ids are checked as repair_random checks them: helper 0 would
+    # index Q_6's columns, failed 0 would not broadcast, failed 7 would
+    # overrun the coefficient array
+    for failed, helpers in ((1, (0, 5)), (1, (5, 0)), (0, (4, 5)), (7, (4, 5)), (1, (2, 5)),
+                            (1, (4, 4)), (1, (4, 5, 6))):
+        with pytest.raises(InvalidHelpers):
+            apply_repair_plan(small_state, RepairPlan(failed=failed, helpers=helpers,
+                                                      combine=(column, column), mix=eye))
 
 
 def test_coefficient_array_is_cached_read_only(small_state):
@@ -632,7 +639,11 @@ def test_stored_view_matches_generator_math():
     stored = encode(state, file)
     for i in range(6):
         expect = mat_mul(mat_transpose(file), state.Q[i])
-        assert stored[i].to_rows() == expect.to_rows()
+        assert stored[i] == expect
+
+
+def _rows(m):
+    return [list(m.row(i)) for i in range(m.rows)]
 
 
 def _selection_rows(state, h):
@@ -654,7 +665,7 @@ def _short_rank(state, h) -> bool:
 
 def pure_sweep(state, hset) -> bool:
     """The reference verdict: one pure-Python rank per member of H."""
-    return not any(_short_rank(state, h) for h in hset)
+    return not any(_short_rank(state, h) for h in hset.members)
 
 
 def _random_state(params, q, rng):
@@ -682,7 +693,7 @@ def _break_selection(state, h, rng):
     cols = [(i, c) for i, v in enumerate(h) for c in range(v)]
     node, col = rng.choice(cols)
     weights = {ic: rng.randrange(1, q) for ic in cols if ic != (node, col)}
-    rows = [qm.to_rows() for qm in state.Q]
+    rows = [_rows(qm) for qm in state.Q]
     for r in range(params.M):
         rows[node][r][col] = sum(w * rows[i][r][c] for (i, c), w in weights.items()) % q
     return CodeState(
@@ -889,7 +900,7 @@ def test_repair_of_unmarked_corrupt_state_keeps_its_rejections():
     state = _recommended_state(P641, H641, seed=2)
     q = state.field.q
     h = next(m for m in H641.maximal if m[0] == 0 and m[2] > 0)
-    rows = [qm.to_rows() for qm in state.Q]
+    rows = [_rows(qm) for qm in state.Q]
     others = [(i, c) for i, v in enumerate(h) for c in range(v) if (i, c) != (2, 0)]
     for r in range(P641.M):
         rows[2][r][0] = sum((i + c + 1) * rows[i][r][c] for i, c in others) % q

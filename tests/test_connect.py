@@ -86,7 +86,7 @@ def test_one_helper_validator_for_repair_and_connect():
 
 def test_sum_preserved_and_failed_drained():
     hs = h_enumerate(P641)
-    for h in list(hs)[:200]:
+    for h in hs.members[:200]:
         for failed in (1, 4):
             helpers = (3, 5, 6) if failed == 1 else (1, 2, 5)
             result = connect_run(P641, h, helpers, failed)
@@ -101,7 +101,7 @@ def test_sum_preserved_and_failed_drained():
 
 def test_increments_respect_degree_cap():
     hs = h_enumerate(P321)
-    for h in hs:
+    for h in hs.members:
         result = connect_run(P321, h, helpers=(4, 5), failed=1)
         assert all(0 <= v <= P321.d for v in result.h_prime)
 
@@ -144,7 +144,7 @@ def test_full_sweep_small_params_no_contradiction():
     from lrrc.mfhs import helper_universe
 
     runs = 0
-    for h in hs:
+    for h in hs.members:
         for failed in range(1, 7):
             universe = sorted(helper_universe(P321, failed))
             for helpers in itertools.combinations(universe, P321.d):

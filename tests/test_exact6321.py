@@ -22,9 +22,22 @@ from lrrc.exact6321 import (
     repair_rule,
     verify_exact_code,
 )
-from lrrc.galois import FieldMatrix, GaloisError, identity, mat_hstack, mat_rank
+from lrrc.galois import FieldMatrix, GaloisError, identity, mat_hstack, rank_of_rows
 from lrrc.mfhs import h_enumerate
 from lrrc.code_core import CodeError, decode, invariant_check, reconstruct_check, encode
+
+
+def _rows(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def _rank(m):
+    return rank_of_rows(_rows(m), m.field.q)
+
+
+def _columns(m, cols):
+    """The matrix of m's columns cols, in that order."""
+    return FieldMatrix.from_rows([[row[j] for j in cols] for row in _rows(m)], m.field)
 
 
 @pytest.fixture(scope="module")
@@ -46,17 +59,15 @@ def test_build_rejects_small_or_composite_fields():
 def test_generator_is_systematic_mds(code7):
     g = code7.generator
     assert (g.rows, g.cols) == (4, 6)
-    for i in range(4):
-        assert g.column(i) == tuple(1 if j == i else 0 for j in range(4))
+    assert _columns(g, range(4)) == identity(4, code7.field)
     for cols in itertools.combinations(range(6), 4):
-        rows = [[g.at(i, j) for j in cols] for i in range(4)]
-        assert mat_rank(FieldMatrix.from_rows(rows, code7.field)) == 4
+        assert _rank(_columns(g, cols)) == 4
 
 
 def test_storage_assignments_have_full_rank(code7):
     for qm in code7.Q:
         assert (qm.rows, qm.cols) == (4, 2)
-        assert mat_rank(qm) == 2
+        assert _rank(qm) == 2
 
 
 def test_within_family_pairs_reconstruct_with_any_third(code7):
@@ -65,7 +76,7 @@ def test_within_family_pairs_reconstruct_with_any_third(code7):
         from lrrc.galois import mat_hstack
 
         stacked = mat_hstack([code7.Q[i - 1] for i in nodes])
-        assert mat_rank(stacked) == 4, nodes
+        assert _rank(stacked) == 4, nodes
 
 
 def test_pinned_parity_vectors(code7):
@@ -81,13 +92,13 @@ def test_pinned_parity_vectors(code7):
 def test_rule_four_from_three_is_identity(code7):
     rule = repair_rule(code7, failed=4, unavailable=3)
     assert rule.helpers == (1, 2)
-    assert rule.newcomer_combine.to_rows() == [[1, 0], [0, 1]]
+    assert _rows(rule.newcomer_combine) == [[1, 0], [0, 1]]
 
 
 def test_rule_four_from_one_pinned(code7):
     rule = repair_rule(code7, failed=4, unavailable=1)
     assert rule.helpers == (2, 3)
-    assert rule.newcomer_combine.to_rows() == [[6, 1], [1, 0]]
+    assert _rows(rule.newcomer_combine) == [[6, 1], [1, 0]]
 
 
 def test_rule_three_down_sends_ones(code7):
@@ -130,7 +141,7 @@ def test_exact_repair_regenerates_stored_packets(code7):
             if unavailable == failed:
                 continue
             rebuilt = exact_repair(code7, stored, failed, unavailable)
-            assert rebuilt.to_rows() == stored[failed - 1].to_rows(), (failed, unavailable)
+            assert rebuilt == stored[failed - 1], (failed, unavailable)
 
 
 @pytest.mark.parametrize("q", [7, 13])
@@ -144,8 +155,8 @@ def test_block_regeneration_stacks_basis_regenerations(q):
         for j in range(4)
     ]
     for failed, unavailable in itertools.permutations(range(1, 7), 2):
-        rows = [exact_repair(code, stored, failed, unavailable).to_rows()[0] for stored in basis]
-        assert exact_repair(code, block, failed, unavailable).to_rows() == rows, (failed, unavailable)
+        rows = [_rows(exact_repair(code, stored, failed, unavailable))[0] for stored in basis]
+        assert _rows(exact_repair(code, block, failed, unavailable)) == rows, (failed, unavailable)
 
 
 def test_repair_bandwidth_is_one_symbol_per_helper(code7):
@@ -214,14 +225,12 @@ def test_family_constants():
 
 def replayed_verdicts(code) -> dict[str, list[bool]]:
     """verify_exact_code's verdicts, decided by the reference operations:
-    mat_rank for structure, decode for reconstruction and exact_repair
+    rank_of_rows for structure, decode for reconstruction and exact_repair
     on the identity file's W=4 block for the repair rules."""
     field = code.field
     gen = code.generator
-    mds = [mat_rank(FieldMatrix.from_rows([[gen.at(i, j) for j in cols] for i in range(4)],
-                                          field)) == 4
-           for cols in itertools.combinations(range(6), 4)]
-    pairs = [mat_rank(mat_hstack([code.Q[i - 1], code.Q[j - 1]])) == 4
+    mds = [_rank(_columns(gen, cols)) == 4 for cols in itertools.combinations(range(6), 4)]
+    pairs = [_rank(mat_hstack([code.Q[i - 1], code.Q[j - 1]])) == 4
              for fam in (FAMILY_A, FAMILY_B) for i, j in itertools.combinations(fam, 2)]
     state = as_code_state(code)
     file = FieldMatrix(4, 1, tuple(v % field.q for v in (1, 2, 3, 4)), field)
@@ -255,7 +264,7 @@ def tampered(code, index: int, rng: random.Random):
     mats = [code.generator, *code.Q]
     if kind in ("perturb", "zero_column"):
         mat = mats[target]
-        rows = mat.to_rows()
+        rows = _rows(mat)
         if kind == "perturb":
             i, j = rng.randrange(mat.rows), rng.randrange(mat.cols)
             rows[i][j] += rng.randrange(1, q)

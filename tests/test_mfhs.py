@@ -8,12 +8,14 @@ permutations directly.
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrrc import mfhs
+from lrrc.cli_sim import run_cli
 from lrrc.mfhs import (
     HNotMember,
     LengthMismatch,
@@ -21,7 +23,6 @@ from lrrc.mfhs import (
     Perm,
     PreconditionViolated,
     TooLarge,
-    family_layout,
     h_enumerate,
     h_membership,
     helper_universe,
@@ -118,16 +119,23 @@ def test_params_validation():
         params_new(6, 4, 3, -1)
 
 
-def test_family_layout_and_helper_universe():
+def test_family_layout_and_helper_universe(capsys):
+    """Node i lies in family (i - 1) // f: the families lrrc params lists
+    and every helper universe follow that one rule."""
     p = params_new(6, 4, 3, 1)
-    layout = family_layout(p)
-    assert layout.members == ((1, 2), (3, 4), (5, 6))
-    assert [layout.family_of[i - 1] for i in range(1, 7)] == [1, 1, 2, 2, 3, 3]
     assert helper_universe(p, 1) == frozenset({3, 4, 5, 6})
     assert helper_universe(p, 4) == frozenset({1, 2, 5, 6})
     p2 = params_new(6, 3, 2, 1)
-    assert family_layout(p2).members == ((1, 2, 3), (4, 5, 6))
     assert helper_universe(p2, 5) == frozenset({1, 2, 3})
+    for point, families in (((6, 4, 3, 1), [[1, 2], [3, 4], [5, 6]]),
+                            ((6, 3, 2, 1), [[1, 2, 3], [4, 5, 6]]),
+                            ((8, 4, 2, 2), [[1, 2, 3, 4], [5, 6, 7, 8]])):
+        assert run_cli(["params", *map(str, point)]) == 0
+        assert json.loads(capsys.readouterr().out)["families"] == families
+        p = params_new(*point)
+        for family in families:
+            for node in family:
+                assert helper_universe(p, node) == frozenset(range(1, p.n + 1)) - set(family)
 
 
 def test_score_vectors_pinned():
@@ -222,6 +230,24 @@ def test_membership_covers_position_by_position():
     assert h_membership(p, (2, 0, 0, 0, 0, 3, 3, 0)).member is False
 
 
+@pytest.mark.parametrize("nkdr,h,witness", [
+    ((10, 9, 5, 0), (5, 2, 0, 0, 0, 4, 4, 4, 4, 2), (1, 6, 7, 8, 9, 10, 2, 3, 4, 5)),
+    ((12, 9, 5, 1), (5, 2, 0, 0, 0, 0, 4, 4, 4, 4, 2, 0),
+     (1, 7, 8, 9, 10, 11, 2, 3, 4, 5, 6, 12)),
+], ids=["10-9-5-0", "12-9-5-1"])
+def test_membership_search_finds_members_the_canonical_order_misses(nkdr, h, witness):
+    # family size 5 and 6: the canonical order (ties by ascending index)
+    # takes node 2 before the other node of value 2 and falls short, so
+    # only the search past h_membership's first pass proves these members
+    p = params_new(*nkdr)
+    canonical = sorted(range(1, p.n + 1), key=lambda node: (-h[node - 1], node))
+    assert not is_witness(p, h, canonical)
+    assert exhaustive_witness(p, h) == witness
+    got = h_membership(p, h)
+    assert got.member and got.witness.order == witness
+    assert is_witness(p, h, witness) and covers_along(p, h, witness)
+
+
 def test_enumeration_budget_refuses_up_front():
     # C(C(10, 2) + 5, 6) = 15,890,700 canonical candidates: the budget
     # check must fire before any is visited
@@ -272,8 +298,8 @@ def test_maximal_antichain_pinned(point):
     assert (len(hs.maximal), len(hs)) == MAXIMAL_COUNTS[point]
     assert all(sum(h) == p.M for h in hs.maximal)
     # member order is kept, and no maximal member lies below another
-    assert list(hs.maximal) == [h for h in hs if h in set(hs.maximal)]
-    for h in hs:
+    assert list(hs.maximal) == [h for h in hs.members if h in set(hs.maximal)]
+    for h in hs.members:
         above = [m for m in hs.maximal if all(a <= b for a, b in zip(h, m))]
         assert above, h
         if h in hs.maximal:
@@ -287,7 +313,7 @@ def test_maximal_antichain_pinned(point):
 def test_h_enumerate_members_all_pass_membership():
     p = params_new(6, 3, 2, 1)
     hs = h_enumerate(p)
-    for h in hs:
+    for h in hs.members:
         assert h_membership(p, h).member
         assert sum(h) <= p.M
         assert all(0 <= hi <= p.d for hi in h)

@@ -36,7 +36,9 @@ def test_module_entry_point_runs_the_cli():
     (("--q", "abc"), "simulation config's q must be an integer"),
 ])
 def test_endurance_rejects_invalid_input(argv, message):
-    child = run("scripts/endurance.py", *argv)
+    # an endurance run is lrrc simulate under uniform-random failures
+    child = run("-m", "lrrc", "simulate", "--n", "6", "--k", "4", "--d", "3", "--r", "1",
+                "--failure-policy", "uniform-random", *argv)
     assert child.returncode == 2
     assert child.stdout == ""
     assert f"error: {message}" in child.stderr
