@@ -142,8 +142,15 @@ def test_rank_pinned_cases():
     assert _rank(_m(f, [[0, 0], [0, 0]])) == 0
     # rank can drop mod q even when the integer matrix is regular
     assert _rank(_m(f, [[1, 1], [1, 8]])) == 1
-    # a tall matrix: four rows of rank 3 mod 13
-    assert rank_of_rows([[3, 1, 4], [1, 5, 9], [2, 6, 5], [3, 5, 8]], 13) == 3
+
+
+def test_rank_of_rows_matches_mat_rank():
+    # a tall matrix of rank 3 mod 13: the batched kernel and a nonzero
+    # 3x3 cofactor determinant give the same rank as rank_of_rows
+    rows = [[3, 1, 4], [1, 5, 9], [2, 6, 5], [3, 5, 8]]
+    assert rank_of_rows([r[:] for r in rows], 13) == 3
+    assert full_column_rank(residue_array([rows], 13), 13).tolist() == [True]
+    assert det_by_cofactors(rows[:3], 13) != 0
 
 
 @settings(max_examples=60, deadline=None)
