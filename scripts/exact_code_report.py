@@ -9,9 +9,10 @@ JSON, run `lrrc exact6321 --q Q --verify`.
 from __future__ import annotations
 
 import argparse
+import sys
 
-from lrrc.exact6321 import build_exact_code, repair_rule, verify_exact_code
-from lrrc.galois import matrix_to_dict
+from lrrc.exact6321 import ExactCodeError, build_exact_code, repair_rule, verify_exact_code
+from lrrc.galois import GaloisError, matrix_to_dict
 
 
 def main() -> int:
@@ -19,7 +20,11 @@ def main() -> int:
     ap.add_argument("--q", type=int, default=7)
     args = ap.parse_args()
 
-    code = build_exact_code(args.q)
+    try:
+        code = build_exact_code(args.q)
+    except (ExactCodeError, GaloisError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = verify_exact_code(code)
 
     print(f"explicit code over GF({args.q})")

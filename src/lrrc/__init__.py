@@ -46,7 +46,6 @@ from .code_core import (
     CodeState,
     ConstructionFailed,
     RepairFailed,
-    RepairPlan,
     construct,
     decode,
     encode,
@@ -100,7 +99,6 @@ __all__ = [
     "CodeState",
     "ConstructionFailed",
     "RepairFailed",
-    "RepairPlan",
     "construct",
     "decode",
     "encode",

@@ -33,8 +33,8 @@ CodeState remembers that it passed in a private field that is no part
 of its content or JSON form; a state made by its constructor, by
 dataclasses.replace or by state_from_dict starts without it and is
 ranked in full.  The candidate's array is the base's array with node
-x's d columns replaced by the new Q_x, which apply_repair_plan computes
-in numpy from the helpers' columns of that same array.
+x's d columns replaced by the new Q_x, which repair_random computes in
+numpy from the helpers' columns of that same array.
 
 Lemma C: every set S of k nodes contains the support of a maximal
 member of H, so every state that passes invariant_check lets any k
@@ -76,10 +76,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .galois import (
-    DimensionMismatch,
     FieldConfig,
     FieldMatrix,
-    FieldMismatch,
     check_keys,
     field_new,
     first_rank_deficient,
@@ -180,7 +178,7 @@ class CodeState:
     _checked: tuple[HSet, int | None] | None = dc_field(
         default=None, init=False, compare=False, repr=False)
     # [Q_1 | ... | Q_n] as a read-only array, once _coefficients or
-    # apply_repair_plan has built it; never content, never copied by
+    # repair_random has built it; never content, never copied by
     # replace.
     _coef: np.ndarray | None = dc_field(default=None, init=False, compare=False, repr=False)
 
@@ -196,21 +194,6 @@ class CodeState:
                 raise CodeError(f"Q_{i} lives in GF({qm.field.q}), state says GF({self.field.q})")
         if self.packet_width < 1:
             raise CodeError("packet width must be positive")
-
-
-@dataclass(frozen=True)
-class RepairPlan:
-    """How a newcomer rebuilds a failed node.
-
-    combine[j] is the d x 1 coefficient vector applied to helper
-    helpers[j]'s matrix; mix is the d x d matrix applied on the right.
-    The replacement is [Q_{x_1} b_1 | ... | Q_{x_d} b_d] @ mix.
-    """
-
-    failed: int
-    helpers: tuple[int, ...]
-    combine: tuple[FieldMatrix, ...]
-    mix: FieldMatrix
 
 
 def required_field_size(params: Params, hset: HSet) -> int:
@@ -300,6 +283,15 @@ def reconstruct_check(state: CodeState) -> bool:
     return bool(reconstruct_verdicts(state).all())
 
 
+def _uniform(rng: np.random.Generator, q: int, shape: tuple[int, int]) -> np.ndarray:
+    """Uniform residues mod q, drawn by rng.integers as int64; raises
+    CodeError for a field too large for int64 draws."""
+    if q >= 2**63:
+        raise CodeError(f"cannot sample coefficients in GF({q}): draws are int64, "
+                        f"so q must be below 2^63")
+    return rng.integers(0, q, size=shape, dtype=np.int64)
+
+
 def _sample_until_accepted(
     sample: Callable[[np.random.Generator, int], CodeState],
     hset: HSet,
@@ -351,54 +343,13 @@ def construct(
         )
 
     def sample(rng: np.random.Generator, attempt: int) -> CodeState:
-        draws = rng.integers(0, field.q, size=(params.n, params.M * params.d), dtype=np.int64)
+        draws = _uniform(rng, field.q, (params.n, params.M * params.d))
         matrices = tuple(FieldMatrix(params.M, params.d, tuple(row), field)
                          for row in draws.tolist())
         return CodeState(params=params, field=field, packet_width=packet_width, Q=matrices,
                          attempts=attempt)
 
     return _sample_until_accepted(sample, hset, rng_seed, max_attempts, ConstructionFailed)
-
-
-def apply_repair_plan(state: CodeState, plan: RepairPlan) -> CodeState:
-    """Replace the failed node's matrix as the plan dictates.
-
-    Computed in numpy from the helpers' columns of state's coefficient
-    array, in its residue_array dtype: int64 below 2^31, where each
-    product of two residues stays below 2^62 and is reduced mod q
-    before the sums, and Python ints above.  The result keeps a copy
-    of that array with the failed node's columns replaced.  Performs no
-    verification; callers decide whether to keep the result.  Raises
-    InvalidHelpers when the plan's failed node and helpers fail
-    mfhs.checked_helpers (combine still pairs with the plan's own helper
-    order), and FieldMismatch and DimensionMismatch, as the matrix
-    products would, when the plan's matrices live in another field or
-    do not fit.
-    """
-    params, q = state.params, state.field.q
-    d, x = params.d, plan.failed
-    checked_helpers(params, x, plan.helpers)
-    if any(m.field != state.field for m in (*plan.combine, plan.mix)):
-        raise FieldMismatch(f"repair plan is not over GF({q})")
-    if len(plan.combine) != d or (plan.mix.rows, plan.mix.cols) != (d, d) or any(
-            (b.rows, b.cols) != (d, 1) for b in plan.combine):
-        raise DimensionMismatch(f"repair plan needs {d} {d}x1 combine vectors and a {d}x{d} mix")
-    coef = _coefficients(state)
-    # helpers[i, j, c] is entry (i, c) of Q_{helpers[j]}
-    picked = [(node - 1) * d + c for node in plan.helpers for c in range(d)]
-    helpers = coef[:, picked].reshape(params.M, d, d)
-    combine = residue_array([b.entries for b in plan.combine], q)
-    mix = residue_array(plan.mix.entries, q).reshape(d, d)
-    columns = (helpers * combine % q).sum(axis=2) % q
-    replacement = (columns[:, :, None] * mix % q).sum(axis=1) % q
-    new_q = list(state.Q)
-    new_q[x - 1] = FieldMatrix(params.M, d, tuple(replacement.reshape(-1).tolist()), state.field)
-    repaired = replace(state, Q=tuple(new_q))
-    new_coef = coef.copy()
-    new_coef[:, (x - 1) * d:x * d] = replacement
-    new_coef.setflags(write=False)
-    object.__setattr__(repaired, "_coef", new_coef)
-    return repaired
 
 
 def repair_random(
@@ -410,36 +361,49 @@ def repair_random(
 ) -> CodeState:
     """Regenerate one node from d helpers, one packet each.
 
-    Coefficients are sampled uniformly; a candidate replacement is kept
-    only if the whole state passes invariant_check again.  When state
-    passed invariant_failure on this hset, each candidate is marked as
-    differing from it only at node failed, so that check ranks only the
-    maximal h with h_failed > 0 (see the module docstring).  The returned
-    state's attempts field counts the samples used.  States whose
-    candidate was rejected are never returned or mutated.  Raises
-    InvalidHelpers when helpers fail mfhs.checked_helpers, and
-    CodeError when max_attempts is below 1.
+    Each attempt draws a d x d matrix B and then a d x d matrix Z,
+    uniformly.  Helper x_j, in checked_helpers order, sends its packets
+    combined by column b_j of B, and the newcomer mixes what it gets by
+    Z, so the candidate Q_failed is [Q_{x_1} b_1 | ... | Q_{x_d} b_d] @ Z.
+    It is computed in numpy from the helpers' columns of state's
+    coefficient array, gathered once per call, in its residue_array
+    dtype: int64 below 2^31, where each product of two residues stays
+    below 2^62 and is reduced mod q before the sums, and Python ints
+    above.  The candidate keeps a copy of that array with the failed
+    node's columns replaced.
+
+    A candidate is kept only if the whole state passes invariant_check
+    again.  When state passed invariant_failure on this hset, each
+    candidate is marked as differing from it only at node failed, so
+    that check ranks only the maximal h with h_failed > 0 (see the
+    module docstring).  The returned state's attempts field counts the
+    samples used.  States whose candidate was rejected are never
+    returned or mutated.  Raises InvalidHelpers when helpers fail
+    mfhs.checked_helpers, and CodeError when max_attempts is below 1 or
+    q is too large to draw.
     """
     params = state.params
     ordered = checked_helpers(params, failed, helpers)
     hset = h_enumerate(params)
     memo = state._checked
     base_passed = memo is not None and memo[0] is hset and memo[1] is None
-    field, d = state.field, params.d
+    field, d, q = state.field, params.d, state.field.q
+    coef = _coefficients(state)
+    # blocks[i, j, c] is entry (i, c) of Q_{ordered[j]}
+    blocks = coef[:, [(x - 1) * d + c for x in ordered for c in range(d)]].reshape(params.M, d, d)
 
     def sample(rng: np.random.Generator, attempt: int) -> CodeState:
-        bs = rng.integers(0, field.q, size=(d, d), dtype=np.int64)
-        zs = rng.integers(0, field.q, size=(d, d), dtype=np.int64)
-        plan = RepairPlan(
-            failed=failed,
-            helpers=ordered,
-            combine=tuple(FieldMatrix(d, 1, tuple(column), field) for column in bs.T.tolist()),
-            mix=FieldMatrix(d, d, tuple(zs.reshape(-1).tolist()), field),
-        )
-        candidate = apply_repair_plan(state, plan)
-        # the candidate is new and unshared: set its provenance in place,
-        # so that it keeps the array apply_repair_plan built
-        object.__setattr__(candidate, "attempts", attempt)
+        combine = residue_array(_uniform(rng, q, (d, d)).T, q)
+        mix = residue_array(_uniform(rng, q, (d, d)), q)
+        columns = (blocks * combine % q).sum(axis=2) % q
+        replacement = (columns[:, :, None] * mix % q).sum(axis=1) % q
+        new_q = list(state.Q)
+        new_q[failed - 1] = FieldMatrix(params.M, d, tuple(replacement.reshape(-1).tolist()), field)
+        candidate = replace(state, Q=tuple(new_q), attempts=attempt)
+        new_coef = coef.copy()
+        new_coef[:, (failed - 1) * d:failed * d] = replacement
+        new_coef.setflags(write=False)
+        object.__setattr__(candidate, "_coef", new_coef)
         if base_passed:
             object.__setattr__(candidate, "_checked", (hset, failed))
         return candidate

@@ -82,7 +82,7 @@ def step_select(state: ConnectState) -> int:
     """Next helper to increment: lowest value, then earliest position.
     connect_run takes at most h_failed <= d steps from initial_perm's d
     checked helpers, so the pool is never empty here."""
-    return min(state.pool, key=lambda x: (state.h[x - 1], state.perm.position(x)))
+    return min(state.pool, key=lambda x: (state.h[x - 1], state.perm.pos[x]))
 
 
 def step_resort(state: ConnectState, x: int) -> Perm:
@@ -101,7 +101,7 @@ def step_resort(state: ConnectState, x: int) -> Perm:
     sentinel = len(old_order) + 1
 
     def key(node: int) -> tuple[int, int]:
-        tie = sentinel if node == failed else state.perm.position(node)
+        tie = sentinel if node == failed else state.perm.pos[node]
         return (-state.h[node - 1], tie)
 
     new_order = tuple(sorted(old_order, key=key))

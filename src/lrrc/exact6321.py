@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +58,7 @@ from .mfhs import Params, params_new
 FAMILY_A = (1, 2, 3)
 FAMILY_B = (4, 5, 6)
 MIN_FIELD = 7
+_PARAMS6321 = params_new(6, 3, 2, 1)
 
 # Report order of each group of verify_exact_code's entries.
 _MDS_SUBSETS = tuple(itertools.combinations(range(6), 4))
@@ -115,12 +115,7 @@ class ExactCode:
 
     @property
     def params(self) -> Params:
-        return _params6321()
-
-
-@lru_cache(maxsize=1)
-def _params6321() -> Params:
-    return params_new(6, 3, 2, 1)
+        return _PARAMS6321
 
 
 def _column(vec: Sequence[int], field: FieldConfig) -> FieldMatrix:

@@ -190,9 +190,6 @@ class Perm:
         """Inverse map: pos[node] is the 1-based position of node."""
         return {node: i + 1 for i, node in enumerate(self.order)}
 
-    def position(self, node: int) -> int:
-        return self.pos[node]
-
 
 @dataclass(frozen=True)
 class ScoreVector:

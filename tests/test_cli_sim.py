@@ -72,6 +72,14 @@ def test_construct_writes_state(tmp_path, capsys):
     assert len(doc["Q"]) == 6
 
 
+def test_construct_refuses_a_field_too_large_to_draw(capsys):
+    code, out, err = invoke(capsys, "construct", "4", "2", "1", "1",
+                            "--q", "18446744073709551629")
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot sample coefficients in GF(18446744073709551629): "
+                   "draws are int64, so q must be below 2^63\n")
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     out_path = tmp_path / "state.json"
     invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3",

@@ -18,8 +18,6 @@ from lrrc.code_core import (
     InvalidHelpers,
     RankDeficient,
     RepairFailed,
-    RepairPlan,
-    apply_repair_plan,
     construct,
     decode,
     encode,
@@ -37,9 +35,7 @@ from lrrc.code_core import (
 from lrrc.galois import (
     BATCH_Q_LIMIT,
     RANK_CHUNK,
-    DimensionMismatch,
     FieldMatrix,
-    FieldMismatch,
     field_new,
     first_rank_deficient,
     identity,
@@ -207,8 +203,11 @@ def test_repair_helper_validation(small_state):
         repair_random(small_state, 1, (4,), rng_seed=0)  # too few
     with pytest.raises(InvalidHelpers):
         repair_random(small_state, 1, (4, 4), rng_seed=0)  # duplicates
-    with pytest.raises(InvalidHelpers):
-        repair_random(small_state, 7, (4, 5), rng_seed=0)  # no such node
+    # helper 0 would index Q_6's columns, failed 0 and 7 lie outside
+    # the coefficient array
+    for failed, helpers in ((7, (4, 5)), (0, (4, 5)), (1, (0, 5)), (1, (5, 0)), (1, (4, 5, 6))):
+        with pytest.raises(InvalidHelpers):
+            repair_random(small_state, failed, helpers, rng_seed=0)
 
 
 def test_repair_determinism(small_state):
@@ -222,11 +221,22 @@ def test_witness_repair_full_selection_set(small_state):
         assert witness_repair_check(small_state, 1, (4, 5), h, H321), h
 
 
+def _mat_mul_repair(state, failed, helpers, combine, mix):
+    """The state after a repair of node failed, by the repair's
+    definition in pure-Python products: helper helpers[j] sends
+    Q_{helpers[j]} @ combine[j] and the newcomer stores
+    [Q_{x_1} b_1 | ... | Q_{x_d} b_d] @ mix."""
+    columns = [mat_mul(state.Q[x - 1], b) for x, b in zip(helpers, combine)]
+    new_q = list(state.Q)
+    new_q[failed - 1] = mat_mul(mat_hstack(columns), mix)
+    return replace(state, Q=tuple(new_q))
+
+
 def plan_replay_witness(state, failed, helpers, h):
-    """The witness by building and applying the repair it prescribes:
-    the j-th incremented helper s_j sends column h'_{s_j}, the other
-    helpers pad the unused slots with their first column, the mix is the
-    identity, and the repaired state's selection under h is ranked."""
+    """The witness by building the repair it prescribes: the j-th
+    incremented helper s_j sends column h'_{s_j}, the other helpers pad
+    the unused slots with their first column, the mix is the identity,
+    and the repaired state's selection under h is ranked."""
     params = state.params
     ordered = tuple(sorted(helpers))
     result = connect_run(params, h, ordered, failed)
@@ -236,14 +246,11 @@ def plan_replay_witness(state, failed, helpers, h):
                            state.field)
 
     leftovers = [x for x in ordered if x not in result.incremented]
-    plan = RepairPlan(
-        failed=failed,
-        helpers=result.incremented + tuple(leftovers),
-        combine=tuple(unit(result.h_prime[x - 1]) for x in result.incremented)
-        + tuple(unit(1) for _ in leftovers),
-        mix=identity(params.d, state.field),
+    candidate = _mat_mul_repair(
+        state, failed, result.incremented + tuple(leftovers),
+        [unit(result.h_prime[x - 1]) for x in result.incremented] + [unit(1) for _ in leftovers],
+        identity(params.d, state.field),
     )
-    candidate = apply_repair_plan(state, plan)
     return sum(h) == 0 or rank_of_rows(_selection_rows(candidate, h), state.field.q) == sum(h)
 
 
@@ -486,78 +493,62 @@ def test_targets_never_fall_along_unit_raises(point):
             assert all(a <= b for a, b in zip(low, high)), (failed, helpers, h, up)
 
 
-def test_apply_repair_plan_is_unverified(small_state):
-    f = small_state.field
-    zero_cols = tuple(
-        FieldMatrix.from_rows([[0]] * P321.d, f) for _ in range(P321.d)
-    )
-    eye = identity(P321.d, f)
-    plan = RepairPlan(failed=1, helpers=(4, 5), combine=zero_cols, mix=eye)
-    degraded = apply_repair_plan(small_state, plan)
-    assert all(v == 0 for v in degraded.Q[0].entries)
-    assert not invariant_check(degraded, H321)
+class _RecordingRng:
+    """Stands in for repair_random's Philox generator: hands out its
+    draws, or all q - 1 when top, and keeps each one."""
 
+    def __init__(self, rng, top):
+        self.rng, self.top, self.draws = rng, top, []
 
-def _mat_mul_repair(state, plan):
-    """The failed node's replacement by the plan's definition, in
-    pure-Python products: [Q_{x_1} b_1 | ... | Q_{x_d} b_d] @ mix."""
-    columns = [mat_mul(state.Q[x - 1], b) for x, b in zip(plan.helpers, plan.combine)]
-    return mat_mul(mat_hstack(columns), plan.mix)
+    def integers(self, low, high, size, dtype):
+        drawn = (np.full(size, high - 1, dtype=dtype) if self.top
+                 else self.rng.integers(low, high, size=size, dtype=dtype))
+        self.draws.append(drawn.tolist())
+        return drawn
 
 
 @pytest.mark.parametrize("q", [307, 142151, 2147483647, next_prime(2**31)])
-def test_apply_repair_plan_matches_pure_products(q):
+def test_repair_random_matches_pure_products(q, monkeypatch):
     # 2^31 - 1 is the largest int64 field, where products of residues
-    # come closest to 2^62; next_prime(2^31) takes the object path
+    # come closest to 2^62; next_prime(2^31) takes the object path.  The
+    # all-(q - 1) state fails the invariant, so each call keeps its
+    # first candidate unverified, and the first call draws all q - 1.
+    rngs = []
+
+    def first_sample(sample, hset, rng_seed, max_attempts, error):
+        rngs.append(_RecordingRng(np.random.Generator(np.random.Philox(rng_seed)), not rngs))
+        return sample(rngs[-1], 1)
+
+    monkeypatch.setattr(code_core, "_sample_until_accepted", first_sample)
     rng = random.Random(q)
     f = field_new(q)
     d = P641.d
     top = FieldMatrix(P641.M, d, (q - 1,) * (P641.M * d), f)
     state = CodeState(params=P641, field=f, packet_width=1, Q=(top,) * P641.n)
     for trial in range(8):
-        def draw(count):
-            return tuple(q - 1 if trial == 0 else rng.randrange(q) for _ in range(count))
-
         failed = rng.randrange(1, P641.n + 1)
         helpers = tuple(rng.sample(sorted(helper_universe(P641, failed)), d))
-        plan = RepairPlan(failed=failed, helpers=helpers,
-                          combine=tuple(FieldMatrix(d, 1, draw(d), f) for _ in helpers),
-                          mix=FieldMatrix(d, d, draw(d * d), f))
-        repaired = apply_repair_plan(state, plan)
-        want = list(state.Q)
-        want[failed - 1] = _mat_mul_repair(state, plan)
-        assert repaired.Q == tuple(want)
+        seed = rng.randrange(2**32)
+        repaired = repair_random(state, failed, helpers, rng_seed=seed)
+        combine, mix = rngs[-1].draws
+        if trial > 0:
+            # B then Z, the call's first two draws from Philox(seed)
+            philox = np.random.Generator(np.random.Philox(seed))
+            assert [philox.integers(0, q, size=(d, d), dtype=np.int64).tolist()
+                    for _ in range(2)] == [combine, mix]
+        else:
+            assert combine == mix == [[q - 1] * d] * d
+        # helper x_j, in ascending order, sends Q_{x_j} b_j, b_j column j of B
+        want = _mat_mul_repair(state, failed, sorted(helpers),
+                               [FieldMatrix(d, 1, tuple(row[j] for row in combine), f)
+                                for j in range(d)],
+                               FieldMatrix.from_rows(mix, f))
+        assert repaired.Q == want.Q
         # the array the candidate carries is the one its matrices give
         fresh = state_from_dict(state_to_dict(repaired))
         assert np.array_equal(code_core._coefficients(repaired), code_core._coefficients(fresh))
         # repair the repaired state next, from the array it carries
         state = repaired
-
-
-def test_apply_repair_plan_rejects_plans_that_do_not_fit(small_state):
-    f, d = small_state.field, P321.d
-    column = FieldMatrix(d, 1, (1,) * d, f)
-    eye = identity(d, f)
-    other = field_new(next_prime(f.q + 1))
-    for plan in (
-        RepairPlan(failed=1, helpers=(4, 5), combine=(column,), mix=eye),
-        RepairPlan(failed=1, helpers=(4, 5), combine=(column, column), mix=identity(3, f)),
-        RepairPlan(failed=1, helpers=(4, 5), combine=(column, identity(d, f)), mix=eye),
-    ):
-        with pytest.raises(DimensionMismatch):
-            apply_repair_plan(small_state, plan)
-    with pytest.raises(FieldMismatch):
-        apply_repair_plan(small_state, RepairPlan(failed=1, helpers=(4, 5),
-                                                  combine=(column, column),
-                                                  mix=identity(d, other)))
-    # node ids are checked as repair_random checks them: helper 0 would
-    # index Q_6's columns, failed 0 would not broadcast, failed 7 would
-    # overrun the coefficient array
-    for failed, helpers in ((1, (0, 5)), (1, (5, 0)), (0, (4, 5)), (7, (4, 5)), (1, (2, 5)),
-                            (1, (4, 4)), (1, (4, 5, 6))):
-        with pytest.raises(InvalidHelpers):
-            apply_repair_plan(small_state, RepairPlan(failed=failed, helpers=helpers,
-                                                      combine=(column, column), mix=eye))
 
 
 def test_coefficient_array_is_cached_read_only(small_state):
@@ -799,6 +790,22 @@ def test_budget_errors_share_one_base(small_state):
     assert repaired.value.rejected_by == ((0, 0, 0, 1, 1, 2),) * 2
 
 
+def test_fields_too_large_to_draw_are_refused():
+    # coefficients are drawn as int64, so a field at 2^63 or above is
+    # refused before any draw, by construct and by repair_random alike;
+    # the largest prime below 2^63 still constructs
+    q = next_prime(2**63)
+    big = _random_state(P321, q, random.Random(0))
+    for call in (lambda: construct(P321, big.field, H321, rng_seed=0),
+                 lambda: repair_random(big, 1, (4, 5), rng_seed=0)):
+        with pytest.raises(CodeError) as refused:
+            call()
+        assert type(refused.value) is CodeError
+        assert str(refused.value) == (f"cannot sample coefficients in GF({q}): draws are int64, "
+                                      f"so q must be below 2^63")
+    assert invariant_check(construct(P321, field_new(2**63 - 25), H321, rng_seed=0), H321)
+
+
 def test_attempts_are_provenance_not_content():
     # seed 1 at GF(307) is rejected twice before a sample passes
     state = construct(P641, field_new(307), H641, rng_seed=1, max_attempts=64)
@@ -815,8 +822,9 @@ def _recommended_state(params, hset, seed):
 
 
 def _low_entropy_plan(state, rng, q_plan):
-    """A repair plan of a random node whose coefficients lie in
-    0..q_plan-1, so that at q_plan = 2, 3, 5 many of them lose rank."""
+    """The failed node and the state after a repair of a random node
+    whose coefficients lie in 0..q_plan-1, so that at q_plan = 2, 3, 5
+    many of them lose rank."""
     params, f = state.params, state.field
     failed = rng.randrange(1, params.n + 1)
     helpers = tuple(sorted(rng.sample(sorted(helper_universe(params, failed)), params.d)))
@@ -824,9 +832,8 @@ def _low_entropy_plan(state, rng, q_plan):
     def draw(rows, cols):
         return FieldMatrix(rows, cols, tuple(rng.randrange(q_plan) for _ in range(rows * cols)), f)
 
-    return RepairPlan(failed=failed, helpers=helpers,
-                      combine=tuple(draw(params.d, 1) for _ in helpers),
-                      mix=draw(params.d, params.d))
+    combine = [draw(params.d, 1) for _ in helpers]
+    return failed, _mat_mul_repair(state, failed, helpers, combine, draw(params.d, params.d))
 
 
 @pytest.mark.parametrize("params", CROSS_CHECK_POINTS, ids=_point_id)
@@ -841,12 +848,11 @@ def test_marked_candidate_reports_what_a_full_sweep_reports(params):
     verdicts = set()
     for q_plan in (2, 3, 5):
         for _ in range(10):
-            plan = _low_entropy_plan(base, rng, q_plan)
-            candidate = apply_repair_plan(base, plan)
-            object.__setattr__(candidate, "_checked", (hset, plan.failed))
+            failed, candidate = _low_entropy_plan(base, rng, q_plan)
+            object.__setattr__(candidate, "_checked", (hset, failed))
             unmarked = state_from_dict(state_to_dict(candidate))
             h = invariant_failure(candidate, hset)
-            assert h == invariant_failure(unmarked, hset), (q_plan, plan)
+            assert h == invariant_failure(unmarked, hset), (q_plan, failed, candidate.Q)
             verdicts.add(h is None)
     assert verdicts == {True, False}
 

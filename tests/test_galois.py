@@ -176,11 +176,14 @@ def test_full_rank_iff_cofactor_det_nonzero(n, data):
     assert (det_by_cofactors(rows, q) != 0) == (_rank(a) == n)
 
 
-def _residues(q: int) -> st.SearchStrategy[int]:
-    # entries near q - 1 make the largest products, where int64 would wrap
-    return st.one_of(
-        st.integers(0, q - 1), st.integers(max(0, q - 4), q - 1), st.sampled_from([0, 1])
-    )
+def _residues(rng: np.random.Generator, q: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Residues of three kinds, picked per entry: uniform, within 4 of
+    q - 1, and 0 or 1.  Entries near q - 1 make the largest products,
+    where int64 would wrap."""
+    kinds = rng.integers(0, 3, size=shape)
+    return np.choose(kinds, [rng.integers(0, q, size=shape),
+                             q - 1 - rng.integers(0, min(4, q), size=shape),
+                             rng.integers(0, 2, size=shape)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -192,26 +195,26 @@ def _residues(q: int) -> st.SearchStrategy[int]:
     st.integers(1, 9),
     st.integers(0, 3),
     st.integers(1, 5),
-    st.data(),
+    st.integers(0, 2**32 - 1),
 )
-def test_full_column_rank_matches_rank_of_rows(q, s, extra_rows, count, data):
+def test_full_column_rank_matches_rank_of_rows(q, s, extra_rows, count, seed):
     """Tall (extra_rows > 0) and square stacks against the pure kernel.
 
-    Some matrices get a last column that is a combination of the others
-    mod q; only exact modular arithmetic cancels it, so a kernel whose
-    products wrap would call those matrices regular.
+    The entries come from a Philox generator that hypothesis seeds, one
+    draw per stack rather than one per entry.  Some matrices get a last
+    column that is a combination of the others mod q; only exact
+    modular arithmetic cancels it, so a kernel whose products wrap
+    would call those matrices regular.
     """
     assert q < BATCH_Q_LIMIT
     m = s + extra_rows
-    mats = []
-    for _ in range(count):
-        rows = [data.draw(st.lists(_residues(q), min_size=s, max_size=s)) for _ in range(m)]
-        if s > 1 and data.draw(st.booleans()):
-            weights = data.draw(st.lists(_residues(q), min_size=s - 1, max_size=s - 1))
-            for row in rows:
-                row[-1] = sum(w * e for w, e in zip(weights, row)) % q
-        mats.append(rows)
-    stack = np.array(mats, dtype=np.int64).reshape(count, m, s)
+    rng = np.random.Generator(np.random.Philox(seed))
+    stack = _residues(rng, q, (count, m, s))
+    for mat, planted in zip(stack, rng.integers(0, 2, size=count)):
+        if s > 1 and planted:
+            weights = _residues(rng, q, (s - 1,)).tolist()
+            for row in mat:
+                row[-1] = sum(w * int(e) for w, e in zip(weights, row[:-1])) % q
     want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
     assert full_column_rank(stack, q).tolist() == want
 

@@ -45,6 +45,19 @@ def test_endurance_rejects_invalid_input(argv, message):
     assert "Traceback" not in child.stderr
 
 
+@pytest.mark.parametrize("q,message", [
+    ("5", "GF(5) cannot host the construction, need q >= 7"),
+    ("9", "field size 9 is not prime"),
+])
+def test_exact_code_report_refuses_fields_it_cannot_use(q, message):
+    # a refused field is a usage error (exit 2), as in lrrc exact6321,
+    # not a failed check (exit 1)
+    child = run("scripts/exact_code_report.py", "--q", q)
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert child.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_field_size_table_rejects_trials_below_one(trials):
     child = run("scripts/field_size_table.py", "--trials", trials)
