@@ -203,9 +203,17 @@ def test_repair_helper_validation(small_state):
         repair_random(small_state, 1, (4,), rng_seed=0)  # too few
     with pytest.raises(InvalidHelpers):
         repair_random(small_state, 1, (4, 4), rng_seed=0)  # duplicates
-    # helper 0 would index Q_6's columns, failed 0 and 7 lie outside
-    # the coefficient array
-    for failed, helpers in ((7, (4, 5)), (0, (4, 5)), (1, (0, 5)), (1, (5, 0)), (1, (4, 5, 6))):
+    with pytest.raises(InvalidHelpers):
+        repair_random(small_state, 7, (4, 5), rng_seed=0)  # no such node
+
+
+def test_apply_repair_plan_rejects_plans_that_do_not_fit(small_state):
+    # repair_random is the one way to apply a repair now; it refuses a
+    # repair whose node ids do not fit the state before drawing: helper 0
+    # would index Q_6's columns, failed 0 would not broadcast, failed 7
+    # would overrun the coefficient array
+    for failed, helpers in ((1, (0, 5)), (1, (5, 0)), (0, (4, 5)), (7, (4, 5)), (1, (2, 5)),
+                            (1, (4, 4)), (1, (4, 5, 6))):
         with pytest.raises(InvalidHelpers):
             repair_random(small_state, failed, helpers, rng_seed=0)
 
