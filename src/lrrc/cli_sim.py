@@ -402,20 +402,24 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # every flag is checked before the state is read and H enumerated
     wanted = _parse_checks(args.checks)
     if not wanted:
         raise ModelError(f"verify needs at least one check of {', '.join(CHECKS)}")
+    witness = "witness" in wanted
+    if witness and (args.witness_failed is None or not args.witness_helpers):
+        raise ModelError("witness check needs --witness-failed and --witness-helpers")
+    if not witness and (args.witness_failed is not None or args.witness_helpers is not None):
+        raise ModelError("--witness-failed and --witness-helpers need the witness check")
+    helpers = _parse_int_list(args.witness_helpers or "", "--witness-helpers")
     state = _load_state(args.state)
     hset = h_enumerate(state.params)
-    if "witness" in wanted and (args.witness_failed is None or not args.witness_helpers):
-        raise ModelError("witness check needs --witness-failed and --witness-helpers")
     results = {}
     if "invariant" in wanted:
         results["invariant"] = invariant_check(state, hset)
     if "reconstruction" in wanted:
         results["reconstruction"] = reconstruct_check(state)
-    if "witness" in wanted:
-        helpers = _parse_int_list(args.witness_helpers, "--witness-helpers")
+    if witness:
         results["witness"] = witness_holds(state, args.witness_failed, helpers, hset)
     _emit(results)
     return 0 if all(results.values()) else 1

@@ -14,7 +14,7 @@ total M).  Every member of H lies below a maximal one, and lowering h_i
 drops trailing columns of node i from the selection; a subset of
 independent columns stays independent, so the maximal members decide
 the whole of H.  Their selections are gathered from one M x (n*d) array
-of the Q matrices, which each CodeState builds once and keeps, by
+[Q_1 | ... | Q_n], which each CodeState builds once and keeps, by
 galois.first_rank_deficient: in chunks of 4096 in member order, each
 eliminated in batched int64 numpy for q < 2^31, on signed residues that
 are reduced only when the next update could leave int64, and by
@@ -23,18 +23,25 @@ chunk that holds a failure, so a rejected state costs one chunk at
 most, and memory stays bounded at points with 10^5 and more maximal
 members.
 
+This module alone knows that array's layout: node j's d columns sit at
+(j - 1)*d .. j*d - 1, so the array reshaped to M x n x d is a view
+indexed by node.  Every selection index is built in numpy by
+_selection_columns, and an HSet's are built once, in its _sweep_plan.
+lrrc.mfhs, which finds H, knows nothing of columns.
+
 A repair rechecks only the selections it changes.  Repairing node x
 replaces Q_x alone, so a maximal h with h_x = 0 selects the same
 columns before and after: the columns are unchanged, so the ranks are
 unchanged.  When the state under repair passed invariant_failure on
-the same HSet object, each candidate is ranked on hset.node_rows[x - 1]
-only, the maximal members with h_x > 0 (265 of 384 at (6,4,3,1)).  A
-CodeState remembers that it passed in a private field that is no part
-of its content or JSON form; a state made by its constructor, by
-dataclasses.replace or by state_from_dict starts without it and is
-ranked in full.  The candidate's array is the base's array with node
-x's d columns replaced by the new Q_x, which repair_random computes in
-numpy from the helpers' columns of that same array.
+the same HSet object, each candidate is ranked on the plan's
+node_rows[x - 1] only, the maximal members with h_x > 0 (265 of 384 at
+(6,4,3,1)).  A CodeState remembers that it passed in a private field
+that is no part of its content or JSON form; a state made by its
+constructor, by dataclasses.replace or by state_from_dict starts
+without it and is ranked in full.  The candidate's array is the base's
+array with node x's d columns replaced by the new Q_x, which
+repair_random computes in numpy from the helpers' columns of that same
+array.
 
 Lemma C: every set S of k nodes contains the support of a maximal
 member of H, so every state that passes invariant_check lets any k
@@ -101,7 +108,6 @@ from .mfhs import (
     h_enumerate,
     params_from_dict,
     params_to_dict,
-    selection_columns,
 )
 from .connect import InternalContradiction, connect_run
 
@@ -208,7 +214,8 @@ def required_field_size(params: Params, hset: HSet) -> int:
 
 def _coefficients(state: CodeState) -> np.ndarray:
     """[Q_1 | ... | Q_n] as one read-only M x (n*d) galois.residue_array,
-    built on first use and kept on the state."""
+    built on first use and kept on the state.  It is C-contiguous, so
+    reshaping it to M x n x d gives a view indexed by node, no copy."""
     coef = state._coef
     if coef is None:
         params = state.params
@@ -219,24 +226,50 @@ def _coefficients(state: CodeState) -> np.ndarray:
     return coef
 
 
+def _selection_columns(d: int, hs: np.ndarray) -> np.ndarray:
+    """(B, s) column indices into [Q_1 | ... | Q_n] of the selections
+    under the rows of hs, a (B, n) array of selection vectors that all
+    total s: row i takes the first hs[i, j] of node j's d columns
+    (0-based j), in ascending order."""
+    taken = np.flatnonzero(np.arange(d) < hs[:, :, None])
+    return np.remainder(taken, hs.shape[1] * d, out=taken).reshape(len(hs), -1)
+
+
+@lru_cache(maxsize=None)
+def _sweep_plan(hset: HSet) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The state-free index arrays of hset's sweeps, (columns, node_rows),
+    both derived from one array of hset.maximal.
+
+    columns[i] is the selection of hset.maximal[i], and node_rows[j]
+    (0-based j) holds the ascending rows of the members with h_j > 0:
+    the selections that read node j's columns, and so the only ones a
+    change to node j's matrix can alter."""
+    maximal = np.fromiter(itertools.chain.from_iterable(hset.maximal), np.intp)
+    maximal = maximal.reshape(-1, hset.params.n)
+    return (_selection_columns(hset.params.d, maximal),
+            tuple(np.flatnonzero(reads) for reads in (maximal > 0).T))
+
+
 def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     """First maximal h, in member order, whose selection loses full
     column rank; None when every admissible selection keeps it.
 
     Checking the maximal members suffices: see the module docstring.
     They all total M, so their M x M selections decide them, gathered
-    and ranked by galois.first_rank_deficient in chunks.
+    by their rows of the _sweep_plan columns and ranked by
+    galois.first_rank_deficient in chunks.
     A candidate that repair_random marked as differing from a passing
-    state only at node x is ranked on hset.node_rows[x - 1] alone: every
-    other maximal h selects the columns that passed in that state, so
-    the first failure in member order is among those rows.  A state
+    state only at node x is ranked on the plan's node_rows[x - 1] alone:
+    every other maximal h selects the columns that passed in that state,
+    so the first failure in member order is among those rows.  A state
     that passes is marked as passing on this hset.
     """
+    columns, node_rows = _sweep_plan(hset)
     memo = state._checked
     rows = None
     if memo is not None and memo[0] is hset and memo[1] is not None:
-        rows = hset.node_rows[memo[1] - 1]
-    columns = hset.maximal_columns if rows is None else hset.maximal_columns[rows]
+        rows = node_rows[memo[1] - 1]
+        columns = columns[rows]
     first = first_rank_deficient(_coefficients(state), columns, state.field.q)
     if first is None:
         object.__setattr__(state, "_checked", (hset, None))
@@ -254,11 +287,10 @@ def invariant_check(state: CodeState, hset: HSet) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _subset_columns(n: int, k: int, d: int) -> np.ndarray:
-    """(C(n, k), k*d) column indices of every k-node block of [Q_1 | ... | Q_n]:
-    the selection that takes all d columns of each node in the block."""
-    return np.array([selection_columns(d, [d * (j in subset) for j in range(n)])
-                     for subset in itertools.combinations(range(n), k)], dtype=np.intp)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """(C(n, k), k) 0-based node indices of every k-subset of nodes, in
+    itertools.combinations order."""
+    return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
 
 
 def reconstruct_verdicts(state: CodeState) -> np.ndarray:
@@ -269,12 +301,12 @@ def reconstruct_verdicts(state: CodeState) -> np.ndarray:
     has full column rank, which one batched kernel call decides for all
     C(n, k) subsets.  Since decode solves exactly that transposed
     system, a subset's verdict is also whether decode recovers an
-    encoded file from it.
+    encoded file from it.  The blocks are gathered by node from the
+    M x n x d view of the coefficient array.
     """
-    params = state.params
-    columns = _subset_columns(params.n, params.k, params.d)
-    blocks = _coefficients(state)[:, columns].transpose(1, 2, 0)
-    return full_column_rank(blocks, state.field.q)
+    m, n, k, d = state.params.M, state.params.n, state.params.k, state.params.d
+    blocks = _coefficients(state).reshape(m, n, d)[:, _subsets(n, k)].reshape(m, -1, k * d)
+    return full_column_rank(blocks.transpose(1, 2, 0), state.field.q)
 
 
 def reconstruct_check(state: CodeState) -> bool:
@@ -365,12 +397,12 @@ def repair_random(
     uniformly.  Helper x_j, in checked_helpers order, sends its packets
     combined by column b_j of B, and the newcomer mixes what it gets by
     Z, so the candidate Q_failed is [Q_{x_1} b_1 | ... | Q_{x_d} b_d] @ Z.
-    It is computed in numpy from the helpers' columns of state's
-    coefficient array, gathered once per call, in its residue_array
-    dtype: int64 below 2^31, where each product of two residues stays
-    below 2^62 and is reduced mod q before the sums, and Python ints
-    above.  The candidate keeps a copy of that array with the failed
-    node's columns replaced.
+    It is computed in numpy from the helpers' blocks of state's
+    coefficient array, gathered once per call through its M x n x d
+    view, in its residue_array dtype: int64 below 2^31, where each
+    product of two residues stays below 2^62 and is reduced mod q
+    before the sums, and Python ints above.  The candidate keeps a copy of that array with the failed
+    node's block replaced through the same view.
 
     A candidate is kept only if the whole state passes invariant_check
     again.  When state passed invariant_failure on this hset, each
@@ -387,10 +419,10 @@ def repair_random(
     hset = h_enumerate(params)
     memo = state._checked
     base_passed = memo is not None and memo[0] is hset and memo[1] is None
-    field, d, q = state.field, params.d, state.field.q
+    field, m, n, d, q = state.field, params.M, params.n, params.d, state.field.q
     coef = _coefficients(state)
     # blocks[i, j, c] is entry (i, c) of Q_{ordered[j]}
-    blocks = coef[:, [(x - 1) * d + c for x in ordered for c in range(d)]].reshape(params.M, d, d)
+    blocks = coef.reshape(m, n, d)[:, np.array(ordered) - 1]
 
     def sample(rng: np.random.Generator, attempt: int) -> CodeState:
         combine = residue_array(_uniform(rng, q, (d, d)).T, q)
@@ -398,10 +430,10 @@ def repair_random(
         columns = (blocks * combine % q).sum(axis=2) % q
         replacement = (columns[:, :, None] * mix % q).sum(axis=1) % q
         new_q = list(state.Q)
-        new_q[failed - 1] = FieldMatrix(params.M, d, tuple(replacement.reshape(-1).tolist()), field)
+        new_q[failed - 1] = FieldMatrix(m, d, tuple(replacement.reshape(-1).tolist()), field)
         candidate = replace(state, Q=tuple(new_q), attempts=attempt)
         new_coef = coef.copy()
-        new_coef[:, (failed - 1) * d:failed * d] = replacement
+        new_coef.reshape(m, n, d)[:, failed - 1] = replacement
         new_coef.setflags(write=False)
         object.__setattr__(candidate, "_coef", new_coef)
         if base_passed:
@@ -435,7 +467,7 @@ def witness_repair_check(
         raise HNotMember(f"{h} is not admissible")
     ordered = checked_helpers(params, failed, helpers)
     target = connect_run(params, h, ordered, failed).h_prime
-    rows = _coefficients(state)[:, selection_columns(params.d, target)].tolist()
+    rows = _coefficients(state)[:, _selection_columns(params.d, np.array([target]))[0]].tolist()
     return rank_of_rows(rows, state.field.q) == sum(target)
 
 
@@ -500,15 +532,15 @@ def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: H
     Equal to all(witness_repair_check(state, failed, helpers, h, hset)
     for h in hset), decided by one rank at each maximal target that
     witness_targets memoizes per key.  The targets' selections are
-    gathered from one array of the Q matrices by their rows of
-    hset.maximal_columns, as in invariant_failure, and each is ranked
+    gathered from one array of the Q matrices by their rows of the
+    _sweep_plan columns, as in invariant_failure, and each is ranked
     by rank_of_rows against M, the total of every maximal target.
     Helpers are validated first, so bad ones raise InvalidHelpers
     before the memo is consulted; a key runs no connect_run and no
     membership test, cold or warm.
     """
     ordered = checked_helpers(state.params, failed, helpers)
-    columns = hset.maximal_columns[list(witness_targets(hset, failed, ordered))]
+    columns = _sweep_plan(hset)[0][list(witness_targets(hset, failed, ordered))]
     blocks = _coefficients(state)[:, columns].transpose(1, 0, 2).tolist()
     q, m = state.field.q, state.params.M
     return all(rank_of_rows(rows, q) == m for rows in blocks)

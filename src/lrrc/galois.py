@@ -486,10 +486,13 @@ def check_keys(d: dict, name: str, keys: Sequence[str], required: Sequence[str] 
 
 
 def matrix_from_dict(d: dict) -> FieldMatrix:
+    """The matrix that matrix_to_dict wrote.  Its entries are read as
+    written: one outside 0..q-1 raises OutOfRange, naming it and q,
+    instead of being reduced into another matrix."""
     check_keys(d, "matrix", ("rows", "cols", "q", "entries"))
     if not isinstance(d["entries"], list):
         raise GaloisError(f"matrix entries must be a list, got {type(d['entries']).__name__}")
     field = field_new(int_field(d["q"], "matrix q"))
-    entries = tuple(int_field(e, "matrix entry") % field.q for e in d["entries"])
+    entries = tuple(int_field(e, "matrix entry") for e in d["entries"])
     return FieldMatrix(int_field(d["rows"], "matrix rows"), int_field(d["cols"], "matrix cols"),
                        entries, field)

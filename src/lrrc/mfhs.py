@@ -37,7 +37,9 @@ is weak majorization of h by c.  With larger families c need not be
 monotone, and sorting c before comparing would admit vectors no code
 can serve.  Members of H index every rank condition a code has to
 satisfy, so the whole verification story in this package runs through
-this module.
+this module.  It is combinatorics only: which columns of a code's
+coefficients a member selects, and how they are gathered, is
+lrrc.code_core's alone.
 
 The cap never decides membership.  Each c-prefix is min(b-prefix, M),
 and every h-prefix is at most sum(h); so when sum(h) <= M, c covers an
@@ -99,8 +101,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache, cached_property
 from typing import Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from .galois import check_keys, int_field
 
@@ -478,13 +478,6 @@ def _orbit(rep: Sequence[int], f: int) -> Iterator[tuple[int, ...]]:
             yield tuple(itertools.chain.from_iterable(parts))
 
 
-def selection_columns(d: int, h: Sequence[int]) -> list[int]:
-    """Indices into [Q_1 | ... | Q_n] of the columns selected under h:
-    the first h_j of node j's d columns, which sit at j*d .. j*d + d - 1
-    (0-based j)."""
-    return [j * d + c for j, v in enumerate(h) for c in range(v)]
-
-
 @dataclass(frozen=True, eq=False)
 class HSet:
     """H for one parameter set, held by its family-symmetry orbits.
@@ -502,7 +495,9 @@ class HSet:
 
     members and witnesses are listed on first use only.  An HSet
     compares and hashes by identity: h_enumerate makes one per
-    parameter set, and witness_targets keys its memo on it.
+    parameter set, and lrrc.code_core keys its memos on it, both
+    witness_targets and the sweep plan that holds the maximal members'
+    column indices.
     """
 
     params: Params
@@ -525,22 +520,6 @@ class HSet:
     def witnesses(self) -> tuple[tuple[int, ...], ...]:
         """h_membership's witness order for each member, in member order."""
         return tuple(h_membership(self.params, h).witness.order for h in self.members)
-
-    @cached_property
-    def maximal_columns(self) -> np.ndarray:
-        """(len(maximal), M) column indices into [Q_1 | ... | Q_n]; row i
-        is selection_columns of maximal[i]."""
-        d = self.params.d
-        return np.array([selection_columns(d, h) for h in self.maximal], dtype=np.intp)
-
-    @cached_property
-    def node_rows(self) -> tuple[np.ndarray, ...]:
-        """Per node (0-based j), the ascending row indices into maximal
-        and maximal_columns of the members with h_j > 0: the selections
-        that read node j's columns, and so the only ones a change to
-        node j's matrix can alter."""
-        reads = np.array(self.maximal, dtype=np.intp).reshape(-1, self.params.n) > 0
-        return tuple(np.flatnonzero(reads[:, j]) for j in range(self.params.n))
 
     def __contains__(self, h: object) -> bool:
         """Looks up h's canonical representative.  Every representative

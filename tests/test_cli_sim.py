@@ -146,6 +146,45 @@ def test_verify_witness_check(tmp_path, capsys):
     assert "not eligible" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--checks", "witness", "--witness-helpers", "4,5"),
+     "witness check needs --witness-failed and --witness-helpers"),
+    (("--checks", "invariant,witness", "--witness-failed", "1"),
+     "witness check needs --witness-failed and --witness-helpers"),
+    (("--checks", "witness", "--witness-failed", "1", "--witness-helpers", "4,x"),
+     "--witness-helpers entry must be an integer"),
+    (("--checks", "invariant", "--witness-failed", "1"),
+     "--witness-failed and --witness-helpers need the witness check"),
+    (("--checks", "invariant,reconstruction", "--witness-helpers", "4,5"),
+     "--witness-failed and --witness-helpers need the witness check"),
+    (("--checks", "invariant,witnes"), "unknown checks"),
+])
+def test_verify_refuses_bad_flags_before_reading_the_state(tmp_path, capsys, flags, message):
+    # the state file does not exist: a flag checked after reading it
+    # would report that instead
+    missing = tmp_path / "missing.json"
+    code, out, err = invoke(capsys, "verify", "--state", str(missing), *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_verify_and_repair_refuse_entries_outside_the_field(tmp_path, capsys):
+    # an entry of -1 in Q_2 was once read as q - 1: verify passed and
+    # repair wrote q - 1 back
+    state_path = tmp_path / "state.json"
+    invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3", "--out", str(state_path))
+    doc = json.loads(state_path.read_text())
+    doc["Q"][1]["entries"][0] = -1
+    state_path.write_text(json.dumps(doc))
+    error = "error: entry -1 is not a canonical residue mod 7639\n"
+    code, out, err = invoke(capsys, "verify", "--state", str(state_path))
+    assert (code, out, err) == (2, "", error)
+    code, out, err = invoke(capsys, "repair", "--state", str(state_path), "--failed", "1",
+                            "--helpers", "4,5", "--out", str(tmp_path / "repaired.json"))
+    assert (code, out, err) == (2, "", error)
+    assert not (tmp_path / "repaired.json").exists()
+
+
 def test_repair_subcommand(tmp_path, capsys):
     state_path = tmp_path / "state.json"
     invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3",

@@ -575,6 +575,75 @@ def test_coefficient_array_is_cached_read_only(small_state):
     assert "_coef" not in repr(repaired)
 
 
+def _reference_columns(d, h):
+    """The columns of [Q_1 | ... | Q_n] selected under h, in pure
+    Python: the first h_j of node j's d columns (0-based j)."""
+    return [j * d + c for j, v in enumerate(h) for c in range(v)]
+
+
+@pytest.mark.parametrize("params", CROSS_CHECK_POINTS, ids=_point_id)
+def test_sweep_plan_matches_the_pure_python_reference(params):
+    hset = h_enumerate(params)
+    plan = code_core._sweep_plan(hset)
+    assert code_core._sweep_plan(hset) is plan
+    columns, node_rows = plan
+    # row i selects the first h_j columns of each node, h = maximal[i]
+    assert columns.shape == (len(hset.maximal), params.M)
+    assert columns.tolist() == [_reference_columns(params.d, h) for h in hset.maximal]
+    # node x's rows are the maximal h that read its columns
+    assert len(node_rows) == params.n
+    for x in range(1, params.n + 1):
+        assert node_rows[x - 1].tolist() == [
+            i for i, h in enumerate(hset.maximal) if h[x - 1] > 0]
+    # the helper takes any batch of equal-total vectors, the zero one too
+    by_total = {}
+    for h in hset.members:
+        by_total.setdefault(sum(h), []).append(h)
+    for total, hs in by_total.items():
+        columns = code_core._selection_columns(params.d, np.array(hs))
+        assert columns.shape == (len(hs), total)
+        assert columns.tolist() == [_reference_columns(params.d, h) for h in hs]
+
+
+def test_sweep_plan_pinned_row():
+    columns, _ = code_core._sweep_plan(H641)
+    row = columns[H641.maximal.index((3, 2, 2, 0, 0, 0))]
+    assert row.tolist() == [0, 1, 2, 3, 4, 6, 7]
+
+
+@pytest.mark.parametrize("q", [7639, next_prime(2**31)])
+def test_subset_gather_matches_the_column_gather(q, monkeypatch):
+    # reconstruct_verdicts gathers each k-node block by node; the
+    # reference gathers it by the block's list of columns, int64 below
+    # BATCH_Q_LIMIT and Python ints above it
+    stacks = []
+
+    def recording(stack, q):
+        stacks.append(stack)
+        return galois.full_column_rank(stack, q)
+
+    monkeypatch.setattr(code_core, "full_column_rank", recording)
+    rng = random.Random(f"subsets/{q}")
+    n, k, d = P321.n, P321.k, P321.d
+    columns = [_reference_columns(d, [d * (j in subset) for j in range(n)])
+               for subset in itertools.combinations(range(n), k)]
+    state = _random_state(P321, q, rng)
+    # with nodes 1..3 zeroed, the subset (1, 2, 3) spans nothing
+    zero = FieldMatrix(P321.M, d, (0,) * (P321.M * d), state.field)
+    broken = replace(state, Q=(zero,) * 3 + state.Q[3:])
+    verdicts = []
+    for state in (state, broken, _random_state(P321, 3, rng)):
+        got = code_core.reconstruct_verdicts(state)
+        coef = code_core._coefficients(state)
+        want = coef[:, columns].transpose(1, 2, 0)
+        big = state.field.q >= BATCH_Q_LIMIT
+        assert stacks[-1].dtype == want.dtype == (object if big else np.int64)
+        assert stacks[-1].tolist() == want.tolist()
+        assert got.tolist() == galois.full_column_rank(want, state.field.q).tolist()
+        verdicts += got.tolist()
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_sweep_ranks_chunks_up_to_the_first_failure(monkeypatch):
     """At (10,6,3,2) the 25,050 maximal selections make seven chunks.
     A passing state ranks all of them; a state whose first failing h
@@ -868,6 +937,7 @@ def test_marked_candidate_reports_what_a_full_sweep_reports(params):
 @pytest.mark.parametrize("params", CROSS_CHECK_POINTS, ids=_point_id)
 def test_repair_ranks_only_the_failed_nodes_rows(params, monkeypatch):
     hset = h_enumerate(params)
+    _, node_rows = code_core._sweep_plan(hset)
     stacks = []
 
     def recording(coef, columns, q):
@@ -885,7 +955,7 @@ def test_repair_ranks_only_the_failed_nodes_rows(params, monkeypatch):
     for failed in (1, params.n):
         helpers = sorted(helper_universe(params, failed))[-params.d:]
         state = repair_random(state, failed, helpers, rng_seed=failed)
-        rows = hset.node_rows[failed - 1]
+        rows = node_rows[failed - 1]
         # the accepted attempt ranked the selections of exactly those rows
         assert stacks[-1].tolist() == [_selection_rows(state, hset.maximal[i]) for i in rows]
         assert batches() == [len(rows)] * state.attempts
@@ -904,7 +974,7 @@ def test_repair_ranks_only_the_failed_nodes_rows(params, monkeypatch):
         assert batches() == [len(hset.maximal)]
         # once it passed in full, a repair of it ranks node 2's rows only
         repaired = repair_random(checked, 2, helpers, rng_seed=9)
-        assert batches() == [len(hset.node_rows[1])] * repaired.attempts
+        assert batches() == [len(node_rows[1])] * repaired.attempts
 
 
 def test_repair_of_unmarked_corrupt_state_keeps_its_rejections():

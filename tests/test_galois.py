@@ -490,6 +490,15 @@ def test_serialization_round_trip():
     assert matrix_from_dict(d) == a
 
 
+@pytest.mark.parametrize("entry", [-1, 101, 7639])
+def test_matrix_from_dict_refuses_entries_outside_the_field(entry):
+    # a stored matrix is read as written, never reduced into another one
+    d = {"rows": 2, "cols": 2, "q": 101, "entries": [1, entry, 3, 4]}
+    with pytest.raises(OutOfRange, match=f"^entry {entry} is not a canonical residue mod 101$"):
+        matrix_from_dict(d)
+    assert matrix_from_dict({**d, "entries": [1, 100, 3, 0]}).entries == (1, 100, 3, 0)
+
+
 def test_all_two_by_two_ranks_over_gf2():
     f = field_new(2)
     for entries in itertools.product((0, 1), repeat=4):

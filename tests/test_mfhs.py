@@ -304,10 +304,6 @@ def test_maximal_antichain_pinned(point):
         assert above, h
         if h in hs.maximal:
             assert above == [h]
-    # the batched gather selects the first h_i columns of each node
-    assert hs.maximal_columns.shape == (len(hs.maximal), p.M)
-    for h, row in zip(hs.maximal, hs.maximal_columns.tolist()):
-        assert row == [i * p.d + c for i, v in enumerate(h) for c in range(v)]
 
 
 def test_h_enumerate_members_all_pass_membership():
@@ -331,9 +327,6 @@ def test_h_set_contains_and_lookup():
     assert (1, 1, 1, 1, 1, 1) in hs
     witness = hs.witnesses[hs.members.index((3, 2, 2, 0, 0, 0))]
     assert covers_along(p, (3, 2, 2, 0, 0, 0), witness)
-    assert hs.maximal_columns.shape == (len(hs.maximal), p.M)
-    row = hs.maximal_columns[hs.maximal.index((3, 2, 2, 0, 0, 0))]
-    assert row.tolist() == [0, 1, 2, 3, 4, 6, 7]
 
 
 def test_h_set_compares_by_identity():
