@@ -413,7 +413,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ModelError("--witness-failed and --witness-helpers need the witness check")
     helpers = _parse_int_list(args.witness_helpers or "", "--witness-helpers")
     state = _load_state(args.state)
-    hset = h_enumerate(state.params)
+    # reconstruction reads no H, so H is enumerated only for the others
+    hset = h_enumerate(state.params) if witness or "invariant" in wanted else None
     results = {}
     if "invariant" in wanted:
         results["invariant"] = invariant_check(state, hset)

@@ -15,13 +15,13 @@ drops trailing columns of node i from the selection; a subset of
 independent columns stays independent, so the maximal members decide
 the whole of H.  Their selections are gathered from one M x (n*d) array
 [Q_1 | ... | Q_n], which each CodeState builds once and keeps, by
-galois.first_rank_deficient: in chunks of 4096 in member order, each
-eliminated in batched int64 numpy for q < 2^31, on signed residues that
-are reduced only when the next update could leave int64, and by
-rank_of_rows per selection above that.  The sweep stops at the first
-chunk that holds a failure, so a rejected state costs one chunk at
-most, and memory stays bounded at points with 10^5 and more maximal
-members.
+galois.first_rank_deficient: in member order, in chunks of at most
+galois.RANK_CHUNK entries, each eliminated in batched int64 numpy for
+q < 2^31, on signed residues that are reduced only when the next update
+could leave int64, and by rank_of_rows per selection above that.  The
+sweep stops at the first chunk that holds a failure, so a rejected
+state costs one chunk at most, and memory stays bounded at points with
+10^5 and more maximal members.
 
 This module alone knows that array's layout: node j's d columns sit at
 (j - 1)*d .. j*d - 1, so the array reshaped to M x n x d is a view
@@ -243,11 +243,13 @@ def _sweep_plan(hset: HSet) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     columns[i] is the selection of hset.maximal[i], and node_rows[j]
     (0-based j) holds the ascending rows of the members with h_j > 0:
     the selections that read node j's columns, and so the only ones a
-    change to node j's matrix can alter."""
-    maximal = np.fromiter(itertools.chain.from_iterable(hset.maximal), np.intp)
+    change to node j's matrix can alter.  Both are int32, half the
+    memory of intp: every column index is below n * d and every row
+    index below len(hset.maximal)."""
+    maximal = np.fromiter(itertools.chain.from_iterable(hset.maximal), np.int32)
     maximal = maximal.reshape(-1, hset.params.n)
-    return (_selection_columns(hset.params.d, maximal),
-            tuple(np.flatnonzero(reads) for reads in (maximal > 0).T))
+    return (_selection_columns(hset.params.d, maximal).astype(np.int32),
+            tuple(np.flatnonzero(reads).astype(np.int32) for reads in (maximal > 0).T))
 
 
 def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:

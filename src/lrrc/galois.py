@@ -11,13 +11,15 @@ Matrices are immutable, row-major, and store canonical residues in
 - full_column_rank, which decides full column rank for a whole stack of
   equal-shape matrices at once, and first_rank_deficient, which gathers
   such stacks from the columns of one coefficient array in chunks of
-  RANK_CHUNK and names the first matrix that fails.  Both run one
-  elimination loop on an int64 array with the batch as its last axis
-  for q < 2^31; above that they fall back to rank_of_rows per matrix.
-  The loop's entries are signed residues in (-q, q) only where a zero
-  test needs them.  A Python int bound holds the largest |entry| its
-  trailing rows can reach, and those rows are reduced only before an
-  update whose result could reach 2^63 (2 * bound * q).
+  at most RANK_CHUNK entries and names the first matrix that fails.
+  Both run one elimination loop on an int64 array with the batch as
+  its last axis for q < 2^31; above that they fall back to rank_of_rows
+  per matrix.  Each column's update writes the trailing block into a
+  new contiguous array, so the loop always works on a compact block.
+  Its entries are signed residues in (-q, q) only where a zero test
+  needs them.  A Python int bound holds the largest |entry| the block
+  can reach, and the whole block is reduced only before an update
+  whose result could reach 2^63 (2 * bound * q).
 """
 
 from __future__ import annotations
@@ -277,11 +279,16 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
 # per column and never overflows.
 BATCH_Q_LIMIT = 2**31
 
-# first_rank_deficient eliminates at most this many matrices at once:
-# its working set is two int64 arrays of about m * s * 4096 entries,
-# some 20 MB for 18 x 18 selections, and it stops after the chunk that
-# holds the first failure.
-RANK_CHUNK = 4096
+# first_rank_deficient eliminates at most this many entries at once,
+# RANK_CHUNK // (m * s) m x s matrices (at least one), 1 MiB of int64.
+# Its working set is that input chunk plus two compact blocks, the
+# update's result and one of its products, each smaller than the chunk:
+# under 3 MiB whatever m and s are, so the loop's many passes stay near
+# a core's cache.  With chunks of 4096 matrices, on a Xeon VM with 2 MiB
+# of L2 per core, the compact blocks were 10% (18 x 18) to 25% (12 x 12)
+# slower than updates in place.  It stops after the chunk that holds
+# the first failure.
+RANK_CHUNK = 2**17
 
 
 def _residue_dtype(q: int) -> type:
@@ -306,33 +313,40 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
     to rank_of_rows instead.  Below the limit the whole stack is
     eliminated together, fraction-free: each lower row becomes
     row * p - f * pivot_row, with pivot p and the row's own entry f
-    below it, so no modular inverse is needed.  The batch is the
-    contiguous axis, so every row operation is one long vector
-    operation.
+    below it, so no modular inverse is needed.
 
-    Pivots.  With every diagonal entry of a column nonzero, each
-    matrix's pivot is its diagonal row, so the diagonal alone is tested
-    and no row moves.  Otherwise only the matrices whose diagonal entry
-    is 0 are searched, and those with a nonzero entry below it swap that
-    row up.  A matrix without one is rank deficient; it keeps p = f = 0,
-    so its rows just zero out.
+    Layout.  At column col, a is the trailing (m - col) x (s - col) x B
+    block, C-contiguous with the batch as its last axis: row 0 is the
+    pivot row and column 0 the pivot column.  The update writes
+    a[1:, 1:] * p - f * a[0, 1:] into a new contiguous array, which is
+    a for the next column.  So every operation runs on rows of B
+    contiguous entries, and the reductions on one contiguous array.
+    During an update a, the result and one product are alive.
+
+    Pivots.  With every entry a[0, 0] nonzero, each matrix's pivot is
+    row 0, so that row alone is tested and no row moves.  Otherwise only
+    the matrices whose a[0, 0] is 0 are searched, and those with a
+    nonzero entry below it swap that row up.  A matrix without one is
+    rank deficient; it keeps p = f = 0, so its rows just zero out.
 
     Delayed reductions.  np.fmod keeps the sign of its argument, so a
     reduced entry lies in (-q, q) and is zero exactly when it is 0 mod
-    q.  Invariant: the Python int bound is at least every |entry| of
-    the trailing rows (col and below) in the trailing columns (col + 1
-    on).  Before each column's zero test only that column is reduced,
-    so |p| and |f| are at most q - 1, while the rows themselves, the
-    pivot row among them, are at most bound.  An update leaves
-    |row * p - f * pivot_row| <= 2 * bound * (q - 1) < 2 * bound * q,
-    and every product and difference on the way is no larger.  The
-    trailing rows are reduced (bound = q - 1) only when 2 * bound * q
-    would reach 2^63, which keeps every update exact in int64; each
-    update then raises bound to 2 * bound * q, the new invariant.  A
-    swap moves a trailing row to the pivot position, inside the same
-    bound.  Since 2 * (q - 1) * q < 2^63 for q < BATCH_Q_LIMIT, a
-    reduction is always followed by at least one update.  At q = 142151
-    a 7 x 7 stack is reduced twice, not after each of its six updates.
+    q.  Invariant: the Python int bound is at least every |entry| of a.
+    Each column starts with a reduction: of the whole block when an
+    update from it could reach 2^63 (2 * bound * q >= 2^63), which sets
+    bound = q - 1, else of column 0 alone; the first column holds
+    canonical residues already.  Either way |p| and |f| are at most
+    q - 1 at the zero test, while the other entries, the pivot row's
+    among them, are at most bound.  An update leaves
+    |row * p - f * pivot_row| <= 2 * bound * (q - 1) < 2 * bound * q <
+    2^63, and every product and difference on the way is no larger, so
+    it is exact in int64; it raises bound to 2 * bound * q, the new
+    invariant.  A swap exchanges rows of a, inside the same bound.
+    Since 2 * (q - 1) * q < 2^63 for q < BATCH_Q_LIMIT, an update always
+    follows a whole-block reduction, unless it falls on the last column.
+    At q = 142151 a 7 x 7 stack is reduced whole at columns 2, 4 and 6,
+    the last a single entry per matrix, not after each of its six
+    updates.
     """
     m, s, count = a.shape
     if q >= BATCH_Q_LIMIT:
@@ -341,12 +355,13 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
     if s > m:
         return np.zeros(count, dtype=bool)
     ok = np.ones(count, dtype=bool)
-    # the products of one update; the first column's update is the largest
-    products = np.empty((m - 1) * (s - 1) * count if s > 1 else 0, dtype=np.int64)
     bound = q - 1
     for col in range(s):
-        column = a[col:, col]
-        if col:  # the first column holds canonical residues already
+        column = a[:, 0]
+        if 2 * bound * q >= 2**63:
+            np.fmod(a, q, out=a)
+            bound = q - 1
+        elif col:  # the first column holds canonical residues already
             np.fmod(column, q, out=column)
         diagonal = column[0]
         if np.count_nonzero(diagonal) < count:
@@ -355,22 +370,14 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
             found = below.any(axis=0)
             ok[lacking[~found]] = False
             swap = lacking[found]
-            pivot = below[:, found].argmax(axis=0) + col
-            rows = a[pivot, col:, swap]
-            a[pivot, col:, swap] = a[col, col:, swap]
-            a[col, col:, swap] = rows
+            pivot = below[:, found].argmax(axis=0)
+            rows = a[pivot, :, swap]
+            a[pivot, :, swap] = a[0, :, swap]
+            a[0, :, swap] = rows
         if col + 1 == s:
             break
-        trailing = a[col:, col + 1:]
-        if 2 * bound * q >= 2**63:
-            np.fmod(trailing, q, out=trailing)
-            bound = q - 1
         bound *= 2 * q
-        block = a[col + 1:, col + 1:]
-        block *= a[col, col]
-        product = products[:block.size].reshape(block.shape)
-        np.multiply(a[col + 1:, col, None], a[col, col + 1:], out=product)
-        block -= product
+        a = a[1:, 1:] * a[0, 0] - a[1:, 0, None] * a[0, 1:]
     return ok
 
 
@@ -392,14 +399,15 @@ def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int) -> int |
 
     coef is an m x N residue_array and columns a (B, s) index array into
     its columns.  Row i selects the m x s matrix coef[:, columns[i]].
-    The rows are gathered in member order, RANK_CHUNK at a time,
-    straight into the batch-last layout that _eliminate works on, and
-    the call returns at the first chunk that holds a failure.  The
+    The rows are gathered in member order, RANK_CHUNK // (m * s) at a
+    time, straight into the batch-last layout that _eliminate works on,
+    and the call returns at the first chunk that holds a failure.  The
     index it returns is the one a single call on all rows would give,
     and memory stays bounded however many rows there are.
     """
-    for start in range(0, len(columns), RANK_CHUNK):
-        ok = _eliminate(np.take(coef, columns[start:start + RANK_CHUNK].T, axis=1), q)
+    step = max(1, RANK_CHUNK // max(1, coef.shape[0] * columns.shape[1]))
+    for start in range(0, len(columns), step):
+        ok = _eliminate(np.take(coef, columns[start:start + step].T, axis=1), q)
         if not ok.all():
             return start + int(np.argmin(ok))
     return None

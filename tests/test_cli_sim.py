@@ -102,6 +102,22 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert (code, json.loads(out)) == (1, {"reconstruction": False})
 
 
+def test_verify_reconstruction_does_not_enumerate_h(tmp_path, capsys, monkeypatch):
+    out_path = tmp_path / "state.json"
+    invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3", "--out", str(out_path))
+
+    def refuse(params):
+        raise AssertionError("reconstruction reads no H")
+
+    monkeypatch.setattr(cli_sim, "h_enumerate", refuse)
+    code, out, _ = invoke(capsys, "verify", "--state", str(out_path), "--checks", "reconstruction")
+    assert (code, json.loads(out)) == (0, {"reconstruction": True})
+    witness = ["--witness-failed", "1", "--witness-helpers", "4,5"]
+    for flags in (["--checks", "invariant"], ["--checks", "reconstruction,witness", *witness]):
+        with pytest.raises(AssertionError, match="reads no H"):
+            run_cli(["verify", "--state", str(out_path), *flags])
+
+
 @pytest.mark.parametrize("checks", ["", ",", " , "])
 def test_verify_without_checks_is_usage_error(tmp_path, capsys, checks):
     # a verify that checks nothing would print {} and pass

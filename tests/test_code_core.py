@@ -589,6 +589,8 @@ def test_sweep_plan_matches_the_pure_python_reference(params):
     columns, node_rows = plan
     # row i selects the first h_j columns of each node, h = maximal[i]
     assert columns.shape == (len(hset.maximal), params.M)
+    assert columns.dtype == np.int32
+    assert all(rows.dtype == np.int32 for rows in node_rows)
     assert columns.tolist() == [_reference_columns(params.d, h) for h in hset.maximal]
     # node x's rows are the maximal h that read its columns
     assert len(node_rows) == params.n
@@ -645,7 +647,8 @@ def test_subset_gather_matches_the_column_gather(q, monkeypatch):
 
 
 def test_sweep_ranks_chunks_up_to_the_first_failure(monkeypatch):
-    """At (10,6,3,2) the 25,050 maximal selections make seven chunks.
+    """At (10,6,3,2) the 25,050 maximal 9 x 9 selections make sixteen
+    chunks, fifteen of RANK_CHUNK // 81 = 1618 and one of 780.
     A passing state ranks all of them; a state whose first failing h
     lies in chunk c ranks chunks 0..c only and names that h."""
     params = params_new(10, 6, 3, 2)
@@ -661,16 +664,17 @@ def test_sweep_ranks_chunks_up_to_the_first_failure(monkeypatch):
 
     monkeypatch.setattr(galois, "_eliminate", recording)
     assert invariant_failure(state, hset) is None
-    assert chunks == [RANK_CHUNK] * 6 + [25050 - 6 * RANK_CHUNK]
+    chunk = RANK_CHUNK // 81
+    assert chunks == [chunk] * 15 + [25050 - 15 * chunk] == [1618] * 15 + [780]
     zero = FieldMatrix(params.M, params.d, (0,) * (params.M * params.d), state.field)
     # a zero Q_x fails exactly the maximal h with h_x > 0; node 10 is
-    # selected by the first of them, node 1 first in chunk 2
+    # selected by the first of them, node 1 first in chunk 6
     for x, first in ((10, 0), (1, 10781)):
         chunks.clear()
         broken = replace(state, Q=tuple(zero if i == x else qm for i, qm in enumerate(state.Q, 1)))
         assert invariant_failure(broken, hset) == hset.maximal[first]
         assert [h[x - 1] > 0 for h in hset.maximal[:first + 1]] == [False] * first + [True]
-        assert chunks == [RANK_CHUNK] * (first // RANK_CHUNK + 1)
+        assert chunks == [chunk] * (first // chunk + 1)
 
 
 def test_serialization_round_trip(small_state):

@@ -270,6 +270,76 @@ def test_full_column_rank_with_and_without_pivot_swaps(q, swapped, m, s, col):
         assert all(want)
 
 
+EDGE_QS = [2, 142151, 2147483647]
+
+
+@pytest.mark.parametrize("q", EDGE_QS)
+@pytest.mark.parametrize("m,s", [(1, 1), (3, 3), (5, 2), (2, 3)])
+def test_full_column_rank_of_an_empty_batch(q, m, s):
+    """B = 0: every block of the elimination is empty, and the verdicts
+    are rank_of_rows's, none at all."""
+    stack = np.zeros((0, m, s), dtype=np.int64)
+    assert full_column_rank(stack, q).tolist() == [rank_of_rows(mat.tolist(), q) == s
+                                                   for mat in stack] == []
+    coef = residue_array([[1] * 3] * m, q)
+    assert first_rank_deficient(coef, np.zeros((0, s), dtype=np.intp), q) is None
+
+
+@pytest.mark.parametrize("q", EDGE_QS)
+@pytest.mark.parametrize("m", [1, 2, 6])
+def test_full_column_rank_of_single_columns(q, m):
+    """s = 1: the first column is also the last, so no update runs.
+    Every fourth column is zero and every fourth has a zero top entry,
+    which needs a swap when some entry below it is nonzero."""
+    rng = np.random.Generator(np.random.Philox(q + m))
+    stack = _residues(rng, q, (40, m, 1))
+    stack[::4] = 0
+    stack[1::4, 0] = 0
+    want = [rank_of_rows(mat.tolist(), q) == 1 for mat in stack]
+    assert not any(want[::4])
+    if m > 1:
+        assert any(want[1::4])
+    assert full_column_rank(stack, q).tolist() == want
+
+
+@pytest.mark.parametrize("q", EDGE_QS)
+@pytest.mark.parametrize("m,s", [(5, 3), (9, 6)])
+def test_full_column_rank_swaps_only_at_the_last_column_of_a_tall_stack(q, m, s):
+    """Tall upper-triangular stacks whose rows s - 1 and s trade places
+    in some members: every pivot up to the last column is on the
+    diagonal, and the last column's pivot of those members is in row s,
+    below the square part, which the block's last update brought up."""
+    stack = _swap_skip_stack(q, m, s, s - 1, "some")
+    want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
+    assert not want[2] and not want[7] and sum(want) == 10
+    assert full_column_rank(stack, q).tolist() == want
+
+
+def _first_reduced_column(q: int) -> int:
+    """The first column whose block the kernel reduces whole: bound
+    starts at q - 1 and each update multiplies it by 2q, until 2 *
+    bound * q reaches 2^63."""
+    bound, col = q - 1, 0
+    while 2 * bound * q < 2**63:
+        bound *= 2 * q
+        col += 1
+    return col
+
+
+@pytest.mark.parametrize("q", EDGE_QS)
+@pytest.mark.parametrize("swapped", ["some", "all"])
+def test_full_column_rank_swaps_right_after_a_delayed_reduction(q, swapped):
+    """The first pivot swap falls in the first column that starts with
+    a reduction of the whole block, so the swap moves rows that were
+    just reduced."""
+    col = _first_reduced_column(q)
+    assert col == {2: 31, 142151: 2, 2147483647: 1}[q]
+    stack = _swap_skip_stack(q, col + 3, col + 2, col, swapped)
+    want = [rank_of_rows(mat.tolist(), q) == col + 2 for mat in stack]
+    assert sum(want) == (10 if swapped == "some" else 12)
+    assert full_column_rank(stack, q).tolist() == want
+
+
 def _delayed_reduction_stack(q: int, m: int, s: int) -> np.ndarray:
     """Eight m x s matrices over GF(q) whose elimination meets the
     largest entries, the pivot swaps and the cancellations:
@@ -378,12 +448,14 @@ def test_full_column_rank_swaps_only_the_zero_diagonals(q, m, s):
 def test_first_rank_deficient_ranks_chunks_up_to_the_first_failure(q, monkeypatch):
     """4 x 4 selections from a 4 x 6 array, three chunks' worth.  The
     first failing row is named wherever it lies, the chunks after its
-    own are never ranked, and at most RANK_CHUNK rows stay one call."""
+    own are never ranked, and at most RANK_CHUNK // 16 rows, RANK_CHUNK
+    entries, stay one call."""
     rng = np.random.Generator(np.random.Philox(q))
     coef = residue_array([[int(v) % q for v in row] for row in rng.integers(0, 2**62, (4, 6))], q)
     regular = [c for c in itertools.permutations(range(6), 4)
                if rank_of_rows(coef[:, c].tolist(), q) == 4]
-    columns = np.array([regular[i % len(regular)] for i in range(3 * RANK_CHUNK)], dtype=np.intp)
+    chunk = RANK_CHUNK // 16
+    columns = np.array([regular[i % len(regular)] for i in range(3 * chunk)], dtype=np.intp)
     eliminate = galois._eliminate
     chunks = []
 
@@ -393,17 +465,17 @@ def test_first_rank_deficient_ranks_chunks_up_to_the_first_failure(q, monkeypatc
 
     monkeypatch.setattr(galois, "_eliminate", recording)
     assert first_rank_deficient(coef, columns, q) is None
-    assert chunks == [RANK_CHUNK] * 3
+    assert chunks == [chunk] * 3
     chunks.clear()
-    assert first_rank_deficient(coef, columns[:RANK_CHUNK], q) is None
-    assert chunks == [RANK_CHUNK]
-    for bad in (0, RANK_CHUNK - 1, RANK_CHUNK, 5000, 3 * RANK_CHUNK - 1):
+    assert first_rank_deficient(coef, columns[:chunk], q) is None
+    assert chunks == [chunk]
+    for bad in (0, chunk - 1, chunk, chunk + 904, 3 * chunk - 1):
         chunks.clear()
         broken = columns.copy()
         broken[bad] = (0, 0, 1, 2)
         broken[bad + 1:] = (1, 1, 2, 3)
         assert first_rank_deficient(coef, broken, q) == bad
-        assert chunks == [RANK_CHUNK] * (bad // RANK_CHUNK + 1)
+        assert chunks == [chunk] * (bad // chunk + 1)
 
 
 def test_full_column_rank_falls_back_above_limit():

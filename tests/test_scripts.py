@@ -69,14 +69,14 @@ def test_field_size_table_rejects_trials_below_one(trials):
 
 def test_bench_writes_its_file(tmp_path):
     out = tmp_path / "BENCH_smoke.json"
-    child = run("scripts/bench.py", "--label", "smoke", "--reps", "1", "--seconds", "1",
+    child = run("scripts/bench.py", "--label", "smoke", "--reps", "1", "--seconds", "0.2",
                 "--scale", "6,3,2,1:1:invariant", "--out", str(out))
     assert child.returncode == 0, child.stderr
     bench = json.loads(out.read_text())
     assert set(bench) == {"label", "git_sha", "dirty", "python", "numpy", "nproc",
                           "perfbench", "scale"}
     assert bench["label"] == "smoke"
-    assert (bench["perfbench"]["reps"], bench["perfbench"]["seconds"]) == (1, 1.0)
+    assert (bench["perfbench"]["reps"], bench["perfbench"]["seconds"]) == (1, 0.2)
     workloads = bench["perfbench"]["workloads"]
     assert set(workloads) == {"repair_f2", "enum_f4", "construct_lowq", "witness_f3"}
     for workload in workloads.values():
