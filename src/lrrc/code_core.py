@@ -103,6 +103,7 @@ from .mfhs import (
     HNotMember,
     HSet,
     InvalidHelpers,
+    OutOfScope,
     Params,
     checked_helpers,
     h_enumerate,
@@ -125,10 +126,11 @@ class AttemptsExhausted(CodeError):
 
     rejected_by holds, per attempt, the selection vector h that
     invariant_failure reported.  Each subclass says why no single h
-    there is structural.  Only all conditions together can fail, and
-    only at a small q: by the random linear network coding bound (Ho et
-    al., IEEE Trans. IT 2006), a uniform sample fails some condition
-    with probability below 1 once q reaches required_field_size.
+    there is structural, at the points construct and repair_random
+    accept.  Only all conditions together can fail, and only at a small
+    q: by the random linear network coding bound (Ho et al., IEEE
+    Trans. IT 2006), a uniform sample fails some condition with
+    probability below 1 once q reaches required_field_size.
     """
 
     what = "sampling"
@@ -154,6 +156,17 @@ class RepairFailed(AttemptsExhausted):
     witness repair for h (see witness_repair_check) makes the selection
     under h the current state's selection under
     h' = connect_run(h).h_prime, which has full rank.
+
+    That needs h' in H, and the refusal of HSet.unrepairable's points
+    is what makes it hold.  h' adds one unit to each of the h_failed
+    helpers smallest by h value (witness_targets, Lemma B), and a
+    helper that already holds d is among them exactly when fewer than
+    h_failed helpers hold less, which some helper set allows exactly at
+    the pairs (h, failed) that HSet.unrepairable looks for.  There h'
+    leaves 0..d and h is structural, so repair_random refuses such
+    points before drawing.  At the other points no key is known whose
+    target leaves H: none of the 124 accepted in-scope points with
+    n <= 8 and at most 3 * 10^6 (member, key) pairs has one.
     """
 
     what = "repair"
@@ -212,6 +225,27 @@ def required_field_size(params: Params, hset: HSet) -> int:
     return params.n * params.d * params.M * len(hset) + 1
 
 
+def _point(params: Params) -> str:
+    return f"({params.n},{params.k},{params.d},{params.r})"
+
+
+def _check_hset(params: Params, hset: HSet) -> None:
+    """Raise CodeError when hset is H of other parameters than params."""
+    if hset.params != params:
+        raise CodeError(f"H was enumerated for {_point(hset.params)}, the code is {_point(params)}")
+
+
+def _check_repairable(hset: HSet) -> None:
+    """Raise OutOfScope at a point where some repair can never pass, as
+    HSet.unrepairable finds it."""
+    if hset.unrepairable is not None:
+        h, x, bound = hset.unrepairable
+        raise OutOfScope(
+            f"{_point(hset.params)} is out of scope: some helper set leaves every repair "
+            f"of node {x} below full rank under h = {h}, since its packets add at most "
+            f"{bound} to the rank and h_{x} = {h[x - 1]} > {bound}")
+
+
 def _coefficients(state: CodeState) -> np.ndarray:
     """[Q_1 | ... | Q_n] as one read-only M x (n*d) galois.residue_array,
     built on first use and kept on the state.  It is C-contiguous, so
@@ -266,6 +300,7 @@ def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     so the first failure in member order is among those rows.  A state
     that passes is marked as passing on this hset.
     """
+    _check_hset(state.params, hset)
     columns, node_rows = _sweep_plan(hset)
     memo = state._checked
     rows = None
@@ -366,8 +401,12 @@ def construct(
     The sampling order is fixed (node 1 first, each matrix row-major),
     so one seed always yields one code.  Raises ConstructionFailed when
     max_attempts samples were all rejected, and CodeError when
-    max_attempts is below 1.
+    max_attempts is below 1 or hset is H of other parameters.  Raises
+    OutOfScope before any draw at a point where some repair can never
+    pass (HSet.unrepairable).
     """
+    _check_hset(params, hset)
+    _check_repairable(hset)
     bound = required_field_size(params, hset)
     if field.q < bound:
         logger.warning(
@@ -403,8 +442,9 @@ def repair_random(
     coefficient array, gathered once per call through its M x n x d
     view, in its residue_array dtype: int64 below 2^31, where each
     product of two residues stays below 2^62 and is reduced mod q
-    before the sums, and Python ints above.  The candidate keeps a copy of that array with the failed
-    node's block replaced through the same view.
+    before the sums, and Python ints above.  The candidate keeps a copy
+    of that array with the failed node's block replaced through the
+    same view.
 
     A candidate is kept only if the whole state passes invariant_check
     again.  When state passed invariant_failure on this hset, each
@@ -413,12 +453,14 @@ def repair_random(
     module docstring).  The returned state's attempts field counts the
     samples used.  States whose candidate was rejected are never
     returned or mutated.  Raises InvalidHelpers when helpers fail
-    mfhs.checked_helpers, and CodeError when max_attempts is below 1 or
-    q is too large to draw.
+    mfhs.checked_helpers, CodeError when max_attempts is below 1 or q is
+    too large to draw, and OutOfScope before any draw at a point where
+    some repair can never pass (HSet.unrepairable).
     """
     params = state.params
     ordered = checked_helpers(params, failed, helpers)
     hset = h_enumerate(params)
+    _check_repairable(hset)
     memo = state._checked
     base_passed = memo is not None and memo[0] is hset and memo[1] is None
     field, m, n, d, q = state.field, params.M, params.n, params.d, state.field.q
@@ -464,6 +506,7 @@ def witness_repair_check(
     current state keeps full column rank.
     """
     params = state.params
+    _check_hset(params, hset)
     h = tuple(h)
     if h not in hset:
         raise HNotMember(f"{h} is not admissible")
@@ -541,6 +584,7 @@ def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: H
     before the memo is consulted; a key runs no connect_run and no
     membership test, cold or warm.
     """
+    _check_hset(state.params, hset)
     ordered = checked_helpers(state.params, failed, helpers)
     columns = _sweep_plan(hset)[0][list(witness_targets(hset, failed, ordered))]
     blocks = _coefficients(state)[:, columns].transpose(1, 0, 2).tolist()

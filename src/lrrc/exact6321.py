@@ -4,17 +4,20 @@ Parameters are n=6, k=3, d=2, r=1: file size M=4, two packets per
 node, and any repair downloads one packet from each of two helpers in
 the opposite family, tolerating one unavailable candidate there.
 
-The construction starts from a systematic (6,4) MDS generator
-G = [I_4 | p | pbar] whose parity columns carry coefficient pairs
-a = (a1,a2), b = (b1,b2) and abar, bbar.  The parity block is a Cauchy
-matrix, so every square submatrix of it is invertible; that single fact
-delivers the MDS property and every 2x2 solve the repair rules need.
-Writing ua = (a1,a2,0,0), vb = (0,0,b1,b2) and so on, the coding
-matrices are
+The code is its six coding matrices, 4 x 2 each, built from two parity
+columns p and pbar of a Cauchy matrix, so every square submatrix of
+[p pbar] is invertible; that single fact delivers the MDS property and
+every 2x2 solve the repair rules need.  Writing top(c) = (c1,c2,0,0)
+and bottom(c) = (0,0,c3,c4) for the halves of a column c, they are
 
-    Q1 = [e1 e2]        Q4 = [ua vb]
-    Q2 = [e3 e4]        Q5 = [uabar vbbar]
-    Q3 = [p pbar]       Q6 = [ua+uabar vb+vbbar]
+    Q1 = [e1 e2]        Q4 = [top(p)      bottom(p)]
+    Q2 = [e3 e4]        Q5 = [top(pbar)   bottom(pbar)]
+    Q3 = [p pbar]       Q6 = [top(p+pbar) bottom(p+pbar)]
+
+so [Q1 | Q2 | Q3] = [I_4 | p pbar] is a systematic (6,4) MDS generator
+G.  ExactCode stores the six matrices alone: G and the parity pairs
+a = (p1,p2), b = (p3,p4), abar = (pbar1,pbar2) and bbar =
+(pbar3,pbar4) are read off them.
 
 Family A is {1,2,3}, family B is {4,5,6}.  Each repair rule names the
 one packet every helper sends (a coefficient pair over its two stored
@@ -103,19 +106,41 @@ class RepairRule:
 
 @dataclass(frozen=True)
 class ExactCode:
-    """The six coding matrices plus the generator they came from."""
+    """The code over one field: its six coding matrices Q_1..Q_6.
+
+    Everything else is read off them (module docstring): the generator
+    [Q_1 | Q_2 | Q_3] and the parity pairs, which are the halves of
+    Q_3's two columns.
+    """
 
     field: FieldConfig
-    generator: FieldMatrix
-    a: tuple[int, int]
-    abar: tuple[int, int]
-    b: tuple[int, int]
-    bbar: tuple[int, int]
     Q: tuple[FieldMatrix, ...]
 
     @property
     def params(self) -> Params:
         return _PARAMS6321
+
+    @property
+    def generator(self) -> FieldMatrix:
+        return mat_hstack(self.Q[:3])
+
+    # Q_3 = [p pbar] is stored row-major, so column j's entries sit at
+    # j, j + 2, j + 4 and j + 6
+    @property
+    def a(self) -> tuple[int, int]:
+        return self.Q[2].entries[0:4:2]
+
+    @property
+    def abar(self) -> tuple[int, int]:
+        return self.Q[2].entries[1:4:2]
+
+    @property
+    def b(self) -> tuple[int, int]:
+        return self.Q[2].entries[4::2]
+
+    @property
+    def bbar(self) -> tuple[int, int]:
+        return self.Q[2].entries[5::2]
 
 
 def _column(vec: Sequence[int], field: FieldConfig) -> FieldMatrix:
@@ -125,57 +150,31 @@ def _column(vec: Sequence[int], field: FieldConfig) -> FieldMatrix:
 def build_exact_code(q: int = 7) -> ExactCode:
     """Construct the code over GF(q), q prime and at least 7.
 
-    The parity coefficients come from the Cauchy array 1/(x_i - y_j)
-    with x = (0,1,2,3) and y = (4,5); those six values are distinct in
-    any field of size 7 or more, which is exactly what every repair
-    rule's solvability needs.  All structural conditions are verified
-    here rather than assumed.
+    The parity columns are p = 1/(x - 4) and pbar = 1/(x - 5) over
+    x = 0, 1, 2, 3, the Cauchy array 1/(x_i - y_j) with y = (4, 5);
+    those six values are distinct in any field of size 7 or more, which
+    is exactly what every repair rule's solvability needs.  All
+    structural conditions are verified here rather than assumed.
     """
     if q < MIN_FIELD:
         raise FieldTooSmall(f"GF({q}) cannot host the construction, need q >= {MIN_FIELD}")
     if not is_prime(q):
         raise NotPrime(q)
     field = field_new(q)
+    p, pbar = ([pow(x - y, -1, q) for x in range(4)] for y in (4, 5))
 
-    xs = (0, 1, 2, 3)
-    ys = (4, 5)
-    parity = [
-        [pow((x - y) % q, q - 2, q) for y in ys]
-        for x in xs
-    ]
-    a = (parity[0][0], parity[1][0])
-    b = (parity[2][0], parity[3][0])
-    abar = (parity[0][1], parity[1][1])
-    bbar = (parity[2][1], parity[3][1])
+    def halves(c: Sequence[int]) -> list[list[int]]:
+        return [[c[0], 0], [c[1], 0], [0, c[2]], [0, c[3]]]
 
-    gen_rows = [
-        [1 if i == j else 0 for j in range(4)] + [parity[i][0], parity[i][1]]
-        for i in range(4)
-    ]
-    generator = FieldMatrix.from_rows(gen_rows, field)
-
-    ua = (a[0], a[1], 0, 0)
-    vb = (0, 0, b[0], b[1])
-    uabar = (abar[0], abar[1], 0, 0)
-    vbbar = (0, 0, bbar[0], bbar[1])
-    p_col = tuple(parity[i][0] for i in range(4))
-    pbar_col = tuple(parity[i][1] for i in range(4))
-
-    def pair(c1: Sequence[int], c2: Sequence[int]) -> FieldMatrix:
-        return mat_hstack([_column(c1, field), _column(c2, field)])
-
-    matrices = (
-        pair((1, 0, 0, 0), (0, 1, 0, 0)),
-        pair((0, 0, 1, 0), (0, 0, 0, 1)),
-        pair(p_col, pbar_col),
-        pair(ua, vb),
-        pair(uabar, vbbar),
-        pair([(x + y) % q for x, y in zip(ua, uabar)], [(x + y) % q for x, y in zip(vb, vbbar)]),
+    rows = (
+        [[1, 0], [0, 1], [0, 0], [0, 0]],
+        [[0, 0], [0, 0], [1, 0], [0, 1]],
+        [list(pair) for pair in zip(p, pbar)],
+        halves(p),
+        halves(pbar),
+        halves([x + y for x, y in zip(p, pbar)]),
     )
-
-    code = ExactCode(
-        field=field, generator=generator, a=a, abar=abar, b=b, bbar=bbar, Q=matrices
-    )
+    code = ExactCode(field=field, Q=tuple(FieldMatrix.from_rows(r, field) for r in rows))
     mds, pairs = _structural_entries(code)
     failing = [e for e in mds + pairs if not e["ok"]]
     if failing:
@@ -185,11 +184,10 @@ def build_exact_code(q: int = 7) -> ExactCode:
 
 def _arrays(code: ExactCode) -> tuple[np.ndarray, np.ndarray]:
     """The 4 x 6 generator and the 6 x 4 x 2 stack of coding matrices,
-    as galois.residue_array."""
-    q = code.field.q
-    generator = residue_array(code.generator.entries, q).reshape(4, 6)
-    nodes = residue_array([qm.entries for qm in code.Q], q).reshape(6, 4, 2)
-    return generator, nodes
+    as galois.residue_array; the generator is the stack's first three
+    nodes side by side."""
+    nodes = residue_array([qm.entries for qm in code.Q], code.field.q).reshape(6, 4, 2)
+    return nodes[:3].transpose(1, 0, 2).reshape(4, 6), nodes
 
 
 _MDS_COLUMNS = np.array(_MDS_SUBSETS, dtype=np.intp)
@@ -223,39 +221,28 @@ def _helpers(failed: int, unavailable: int) -> tuple[int, ...]:
     return tuple([x for x in opposite if x != unavailable][:2])
 
 
+# Sends by the failed node's position in its family (see _sends_for).
+_POSITION_SENDS = ((1, 0), (0, 1), (1, 1))
+
+
 def _sends_for(code: ExactCode, failed: int, helper: int) -> tuple[int, int]:
     """Coefficient pair helper applies to its own packets for this repair.
 
-    Family-B newcomers receive their first (a-side) packet from node 1,
-    their second (b-side) packet from node 2, and their packet total
-    from node 3.  Family-A newcomers receive one fixed packet from any
-    family-B helper: node 1 asks for first packets, node 2 for second
-    packets, node 3 for the per-helper packet sum.  Either way two
-    received packets pin the two lost ones down through an invertible
-    2x2 system.
+    A family-B newcomer's Q_failed is [top(c) bottom(c)] for one parity
+    column c.  Node 1 stores [e1 e2], so sending the top half of c
+    gives top(c); node 2 stores [e3 e4], so sending the bottom half of
+    c gives bottom(c); both halves are read from Q_failed itself.  Every
+    other send is _POSITION_SENDS at the failed node's position in its
+    family: node 3's parity pair maps the failed node's packet total
+    onto it, and a family-A newcomer asks each family-B helper for the
+    packet that carries its own coordinates.  Either way two received
+    packets pin the two lost ones down through an invertible 2x2
+    system.
     """
-    q = code.field.q
-    if failed in FAMILY_B:
-        first, second = {
-            4: (code.a, code.b),
-            5: (code.abar, code.bbar),
-            6: (
-                tuple((x + y) % q for x, y in zip(code.a, code.abar)),
-                tuple((x + y) % q for x, y in zip(code.b, code.bbar)),
-            ),
-        }[failed]
-        if helper == 1:
-            return (first[0], first[1])
-        if helper == 2:
-            return (second[0], second[1])
-        # node 3 owns the parity packets; the sum of the failed node's
-        # packets equals a fixed combination of them
-        return {4: (1, 0), 5: (0, 1), 6: (1, 1)}[failed]
-    if failed == 1:
-        return (1, 0)
-    if failed == 2:
-        return (0, 1)
-    return (1, 1)
+    if failed in FAMILY_B and helper in (1, 2):
+        own = code.Q[failed - 1].entries
+        return own[5 * helper - 5], own[5 * helper - 3]
+    return _POSITION_SENDS[(failed - 1) % 3]
 
 
 def repair_rule(code: ExactCode, failed: int, unavailable: int) -> RepairRule:

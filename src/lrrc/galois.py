@@ -240,8 +240,10 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
     """Rank over GF(q) of a row-list matrix.  Mutates its argument.
 
     Entries must already be canonical residues and q must be prime, so
-    every nonzero pivot has an inverse.  This is the hot kernel behind
-    every verification sweep, so it stays loop-only.
+    every nonzero pivot has an inverse.  It serves mat_solve (and so
+    mat_inv and decode), the batched kernel's fallback at q >= 2^31,
+    the witness ranks of lrrc.code_core and the tests' reference; the
+    verification sweeps run on full_column_rank.
     """
     m = len(rows)
     if m == 0:

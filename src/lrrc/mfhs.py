@@ -493,11 +493,11 @@ class HSet:
     dominator's selection, so full column rank of the maximal
     selections implies it for all of H.
 
-    members and witnesses are listed on first use only.  An HSet
-    compares and hashes by identity: h_enumerate makes one per
-    parameter set, and lrrc.code_core keys its memos on it, both
-    witness_targets and the sweep plan that holds the maximal members'
-    column indices.
+    members and witnesses are listed, and unrepairable is decided, on
+    first use only.  An HSet compares and hashes by identity:
+    h_enumerate makes one per parameter set, and lrrc.code_core keys
+    its memos on it, both witness_targets and the sweep plan that holds
+    the maximal members' column indices.
     """
 
     params: Params
@@ -515,6 +515,38 @@ class HSet:
         members = sorted(itertools.chain.from_iterable(_orbit(h, f) for h in self.representatives))
         assert len(members) == self.size, "the orbits sum to the counted size"
         return tuple(members)
+
+    @cached_property
+    def unrepairable(self) -> tuple[tuple[int, ...], int, int] | None:
+        """The first (h, x, bound) such that no repair of node x keeps the
+        selection under h at full rank, whatever its coefficients; None
+        when there is none.  h runs over the representatives of total M
+        in descending order and x over 1..n.
+
+        A repair of x takes one packet from each of d helpers, and H
+        allows any d of the d + r nodes outside x's family.  A helper s
+        with h_s = d sends a combination of columns that h's selection
+        already takes.  Let F count such nodes outside x's family.  A
+        helper set can hold all of them, as F <= d: an order that sorts
+        and covers h puts the nodes with h_s = d first, each scoring d,
+        so they share one family, and they total at most M <= d^2 (with
+        at least two families, position i scores at most
+        d - ceil(i / 2)).  So x's h_x new columns add at most
+        bound = d - F to the rank of the other M - h_x columns, and the
+        selection falls below M when h_x > bound.  The family symmetry
+        keeps F and h_x, so the representatives decide every maximal
+        member.
+        """
+        d, f = self.params.d, self.params.family_size
+        for h in sorted(self.representatives, reverse=True):
+            if sum(h) < self.params.M:
+                continue
+            for x in range(1, self.params.n + 1):
+                bound = d - sum(v == d and (s - 1) // f != (x - 1) // f
+                                for s, v in enumerate(h, 1))
+                if h[x - 1] > bound:
+                    return h, x, bound
+        return None
 
     @cached_property
     def witnesses(self) -> tuple[tuple[int, ...], ...]:

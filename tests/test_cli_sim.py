@@ -10,7 +10,7 @@ import pytest
 
 from lrrc import cli_sim, code_core
 from lrrc.cli_sim import SimConfig, run_cli, sim_config_from_dict, simulate
-from lrrc.galois import FieldMatrix
+from lrrc.galois import FieldMatrix, field_new
 from lrrc.mfhs import ModelError, checked_helpers, h_enumerate, params_new
 
 
@@ -226,6 +226,63 @@ def test_repair_rejects_family_helper(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_construct_and_repair_without_out_print_the_state(tmp_path, capsys):
+    state_path = tmp_path / "state.json"
+    invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3", "--out", str(state_path))
+    code, out, _ = invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3")
+    assert (code, json.loads(out)) == (0, json.loads(state_path.read_text()))
+    repaired_path = tmp_path / "repaired.json"
+    repair = ("repair", "--state", str(state_path), "--failed", "2", "--helpers", "4,5",
+              "--seed", "9")
+    invoke(capsys, *repair, "--out", str(repaired_path))
+    code, out, _ = invoke(capsys, *repair)
+    assert (code, json.loads(out)) == (0, json.loads(repaired_path.read_text()))
+
+
+def test_spent_attempt_budget_exits_1(capsys):
+    code, out, err = invoke(capsys, "construct", "6", "4", "3", "1", "--q", "31",
+                            "--max-attempts", "2")
+    assert (code, out, err) == (1, "", "error: construction rejected 2 times\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["Q"].pop(), "expected 6 coding matrices, got 5"),
+    (lambda doc: doc["Q"][2].update(rows=2, cols=4), "Q_3 is 2x4, expected 4x2"),
+    (lambda doc: doc["Q"][0].update(q=7, entries=[v % 7 for v in doc["Q"][0]["entries"]]),
+     "Q_1 lives in GF(7), state says GF(7639)"),
+    (lambda doc: doc.update(W=0), "packet width must be positive"),
+], ids=["matrix-count", "matrix-shape", "matrix-field", "packet-width"])
+def test_verify_refuses_a_state_that_does_not_fit_its_params(tmp_path, capsys, edit, message):
+    state_path = tmp_path / "state.json"
+    invoke(capsys, "construct", "6", "3", "2", "1", "--seed", "3", "--out", str(state_path))
+    doc = json.loads(state_path.read_text())
+    edit(doc)
+    state_path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "verify", "--state", str(state_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("k", ("7", "8"))
+def test_unrepairable_point_is_usage_error(tmp_path, capsys, k):
+    message = (f"error: (8,{k},4,0) is out of scope: some helper set leaves every repair of "
+               f"node 5 below full rank under h = (4, 4, 4, 2, 2, 0, 0, 0), since its packets "
+               f"add at most 1 to the rank and h_5 = 2 > 1\n")
+    simulate_argv = ("simulate", "--n", "8", "--k", k, "--d", "4", "--r", "0", "--rounds", "1",
+                     "--no-timing")
+    for argv in (("construct", "8", k, "4", "0"), simulate_argv):
+        assert invoke(capsys, *argv) == (2, "", message)
+    # construct makes no state of that point, but repair refuses any
+    params = params_new(8, int(k), 4, 0)
+    field = field_new(7639)
+    zero = FieldMatrix(params.M, params.d, (0,) * (params.M * params.d), field)
+    state = code_core.CodeState(params=params, field=field, packet_width=1,
+                                Q=(zero,) * params.n)
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(code_core.state_to_dict(state)))
+    assert invoke(capsys, "repair", "--state", str(state_path), "--failed", "1",
+                  "--helpers", "5,6,7,8") == (2, "", message)
 
 
 def test_connect_subcommand_pinned(capsys):
@@ -515,6 +572,12 @@ def test_unparsable_integer_names_its_field(tmp_path, capsys, monkeypatch):
 def test_usage_error_exit_code(capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     assert invoke(capsys, "params", "6", "4")[0] == 2
+
+
+def test_simulate_without_config_or_params_is_usage_error(capsys):
+    for argv in (("simulate",), ("simulate", "--n", "6", "--k", "3", "--d", "2")):
+        assert invoke(capsys, *argv) == (
+            2, "", "error: simulate needs --config or all of --n --k --d --r\n")
 
 
 @pytest.mark.parametrize("argv", [

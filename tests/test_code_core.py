@@ -1072,3 +1072,104 @@ def test_every_k_subset_holds_a_maximal_support(nkdr):
         h = tuple(c[order.index(node)] for node in nodes)
         assert h in maximal, (subset, h)
         assert all(h[node - 1] == 0 for node in nodes if node not in subset), (subset, h)
+
+
+# the first pair HSet.unrepairable finds at (8,7,4,0) and (8,8,4,0)
+UNREPAIRABLE = ((4, 4, 4, 2, 2, 0, 0, 0), 5, 1)
+
+
+def unrepairable_message(k: int) -> str:
+    return (f"(8,{k},4,0) is out of scope: some helper set leaves every repair of node 5 "
+            f"below full rank under h = (4, 4, 4, 2, 2, 0, 0, 0), since its packets add at "
+            f"most 1 to the rank and h_5 = 2 > 1")
+
+
+def _draws(*args):
+    raise AssertionError("a refused point drew coefficients")
+
+
+@pytest.mark.parametrize("k", (7, 8))
+def test_unrepairable_point_is_refused_before_drawing(k, monkeypatch):
+    params = params_new(8, k, 4, 0)
+    hset = h_enumerate(params)
+    assert hset.unrepairable == UNREPAIRABLE
+    state = _random_state(params, 142151, random.Random(k))
+    q = next_prime(required_field_size(params, hset))
+    monkeypatch.setattr(code_core, "_sample_until_accepted", _draws)
+    with pytest.raises(mfhs.OutOfScope) as refused:
+        construct(params, field_new(q), hset, rng_seed=0)
+    assert str(refused.value) == unrepairable_message(k)
+    with pytest.raises(mfhs.OutOfScope) as refused:
+        repair_random(state, 1, (5, 6, 7, 8), rng_seed=0)
+    assert str(refused.value) == unrepairable_message(k)
+
+
+def test_only_two_points_up_to_n8_are_unrepairable(monkeypatch):
+    # unrepairable reads only the representatives, so each H is built
+    # uncached and with its orbits left unlisted: listing the maximal
+    # layers, up to 290,160 members at n = 8, would take seconds
+    monkeypatch.setattr(mfhs, "_orbit", lambda rep, f: ())
+    refused = [point for point in in_scope_points(8)
+               if h_enumerate.__wrapped__(params_new(*point)).unrepairable is not None]
+    assert refused == [(8, 7, 4, 0), (8, 8, 4, 0)]
+
+
+def test_unrepairable_selection_loses_rank_whatever_the_coefficients():
+    # at (8,7,4,0) node 5's only helpers are nodes 1-4, and h takes all
+    # four columns of nodes 1-3: their packets add nothing to h's
+    # selection, so node 5's two selected columns add at most one rank
+    params = params_new(8, 7, 4, 0)
+    h, failed, bound = UNREPAIRABLE
+    q, rng = 142151, random.Random(8740)
+    for _ in range(3):
+        state = _random_state(params, q, rng)
+        assert rank_of_rows(_selection_rows(state, h), q) == params.M == 16
+
+        def draw(rows, cols):
+            return FieldMatrix(rows, cols, tuple(rng.randrange(q) for _ in range(rows * cols)),
+                               state.field)
+
+        repaired = _mat_mul_repair(state, failed, (1, 2, 3, 4),
+                                   [draw(params.d, 1) for _ in range(params.d)],
+                                   draw(params.d, params.d))
+        assert rank_of_rows(_selection_rows(repaired, h), q) <= params.M - h[failed - 1] + bound
+
+
+def test_invariant_check_refuses_an_hset_of_other_parameters():
+    state = construct(P641, field_new(142151), H641, rng_seed=1)
+    message = r"H was enumerated for \(6,3,2,1\), the code is \(6,4,3,1\)"
+    with pytest.raises(CodeError, match=message):
+        invariant_failure(state, H321)
+    with pytest.raises(CodeError, match=message):
+        invariant_check(state, H321)
+
+
+def test_witness_holds_refuses_an_hset_of_other_parameters():
+    state = construct(P641, field_new(142151), H641, rng_seed=1)
+    with pytest.raises(CodeError, match=r"enumerated for \(6,3,2,1\), the code is \(6,4,3,1\)"):
+        witness_holds(state, 1, (3, 4, 5), H321)
+
+
+def test_witness_repair_check_refuses_an_hset_of_other_parameters(small_state):
+    with pytest.raises(CodeError, match=r"enumerated for \(6,4,3,1\), the code is \(6,3,2,1\)"):
+        witness_repair_check(small_state, 1, (4, 5), (2, 2, 0, 0, 0, 0), H641)
+
+
+def test_construct_refuses_an_hset_of_other_parameters(monkeypatch):
+    monkeypatch.setattr(code_core, "_sample_until_accepted", _draws)
+    with pytest.raises(CodeError, match=r"enumerated for \(6,4,3,1\), the code is \(6,3,2,1\)"):
+        construct(P321, field_new(7), H641, rng_seed=0)
+
+
+def test_encode_and_decode_refuse_arguments_that_do_not_fit(small_state):
+    field = small_state.field
+    file = FieldMatrix.from_rows([[v] for v in range(P321.M)], field)
+    with pytest.raises(CodeError, match=r"file lives in GF\(7\), code in GF\(7639\)"):
+        encode(small_state, FieldMatrix.from_rows(_rows(file), field_new(7)))
+    with pytest.raises(CodeError, match=r"file is 4x2, code expects 4x1"):
+        encode(small_state, FieldMatrix.from_rows([[v, v] for v in range(P321.M)], field))
+    stored = encode(small_state, file)
+    with pytest.raises(CodeError, match=r"3 nodes but 2 packet blocks"):
+        decode(small_state, (1, 2, 3), stored[:2])
+    with pytest.raises(CodeError, match=r"duplicate nodes in \(1, 2, 1\)"):
+        decode(small_state, (1, 2, 1), [stored[0], stored[1], stored[0]])

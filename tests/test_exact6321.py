@@ -256,12 +256,12 @@ TAMPER_KINDS = ("perturb", "zero_column", "copy", "binary", "random")
 
 
 def tampered(code, index: int, rng: random.Random):
-    """Code number index of a cycle over five kinds of damage.  Kinds that
-    act on one matrix cycle through the generator (0) and Q_1..Q_6."""
+    """Code number index of a cycle over five kinds of damage, each to
+    one of Q_1..Q_6; damage to Q_1..Q_3 reaches the generator too."""
     q = code.field.q
     kind = TAMPER_KINDS[index % len(TAMPER_KINDS)]
-    target = index // len(TAMPER_KINDS) % 7
-    mats = [code.generator, *code.Q]
+    target = index // len(TAMPER_KINDS) % 6
+    mats = list(code.Q)
     if kind in ("perturb", "zero_column"):
         mat = mats[target]
         rows = _rows(mat)
@@ -273,15 +273,13 @@ def tampered(code, index: int, rng: random.Random):
             for row in rows:
                 row[j] = 0
         mats[target] = FieldMatrix.from_rows(rows, code.field)
+    elif kind == "copy":
+        mats[target] = mats[(target + 1) % 6]
     else:
-        node = target % 6 + 1
-        if kind == "copy":
-            mats[node] = mats[node % 6 + 1]
-        else:
-            top = 2 if kind == "binary" else q
-            mats[node] = FieldMatrix.from_rows(
-                [[rng.randrange(top) for _ in range(2)] for _ in range(4)], code.field)
-    return dataclasses.replace(code, generator=mats[0], Q=tuple(mats[1:]))
+        top = 2 if kind == "binary" else q
+        mats[target] = FieldMatrix.from_rows(
+            [[rng.randrange(top) for _ in range(2)] for _ in range(4)], code.field)
+    return dataclasses.replace(code, Q=tuple(mats))
 
 
 @pytest.mark.parametrize("q, count", [(7, 100), (11, 100), (13, 100), (101, 100),
