@@ -233,15 +233,17 @@ def _sends_for(code: ExactCode, failed: int, helper: int) -> tuple[int, int]:
     gives top(c); node 2 stores [e3 e4], so sending the bottom half of
     c gives bottom(c); both halves are read from Q_failed itself.  Every
     other send is _POSITION_SENDS at the failed node's position in its
-    family: node 3's parity pair maps the failed node's packet total
-    onto it, and a family-A newcomer asks each family-B helper for the
-    packet that carries its own coordinates.  Either way two received
-    packets pin the two lost ones down through an invertible 2x2
-    system.
+    family.  Node 3 stores [p pbar], and the family-B newcomer's packet
+    total top(c) + bottom(c) = c is p, pbar or p + pbar, so node 3 sends
+    that combination of its packets; a family-A newcomer asks each
+    family-B helper for its first packet, its second or their sum.
+    Either way two received packets pin the two lost ones down through
+    an invertible 2x2 system.
     """
     if failed in FAMILY_B and helper in (1, 2):
-        own = code.Q[failed - 1].entries
-        return own[5 * helper - 5], own[5 * helper - 3]
+        # helper j sends half j of Q_failed's column j (entries are row-major)
+        column = code.Q[failed - 1].entries[helper - 1::2]
+        return column[2 * helper - 2:2 * helper]
     return _POSITION_SENDS[(failed - 1) % 3]
 
 
