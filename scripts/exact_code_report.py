@@ -11,7 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from lrrc.exact6321 import ExactCodeError, build_exact_code, repair_rule, verify_exact_code
+from lrrc.exact6321 import (
+    ExactCodeError,
+    build_exact_code,
+    parity_pairs,
+    repair_rule,
+    verify_exact_code,
+)
 from lrrc.galois import GaloisError, matrix_to_dict
 
 
@@ -28,7 +34,7 @@ def main() -> int:
     report = verify_exact_code(code)
 
     print(f"explicit code over GF({args.q})")
-    print(f"coefficients a={code.a} abar={code.abar} b={code.b} bbar={code.bbar}")
+    print("coefficients " + " ".join(f"{k}={v}" for k, v in parity_pairs(code).items()))
     for i, qm in enumerate(code.Q, start=1):
         rows = matrix_to_dict(qm)["entries"]
         print(f"  node {i} stores columns {rows[0::2]} | {rows[1::2]}")

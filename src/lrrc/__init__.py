@@ -58,7 +58,6 @@ from .code_core import (
     witness_repair_check,
 )
 from .exact6321 import (
-    ExactCode,
     ExactCodeError,
     build_exact_code,
     exact_repair,
@@ -109,7 +108,6 @@ __all__ = [
     "state_from_dict",
     "state_to_dict",
     "witness_repair_check",
-    "ExactCode",
     "ExactCodeError",
     "build_exact_code",
     "exact_repair",

@@ -61,7 +61,10 @@ CONFIG_KEYS = ("params", "q", "seed", "rounds", "failure_policy", "helper_policy
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation: construction plus a sequence of repair rounds."""
+    """One simulation: construction plus a sequence of repair rounds.
+
+    An unknown policy or negative rounds raise ModelError.
+    """
 
     params: Params
     q: int | str = "auto"
@@ -73,6 +76,14 @@ class SimConfig:
     check_reconstruction: bool = True
     check_witness: bool = False
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
+
+    def __post_init__(self) -> None:
+        if self.failure_policy not in FAILURE_POLICIES:
+            raise ModelError(f"unknown failure policy {self.failure_policy!r}")
+        if self.helper_policy not in HELPER_POLICIES:
+            raise ModelError(f"unknown helper policy {self.helper_policy!r}")
+        if self.rounds < 0:
+            raise ModelError("rounds must be nonnegative")
 
     def to_dict(self) -> dict:
         return {
@@ -108,7 +119,7 @@ def sim_config_from_dict(d: dict) -> SimConfig:
         if not isinstance(value, bool):
             raise ModelError(f"simulation config's checks.{name} must be true or false, "
                              f"got {json.dumps(value)}")
-    cfg = SimConfig(
+    return SimConfig(
         params=params,
         q=q,
         seed=integer("seed", 0),
@@ -120,13 +131,6 @@ def sim_config_from_dict(d: dict) -> SimConfig:
         check_witness=checks.get("witness", False),
         max_attempts=integer("max_attempts", DEFAULT_MAX_ATTEMPTS),
     )
-    if cfg.failure_policy not in FAILURE_POLICIES:
-        raise ModelError(f"unknown failure policy {cfg.failure_policy!r}")
-    if cfg.helper_policy not in HELPER_POLICIES:
-        raise ModelError(f"unknown helper policy {cfg.helper_policy!r}")
-    if cfg.rounds < 0:
-        raise ModelError("rounds must be nonnegative")
-    return cfg
 
 
 @dataclass

@@ -164,9 +164,10 @@ class RepairFailed(AttemptsExhausted):
     h_failed helpers hold less, which some helper set allows exactly at
     the pairs (h, failed) that HSet.unrepairable looks for.  There h'
     leaves 0..d and h is structural, so repair_random refuses such
-    points before drawing.  At the other points no key is known whose
-    target leaves H: none of the 124 accepted in-scope points with
-    n <= 8 and at most 3 * 10^6 (member, key) pairs has one.
+    points before drawing, and witness_holds and witness_repair_check
+    before forming a target.  At the other points no key is known
+    whose target leaves H: none of the 124 accepted in-scope points
+    with n <= 8 and at most 3 * 10^6 (member, key) pairs has one.
     """
 
     what = "repair"
@@ -507,6 +508,7 @@ def witness_repair_check(
     """
     params = state.params
     _check_hset(params, hset)
+    _check_repairable(hset)
     h = tuple(h)
     if h not in hset:
         raise HNotMember(f"{h} is not admissible")
@@ -582,9 +584,12 @@ def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: H
     by rank_of_rows against M, the total of every maximal target.
     Helpers are validated first, so bad ones raise InvalidHelpers
     before the memo is consulted; a key runs no connect_run and no
-    membership test, cold or warm.
+    membership test, cold or warm.  Raises OutOfScope, as construct
+    does, at a point where some repair can never pass
+    (HSet.unrepairable): a target there can leave H.
     """
     _check_hset(state.params, hset)
+    _check_repairable(hset)
     ordered = checked_helpers(state.params, failed, helpers)
     columns = _sweep_plan(hset)[0][list(witness_targets(hset, failed, ordered))]
     blocks = _coefficients(state)[:, columns].transpose(1, 0, 2).tolist()

@@ -15,9 +15,13 @@ and bottom(c) = (0,0,c3,c4) for the halves of a column c, they are
     Q3 = [p pbar]       Q6 = [top(p+pbar) bottom(p+pbar)]
 
 so [Q1 | Q2 | Q3] = [I_4 | p pbar] is a systematic (6,4) MDS generator
-G.  ExactCode stores the six matrices alone: G and the parity pairs
-a = (p1,p2), b = (p3,p4), abar = (pbar1,pbar2) and bbar =
-(pbar3,pbar4) are read off them.
+G.  The code is a code_core.CodeState of (6,3,2,1) holding these six
+matrices, so encode, decode and reconstruct_check take it as they take
+a random code.  generator(code) reads G off it, and parity_pairs(code)
+the parity pairs a = (p1,p2), b = (p3,p4), abar = (pbar1,pbar2) and
+bbar = (pbar3,pbar4).  repair_rule and verify_exact_code, and so
+exact_repair and code_to_dict, raise ExactCodeError for a state of
+other parameters.
 
 Family A is {1,2,3}, family B is {4,5,6}.  Each repair rule names the
 one packet every helper sends (a coefficient pair over its two stored
@@ -56,7 +60,7 @@ from .code_core import (
     decode,  # unused here; perfbench/spans.py wraps this binding
     reconstruct_verdicts,
 )
-from .mfhs import Params, params_new
+from .mfhs import params_new
 
 FAMILY_A = (1, 2, 3)
 FAMILY_B = (4, 5, 6)
@@ -104,50 +108,31 @@ class RepairRule:
         return tuple(sorted(self.helper_sends))
 
 
-@dataclass(frozen=True)
-class ExactCode:
-    """The code over one field: its six coding matrices Q_1..Q_6.
+def generator(code: CodeState) -> FieldMatrix:
+    """The systematic generator [Q_1 | Q_2 | Q_3]."""
+    return mat_hstack(code.Q[:3])
 
-    Everything else is read off them (module docstring): the generator
-    [Q_1 | Q_2 | Q_3] and the parity pairs, which are the halves of
-    Q_3's two columns.
-    """
 
-    field: FieldConfig
-    Q: tuple[FieldMatrix, ...]
+def parity_pairs(code: CodeState) -> dict[str, tuple[int, int]]:
+    """a, abar, b and bbar: the halves of Q_3's two columns.  Q_3 =
+    [p pbar] is stored row-major, so column j's entries sit at j, j + 2,
+    j + 4 and j + 6."""
+    e = code.Q[2].entries
+    return {"a": e[0:4:2], "abar": e[1:4:2], "b": e[4::2], "bbar": e[5::2]}
 
-    @property
-    def params(self) -> Params:
-        return _PARAMS6321
 
-    @property
-    def generator(self) -> FieldMatrix:
-        return mat_hstack(self.Q[:3])
-
-    # Q_3 = [p pbar] is stored row-major, so column j's entries sit at
-    # j, j + 2, j + 4 and j + 6
-    @property
-    def a(self) -> tuple[int, int]:
-        return self.Q[2].entries[0:4:2]
-
-    @property
-    def abar(self) -> tuple[int, int]:
-        return self.Q[2].entries[1:4:2]
-
-    @property
-    def b(self) -> tuple[int, int]:
-        return self.Q[2].entries[4::2]
-
-    @property
-    def bbar(self) -> tuple[int, int]:
-        return self.Q[2].entries[5::2]
+def _check_params(code: CodeState) -> None:
+    """Raise ExactCodeError unless code is a (6,3,2,1) state."""
+    if code.params != _PARAMS6321:
+        p = code.params
+        raise ExactCodeError(f"the six-node code is (6,3,2,1), got ({p.n},{p.k},{p.d},{p.r})")
 
 
 def _column(vec: Sequence[int], field: FieldConfig) -> FieldMatrix:
     return FieldMatrix(len(vec), 1, tuple(v % field.q for v in vec), field)
 
 
-def build_exact_code(q: int = 7) -> ExactCode:
+def build_exact_code(q: int = 7) -> CodeState:
     """Construct the code over GF(q), q prime and at least 7.
 
     The parity columns are p = 1/(x - 4) and pbar = 1/(x - 5) over
@@ -174,7 +159,8 @@ def build_exact_code(q: int = 7) -> ExactCode:
         halves(pbar),
         halves([x + y for x, y in zip(p, pbar)]),
     )
-    code = ExactCode(field=field, Q=tuple(FieldMatrix.from_rows(r, field) for r in rows))
+    code = CodeState(params=_PARAMS6321, field=field, packet_width=1,
+                     Q=tuple(FieldMatrix.from_rows(r, field) for r in rows))
     mds, pairs = _structural_entries(code)
     failing = [e for e in mds + pairs if not e["ok"]]
     if failing:
@@ -182,7 +168,7 @@ def build_exact_code(q: int = 7) -> ExactCode:
     return code
 
 
-def _arrays(code: ExactCode) -> tuple[np.ndarray, np.ndarray]:
+def _arrays(code: CodeState) -> tuple[np.ndarray, np.ndarray]:
     """The 4 x 6 generator and the 6 x 4 x 2 stack of coding matrices,
     as galois.residue_array; the generator is the stack's first three
     nodes side by side."""
@@ -194,7 +180,7 @@ _MDS_COLUMNS = np.array(_MDS_SUBSETS, dtype=np.intp)
 _PAIR_NODES = np.array(_FAMILY_PAIRS, dtype=np.intp) - 1
 
 
-def _structural_entries(code: ExactCode) -> tuple[list[dict], list[dict]]:
+def _structural_entries(code: CodeState) -> tuple[list[dict], list[dict]]:
     """Structural conditions every valid code instance satisfies.
 
     Returns one entry per four-column generator selection (invertible
@@ -225,7 +211,7 @@ def _helpers(failed: int, unavailable: int) -> tuple[int, ...]:
 _POSITION_SENDS = ((1, 0), (0, 1), (1, 1))
 
 
-def _sends_for(code: ExactCode, failed: int, helper: int) -> tuple[int, int]:
+def _sends_for(code: CodeState, failed: int, helper: int) -> tuple[int, int]:
     """Coefficient pair helper applies to its own packets for this repair.
 
     A family-B newcomer's Q_failed is [top(c) bottom(c)] for one parity
@@ -247,7 +233,7 @@ def _sends_for(code: ExactCode, failed: int, helper: int) -> tuple[int, int]:
     return _POSITION_SENDS[(failed - 1) % 3]
 
 
-def repair_rule(code: ExactCode, failed: int, unavailable: int) -> RepairRule:
+def repair_rule(code: CodeState, failed: int, unavailable: int) -> RepairRule:
     """Rule for regenerating `failed` while `unavailable` cannot serve.
 
     Helpers are the opposite family minus the unavailable node; when the
@@ -257,6 +243,7 @@ def repair_rule(code: ExactCode, failed: int, unavailable: int) -> RepairRule:
     represents, solving Q_failed C = [w_1 w_2] and inverting C maps
     received packets onto the lost ones.
     """
+    _check_params(code)
     if failed == unavailable or not (1 <= failed <= 6) or not (1 <= unavailable <= 6):
         raise InvalidPair(f"failed={failed}, unavailable={unavailable}")
     helpers = _helpers(failed, unavailable)
@@ -279,7 +266,7 @@ def repair_rule(code: ExactCode, failed: int, unavailable: int) -> RepairRule:
 
 
 def exact_repair(
-    code: ExactCode,
+    code: CodeState,
     stored: Sequence[FieldMatrix],
     failed: int,
     unavailable: int,
@@ -295,16 +282,6 @@ def exact_repair(
         for x in rule.helpers
     ])
     return mat_mul(received, rule.newcomer_combine)
-
-
-def as_code_state(code: ExactCode, packet_width: int = 1) -> CodeState:
-    """View the code through the generic state container."""
-    return CodeState(
-        params=code.params,
-        field=code.field,
-        packet_width=packet_width,
-        Q=code.Q,
-    )
 
 
 @dataclass(frozen=True)
@@ -329,7 +306,7 @@ class ExactVerifyReport:
         }
 
 
-def verify_exact_code(code: ExactCode) -> ExactVerifyReport:
+def verify_exact_code(code: CodeState) -> ExactVerifyReport:
     """Decide every structural and repair obligation, recording each.
 
     Checks: all 15 four-column generator selections invertible, all six
@@ -364,8 +341,9 @@ def verify_exact_code(code: ExactCode) -> ExactVerifyReport:
     every other case repair_rule raises, so the replay returns basis_f
     exactly when the certificate holds.
     """
+    _check_params(code)
     mds, pairs = _structural_entries(code)
-    recon_ok = reconstruct_verdicts(as_code_state(code)).tolist()
+    recon_ok = reconstruct_verdicts(code).tolist()
     recon = [{"nodes": list(triple), "ok": v} for triple, v in zip(_TRIPLES, recon_ok)]
     repairs = [{"failed": f, "unavailable": u, "ok": v}
                for (f, u), v in zip(_RULES, _repair_verdicts(code))]
@@ -385,7 +363,7 @@ _RULE_FAILED_INDEX = np.array([f for f, _ in _RULES], dtype=np.intp) - 1
 _RULE_HELPER_INDEX = np.array(_RULE_HELPERS, dtype=np.intp) - 1
 
 
-def _repair_verdicts(code: ExactCode) -> list[bool]:
+def _repair_verdicts(code: CodeState) -> list[bool]:
     """Lemma E's certificate for every rule, in _RULES order: two batched
     kernel calls, one on 4 x 2 and one on 4 x 3 matrices."""
     q = code.field.q
@@ -408,7 +386,7 @@ def _repair_verdicts(code: ExactCode) -> list[bool]:
     return (full[:count] & full[count:] & ~spans[:count] & ~spans[count:]).tolist()
 
 
-def code_to_dict(code: ExactCode) -> dict:
+def code_to_dict(code: CodeState) -> dict:
     """JSON form with the rule table spelled out."""
     from .galois import matrix_to_dict
 
@@ -423,13 +401,8 @@ def code_to_dict(code: ExactCode) -> dict:
         })
     return {
         "q": code.field.q,
-        "generator": matrix_to_dict(code.generator),
-        "coefficients": {
-            "a": list(code.a),
-            "abar": list(code.abar),
-            "b": list(code.b),
-            "bbar": list(code.bbar),
-        },
+        "generator": matrix_to_dict(generator(code)),
+        "coefficients": parity_pairs(code),
         "Q": [matrix_to_dict(qm) for qm in code.Q],
         "repair_rules": rules,
     }

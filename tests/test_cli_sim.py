@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from functools import lru_cache
 
 import pytest
@@ -285,6 +286,24 @@ def test_unrepairable_point_is_usage_error(tmp_path, capsys, k):
                   "--helpers", "5,6,7,8") == (2, "", message)
 
 
+@pytest.mark.parametrize("k", ("7", "8"))
+def test_witness_check_at_an_unrepairable_point_is_usage_error(tmp_path, capsys, k):
+    message = (f"error: (8,{k},4,0) is out of scope: some helper set leaves every repair of "
+               f"node 5 below full rank under h = (4, 4, 4, 2, 2, 0, 0, 0), since its packets "
+               f"add at most 1 to the rank and h_5 = 2 > 1\n")
+    params = params_new(8, int(k), 4, 0)
+    field = field_new(82918931)
+    rng, entries = random.Random(k), params.M * params.d
+    state = code_core.CodeState(params=params, field=field, packet_width=1, Q=tuple(
+        FieldMatrix(params.M, params.d, tuple(rng.randrange(field.q) for _ in range(entries)), field)
+        for _ in range(params.n)))
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(code_core.state_to_dict(state)))
+    for checks in ("witness", "invariant,witness"):
+        assert invoke(capsys, "verify", "--state", str(state_path), "--checks", checks,
+                      "--witness-failed", "5", "--witness-helpers", "1,2,3,4") == (2, "", message)
+
+
 def test_connect_subcommand_pinned(capsys):
     code, out, _ = invoke(
         capsys, "connect", "6", "4", "3", "1",
@@ -530,6 +549,18 @@ def test_sim_config_validation():
     cfg = SimConfig(params=params_new(6, 3, 2, 1), q=7639, seed=4, rounds=3,
                     failure_policy="uniform-random", check_witness=True, max_attempts=5)
     assert sim_config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("failure_policy", "bogus", "unknown failure policy 'bogus'"),
+    ("helper_policy", "nope", "unknown helper policy 'nope'"),
+    ("rounds", -3, "rounds must be nonnegative"),
+])
+def test_sim_config_built_directly_checks_itself(field, value, message):
+    # the constructor refuses what the JSON reader refuses, so simulate
+    # never runs an unknown policy as another one
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        SimConfig(params=params_new(6, 3, 2, 1), **{"rounds": 1, field: value})
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):

@@ -207,7 +207,7 @@ def test_repair_helper_validation(small_state):
         repair_random(small_state, 7, (4, 5), rng_seed=0)  # no such node
 
 
-def test_apply_repair_plan_rejects_plans_that_do_not_fit(small_state):
+def test_repair_rejects_node_ids_that_do_not_fit(small_state):
     # repair_random is the one way to apply a repair now; it refuses a
     # repair whose node ids do not fit the state before drawing: helper 0
     # would index Q_6's columns, failed 0 would not broadcast, failed 7
@@ -1101,6 +1101,21 @@ def test_unrepairable_point_is_refused_before_drawing(k, monkeypatch):
     assert str(refused.value) == unrepairable_message(k)
     with pytest.raises(mfhs.OutOfScope) as refused:
         repair_random(state, 1, (5, 6, 7, 8), rng_seed=0)
+    assert str(refused.value) == unrepairable_message(k)
+
+
+@pytest.mark.parametrize("k", (7, 8))
+def test_witness_checks_refuse_an_unrepairable_point(k):
+    # without the refusal, witness_targets meets a target outside H's
+    # maximal layer and raises InternalContradiction, a procedure fault
+    params = params_new(8, k, 4, 0)
+    hset = h_enumerate(params)
+    state = _random_state(params, 82918931, random.Random(k))
+    with pytest.raises(mfhs.OutOfScope) as refused:
+        witness_holds(state, 5, (1, 2, 3, 4), hset)
+    assert str(refused.value) == unrepairable_message(k)
+    with pytest.raises(mfhs.OutOfScope) as refused:
+        witness_repair_check(state, 5, (1, 2, 3, 4), (0, 0, 0, 2, 2, 4, 4, 4), hset)
     assert str(refused.value) == unrepairable_message(k)
 
 

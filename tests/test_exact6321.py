@@ -15,16 +15,25 @@ from lrrc.exact6321 import (
     FieldTooSmall,
     InvalidPair,
     _structural_entries,
-    as_code_state,
     build_exact_code,
     code_to_dict,
     exact_repair,
+    generator,
+    parity_pairs,
     repair_rule,
     verify_exact_code,
 )
 from lrrc.galois import FieldMatrix, GaloisError, identity, mat_hstack, rank_of_rows
-from lrrc.mfhs import h_enumerate
-from lrrc.code_core import CodeError, decode, invariant_check, reconstruct_check, encode
+from lrrc.mfhs import h_enumerate, params_new
+from lrrc.code_core import (
+    CodeError,
+    CodeState,
+    decode,
+    encode,
+    invariant_check,
+    invariant_failure,
+    reconstruct_check,
+)
 
 
 def _rows(m):
@@ -57,7 +66,7 @@ def test_build_rejects_small_or_composite_fields():
 
 
 def test_generator_is_systematic_mds(code7):
-    g = code7.generator
+    g = generator(code7)
     assert (g.rows, g.cols) == (4, 6)
     assert _columns(g, range(4)) == identity(4, code7.field)
     for cols in itertools.combinations(range(6), 4):
@@ -83,10 +92,10 @@ def test_pinned_parity_vectors(code7):
     # q=7 Cauchy table against 1/(x-y) computed directly
     inv = lambda v: pow(v % 7, 5, 7)
     xs, ys = (0, 1, 2, 3), (4, 5)
-    assert code7.a == (inv(0 - 4), inv(1 - 4))
-    assert code7.b == (inv(2 - 4), inv(3 - 4))
-    assert code7.abar == (inv(0 - 5), inv(1 - 5))
-    assert code7.bbar == (inv(2 - 5), inv(3 - 5))
+    assert parity_pairs(code7)["a"] == (inv(0 - 4), inv(1 - 4))
+    assert parity_pairs(code7)["b"] == (inv(2 - 4), inv(3 - 4))
+    assert parity_pairs(code7)["abar"] == (inv(0 - 5), inv(1 - 5))
+    assert parity_pairs(code7)["bbar"] == (inv(2 - 5), inv(3 - 5))
 
 
 def test_rule_four_from_three_is_identity(code7):
@@ -132,7 +141,7 @@ def test_invalid_pairs_rejected(code7):
 
 
 def test_exact_repair_regenerates_stored_packets(code7):
-    state = as_code_state(code7)
+    state = code7
     f = code7.field
     file = FieldMatrix.from_rows([[i + 1] for i in range(4)], f)
     stored = encode(state, file)
@@ -149,9 +158,9 @@ def test_block_regeneration_stacks_basis_regenerations(q):
     # Lemma E replays each rule once, on the identity file's W=4 block;
     # each row must be what the basis file e_j regenerates to
     code = build_exact_code(q)
-    block = encode(as_code_state(code, packet_width=4), identity(4, code.field))
+    block = encode(dataclasses.replace(code, packet_width=4), identity(4, code.field))
     basis = [
-        encode(as_code_state(code), FieldMatrix(4, 1, tuple(int(i == j) for i in range(4)), code.field))
+        encode(code, FieldMatrix(4, 1, tuple(int(i == j) for i in range(4)), code.field))
         for j in range(4)
     ]
     for failed, unavailable in itertools.permutations(range(1, 7), 2):
@@ -202,10 +211,46 @@ def test_generic_view_reconstructs_but_skips_random_invariant(code7):
     # the explicit code meets the repair guarantee through its own
     # structure; it does not satisfy the stronger condition the random
     # construction certifies against
-    state = as_code_state(code7)
+    state = code7
     assert reconstruct_check(state)
     hs = h_enumerate(state.params)
     assert not invariant_check(state, hs)
+
+
+@pytest.mark.parametrize("q", [7, 11, 13, 101, 7639, 2147483659])
+def test_generic_checks_take_the_code_as_it_is(q):
+    # any three nodes recover the file, and the random construction's
+    # invariant first fails at h = (0,0,0,1,1,2), which selects top(p),
+    # top(pbar), top(p + pbar) and bottom(p + pbar): the third is the
+    # sum of the first two.  Exact repair does not need the invariant.
+    code = build_exact_code(q)
+    assert reconstruct_check(code)
+    assert invariant_failure(code, h_enumerate(code.params)) == (0, 0, 0, 1, 1, 2)
+
+
+def test_malformed_codes_are_refused_when_built(code7):
+    # CodeState checks the matrix count, each shape and each field, so
+    # verify_exact_code never meets such a code
+    code11 = build_exact_code(11)
+    short = FieldMatrix.from_rows([[1, 0], [0, 1], [1, 1]], code7.field)
+    for base, Q, message in (
+        (code7, code7.Q[:5], "expected 6 coding matrices, got 5"),
+        (code7, code7.Q[:5] + (short,), "Q_6 is 3x2, expected 4x2"),
+        (code11, code7.Q[:1] + code11.Q[1:], r"Q_1 lives in GF\(7\), state says GF\(11\)"),
+    ):
+        with pytest.raises(CodeError, match=message):
+            dataclasses.replace(base, Q=Q)
+
+
+def test_states_of_other_parameters_are_refused(code7):
+    params = params_new(6, 4, 3, 1)
+    zero = FieldMatrix(params.M, params.d, (0,) * (params.M * params.d), code7.field)
+    state = CodeState(params=params, field=code7.field, packet_width=1, Q=(zero,) * 6)
+    calls = (lambda: verify_exact_code(state), lambda: repair_rule(state, 4, 1),
+             lambda: exact_repair(state, (), 4, 1), lambda: code_to_dict(state))
+    for call in calls:
+        with pytest.raises(ExactCodeError, match=r"is \(6,3,2,1\), got \(6,4,3,1\)"):
+            call()
 
 
 def test_code_to_dict_rule_table(code7):
@@ -228,11 +273,11 @@ def replayed_verdicts(code) -> dict[str, list[bool]]:
     rank_of_rows for structure, decode for reconstruction and exact_repair
     on the identity file's W=4 block for the repair rules."""
     field = code.field
-    gen = code.generator
+    gen = generator(code)
     mds = [_rank(_columns(gen, cols)) == 4 for cols in itertools.combinations(range(6), 4)]
     pairs = [_rank(mat_hstack([code.Q[i - 1], code.Q[j - 1]])) == 4
              for fam in (FAMILY_A, FAMILY_B) for i, j in itertools.combinations(fam, 2)]
-    state = as_code_state(code)
+    state = code
     file = FieldMatrix(4, 1, tuple(v % field.q for v in (1, 2, 3, 4)), field)
     stored = encode(state, file)
     recon = []
@@ -241,7 +286,7 @@ def replayed_verdicts(code) -> dict[str, list[bool]]:
             recon.append(decode(state, triple, [stored[i - 1] for i in triple]) == file)
         except CodeError:
             recon.append(False)
-    basis = encode(as_code_state(code, packet_width=4), identity(4, field))
+    basis = encode(dataclasses.replace(code, packet_width=4), identity(4, field))
     repairs = []
     for failed, unavailable in itertools.permutations(range(1, 7), 2):
         try:
