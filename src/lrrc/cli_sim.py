@@ -355,6 +355,9 @@ def _cmd_params(args: argparse.Namespace) -> int:
     f = params.family_size
     payload["families"] = [list(range(g * f + 1, (g + 1) * f + 1))
                            for g in range(params.num_families)]
+    # the MBR file size under blind helper selection, for comparison
+    # with M (Dimakis et al., IEEE Trans. IT 2010, beta = 1)
+    payload["blind_M"] = sum(max(params.d - i, 0) for i in range(params.k))
     _emit(payload)
     return 0
 

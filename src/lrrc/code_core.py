@@ -16,12 +16,12 @@ independent columns stays independent, so the maximal members decide
 the whole of H.  Their selections are gathered from one M x (n*d) array
 [Q_1 | ... | Q_n], which each CodeState builds once and keeps, by
 galois.first_rank_deficient: in member order, in chunks of at most
-galois.RANK_CHUNK entries, each eliminated in batched int64 numpy for
-q < 2^31, on signed residues that are reduced only when the next update
-could leave int64, and by rank_of_rows per selection above that.  The
-sweep stops at the first chunk that holds a failure, so a rejected
-state costs one chunk at most, and memory stays bounded at points with
-10^5 and more maximal members.
+galois.RANK_CHUNK entries, each eliminated in batched numpy for q <
+2^31 (int32 for q < 2^15, int64 above), on residues that are reduced
+only when the next update could leave that dtype, and by rank_of_rows
+per selection above 2^31.  The sweep stops at the first chunk that
+holds a failure, so a rejected state costs one chunk at most, and
+memory stays bounded at points with 10^5 and more maximal members.
 
 This module alone knows that array's layout: node j's d columns sit at
 (j - 1)*d .. j*d - 1, so the array reshaped to M x n x d is a view
@@ -441,11 +441,11 @@ def repair_random(
     Z, so the candidate Q_failed is [Q_{x_1} b_1 | ... | Q_{x_d} b_d] @ Z.
     It is computed in numpy from the helpers' blocks of state's
     coefficient array, gathered once per call through its M x n x d
-    view, in its residue_array dtype: int64 below 2^31, where each
-    product of two residues stays below 2^62 and is reduced mod q
-    before the sums, and Python ints above.  The candidate keeps a copy
-    of that array with the failed node's block replaced through the
-    same view.
+    view, in its residue_array dtype: int32 below 2^15 and int64 below
+    2^31, where each product of two residues stays below 2^30 or 2^62
+    and is reduced mod q before the sums (which numpy takes in int64),
+    and Python ints above.  The candidate keeps a copy of that array
+    with the failed node's block replaced through the same view.
 
     A candidate is kept only if the whole state passes invariant_check
     again.  When state passed invariant_failure on this hset, each

@@ -373,8 +373,9 @@ def _repair_verdicts(code: CodeState) -> list[bool]:
          for (f, _), helpers in zip(_RULES, _RULE_HELPERS)],
         q,
     )
-    # column j of R is helper j's 4 x 2 block times its send pair; in
-    # int64 (q < 2^31) each of the two products stays under 2^62
+    # column j of R is helper j's 4 x 2 block times its send pair; each
+    # of the two products stays under 2^30 in int32 (q < 2^15) and 2^62
+    # in int64 (q < 2^31), so their sum fits either dtype
     products = nodes[_RULE_HELPER_INDEX] * sends[:, :, None, :]
     received = (products.sum(axis=3) % q).transpose(0, 2, 1)
     own = nodes[_RULE_FAILED_INDEX]

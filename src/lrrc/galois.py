@@ -12,14 +12,15 @@ Matrices are immutable, row-major, and store canonical residues in
   equal-shape matrices at once, and first_rank_deficient, which gathers
   such stacks from the columns of one coefficient array in chunks of
   at most RANK_CHUNK entries and names the first matrix that fails.
-  Both run one elimination loop on an int64 array with the batch as
-  its last axis for q < 2^31; above that they fall back to rank_of_rows
-  per matrix.  Each column's update writes the trailing block into a
-  new contiguous array, so the loop always works on a compact block.
-  Its entries are signed residues in (-q, q) only where a zero test
-  needs them.  A Python int bound holds the largest |entry| the block
-  can reach, and the whole block is reduced only before an update
-  whose result could reach 2^63 (2 * bound * q).
+  Both run one elimination loop on an integer array with the batch as
+  its last axis for q < 2^31, int32 for q < 2^15 and int64 above;
+  above 2^31 they fall back to rank_of_rows per matrix.  Each column's
+  update writes the trailing block into a new contiguous array, so the
+  loop always works on a compact block.  Its entries are reduced to
+  residues only where a zero test needs them.  A Python int bound holds
+  the largest |entry| the block can reach, and the whole block is
+  reduced, as a - a // q * q, only before an update whose result could
+  reach the dtype's limit L (2 * bound * q >= L, L = 2^31 or 2^63).
 """
 
 from __future__ import annotations
@@ -275,33 +276,44 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
     return rank
 
 
-# Below this modulus rows just reduced to signed residues (|entry| <=
-# q - 1) always take one more update inside int64: 2 * (q - 1) * q <
-# 2 * q * q <= 2^63, so the elimination loop needs at most one reduction
-# per column and never overflows.
+# Below this modulus the kernel eliminates in numpy: in int64, rows
+# just reduced (|entry| <= q - 1) always take one more update, since
+# 2 * (q - 1) * q < 2 * q * q <= 2^63, so the elimination loop needs at
+# most one reduction per column and never overflows.  Above it each
+# matrix goes to the pure-Python rank_of_rows.
 BATCH_Q_LIMIT = 2**31
 
 # first_rank_deficient eliminates at most this many entries at once,
-# RANK_CHUNK // (m * s) m x s matrices (at least one), 1 MiB of int64.
-# Its working set is that input chunk plus two compact blocks, the
-# update's result and one of its products, each smaller than the chunk:
-# under 3 MiB whatever m and s are, so the loop's many passes stay near
-# a core's cache.  With chunks of 4096 matrices, on a Xeon VM with 2 MiB
-# of L2 per core, the compact blocks were 10% (18 x 18) to 25% (12 x 12)
-# slower than updates in place.  It stops after the chunk that holds
-# the first failure.
+# RANK_CHUNK // (m * s) m x s matrices (at least one), 1 MiB of int64
+# or half that of int32.  Its working set is that input chunk plus two
+# compact blocks, the update's result and one of its products, each
+# smaller than the chunk: under 3 MiB whatever m, s and the dtype are,
+# so the loop's many passes stay near a core's cache.  With chunks of
+# 4096 matrices, on a Xeon VM with 2 MiB of L2 per core, the compact
+# int64 blocks were 10% (18 x 18) to 25% (12 x 12) slower than updates
+# in place.  It stops after the chunk that holds the first failure.
 RANK_CHUNK = 2**17
 
 
 def _residue_dtype(q: int) -> type:
+    """The narrowest dtype the kernel can eliminate GF(q) residues in.
+
+    int32 below 2^15, where 2 * (q - 1) * q < 2^31 as BATCH_Q_LIMIT
+    gives for int64, and its products and divisions are cheaper; int64
+    below BATCH_Q_LIMIT; Python ints (object) above.  Every residue
+    array and kernel stack is built in it, so this is the one place that
+    picks it."""
+    if q < 2**15:
+        return np.int32
     return np.int64 if q < BATCH_Q_LIMIT else object
 
 
 def residue_array(values: Sequence, q: int) -> np.ndarray:
     """Canonical residues mod q as an array to gather full_column_rank
-    stacks from: int64 below BATCH_Q_LIMIT, where the kernel eliminates
-    in numpy, and Python ints (dtype=object) above it, so any residue
-    fits and no product overflows."""
+    stacks from, in _residue_dtype(q): int32 or int64 below
+    BATCH_Q_LIMIT, where the kernel eliminates in numpy, and Python ints
+    (dtype=object) above it, so any residue fits and no product
+    overflows."""
     return np.array(values, dtype=_residue_dtype(q))
 
 
@@ -310,10 +322,12 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
     rank s mod q; the elimination loop behind full_column_rank and
     first_rank_deficient.  It owns a and overwrites it.
 
-    Entries must be canonical residues, in an int64 array for q <
-    BATCH_Q_LIMIT and a residue_array above it, where each matrix goes
-    to rank_of_rows instead.  Below the limit the whole stack is
-    eliminated together, fraction-free: each lower row becomes
+    Entries must be canonical residues.  For q < BATCH_Q_LIMIT they must
+    sit in a signed integer array whose limit L = 2^(bits - 1) exceeds
+    2 * (q - 1) * q, as _residue_dtype(q) and every wider dtype do; a
+    narrower one could wrap, so OutOfRange is raised.  Above the limit
+    each matrix goes to rank_of_rows instead.  Below it the whole stack
+    is eliminated together, fraction-free: each lower row becomes
     row * p - f * pivot_row, with pivot p and the row's own entry f
     below it, so no modular inverse is needed.
 
@@ -331,37 +345,47 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
     nonzero entry below it swap that row up.  A matrix without one is
     rank deficient; it keeps p = f = 0, so its rows just zero out.
 
-    Delayed reductions.  np.fmod keeps the sign of its argument, so a
-    reduced entry lies in (-q, q) and is zero exactly when it is 0 mod
-    q.  Invariant: the Python int bound is at least every |entry| of a.
-    Each column starts with a reduction: of the whole block when an
-    update from it could reach 2^63 (2 * bound * q >= 2^63), which sets
-    bound = q - 1, else of column 0 alone; the first column holds
-    canonical residues already.  Either way |p| and |f| are at most
-    q - 1 at the zero test, while the other entries, the pivot row's
-    among them, are at most bound.  An update leaves
-    |row * p - f * pivot_row| <= 2 * bound * (q - 1) < 2 * bound * q <
-    2^63, and every product and difference on the way is no larger, so
-    it is exact in int64; it raises bound to 2 * bound * q, the new
-    invariant.  A swap exchanges rows of a, inside the same bound.
-    Since 2 * (q - 1) * q < 2^63 for q < BATCH_Q_LIMIT, an update always
-    follows a whole-block reduction, unless it falls on the last column.
-    At q = 142151 a 7 x 7 stack is reduced whole at columns 2, 4 and 6,
-    the last a single entry per matrix, not after each of its six
-    updates.
+    Delayed reductions.  Invariant: the Python int bound is at least
+    every |entry| of a.  Each column starts with a reduction: of the
+    whole block when an update from it could reach L (2 * bound * q >=
+    L), which sets bound = q - 1, else of column 0 alone; the first
+    column holds canonical residues already.  The whole block is
+    reduced as a - a // q * q, which numpy's division by a scalar makes
+    cheap, into [0, q).  That never wraps: the block came from an
+    update with 2 * bound' * q < L, so |entry| <= 2 * bound' * (q - 1)
+    <= L - 1 - 2 * bound' <= L - 1 - 2(q - 1), and a // q * q, which
+    lies in (entry - q, entry], stays above -L.  Column 0 alone is
+    reduced by np.fmod, which keeps the sign of its argument, into
+    (-q, q); on so few entries it is the cheaper call.  Either way an
+    entry is zero exactly when it is 0 mod q, |p| and |f| are at most
+    q - 1 at the zero test, and the other entries, the pivot row's among
+    them, are at most bound.  An update leaves |row * p - f * pivot_row|
+    <= 2 * bound * (q - 1) < 2 * bound * q < L, and every product and
+    difference on the way is no larger, so it is exact in a's dtype; it
+    raises bound to 2 * bound * q, the new invariant.  A swap exchanges
+    rows of a, inside the same bound.  Since _residue_dtype keeps
+    2 * (q - 1) * q < L, an update always follows a whole-block
+    reduction, unless it falls on the last column.  At q = 142151, in
+    int64, a 7 x 7 stack is reduced whole at columns 2, 4 and 6, the
+    last a single entry per matrix, not after each of its six updates,
+    and so is one at q = 307 in int32.
     """
     m, s, count = a.shape
     if q >= BATCH_Q_LIMIT:
         return np.array([rank_of_rows(a[:, :, i].tolist(), q) == s for i in range(count)],
                         dtype=bool)
+    limit = 2 ** (8 * a.dtype.itemsize - 1)
+    if a.dtype.kind != "i" or 2 * (q - 1) * q >= limit:
+        raise OutOfRange(f"GF({q}) residues need {np.dtype(_residue_dtype(q))} or wider, "
+                         f"got {a.dtype}")
     if s > m:
         return np.zeros(count, dtype=bool)
     ok = np.ones(count, dtype=bool)
     bound = q - 1
     for col in range(s):
         column = a[:, 0]
-        if 2 * bound * q >= 2**63:
-            np.fmod(a, q, out=a)
+        if 2 * bound * q >= limit:
+            a -= a // q * q
             bound = q - 1
         elif col:  # the first column holds canonical residues already
             np.fmod(column, q, out=column)
@@ -388,9 +412,9 @@ def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
 
     Entries must be canonical residues; build stacks for q >=
     BATCH_Q_LIMIT with residue_array, so that residues that do not fit
-    int64 stay Python ints.  The stack is copied batch last and
-    eliminated as _eliminate describes.  Returns a bool array of length
-    B.
+    int64 stay Python ints.  The stack is copied batch last, in
+    _residue_dtype(q), and eliminated as _eliminate describes.  Returns
+    a bool array of length B.
     """
     return _eliminate(np.array(stack.transpose(1, 2, 0), dtype=_residue_dtype(q), order="C"), q)
 

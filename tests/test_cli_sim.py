@@ -12,7 +12,7 @@ import pytest
 from lrrc import cli_sim, code_core
 from lrrc.cli_sim import SimConfig, run_cli, sim_config_from_dict, simulate
 from lrrc.galois import FieldMatrix, field_new
-from lrrc.mfhs import ModelError, checked_helpers, h_enumerate, params_new
+from lrrc.mfhs import ModelError, checked_helpers, h_enumerate, params_new, params_to_dict
 
 
 def invoke(capsys, *argv):
@@ -27,6 +27,12 @@ def test_params_subcommand(capsys):
     doc = json.loads(out)
     assert doc["M"] == 7
     assert doc["families"] == [[1, 2], [3, 4], [5, 6]]
+    # family helper selection protects a larger file than blind selection
+    assert doc["blind_M"] == 6
+    doc = json.loads(invoke(capsys, "params", "6", "3", "2", "1")[1])
+    assert (doc["M"], doc["blind_M"]) == (4, 3)
+    # params_to_dict, and with it the state JSON, carries no blind_M
+    assert "blind_M" not in params_to_dict(params_new(6, 4, 3, 1))
 
 
 def test_params_rejects_bad_shape(capsys):

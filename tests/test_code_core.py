@@ -307,7 +307,7 @@ def _sweep_states(params, hset, rng):
 
 @pytest.mark.parametrize("point", ((4, 2, 1, 1), (6, 3, 2, 1), (6, 2, 1, 3), (6, 4, 3, 1)),
                          ids=lambda p: "-".join(map(str, p)))
-def test_witness_sources_decide_the_full_sweep(point):
+def test_witness_targets_decide_the_full_sweep(point):
     # witness_holds ranks the maximal targets only; the reference ranks
     # every h in H through the single-h check
     params = params_new(*point)
@@ -331,7 +331,7 @@ def test_witness_sources_decide_the_full_sweep(point):
 
 def test_witness_gather_on_defects_and_above_the_int64_limit():
     # witness_holds ranks every target's block out of one gathered
-    # array, int64 below BATCH_Q_LIMIT and Python ints above it; the
+    # array, int32 at 7639 and Python ints above BATCH_Q_LIMIT; the
     # single-h check gathers each selection on its own
     rng = random.Random("gather")
     keys = rng.sample(_witness_keys(P321), 4)
@@ -616,8 +616,8 @@ def test_sweep_plan_pinned_row():
 @pytest.mark.parametrize("q", [7639, next_prime(2**31)])
 def test_subset_gather_matches_the_column_gather(q, monkeypatch):
     # reconstruct_verdicts gathers each k-node block by node; the
-    # reference gathers it by the block's list of columns, int64 below
-    # BATCH_Q_LIMIT and Python ints above it
+    # reference gathers it by the block's list of columns, in the
+    # residue dtype of its field (int32, int64 or Python ints)
     stacks = []
 
     def recording(stack, q):
@@ -638,8 +638,7 @@ def test_subset_gather_matches_the_column_gather(q, monkeypatch):
         got = code_core.reconstruct_verdicts(state)
         coef = code_core._coefficients(state)
         want = coef[:, columns].transpose(1, 2, 0)
-        big = state.field.q >= BATCH_Q_LIMIT
-        assert stacks[-1].dtype == want.dtype == (object if big else np.int64)
+        assert stacks[-1].dtype == want.dtype == galois._residue_dtype(state.field.q)
         assert stacks[-1].tolist() == want.tolist()
         assert got.tolist() == galois.full_column_rank(want, state.field.q).tolist()
         verdicts += got.tolist()

@@ -179,7 +179,7 @@ def test_full_rank_iff_cofactor_det_nonzero(n, data):
 def _residues(rng: np.random.Generator, q: int, shape: tuple[int, ...]) -> np.ndarray:
     """Residues of three kinds, picked per entry: uniform, within 4 of
     q - 1, and 0 or 1.  Entries near q - 1 make the largest products,
-    where int64 would wrap."""
+    where the kernel's integers would wrap."""
     kinds = rng.integers(0, 3, size=shape)
     return np.choose(kinds, [rng.integers(0, q, size=shape),
                              q - 1 - rng.integers(0, min(4, q), size=shape),
@@ -188,10 +188,10 @@ def _residues(rng: np.random.Generator, q: int, shape: tuple[int, ...]) -> np.nd
 
 @settings(max_examples=150, deadline=None)
 @given(
-    # the kernel reduces its trailing rows never (2, 7, 13), at some
-    # columns only (7639, 142151) or at every column after the first
-    # (15556861, 2^31 - 1)
-    st.sampled_from([2, 7, 13, 7639, 142151, 15556861, 2147483647]),
+    # the kernel reduces its trailing rows never (2), at some columns
+    # only (7, 13 and 142151) or at every column after the first (7639
+    # and 32749 in int32, 32771, 15556861 and 2^31 - 1 in int64)
+    st.sampled_from([2, 7, 13, 7639, 32749, 32771, 142151, 15556861, 2147483647]),
     st.integers(1, 9),
     st.integers(0, 3),
     st.integers(1, 5),
@@ -315,12 +315,17 @@ def test_full_column_rank_swaps_only_at_the_last_column_of_a_tall_stack(q, m, s)
     assert full_column_rank(stack, q).tolist() == want
 
 
+def _limit(q: int) -> int:
+    """The overflow limit L of the kernel's dtype at q, 2^31 or 2^63."""
+    return 2 ** (8 * np.dtype(galois._residue_dtype(q)).itemsize - 1)
+
+
 def _first_reduced_column(q: int) -> int:
     """The first column whose block the kernel reduces whole: bound
     starts at q - 1 and each update multiplies it by 2q, until 2 *
-    bound * q reaches 2^63."""
+    bound * q reaches the dtype's limit."""
     bound, col = q - 1, 0
-    while 2 * bound * q < 2**63:
+    while 2 * bound * q < _limit(q):
         bound *= 2 * q
         col += 1
     return col
@@ -333,7 +338,7 @@ def test_full_column_rank_swaps_right_after_a_delayed_reduction(q, swapped):
     a reduction of the whole block, so the swap moves rows that were
     just reduced."""
     col = _first_reduced_column(q)
-    assert col == {2: 31, 142151: 2, 2147483647: 1}[q]
+    assert col == {2: 15, 142151: 2, 2147483647: 1}[q]
     stack = _swap_skip_stack(q, col + 3, col + 2, col, swapped)
     want = [rank_of_rows(mat.tolist(), q) == col + 2 for mat in stack]
     assert sum(want) == (10 if swapped == "some" else 12)
@@ -365,13 +370,13 @@ def _delayed_reduction_stack(q: int, m: int, s: int) -> np.ndarray:
     return np.array(mats, dtype=np.int64)
 
 
-@pytest.mark.parametrize("q", [2, 307, 142151, 78128951, 2147483647])
+@pytest.mark.parametrize("q", [2, 307, 32749, 142151, 78128951, 2147483647])
 @pytest.mark.parametrize("m,s", [(9, 9), (12, 12), (12, 9)])
 def test_full_column_rank_where_delayed_reductions_fall(q, m, s):
     """Against the pure kernel where the trailing rows are reduced
-    never (q = 2), at column 5 and, in 12 columns, at column 10 (307),
-    at every other column (142151) or at every column after the first
-    (78128951, 2^31 - 1)."""
+    never (q = 2, in int32), at every other column (307 in int32,
+    142151 in int64) or at every column after the first (32749 in
+    int32, 78128951 and 2^31 - 1 in int64)."""
     stack = _delayed_reduction_stack(q, m, s)
     want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
     assert full_column_rank(stack, q).tolist() == want
@@ -412,21 +417,72 @@ def test_full_column_rank_reduces_exactly_when_int64_needs_it():
     assert full_column_rank(stack, q).tolist() == want
 
 
-def test_full_column_rank_reduction_rule_is_tight():
-    """At q = 1482907, 2^63 <= 4(q - 1)q^2 < 2^64.  A block reduced to
-    |entry| <= q - 1 takes one update, to 2(q - 1)q, and the rule
-    2 * bound * q >= 2^63 then reduces it again: two updates in a row
-    could reach 4(q - 1)^3 > 2^63.  A threshold of 2^64 skips exactly
-    those reductions.  Entries within 2 of 0 or of q - 1 then push some
-    entries past 2^63, and the wrapped products call planted matrices
-    regular; uniform entries stay well inside int64."""
-    q = 1482907
-    assert is_prime(q)
-    assert 2**63 <= 4 * (q - 1) * q**2 < 2**64 and 4 * (q - 1) ** 3 >= 2**63
+def _assert_extreme_planted_verdicts(q: int) -> None:
+    """2000 planted 10 x 10 stacks with entries within 2 of 0 or of
+    q - 1, ranked by the kernel and by the pure one.  Every planted one
+    is singular, and nearly every other one regular (997 of 1000 at
+    q = 1031)."""
     stack = _planted_stack(q, 22, count=2000, size=10, extreme=True)
     want = [rank_of_rows(mat.tolist(), q) == 10 for mat in stack]
-    assert not any(want[::2]) and all(want[1::2])
+    assert not any(want[::2]) and sum(want[1::2]) >= 990
     assert full_column_rank(stack, q).tolist() == want
+
+
+def test_full_column_rank_reduction_rule_is_tight():
+    """A block reduced whole holds residues in [0, q), so one update
+    from it reaches at most (q - 1)^2 and a second 2(q - 1)^3: half of
+    the bounds 2(q - 1)q and 4(q - 1)q^2 that the rule 2 * bound * q >=
+    2^63 assumes.  So a threshold of 2^64 could never wrap, and the rule
+    is tight up to that factor: at q = 1664543, the first prime with
+    2(q - 1)^3 >= 2^63, a threshold of 2^65 skips the reduction between
+    those two updates (4(q - 1)q^2 < 2^65).  Entries within 2 of 0 or
+    of q - 1 then push some entries past 2^63, and the wrapped products
+    call planted matrices regular."""
+    q = 1664543
+    assert q == next_prime(1664512) and 2 * 1664510**3 < 2**63 <= 2 * 1664511**3
+    assert galois._residue_dtype(q) is np.int64 and 4 * (q - 1) * q**2 < 2**65
+    _assert_extreme_planted_verdicts(q)
+
+
+def test_full_column_rank_int32_reduction_rule_is_tight():
+    """The same in int32: q = 1031 is the first prime with 2(q - 1)^3 >=
+    2^31, and 4(q - 1)q^2 < 2^33, so a threshold of 2^33 lets entries
+    past 2^31 and calls planted matrices regular."""
+    q = 1031
+    assert q == next_prime(1025) and 2 * 1023**3 < 2**31 <= 2 * 1024**3
+    assert galois._residue_dtype(q) is np.int32 and 4 * (q - 1) * q**2 < 2**33
+    _assert_extreme_planted_verdicts(q)
+
+
+@pytest.mark.parametrize("q,dtype", [(2, np.int32), (32749, np.int32), (32771, np.int64),
+                                     (2**31 - 1, np.int64), (next_prime(2**31), object)])
+def test_residue_dtype_is_the_narrowest_that_holds_an_update(q, dtype):
+    """int32 up to 32749, the last prime below 2^15, where 2(q - 1)q
+    still lies below 2^31; int64 from 32771, the next prime, where it
+    does not; Python ints from the first prime past 2^31."""
+    assert is_prime(q)
+    assert galois._residue_dtype(q) is dtype
+    assert residue_array([[q - 1]], q).dtype == dtype
+    if dtype is not object:
+        assert 2 * (q - 1) * q < _limit(q)
+    assert 2 * (32749 - 1) * 32749 < 2**31 <= 2 * (32771 - 1) * 32771
+    assert next_prime(2**15) == 32771 and next_prime(32749 + 1) == 32771
+
+
+def test_eliminate_refuses_an_array_narrower_than_its_field_needs():
+    """A product of two residues at q >= 2^15 can pass 2^31, so the
+    kernel refuses an int32 array there however small its entries are,
+    and any array that is not signed integers.  An array wider than
+    the field needs is eliminated in its own dtype."""
+    q = 32771
+    identity2 = [[[1], [0]], [[0], [1]]]
+    for dtype in (np.int32, np.uint64, np.float64):
+        with pytest.raises(OutOfRange, match=f"GF\\({q}\\) residues need int64"):
+            galois._eliminate(np.array(identity2, dtype=dtype), q)
+    with pytest.raises(OutOfRange):
+        first_rank_deficient(np.eye(2, dtype=np.int32), np.array([[0, 1]]), q)
+    assert galois._eliminate(np.array(identity2, dtype=np.int64), q).tolist() == [True]
+    assert galois._eliminate(np.array(identity2, dtype=np.int64), 7).tolist() == [True]
 
 
 @pytest.mark.parametrize("q", [2, 3])
