@@ -515,10 +515,11 @@ class _RecordingRng:
         return drawn
 
 
-@pytest.mark.parametrize("q", [307, 142151, 2147483647, next_prime(2**31)])
+@pytest.mark.parametrize("q", [307, 32749, 142151, 2147483647, next_prime(2**31)])
 def test_repair_random_matches_pure_products(q, monkeypatch):
-    # 2^31 - 1 is the largest int64 field, where products of residues
-    # come closest to 2^62; next_prime(2^31) takes the object path.  The
+    # 32749 and 2^31 - 1 are the largest int32 and int64 fields, where
+    # products of residues come closest to 2^30 and 2^62;
+    # next_prime(2^31) takes the object path.  The
     # all-(q - 1) state fails the invariant, so each call keeps its
     # first candidate unverified, and the first call draws all q - 1.
     rngs = []

@@ -328,11 +328,12 @@ def tampered(code, index: int, rng: random.Random):
 
 
 @pytest.mark.parametrize("q, count", [(7, 100), (11, 100), (13, 100), (101, 100),
-                                      (2147483659, 10)])
+                                      (32749, 30), (32771, 30), (2147483659, 10)])
 def test_certificates_match_replay(q, count):
     # every verdict of the batched certificates equals the replay's, on
-    # the valid code and on tampered ones; above BATCH_Q_LIMIT the
-    # stacks hold Python ints
+    # the valid code and on tampered ones; the stacks hold int32 up to
+    # 32749, whose products come closest to 2^31, int64 from 32771 and
+    # Python ints above BATCH_Q_LIMIT
     code = build_exact_code(q)
     rng = random.Random(q)
     seen = {group: set() for group in replayed_verdicts(code)}

@@ -430,9 +430,9 @@ def _assert_extreme_planted_verdicts(q: int) -> None:
 
 def test_full_column_rank_reduction_rule_is_tight():
     """A block reduced whole holds residues in [0, q), so one update
-    from it reaches at most (q - 1)^2 and a second 2(q - 1)^3: half of
-    the bounds 2(q - 1)q and 4(q - 1)q^2 that the rule 2 * bound * q >=
-    2^63 assumes.  So a threshold of 2^64 could never wrap, and the rule
+    from it reaches at most (q - 1)^2 and a second 2(q - 1)^3: at most
+    half of the bounds 2(q - 1)q and 4(q - 1)q^2 that the rule
+    2 * bound * q >= 2^63 assumes.  So a threshold of 2^64 could never wrap, and the rule
     is tight up to that factor: at q = 1664543, the first prime with
     2(q - 1)^3 >= 2^63, a threshold of 2^65 skips the reduction between
     those two updates (4(q - 1)q^2 < 2^65).  Entries within 2 of 0 or
