@@ -57,6 +57,11 @@ CHECKS = ("invariant", "reconstruction", "witness")
 # The keys SimConfig.to_dict emits, the only ones a config may carry.
 CONFIG_KEYS = ("params", "q", "seed", "rounds", "failure_policy", "helper_policy",
                "checks", "max_attempts")
+# simulate's run flags with their defaults; a --config file sets them all
+SIMULATE_FLAGS = {"n": None, "k": None, "d": None, "r": None, "q": "auto", "seed": None,
+                  "rounds": 10, "failure_policy": "round-robin",
+                  "helper_policy": "uniform-random", "checks": "invariant,reconstruction",
+                  "max_attempts": DEFAULT_MAX_ATTEMPTS}
 
 
 @dataclass(frozen=True)
@@ -463,22 +468,27 @@ def _cmd_exact6321(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    given = {name: value for name in SIMULATE_FLAGS if (value := getattr(args, name)) is not None}
     if args.config:
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ModelError(f"{flags} cannot be given with --config")
         with open(args.config, "r", encoding="utf-8") as fh:
             config = sim_config_from_dict(json.load(fh))
     else:
-        if None in (args.n, args.k, args.d, args.r):
+        run = {**SIMULATE_FLAGS, **given}
+        if None in (run["n"], run["k"], run["d"], run["r"]):
             raise ModelError("simulate needs --config or all of --n --k --d --r")
-        checks = _parse_checks(args.checks)
+        checks = _parse_checks(run["checks"])
         config = sim_config_from_dict({
-            "params": {"n": args.n, "k": args.k, "d": args.d, "r": args.r},
-            "q": args.q,
+            "params": {key: run[key] for key in ("n", "k", "d", "r")},
+            "q": run["q"],
             "seed": _seed_from(args),
-            "rounds": args.rounds,
-            "failure_policy": args.failure_policy,
-            "helper_policy": args.helper_policy,
+            "rounds": run["rounds"],
+            "failure_policy": run["failure_policy"],
+            "helper_policy": run["helper_policy"],
             "checks": {name: name in checks for name in CHECKS},
-            "max_attempts": args.max_attempts,
+            "max_attempts": run["max_attempts"],
         })
     report = simulate(config)
     if args.out:
@@ -550,13 +560,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--d", type=int, default=None)
     sub.add_argument("--r", type=int, default=None)
-    sub.add_argument("--q", default="auto")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--rounds", type=int, default=10)
-    sub.add_argument("--failure-policy", default="round-robin", choices=FAILURE_POLICIES)
-    sub.add_argument("--helper-policy", default="uniform-random", choices=HELPER_POLICIES)
-    sub.add_argument("--checks", default="invariant,reconstruction")
-    sub.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
+    # the run flags default to None, so a --config run can refuse them;
+    # SIMULATE_FLAGS holds their defaults
+    sub.add_argument("--q")
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--rounds", type=int)
+    sub.add_argument("--failure-policy", choices=FAILURE_POLICIES)
+    sub.add_argument("--helper-policy", choices=HELPER_POLICIES)
+    sub.add_argument("--checks")
+    sub.add_argument("--max-attempts", type=int)
     sub.add_argument("--out", default=None)
     sub.add_argument("--no-timing", action="store_true",
                      help="drop wall-time fields from stdout output")

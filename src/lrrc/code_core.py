@@ -17,9 +17,9 @@ the whole of H.  Their selections are gathered from one M x (n*d) array
 [Q_1 | ... | Q_n], which each CodeState builds once and keeps, by
 galois.first_rank_deficient: in member order, in chunks of at most
 galois.RANK_CHUNK entries, each eliminated in batched numpy for q <
-2^31 (int32 for q < 2^15, int64 above), on residues that are reduced
-only when the next update could leave that dtype, and by rank_of_rows
-per selection above 2^31.  The sweep stops at the first chunk that
+2^31 (int32 for q < 2^15, int64 above), reducing the block to
+residues once per column, and by rank_of_rows per selection above
+2^31.  The sweep stops at the first chunk that
 holds a failure, so a rejected state costs one chunk at most, and
 memory stays bounded at points with 10^5 and more maximal members.
 

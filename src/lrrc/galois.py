@@ -16,11 +16,10 @@ Matrices are immutable, row-major, and store canonical residues in
   its last axis for q < 2^31, int32 for q < 2^15 and int64 above;
   above 2^31 they fall back to rank_of_rows per matrix.  Each column's
   update writes the trailing block into a new contiguous array, so the
-  loop always works on a compact block.  Its entries are reduced to
-  residues only where a zero test needs them.  A Python int bound holds
-  the largest |entry| the block can reach, and the whole block is
-  reduced, as a - a // q * q, only before an update whose result could
-  reach the dtype's limit L (2 * bound * q >= L, L = 2^31 or 2^63).
+  loop always works on a compact block.  Each column after the first
+  starts with one reduction of that block to residues in [0, q), as
+  a - a // q * q, so no update or reduction nears the dtype's limit L
+  (2^31 or 2^63) while 2 * (q - 1) * q < L.
 """
 
 from __future__ import annotations
@@ -276,11 +275,11 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
     return rank
 
 
-# Below this modulus the kernel eliminates in numpy: in int64, rows
-# just reduced (|entry| <= q - 1) always take one more update, since
-# 2 * (q - 1) * q < 2 * q * q <= 2^63, so the elimination loop needs at
-# most one reduction per column and never overflows.  Above it each
-# matrix goes to the pure-Python rank_of_rows.
+# Below this modulus the kernel eliminates in numpy: each column starts
+# from residues in [0, q), so every value an update or the next
+# reduction makes lies within q * (q - 1) of 0, and 2 * (q - 1) * q <
+# 2 * q * q <= 2^63, so the elimination loop never overflows int64.
+# Above it each matrix goes to the pure-Python rank_of_rows.
 BATCH_Q_LIMIT = 2**31
 
 # first_rank_deficient eliminates at most this many entries at once,
@@ -298,9 +297,10 @@ RANK_CHUNK = 2**17
 def _residue_dtype(q: int) -> type:
     """The narrowest dtype the kernel can eliminate GF(q) residues in.
 
-    int32 below 2^15, where 2 * (q - 1) * q < 2^31 as BATCH_Q_LIMIT
-    gives for int64, and its products and divisions are cheaper; int64
-    below BATCH_Q_LIMIT; Python ints (object) above.  Every residue
+    int32 below 2^15, where 2 * (q - 1) * q < 2^31, so an update of
+    residues and its reduction are exact, as BATCH_Q_LIMIT gives for
+    int64, and its products and divisions are cheaper; int64 below
+    BATCH_Q_LIMIT; Python ints (object) above.  Every residue
     array and kernel stack is built in it, so this is the one place that
     picks it."""
     if q < 2**15:
@@ -345,30 +345,17 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
     nonzero entry below it swap that row up.  A matrix without one is
     rank deficient; it keeps p = f = 0, so its rows just zero out.
 
-    Delayed reductions.  Invariant: the Python int bound is at least
-    every |entry| of a.  Each column starts with a reduction: of the
-    whole block when an update from it could reach L (2 * bound * q >=
-    L), which sets bound = q - 1, else of column 0 alone; the first
-    column holds canonical residues already.  The whole block is
-    reduced as a - a // q * q, which numpy's division by a scalar makes
-    cheap, into [0, q).  That never wraps: the block came from an
-    update with 2 * bound' * q < L, so |entry| <= 2 * bound' * (q - 1)
-    <= L - 1 - 2 * bound' <= L - 1 - 2(q - 1), and a // q * q, which
-    lies in (entry - q, entry], stays above -L.  Column 0 alone is
-    reduced by np.fmod, which keeps the sign of its argument, into
-    (-q, q); on so few entries it is the cheaper call.  Either way an
-    entry is zero exactly when it is 0 mod q, |p| and |f| are at most
-    q - 1 at the zero test, and the other entries, the pivot row's among
-    them, are at most bound.  An update leaves |row * p - f * pivot_row|
-    <= 2 * bound * (q - 1) < 2 * bound * q < L, and every product and
-    difference on the way is no larger, so it is exact in a's dtype; it
-    raises bound to 2 * bound * q, the new invariant.  A swap exchanges
-    rows of a, inside the same bound.  Since _residue_dtype keeps
-    2 * (q - 1) * q < L, an update always follows a whole-block
-    reduction, unless it falls on the last column.  At q = 142151, in
-    int64, a 7 x 7 stack is reduced whole at columns 2, 4 and 6, the
-    last a single entry per matrix, not after each of its six updates,
-    and so is one at q = 307 in int32.
+    Reductions.  Every column after the first starts with one
+    reduction of the whole block, a - a // q * q, into [0, q); the first
+    column holds canonical residues already.  So each column starts
+    from residues, an entry is zero exactly when it is 0 mod q, and
+    nothing can wrap:
+    - each product of an update is at most (q - 1)^2;
+    - so is the magnitude of its difference, row * p - f * pivot_row;
+    - the next reduction's a // q * q lies in (entry - q, entry], so it
+      is at least -(q - 1)^2 - q + 1 = -q(q - 1).
+    All three lie under L, since 2 * (q - 1) * q < L.  A swap exchanges
+    rows of a, which are residues at that point.
     """
     m, s, count = a.shape
     if q >= BATCH_Q_LIMIT:
@@ -381,18 +368,13 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
     if s > m:
         return np.zeros(count, dtype=bool)
     ok = np.ones(count, dtype=bool)
-    bound = q - 1
     for col in range(s):
-        column = a[:, 0]
-        if 2 * bound * q >= limit:
+        if col:  # the first column holds canonical residues already
             a -= a // q * q
-            bound = q - 1
-        elif col:  # the first column holds canonical residues already
-            np.fmod(column, q, out=column)
-        diagonal = column[0]
+        diagonal = a[0, 0]
         if np.count_nonzero(diagonal) < count:
             lacking = np.flatnonzero(diagonal == 0)
-            below = column[:, lacking] != 0
+            below = a[:, 0, lacking] != 0
             found = below.any(axis=0)
             ok[lacking[~found]] = False
             swap = lacking[found]
@@ -402,7 +384,6 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
             a[0, :, swap] = rows
         if col + 1 == s:
             break
-        bound *= 2 * q
         a = a[1:, 1:] * a[0, 0] - a[1:, 0, None] * a[0, 1:]
     return ok
 
@@ -413,8 +394,8 @@ def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
     Entries must be canonical residues; build stacks for q >=
     BATCH_Q_LIMIT with residue_array, so that residues that do not fit
     int64 stay Python ints.  The stack is copied batch last, in
-    _residue_dtype(q), and eliminated as _eliminate describes.  Returns
-    a bool array of length B.
+    _residue_dtype(q), and eliminated as _eliminate describes, reduced
+    to residues once per column.  Returns a bool array of length B.
     """
     return _eliminate(np.array(stack.transpose(1, 2, 0), dtype=_residue_dtype(q), order="C"), q)
 

@@ -736,6 +736,28 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, flag, do
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("--n", "8"), "--n"), (("--k", "3"), "--k"), (("--d", "2"), "--d"), (("--r", "1"), "--r"),
+    (("--q", "auto"), "--q"), (("--seed", "9"), "--seed"), (("--rounds", "7"), "--rounds"),
+    (("--failure-policy", "round-robin"), "--failure-policy"),
+    (("--helper-policy", "uniform-random"), "--helper-policy"),
+    (("--checks", "witness"), "--checks"), (("--max-attempts", "3"), "--max-attempts"),
+    (("--rounds", "7", "--seed", "9", "--n", "8", "--checks", "witness", "--no-timing"),
+     "--n, --seed, --rounds, --checks"),
+])
+def test_simulate_config_refuses_run_flags(tmp_path, capsys, argv, named):
+    """A --config file sets the whole run, so a run flag given with it is
+    a usage error naming every such flag, not silently ignored; --out
+    and --no-timing stay allowed."""
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "rounds": 2,
+                                "seed": 4}))
+    assert invoke(capsys, "simulate", "--config", str(path), *argv) == (
+        2, "", f"error: {named} cannot be given with --config\n")
+    code, out, _ = invoke(capsys, "simulate", "--config", str(path), "--no-timing")
+    assert code == 0 and json.loads(out)["aggregate"]["events_total"] == 2
+
+
 def test_missing_state_file_is_usage_error(tmp_path, capsys):
     code, _, err = invoke(capsys, "verify", "--state", str(tmp_path / "nope.json"))
     assert code == 2

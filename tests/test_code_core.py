@@ -451,7 +451,7 @@ def test_target_outside_the_maximal_layer_is_a_contradiction():
     ((6, 4, 3, 1), 119, 468),
     ((8, 4, 2, 2), 149, 262),
 ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
-def test_witness_sources_are_first_sources_of_maximal_targets(point, maximal_targets, targets,
+def test_witness_targets_are_first_sources_of_maximal_targets(point, maximal_targets, targets,
                                                               monkeypatch):
     params = params_new(*point)
     hset = h_enumerate(params)

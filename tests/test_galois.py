@@ -188,9 +188,9 @@ def _residues(rng: np.random.Generator, q: int, shape: tuple[int, ...]) -> np.nd
 
 @settings(max_examples=150, deadline=None)
 @given(
-    # the kernel reduces its trailing rows never (2), at some columns
-    # only (7, 13 and 142151) or at every column after the first (7639
-    # and 32749 in int32, 32771, 15556861 and 2^31 - 1 in int64)
+    # small fields (2, 7, 13), the last int32 prime (32749) and its
+    # neighbours (7639; 32771 in int64), and int64 fields up to the
+    # last prime below 2^31, where products of residues are largest
     st.sampled_from([2, 7, 13, 7639, 32749, 32771, 142151, 15556861, 2147483647]),
     st.integers(1, 9),
     st.integers(0, 3),
@@ -320,25 +320,19 @@ def _limit(q: int) -> int:
     return 2 ** (8 * np.dtype(galois._residue_dtype(q)).itemsize - 1)
 
 
-def _first_reduced_column(q: int) -> int:
-    """The first column whose block the kernel reduces whole: bound
-    starts at q - 1 and each update multiplies it by 2q, until 2 *
-    bound * q reaches the dtype's limit."""
-    bound, col = q - 1, 0
-    while 2 * bound * q < _limit(q):
-        bound *= 2 * q
-        col += 1
-    return col
+# The column of the first pivot swap in the deep-swap stacks below, per
+# EDGE_QS field: the stack is col + 3 by col + 2.
+SWAP_COLUMN = {2: 15, 142151: 2, 2147483647: 1}
 
 
 @pytest.mark.parametrize("q", EDGE_QS)
 @pytest.mark.parametrize("swapped", ["some", "all"])
 def test_full_column_rank_swaps_right_after_a_delayed_reduction(q, swapped):
-    """The first pivot swap falls in the first column that starts with
+    """The first pivot swap falls at column col >= 1, which starts with
     a reduction of the whole block, so the swap moves rows that were
-    just reduced."""
-    col = _first_reduced_column(q)
-    assert col == {2: 15, 142151: 2, 2147483647: 1}[q]
+    just reduced, after col updates: 15 at q = 2, 2 at 142151 and 1 at
+    2^31 - 1."""
+    col = SWAP_COLUMN[q]
     stack = _swap_skip_stack(q, col + 3, col + 2, col, swapped)
     want = [rank_of_rows(mat.tolist(), q) == col + 2 for mat in stack]
     assert sum(want) == (10 if swapped == "some" else 12)
@@ -373,10 +367,10 @@ def _delayed_reduction_stack(q: int, m: int, s: int) -> np.ndarray:
 @pytest.mark.parametrize("q", [2, 307, 32749, 142151, 78128951, 2147483647])
 @pytest.mark.parametrize("m,s", [(9, 9), (12, 12), (12, 9)])
 def test_full_column_rank_where_delayed_reductions_fall(q, m, s):
-    """Against the pure kernel where the trailing rows are reduced
-    never (q = 2, in int32), at every other column (307 in int32,
-    142151 in int64) or at every column after the first (32749 in
-    int32, 78128951 and 2^31 - 1 in int64)."""
+    """Against the pure kernel on 9 x 9, 12 x 12 and 12 x 9 stacks, whose
+    every column after the first starts with a reduction of the whole
+    block: in int32 at q = 2, 307 and 32749, the last prime below 2^15,
+    and in int64 at 142151, 78128951 and 2^31 - 1."""
     stack = _delayed_reduction_stack(q, m, s)
     want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
     assert full_column_rank(stack, q).tolist() == want
@@ -404,11 +398,11 @@ def _planted_stack(q: int, seed: int, count: int = 400, size: int = 8,
 
 def test_full_column_rank_reduces_exactly_when_int64_needs_it():
     """At q = 2097143, the largest prime below 2^21, q^3 lies just below
-    2^63: a reduced block takes one update and must then be reduced
-    again.  Random 8 x 8 matrices, every other one with a planted
-    dependent last column, get entries past 2^63 when one of those
-    reductions is skipped (a threshold of 2^65 does), and the wrapped
-    products call some planted matrices regular."""
+    2^63, and two updates with no reduction between them reach about
+    q^3 in magnitude: each column must start with its reduction.
+    Random 8 x 8 matrices, every other one with a planted dependent
+    last column, against the pure kernel; a kernel that skipped a
+    column's reduction would misjudge some planted ones."""
     q = 2097143
     assert 2**63 <= 2 * q**3 < 2**64
     stack = _planted_stack(q, 21)
@@ -419,9 +413,9 @@ def test_full_column_rank_reduces_exactly_when_int64_needs_it():
 
 def _assert_extreme_planted_verdicts(q: int) -> None:
     """2000 planted 10 x 10 stacks with entries within 2 of 0 or of
-    q - 1, ranked by the kernel and by the pure one.  Every planted one
-    is singular, and nearly every other one regular (997 of 1000 at
-    q = 1031)."""
+    q - 1, where products of residues are largest, ranked by the kernel
+    and by the pure one.  Every planted one is singular, and nearly
+    every other one regular (997 of 1000 at q = 1031)."""
     stack = _planted_stack(q, 22, count=2000, size=10, extreme=True)
     want = [rank_of_rows(mat.tolist(), q) == 10 for mat in stack]
     assert not any(want[::2]) and sum(want[1::2]) >= 990
@@ -429,28 +423,36 @@ def _assert_extreme_planted_verdicts(q: int) -> None:
 
 
 def test_full_column_rank_reduction_rule_is_tight():
-    """A block reduced whole holds residues in [0, q), so one update
-    from it reaches at most (q - 1)^2 and a second 2(q - 1)^3: at most
-    half of the bounds 2(q - 1)q and 4(q - 1)q^2 that the rule
-    2 * bound * q >= 2^63 assumes.  So a threshold of 2^64 could never wrap, and the rule
-    is tight up to that factor: at q = 1664543, the first prime with
-    2(q - 1)^3 >= 2^63, a threshold of 2^65 skips the reduction between
-    those two updates (4(q - 1)q^2 < 2^65).  Entries within 2 of 0 or
-    of q - 1 then push some entries past 2^63, and the wrapped products
-    call planted matrices regular."""
+    """A block of residues in [0, q) reaches at most (q - 1)^2 in one
+    update and 2(q - 1)^3 in a second.  q = 1664543 is the first prime
+    with 2(q - 1)^3 >= 2^63, so here one reduction per column is what
+    keeps the int64 kernel exact: entries within 2 of 0 or of q - 1
+    would push a kernel that skipped one past 2^63."""
     q = 1664543
     assert q == next_prime(1664512) and 2 * 1664510**3 < 2**63 <= 2 * 1664511**3
-    assert galois._residue_dtype(q) is np.int64 and 4 * (q - 1) * q**2 < 2**65
+    assert galois._residue_dtype(q) is np.int64
     _assert_extreme_planted_verdicts(q)
 
 
 def test_full_column_rank_int32_reduction_rule_is_tight():
     """The same in int32: q = 1031 is the first prime with 2(q - 1)^3 >=
-    2^31, and 4(q - 1)q^2 < 2^33, so a threshold of 2^33 lets entries
-    past 2^31 and calls planted matrices regular."""
+    2^31, so two updates with no reduction between them could pass
+    2^31."""
     q = 1031
     assert q == next_prime(1025) and 2 * 1023**3 < 2**31 <= 2 * 1024**3
-    assert galois._residue_dtype(q) is np.int32 and 4 * (q - 1) * q**2 < 2**33
+    assert galois._residue_dtype(q) is np.int32
+    _assert_extreme_planted_verdicts(q)
+
+
+@pytest.mark.parametrize("q,dtype", [(32749, np.int32), (2**31 - 1, np.int64)])
+def test_full_column_rank_at_the_last_prime_of_each_dtype(q, dtype):
+    """The last prime each dtype takes, where an update's largest
+    entry, (q - 1)^2, and its reduction's floor step, -q(q - 1), come
+    closest to the limit L: 2(q - 1)q < L <= 2(q' - 1)q' at the next
+    prime q'."""
+    limit = _limit(q)
+    assert galois._residue_dtype(q) is dtype
+    assert 2 * (q - 1) * q < limit <= 2 * (next_prime(q + 1) - 1) * next_prime(q + 1)
     _assert_extreme_planted_verdicts(q)
 
 
