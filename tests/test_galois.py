@@ -188,9 +188,9 @@ def _residues(rng: np.random.Generator, q: int, shape: tuple[int, ...]) -> np.nd
 
 @settings(max_examples=150, deadline=None)
 @given(
-    # small fields (2, 7, 13), the last int32 prime (32749) and its
-    # neighbours (7639; 32771 in int64), and int64 fields up to the
-    # last prime below 2^31, where products of residues are largest
+    # small fields (2, 7, 13), int32 fields up to its last prime (7639,
+    # 32749) and int64 fields from its first prime up to the last below
+    # 2^31 (32771, 142151, 15556861, 2^31 - 1)
     st.sampled_from([2, 7, 13, 7639, 32749, 32771, 142151, 15556861, 2147483647]),
     st.integers(1, 9),
     st.integers(0, 3),
@@ -450,9 +450,8 @@ def test_full_column_rank_at_the_last_prime_of_each_dtype(q, dtype):
     entry, (q - 1)^2, and its reduction's floor step, -q(q - 1), come
     closest to the limit L: 2(q - 1)q < L <= 2(q' - 1)q' at the next
     prime q'."""
-    limit = _limit(q)
     assert galois._residue_dtype(q) is dtype
-    assert 2 * (q - 1) * q < limit <= 2 * (next_prime(q + 1) - 1) * next_prime(q + 1)
+    assert 2 * (q - 1) * q < _limit(q) <= 2 * (next_prime(q + 1) - 1) * next_prime(q + 1)
     _assert_extreme_planted_verdicts(q)
 
 
