@@ -4,7 +4,9 @@ Subcommands: params, enumerate-h, construct, repair, verify, connect,
 exact6321, simulate.  Reports go to stdout as JSON, diagnostics to
 stderr.  Exit codes: 0 all requested checks passed, 1 a check failed,
 2 usage or input errors.  When --seed is omitted the LRRC_SEED
-environment variable is consulted before falling back to 0.
+environment variable is consulted before falling back to 0.  A
+simulate --config file sets the whole run, so LRRC_SEED does not reach
+it: a config without a seed runs seed 0.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from any k nodes follows from that check (Lemma C below), and repairs
 are accepted only when the repaired state passes it again, so the
 property survives any failure sequence and any helper choices.
 
-The check visits only H's maximal members (HSet.maximal, the members of
+The check visits only H's maximal members (HSet.rows, the members of
 total M).  Every member of H lies below a maximal one, and lowering h_i
 drops trailing columns of node i from the selection; a subset of
 independent columns stays independent, so the maximal members decide
@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -273,18 +272,16 @@ def _selection_columns(d: int, hs: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _sweep_plan(hset: HSet) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The state-free index arrays of hset's sweeps, (columns, node_rows),
-    both derived from one array of hset.maximal.
+    both read off hset.rows.
 
-    columns[i] is the selection of hset.maximal[i], and node_rows[j]
-    (0-based j) holds the ascending rows of the members with h_j > 0:
-    the selections that read node j's columns, and so the only ones a
-    change to node j's matrix can alter.  Both are int32, half the
-    memory of intp: every column index is below n * d and every row
-    index below len(hset.maximal)."""
-    maximal = np.fromiter(itertools.chain.from_iterable(hset.maximal), np.int32)
-    maximal = maximal.reshape(-1, hset.params.n)
-    return (_selection_columns(hset.params.d, maximal).astype(np.int32),
-            tuple(np.flatnonzero(reads).astype(np.int32) for reads in (maximal > 0).T))
+    columns[i] is the selection of the maximal member in row i, and
+    node_rows[j] (0-based j) holds the ascending rows of the members
+    with h_j > 0: the selections that read node j's columns, and so the
+    only ones a change to node j's matrix can alter.  Both are int32,
+    half the memory of intp: every column index is below n * d and
+    every row index below len(hset.rows)."""
+    return (_selection_columns(hset.params.d, hset.rows).astype(np.int32),
+            tuple(np.flatnonzero(reads).astype(np.int32) for reads in (hset.rows > 0).T))
 
 
 def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
@@ -299,7 +296,8 @@ def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     state only at node x is ranked on the plan's node_rows[x - 1] alone:
     every other maximal h selects the columns that passed in that state,
     so the first failure in member order is among those rows.  A state
-    that passes is marked as passing on this hset.
+    that passes is marked as passing on this hset.  The failing h is
+    the one row of hset.rows made a tuple of Python ints.
     """
     _check_hset(state.params, hset)
     columns, node_rows = _sweep_plan(hset)
@@ -312,7 +310,7 @@ def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     if first is None:
         object.__setattr__(state, "_checked", (hset, None))
         return None
-    return hset.maximal[first if rows is None else rows[first]]
+    return tuple(hset.rows[first if rows is None else rows[first]].tolist())
 
 
 def invariant_check(state: CodeState, hset: HSet) -> bool:
@@ -519,9 +517,9 @@ def witness_repair_check(
 
 
 @lru_cache(maxsize=None)
-def witness_targets(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[int, ...]:
+def witness_targets(hset: HSet, failed: int, helpers: tuple[int, ...]) -> np.ndarray:
     """The maximal repair targets h', whose witnesses imply all the
-    others, as row indices into hset.maximal.
+    others, as a read-only array of row indices into hset.rows.
 
     helpers must already be ordered by checked_helpers.  Call
     h' = connect_run(h).h_prime the target of h.  It depends only on
@@ -549,28 +547,40 @@ def witness_targets(hset: HSet, failed: int, helpers: tuple[int, ...]) -> tuple[
         h' falls.
     By Lemma A of lrrc.mfhs, every member rises by unit steps inside H
     to a member of total M, so every target lies below the target of a
-    member of hset.maximal.  Those targets all total M, so they are
+    member of hset.rows.  Those targets all total M, so they are
     pairwise incomparable: they are exactly the maximal targets.
 
-    So each member of hset.maximal gets its target by the closed form,
-    found by bisection in the sorted hset.maximal.  connect_run keeps
-    h' in H, and h' totals M, so by Lemma A it is a maximal member; a
-    target missing from hset.maximal raises InternalContradiction, and
-    a key that returns has certified that all its targets are maximal
-    members.  Each distinct row is kept once, in the order of its first
-    source in hset.maximal; later calls with that key are lookups.
+    So every row gets its target by the closed form, all at once in
+    numpy: each helper's rank by (h value, node index) counts the
+    helpers before it, compared pairwise.  Each target row is then
+    found by searchsorted on the rows read as n-byte strings, which sort
+    as the rows do.  connect_run keeps h' in H, and h' totals M, so by
+    Lemma A it is a maximal member; a target missing from hset.rows
+    raises InternalContradiction, and a key that returns has certified
+    that all its targets are maximal members.  Each distinct row is
+    kept once, in the order of its first source in hset.rows; later
+    calls with that key are lookups.
     """
-    maximal = hset.maximal
-
-    def row(h: tuple[int, ...]) -> int:
-        picked = sorted(helpers, key=lambda x: (h[x - 1], x))[:h[failed - 1]]
-        target = tuple(0 if x == failed else v + (x in picked) for x, v in enumerate(h, 1))
-        i = bisect_left(maximal, target)
-        if maximal[i:i + 1] != (target,):
-            raise InternalContradiction(f"target {target} of {h} is not a maximal member of H")
-        return i
-
-    return tuple(dict.fromkeys(row(h) for h in maximal))
+    rows, d = hset.rows, len(helpers)
+    columns = np.array(helpers) - 1
+    # each helper's (h value, node index) as one number, as helpers ascend
+    value = rows[:, columns].astype(np.intp) * d + np.arange(d)
+    rank = (value[:, None, :] < value[:, :, None]).sum(axis=2)
+    targets = rows.copy()
+    targets[:, columns] += rank < rows[:, failed - 1, None]
+    targets[:, failed - 1] = 0
+    as_bytes = np.dtype((np.void, rows.shape[1]))
+    members, wanted = rows.view(as_bytes).ravel(), targets.view(as_bytes).ravel()
+    found = np.minimum(np.searchsorted(members, wanted), len(members) - 1)
+    missing = np.flatnonzero(members[found] != wanted)
+    if len(missing):
+        i = missing[0]
+        raise InternalContradiction(f"target {tuple(targets[i].tolist())} of "
+                                    f"{tuple(rows[i].tolist())} is not a maximal member of H")
+    firsts = np.unique(found, return_index=True)[1]
+    out = found[np.sort(firsts)]
+    out.setflags(write=False)
+    return out
 
 
 def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: HSet) -> bool:
@@ -591,7 +601,7 @@ def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: H
     _check_hset(state.params, hset)
     _check_repairable(hset)
     ordered = checked_helpers(state.params, failed, helpers)
-    columns = _sweep_plan(hset)[0][list(witness_targets(hset, failed, ordered))]
+    columns = _sweep_plan(hset)[0][witness_targets(hset, failed, ordered)]
     blocks = _coefficients(state)[:, columns].transpose(1, 0, 2).tolist()
     q, m = state.field.q, state.params.M
     return all(rank_of_rows(rows, q) == m for rows in blocks)

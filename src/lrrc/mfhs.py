@@ -89,8 +89,11 @@ exactly when pi sorts and covers h.
     for each block, f! / prod(equal-value multiplicities)! orderings
     inside the family.
 h_enumerate therefore tests membership on the canonical candidates of
-total at most M alone, sums their orbit sizes into |H|, and lists only
-the orbits of total M, which Lemma A says are the maximal members.
+total at most M alone, sums their orbit sizes into |H|, and expands
+only the orbits of total M, which Lemma A says are the maximal members.
+It holds them as one (N, n) int8 array in lexicographic order, the
+member order, built in numpy from per-pattern arrangement tables and
+sorted once; a member becomes a tuple only where an h is named.
 """
 
 from __future__ import annotations
@@ -100,7 +103,9 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache, cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .galois import check_keys, int_field
 
@@ -111,7 +116,7 @@ work starts; TooLarge reports the first count over it.
     of 0..d vectors under the family symmetry of the module docstring:
     closed-form, so checked before any candidate is visited.
   - The maximal members, summed from orbit sizes after the membership
-    pass and before maximal is listed.
+    pass and before their orbits are expanded.
   - |H|, before HSet.members (and so witnesses) is listed on first use."""
 
 
@@ -412,22 +417,33 @@ def _orbit_representative(h: Sequence[int], f: int) -> tuple[int, ...]:
     return tuple(itertools.chain.from_iterable(blocks))
 
 
-def _canonical_candidates(params: Params) -> Iterator[tuple[int, ...]]:
-    """Every canonical candidate of total at most M: F blocks, each a
-    nonincreasing f-tuple over 0..d, chosen in nonincreasing order."""
+def _canonical_candidates(params: Params) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every canonical candidate of total at most M, with its orbit size:
+    F blocks, each a nonincreasing f-tuple over 0..d, chosen in
+    nonincreasing order.
+
+    The size is the module docstring's count, carried along as blocks
+    are chosen.  Choosing the j-th block, the r-th of a run of equal
+    ones, multiplies the family arrangements of the first j - 1 blocks
+    by j / r, exactly, and the orderings inside families by the
+    block's own."""
     blocks = list(itertools.combinations_with_replacement(range(params.d, -1, -1), params.family_size))
     totals = [sum(block) for block in blocks]
+    orderings = [_orderings(block) for block in blocks]
 
-    def extend(start: int, left: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if not left:
-            yield ()
+    def extend(last: int, placed: int, run: int, size: int, budget: int
+               ) -> Iterator[tuple[tuple[int, ...], int]]:
+        if placed == params.num_families:
+            yield (), size
             return
-        for i in range(start, len(blocks)):
+        for i in range(max(last, 0), len(blocks)):
             if totals[i] <= budget:
-                for rest in extend(i, left - 1, budget - totals[i]):
-                    yield blocks[i] + rest
+                r = run + 1 if i == last else 1
+                for rest, total in extend(i, placed + 1, r, size * (placed + 1) // r * orderings[i],
+                                          budget - totals[i]):
+                    yield blocks[i] + rest, total
 
-    return extend(0, params.num_families, params.M)
+    return extend(-1, 0, 0, 1, params.M)
 
 
 def _orderings(items: Sequence) -> int:
@@ -438,44 +454,72 @@ def _orderings(items: Sequence) -> int:
     return count
 
 
-def _arrangements(items: Sequence) -> list[tuple]:
-    """The distinct orderings of a multiset."""
-    counts = Counter(items)
-    out: list[tuple] = []
-    current: list = []
+def _runs(items: Sequence) -> tuple[tuple, tuple[int, ...]]:
+    """The distinct items of a sequence whose equal items are adjacent,
+    in order, and how often each occurs."""
+    groups = [(item, len(list(group))) for item, group in itertools.groupby(items)]
+    return tuple(item for item, _ in groups), tuple(count for _, count in groups)
 
-    def place(left: int) -> None:
-        if not left:
-            out.append(tuple(current))
-            return
-        for item, multiplicity in counts.items():
-            if multiplicity:
-                counts[item] -= 1
-                current.append(item)
-                place(left - 1)
-                current.pop()
-                counts[item] += 1
 
-    place(len(items))
-    return out
+@lru_cache(maxsize=None)
+def _arrangements(multiplicities: tuple[int, ...]) -> np.ndarray:
+    """The distinct orderings of a multiset whose item i occurs
+    multiplicities[i] times, each once, as a read-only (orderings, total)
+    array of item indices.  Item i fills, in each ordering of items
+    0..i-1, the positions left over by each choice of positions that
+    keep those items in their order."""
+    table = np.zeros((1, multiplicities[0]), np.intp)
+    for item, multiplicity in enumerate(multiplicities[1:], 1):
+        kept = table.shape[1]
+        keep = np.array(list(itertools.combinations(range(kept + multiplicity), kept)), np.intp)
+        grown = np.full((len(keep), len(table), kept + multiplicity), item, np.intp)
+        grown[np.arange(len(keep))[:, None, None], np.arange(len(table))[:, None], keep[:, None]] = table
+        table = grown.reshape(-1, kept + multiplicity)
+    table.setflags(write=False)
+    return table
 
 
 def _family_blocks(h: Sequence[int], f: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(h[i:i + f]) for i in range(0, len(h), f))
 
 
-def _orbit_size(rep: Sequence[int], f: int) -> int:
-    blocks = _family_blocks(rep, f)
-    return _orderings(blocks) * math.prod(_orderings(block) for block in blocks)
+def _orbits(params: Params, representatives: Iterable[Sequence[int]]) -> np.ndarray:
+    """Every vector in the orbits of representatives, each once, as a
+    read-only C-contiguous (N, n) int8 array in lexicographic order.
 
-
-def _orbit(rep: Sequence[int], f: int) -> Iterator[tuple[int, ...]]:
-    """Every vector in the orbit of rep, each once."""
-    blocks = _family_blocks(rep, f)
-    inside = {block: _arrangements(block) for block in set(blocks)}
-    for families in _arrangements(blocks):
-        for parts in itertools.product(*(inside[block] for block in families)):
-            yield tuple(itertools.chain.from_iterable(parts))
+    A representative's distinct blocks go onto the F families in each
+    distinct arrangement, read from one _arrangements table per pattern
+    of block multiplicities.  Each such placement then expands to every
+    choice of ordering inside each family: a mixed-radix count over the
+    families, whose digit at family j runs over the orderings of the
+    block placed there.  One lexsort puts the rows in member order."""
+    f, families = params.family_size, params.num_families
+    index: dict[tuple[int, ...], int] = {}
+    by_pattern: dict[tuple[int, ...], list[list[int]]] = {}
+    for rep in representatives:
+        blocks, pattern = _runs(_family_blocks(rep, f))
+        by_pattern.setdefault(pattern, []).append([index.setdefault(b, len(index)) for b in blocks])
+    # placed[i, j] is the block, by index, on family j in placement i
+    placed = np.concatenate([np.array(ids, np.intp)[:, _arrangements(pattern)].reshape(-1, families)
+                             for pattern, ids in by_pattern.items()])
+    # block b's orderings are inner[start[b]:start[b] + size[b]]
+    tables = [np.array(values, np.int8)[_arrangements(pattern)]
+              for values, pattern in map(_runs, index)]
+    inner = np.concatenate(tables)
+    size = np.array([len(table) for table in tables], np.intp)
+    start = np.cumsum(size) - size
+    radix = size[placed]
+    counts = radix.prod(axis=1)
+    source = np.repeat(np.arange(len(placed)), counts)
+    digits = np.arange(len(source)) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows = np.empty((len(source), families, f), np.int8)
+    for j in reversed(range(families)):
+        digits, digit = np.divmod(digits, radix[source, j])
+        rows[:, j] = inner[start[placed[source, j]] + digit]
+    rows = rows.reshape(-1, params.n)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,9 +527,14 @@ class HSet:
     """H for one parameter set, held by its family-symmetry orbits.
 
     size is |H|, and representatives holds the canonical member of each
-    orbit in H (module docstring).  maximal lists the members h with no
-    h + e_i in H, in lexicographic order: by Lemma A of the module
-    docstring, these are exactly the members of total M.
+    orbit in H (module docstring).  rows is H's maximal layer, the
+    members h with no h + e_i in H, as one read-only C-contiguous (N, n)
+    int8 array in lexicographic (member) order: by Lemma A of the module
+    docstring, these are exactly the members of total M.  int8 holds
+    every entry: the candidate budget (H_ENUMERATION_LIMIT) refuses
+    every point with d > 8.  Rows compare as their n-byte strings do,
+    since every entry lies in 0..d; no row is made a tuple until an h
+    is named.
 
     Every member is dominated by a maximal one: from any member, raise
     one coordinate at a time while staying in H; the walk ends at a
@@ -493,8 +542,8 @@ class HSet:
     dominator's selection, so full column rank of the maximal
     selections implies it for all of H.
 
-    members and witnesses are listed, and unrepairable is decided, on
-    first use only.  An HSet compares and hashes by identity:
+    maximal, members and witnesses are listed, and unrepairable is
+    decided, on first use only.  An HSet compares and hashes by identity:
     h_enumerate makes one per parameter set, and lrrc.code_core keys
     its memos on it, both witness_targets and the sweep plan that holds
     the maximal members' column indices.
@@ -502,8 +551,13 @@ class HSet:
 
     params: Params
     size: int
-    maximal: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
     representatives: frozenset[tuple[int, ...]]
+
+    @cached_property
+    def maximal(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal layer as tuples of Python ints, in member order."""
+        return tuple(map(tuple, self.rows.tolist()))
 
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
@@ -511,10 +565,9 @@ class HSet:
         exceeds H_ENUMERATION_LIMIT."""
         if self.size > H_ENUMERATION_LIMIT:
             raise TooLarge(f"{self.size} members exceed {H_ENUMERATION_LIMIT}")
-        f = self.params.family_size
-        members = sorted(itertools.chain.from_iterable(_orbit(h, f) for h in self.representatives))
+        members = _orbits(self.params, self.representatives)
         assert len(members) == self.size, "the orbits sum to the counted size"
-        return tuple(members)
+        return tuple(map(tuple, members.tolist()))
 
     @cached_property
     def unrepairable(self) -> tuple[tuple[int, ...], int, int] | None:
@@ -573,26 +626,22 @@ def h_enumerate(params: Params) -> HSet:
 
     h_membership runs on each canonical candidate of total at most M;
     |H| is the sum of the members' orbit sizes, and only the orbits of
-    total M are listed, as maximal.  Cached per parameter set; raises
-    TooLarge when the canonical candidates or the maximal members
-    number more than H_ENUMERATION_LIMIT, each counted before it is
-    visited or listed.
+    total M are expanded, by _orbits, into the rows of the maximal
+    layer.  Cached per parameter set; raises TooLarge when the canonical
+    candidates or the maximal members number more than
+    H_ENUMERATION_LIMIT, each counted before it is visited or listed.
     """
     f, families = params.family_size, params.num_families
     candidates = math.comb(math.comb(params.d + f, f) + families - 1, families)
     if candidates > H_ENUMERATION_LIMIT:
         raise TooLarge(f"{candidates} canonical candidates exceed {H_ENUMERATION_LIMIT}")
-    representatives = [h for h in _canonical_candidates(params) if h_membership(params, h).member]
-    top = [h for h in representatives if sum(h) == params.M]
-    top_size = sum(_orbit_size(h, f) for h in top)
+    sizes = {h: size for h, size in _canonical_candidates(params) if h_membership(params, h).member}
+    top = [h for h in sizes if sum(h) == params.M]
+    top_size = sum(sizes[h] for h in top)
     if top_size > H_ENUMERATION_LIMIT:
         raise TooLarge(f"{top_size} maximal members exceed {H_ENUMERATION_LIMIT}")
-    return HSet(
-        params=params,
-        size=sum(_orbit_size(h, f) for h in representatives),
-        maximal=tuple(sorted(itertools.chain.from_iterable(_orbit(h, f) for h in top))),
-        representatives=frozenset(representatives),
-    )
+    return HSet(params=params, size=sum(sizes.values()), rows=_orbits(params, top),
+                representatives=frozenset(sizes))
 
 
 def params_to_dict(params: Params) -> dict:

@@ -11,12 +11,15 @@ references scan for domination, where lrrc reads the maximal members of
 H and the maximal repair targets off the members of total M.  The
 filtering enumeration runs h_membership on all (d+1)^n candidates,
 where lrrc.mfhs.h_enumerate tests one canonical candidate per
-family-symmetry orbit.  These tests hold each pair against each other.
+family-symmetry orbit.  The orbit listing builds each orbit as tuples,
+one vector at a time, where lrrc.mfhs expands all orbits at once into
+one numpy array.  These tests hold each pair against each other.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -136,3 +139,43 @@ def maximal_by_down_closure(vectors: Sequence[tuple[int, ...]]) -> list[tuple[in
                     stack.append(lower)
     return [t for t in vectors if not any(t[:i] + (v + 1,) + t[i + 1:] in below
                                           for i, v in enumerate(t))]
+
+
+def arrangements(items: Sequence) -> list[tuple]:
+    """The distinct orderings of a multiset, each once."""
+    counts = Counter(items)
+    out: list[tuple] = []
+    current: list = []
+
+    def place(left: int) -> None:
+        if not left:
+            out.append(tuple(current))
+            return
+        for item, multiplicity in counts.items():
+            if multiplicity:
+                counts[item] -= 1
+                current.append(item)
+                place(left - 1)
+                current.pop()
+                counts[item] += 1
+
+    place(len(items))
+    return out
+
+
+def orbit(rep: Sequence[int], f: int) -> Iterator[tuple[int, ...]]:
+    """Every vector in the family-symmetry orbit of rep, each once: each
+    distinct arrangement of its family blocks, then each ordering inside
+    every family."""
+    blocks = [tuple(rep[i:i + f]) for i in range(0, len(rep), f)]
+    inside = {block: arrangements(block) for block in set(blocks)}
+    for families in arrangements(blocks):
+        for parts in itertools.product(*(inside[block] for block in families)):
+            yield tuple(itertools.chain.from_iterable(parts))
+
+
+def maximal_by_orbits(hset: HSet) -> list[tuple[int, ...]]:
+    """The members of total M, sorted, by listing the orbits of the
+    representatives of total M."""
+    top = [rep for rep in hset.representatives if sum(rep) == hset.params.M]
+    return sorted(itertools.chain.from_iterable(orbit(rep, hset.params.family_size) for rep in top))

@@ -390,6 +390,21 @@ def test_simulate_config_file(tmp_path, capsys):
     assert report["aggregate"]["events_total"] == 3
 
 
+def test_simulate_config_ignores_lrrc_seed(tmp_path, capsys, monkeypatch):
+    # a config sets the whole run, so its missing seed is 0 whatever
+    # LRRC_SEED says; the same run by flags reads LRRC_SEED
+    monkeypatch.setenv("LRRC_SEED", "9")
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({"params": {"n": 6, "k": 3, "d": 2, "r": 1}, "rounds": 1}))
+    code, out, _ = invoke(capsys, "simulate", "--config", str(cfg_path), "--no-timing")
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 0
+    code, out, _ = invoke(capsys, "simulate", "--n", "6", "--k", "3", "--d", "2", "--r", "1",
+                          "--rounds", "1", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 9
+
+
 def test_simulate_unknown_policy_is_usage_error(tmp_path, capsys):
     cfg = {
         "params": {"n": 6, "k": 3, "d": 2, "r": 1},

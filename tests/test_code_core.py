@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -438,12 +440,67 @@ def test_target_outside_the_maximal_layer_is_a_contradiction():
     failed, helpers = 1, (4, 5)
     source = next(h for h in H321.maximal if h[failed - 1] > 0)
     target = connect_run(P321, source, helpers, failed).h_prime
-    stripped = HSet(params=P321, size=H321.size, representatives=H321.representatives,
-                    maximal=tuple(h for h in H321.maximal if h != target))
+    rows = H321.rows[[h != target for h in H321.maximal]]
+    stripped = HSet(params=P321, size=H321.size, rows=rows, representatives=H321.representatives)
     with pytest.raises(InternalContradiction, match="not a maximal member"):
         witness_targets(stripped, failed, helpers)
     with pytest.raises(InternalContradiction, match="not a maximal member"):
         witness_holds(construct(P321, field_new(7639), H321, rng_seed=1), failed, helpers, stripped)
+
+
+def _closed_form_targets(hset, failed, helpers):
+    """The reference for witness_targets' numpy form: Lemma B's closed
+    form on each maximal member as a tuple, each target found by
+    bisection in the sorted tuples, each distinct row once, in the order
+    of its first source."""
+    maximal = hset.maximal
+
+    def row(h):
+        picked = sorted(helpers, key=lambda x: (h[x - 1], x))[:h[failed - 1]]
+        target = tuple(0 if x == failed else v + (x in picked) for x, v in enumerate(h, 1))
+        i = bisect.bisect_left(maximal, target)
+        assert maximal[i:i + 1] == (target,), (h, target)
+        return i
+
+    return tuple(dict.fromkeys(row(h) for h in maximal))
+
+
+@pytest.mark.parametrize("point,sampled", [
+    ((6, 3, 2, 1), None), ((6, 4, 3, 1), None), ((8, 4, 2, 2), None),
+    ((9, 6, 4, 2), 3), ((40, 2, 2, 36), 1),
+], ids=["6-3-2-1", "6-4-3-1", "8-4-2-2", "9-6-4-2", "40-2-2-36"])
+def test_witness_targets_match_the_tuple_closed_form(point, sampled):
+    params = params_new(*point)
+    hset = h_enumerate(params)
+    keys = _witness_keys(params) if sampled is None else [
+        (failed, tuple(sorted(random.Random(f"{point}/{failed}").sample(
+            sorted(helper_universe(params, failed)), params.d))))
+        for failed in random.Random(str(point)).sample(range(1, params.n + 1), sampled)]
+    for failed, helpers in keys:
+        rows = witness_targets(hset, failed, helpers)
+        assert not rows.flags.writeable
+        assert tuple(rows.tolist()) == _closed_form_targets(hset, failed, helpers), (failed, helpers)
+
+
+def test_production_paths_build_no_tuple_layer(monkeypatch):
+    # set-up, construction, repair, a named failure and a witness check
+    # read hset.rows alone; the tuple form of the layer is for tests
+    def listed(self):
+        raise AssertionError("the maximal layer was listed as tuples")
+
+    fresh = lru_cache(maxsize=None)(h_enumerate.__wrapped__)
+    monkeypatch.setattr(code_core, "h_enumerate", fresh)
+    monkeypatch.setattr(HSet, "maximal", property(listed))
+    hset = fresh(P641)
+    state = construct(P641, field_new(142151), hset, rng_seed=1)
+    repaired = repair_random(state, 1, (3, 4, 5), rng_seed=2)
+    assert witness_holds(repaired, 2, (3, 4, 5), hset)
+    rng = random.Random("tuples")
+    h = tuple(hset.rows[rng.randrange(len(hset.rows))].tolist())
+    broken = _break_selection(repaired, h, rng)
+    failure = invariant_failure(broken, hset)
+    assert failure is not None and all(type(v) is int for v in failure)
+    assert "maximal" not in vars(hset)
 
 
 @pytest.mark.parametrize("point,maximal_targets,targets", [
@@ -1121,9 +1178,9 @@ def test_witness_checks_refuse_an_unrepairable_point(k):
 
 def test_only_two_points_up_to_n8_are_unrepairable(monkeypatch):
     # unrepairable reads only the representatives, so each H is built
-    # uncached and with its orbits left unlisted: listing the maximal
+    # uncached and with its orbits left unexpanded: expanding the maximal
     # layers, up to 290,160 members at n = 8, would take seconds
-    monkeypatch.setattr(mfhs, "_orbit", lambda rep, f: ())
+    monkeypatch.setattr(mfhs, "_orbits", lambda params, reps: np.zeros((0, params.n), np.int8))
     refused = [point for point in in_scope_points(8)
                if h_enumerate.__wrapped__(params_new(*point)).unrepairable is not None]
     assert refused == [(8, 7, 4, 0), (8, 8, 4, 0)]

@@ -396,7 +396,7 @@ def _planted_stack(q: int, seed: int, count: int = 400, size: int = 8,
     return stack
 
 
-def test_full_column_rank_reduces_exactly_when_int64_needs_it():
+def test_full_column_rank_reduces_each_column_where_int64_needs_it():
     """At q = 2097143, the largest prime below 2^21, q^3 lies just below
     2^63, and two updates with no reduction between them reach about
     q^3 in magnitude: each column must start with its reduction.
@@ -422,7 +422,7 @@ def _assert_extreme_planted_verdicts(q: int) -> None:
     assert full_column_rank(stack, q).tolist() == want
 
 
-def test_full_column_rank_reduction_rule_is_tight():
+def test_full_column_rank_one_reduction_per_column_is_tight():
     """A block of residues in [0, q) reaches at most (q - 1)^2 in one
     update and 2(q - 1)^3 in a second.  q = 1664543 is the first prime
     with 2(q - 1)^3 >= 2^63, so here one reduction per column is what
@@ -434,7 +434,7 @@ def test_full_column_rank_reduction_rule_is_tight():
     _assert_extreme_planted_verdicts(q)
 
 
-def test_full_column_rank_int32_reduction_rule_is_tight():
+def test_full_column_rank_int32_one_reduction_per_column_is_tight():
     """The same in int32: q = 1031 is the first prime with 2(q - 1)^3 >=
     2^31, so two updates with no reduction between them could pass
     2^31."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,7 @@ from membership_oracle import (
     covers_along,
     exhaustive_witness,
     in_scope_points,
+    maximal_by_orbits,
     min_prefix_total,
     sorting_perms,
 )
@@ -261,7 +263,7 @@ def test_enumeration_budget_refuses_maximal_layer_before_listing(monkeypatch):
     def listed(*_):
         raise AssertionError("an orbit was listed")
 
-    monkeypatch.setattr(mfhs, "_orbit", listed)
+    monkeypatch.setattr(mfhs, "_orbits", listed)
     with pytest.raises(TooLarge, match="167281683 maximal members"):
         h_enumerate(params_new(16, 7, 4, 4))
 
@@ -286,6 +288,26 @@ def test_h_enumerate_counts_frozen():
     for point, counts in (((8, 5, 3, 1), (12_538, 4_096)), ((10, 6, 3, 2), (57_618, 25_050))):
         hs = h_enumerate(params_new(*point))
         assert (len(hs), len(hs.maximal)) == counts, point
+
+
+@pytest.mark.parametrize("point", in_scope_points(8) + [(9, 6, 4, 2), (10, 6, 3, 2), (40, 2, 2, 36)],
+                         ids=lambda p: "-".join(map(str, p)))
+def test_maximal_rows_equal_the_sorted_orbit_listing(point):
+    # the numpy expansion against the tuple listing, orbit by orbit;
+    # rows are compared by value, so the HSet's own tuples stay unbuilt
+    rows = h_enumerate(params_new(*point)).rows
+    assert (rows.dtype, rows.flags.c_contiguous, rows.flags.writeable) == (np.int8, True, False)
+    assert list(map(tuple, rows.tolist())) == maximal_by_orbits(h_enumerate(params_new(*point)))
+
+
+def test_file_size_beats_blind_selection():
+    # the paper's gap: family helper selection against the MBR file size
+    # sum_{i<k} (d - i)+ of blind helper selection
+    points = in_scope_points(16)
+    gaps = [params_new(*p).M - sum(max(p[2] - i, 0) for i in range(p[1])) for p in points]
+    assert len(points) == 1850
+    assert min(gaps) == 0
+    assert sum(gap > 0 for gap in gaps) == 856
 
 
 MAXIMAL_COUNTS = {(6, 4, 3, 1): (384, 1128), (6, 3, 2, 1): (81, 159), (8, 4, 2, 2): (250, 407)}
