@@ -1179,7 +1179,7 @@ def test_witness_checks_refuse_an_unrepairable_point(k):
 def test_only_two_points_up_to_n8_are_unrepairable(monkeypatch):
     # unrepairable reads only the representatives, so each H is built
     # uncached and with its orbits left unexpanded: expanding the maximal
-    # layers, up to 290,160 members at n = 8, would take seconds
+    # layers, up to 290,160 members at n = 8, would add about a second
     monkeypatch.setattr(mfhs, "_orbits", lambda params, reps: np.zeros((0, params.n), np.int8))
     refused = [point for point in in_scope_points(8)
                if h_enumerate.__wrapped__(params_new(*point)).unrepairable is not None]
