@@ -151,22 +151,29 @@ class ConstructionFailed(AttemptsExhausted):
 
 class RepairFailed(AttemptsExhausted):
     """No sampled repair passed.  When the state under repair passes
-    the invariant, no single h in rejected_by is structural: the 0/1
-    witness repair for h (see witness_repair_check) makes the selection
-    under h the current state's selection under
-    h' = connect_run(h).h_prime, which has full rank.
+    the invariant and every target of the key is in H, no single h in
+    rejected_by is structural: the 0/1 witness repair for h (see
+    witness_repair_check) makes the selection under h the current
+    state's selection under h' = connect_run(h).h_prime, which has full
+    rank.
 
-    That needs h' in H, and the refusal of HSet.unrepairable's points
-    is what makes it hold.  h' adds one unit to each of the h_failed
+    That needs h' in H.  h' adds one unit to each of the h_failed
     helpers smallest by h value (witness_targets, Lemma B), and a
     helper that already holds d is among them exactly when fewer than
     h_failed helpers hold less, which some helper set allows exactly at
     the pairs (h, failed) that HSet.unrepairable looks for.  There h'
     leaves 0..d and h is structural, so repair_random refuses such
     points before drawing, and witness_holds and witness_repair_check
-    before forming a target.  At the other points no key is known
-    whose target leaves H: none of the 124 accepted in-scope points
-    with n <= 8 and at most 3 * 10^6 (member, key) pairs has one.
+    before forming a target.  The refusal is sufficient, not exact: h'
+    can leave H at an accepted point too.  (9,6,5,1) passes
+    HSet.unrepairable, yet for failed node 1 and helpers (4,6,7,8,9)
+    the maximal h = (2,0,0,0,0,3,3,5,5) has the target
+    (0,0,0,1,0,4,3,5,5), which is not in H; 27 of its 54 keys have such
+    a target, and witness_targets raises InternalContradiction on each.
+    There a rejecting h can be structural.  The targets stay in H, on
+    every key, at the 124 accepted in-scope points with n <= 8 and at
+    most 3 * 10^6 (member, key) pairs; ROADMAP item 5 plans the exact
+    check.
     """
 
     what = "repair"

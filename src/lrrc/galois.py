@@ -3,11 +3,12 @@
 Matrices are immutable, row-major, and store canonical residues in
 [0, q).  There are two elimination routines:
 
-- rank_of_rows, pure-Python Gaussian elimination with row swaps to
-  echelon form with unit pivots.  Over a field any nonzero pivot is
-  exact, so no pivoting strategy beyond "first nonzero" is needed.
-  mat_solve and mat_inv (through mat_solve) run on it, and it is the
-  reference the batched kernel is tested against.
+- rank_of_rows, pure-Python fraction-free Gaussian elimination with
+  row swaps to echelon form with nonzero (not unit) pivots.  Over a
+  field any nonzero pivot is exact, so no pivoting strategy beyond
+  "first nonzero" is needed.  mat_solve and mat_inv (through
+  mat_solve) run on it, and it is the reference the batched kernel is
+  tested against.
 - full_column_rank, which decides full column rank for a whole stack of
   equal-shape matrices at once, and first_rank_deficient, which gathers
   such stacks from the columns of one coefficient array in chunks of
@@ -239,8 +240,14 @@ def mat_hstack(mats: Sequence[FieldMatrix]) -> FieldMatrix:
 def rank_of_rows(rows: list[list[int]], q: int) -> int:
     """Rank over GF(q) of a row-list matrix.  Mutates its argument.
 
-    Entries must already be canonical residues and q must be prime, so
-    every nonzero pivot has an inverse.  It serves mat_solve (and so
+    Entries must already be canonical residues and q must be prime.  The
+    elimination is fraction-free, with _eliminate's update: with pivot p
+    and the entry f below it, each lower row becomes
+    (row * p - f * pivot_row) % q, so no modular inverse is taken and no
+    pivot row is scaled.  Every row stays a nonzero multiple of the row
+    unit-pivot elimination would hold, so the swaps, the pivot columns
+    and the rank are the same.  rows is left in echelon form with
+    nonzero pivots and canonical residues.  It serves mat_solve (and so
     mat_inv and decode), the batched kernel's fallback at q >= 2^31,
     the witness ranks of lrrc.code_core and the tests' reference; the
     verification sweeps run on full_column_rank.
@@ -260,15 +267,13 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
-        inv = pow(prow[col], -1, q)
-        for j in range(col, n):
-            prow[j] = prow[j] * inv % q
+        p = prow[col]
         for r in range(rank + 1, m):
             f = rows[r][col]
             if f:
                 rrow = rows[r]
                 for j in range(col, n):
-                    rrow[j] = (rrow[j] - f * prow[j]) % q
+                    rrow[j] = (rrow[j] * p - f * prow[j]) % q
         rank += 1
         if rank == m:
             break
@@ -425,10 +430,12 @@ def mat_solve(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:
 
     Returns the unique solution when a has full column rank and the
     system is consistent, else None.  a may have more rows than
-    columns.  rank_of_rows brings [a | b] to echelon form with unit
+    columns.  rank_of_rows brings [a | b] to echelon form with nonzero
     pivots: a has full column rank exactly when the first a.cols rows
     pivot on the diagonal, and the system is consistent exactly when no
-    further row survives.  Back-substitution then reads x off.
+    further row survives.  Back-substitution then reads x off, from the
+    last unknown up, dividing each row by its pivot as it goes: one
+    modular inverse per unknown.
     """
     _same_field(a, b)
     if a.rows != b.rows:
@@ -444,6 +451,8 @@ def mat_solve(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix | None:
             f = aug[i][j]
             if f:
                 x[i] = [(v - f * u) % q for v, u in zip(x[i], x[j])]
+        inv = pow(aug[i][i], -1, q)
+        x[i] = [v * inv % q for v in x[i]]
     return FieldMatrix.from_rows(x, a.field)
 
 

@@ -1207,6 +1207,19 @@ def test_unrepairable_selection_loses_rank_whatever_the_coefficients():
         assert rank_of_rows(_selection_rows(repaired, h), q) <= params.M - h[failed - 1] + bound
 
 
+def test_an_accepted_point_can_have_a_target_outside_h():
+    # the refusal is not exact: (9,6,5,1) passes unrepairable, yet for
+    # failed node 1 and helpers (4,6,7,8,9) the maximal member
+    # h = (2,0,0,0,0,3,3,5,5) has the Lemma B target (0,0,0,1,0,4,3,5,5),
+    # which is not in H; 27 of the point's 54 keys fail in this way
+    hset = h_enumerate(params_new(9, 6, 5, 1))
+    assert hset.unrepairable is None
+    assert (2, 0, 0, 0, 0, 3, 3, 5, 5) in hset
+    assert (0, 0, 0, 1, 0, 4, 3, 5, 5) not in hset
+    with pytest.raises(InternalContradiction, match="not a maximal member"):
+        witness_targets(hset, 1, (4, 6, 7, 8, 9))
+
+
 def test_invariant_check_refuses_an_hset_of_other_parameters():
     state = construct(P641, field_new(142151), H641, rng_seed=1)
     message = r"H was enumerated for \(6,3,2,1\), the code is \(6,4,3,1\)"

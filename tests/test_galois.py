@@ -59,6 +59,19 @@ def det_by_cofactors(rows: list[list[int]], q: int) -> int:
     return total
 
 
+def rank_by_minors(rows: list[list[int]], q: int) -> int:
+    """Rank over GF(q) as the largest k with a nonzero k x k minor, each
+    minor by det_by_cofactors: no elimination, so it is a reference
+    independent of rank_of_rows."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(m, n), 0, -1):
+        for picked_rows in itertools.combinations(rows, k):
+            for cols in itertools.combinations(range(n), k):
+                if det_by_cofactors([[row[j] for j in cols] for row in picked_rows], q):
+                    return k
+    return 0
+
+
 def test_is_prime_matches_trial_division():
     for n in range(-3, 2000):
         assert is_prime(n) == trial_division(n), n
@@ -574,11 +587,59 @@ def test_solve_verdict_matches_ranks(q, m, n, w, data):
     a = FieldMatrix(m, n, tuple(data.draw(st.lists(entry, min_size=m * n, max_size=m * n))), f)
     b = FieldMatrix(m, w, tuple(data.draw(st.lists(entry, min_size=m * w, max_size=m * w))), f)
     x = mat_solve(a, b)
-    rank_a = _rank(a)
-    if rank_a < n or _rank(mat_hstack([a, b])) > rank_a:
+    rank_a = rank_by_minors(_rows(a), q)
+    if rank_a < n or rank_by_minors(_rows(mat_hstack([a, b])), q) > rank_a:
         assert x is None
     else:
         assert x is not None and mat_mul(a, x) == b
+
+
+QS = [2, 3, 7, 7639, 142151, 2**31 - 1, next_prime(2**31)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(QS), st.integers(1, 4), st.integers(1, 5), st.data())
+def test_rank_of_rows_matches_the_minor_rank(q, m, n, data):
+    # square, tall and wide matrices; a drawn share of the rows are
+    # planted combinations of the rows above them
+    entry = st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1)
+    rows: list[list[int]] = []
+    for _ in range(m):
+        if rows and data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) % q for j in range(n)])
+        else:
+            rows.append(data.draw(st.lists(entry, min_size=n, max_size=n)))
+    echelon = [row[:] for row in rows]
+    rank = rank_of_rows(echelon, q)
+    assert rank == rank_by_minors(rows, q)
+    # echelon form with nonzero pivots, canonical residues and the same
+    # row space: the pivots step right, the rows below them are zero,
+    # and stacking the result under the input adds no rank
+    assert all(0 <= v < q for row in echelon for v in row)
+    pivots = [next(j for j, v in enumerate(row) if v) for row in echelon[:rank]]
+    assert pivots == sorted(set(pivots))
+    assert not any(any(row) for row in echelon[rank:])
+    assert rank_by_minors(rows + echelon, q) == rank
+
+
+def test_solve_scales_pivots_other_than_one():
+    # elimination leaves the pivots 2 and 5 over GF(7); the solution and
+    # the inverse must divide by them
+    f = field_new(7)
+    a = _m(f, [[2, 1], [1, 3]])
+    assert _rows(mat_solve(a, _m(f, [[1], [2]]))) == [[3], [2]]
+    assert _rows(mat_inv(a)) == [[2, 4], [4, 6]]
+
+
+def test_solve_above_two_to_the_31():
+    # [[-2, 1], [1, -3]] has determinant 5 and takes (1, 1) to (-1, -2);
+    # its inverse is -1/5 * [[3, 1], [1, 2]], with 1/5 = 429496732 mod q
+    q = next_prime(2**31)
+    f = field_new(q)
+    a = _m(f, [[q - 2, 1], [1, q - 3]])
+    assert _rows(mat_solve(a, _m(f, [[q - 1], [q - 2]]))) == [[1], [1]]
+    assert _rows(mat_inv(a)) == [[858993463, 1717986927], [1717986927, 1288490195]]
 
 
 def test_solve_consistent_and_inconsistent():
