@@ -84,6 +84,7 @@ import numpy as np
 from .galois import (
     FieldConfig,
     FieldMatrix,
+    RANK_CHUNK,
     check_keys,
     field_new,
     first_rank_deficient,
@@ -598,7 +599,10 @@ def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: H
     witness_targets memoizes per key.  The targets' selections are
     gathered from one array of the Q matrices by their rows of the
     _sweep_plan columns, as in invariant_failure, and each is ranked
-    by rank_of_rows against M, the total of every maximal target.
+    by rank_of_rows against M, the total of every maximal target.  The
+    targets' blocks become Python lists RANK_CHUNK entries at a time,
+    and the first rank below M stops the call before later chunks are
+    built, so memory stays bounded at keys with 10^5 targets.
     Helpers are validated first, so bad ones raise InvalidHelpers
     before the memo is consulted; a key runs no connect_run and no
     membership test, cold or warm.  Raises OutOfScope, as construct
@@ -609,9 +613,10 @@ def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: H
     _check_repairable(hset)
     ordered = checked_helpers(state.params, failed, helpers)
     columns = _sweep_plan(hset)[0][witness_targets(hset, failed, ordered)]
-    blocks = _coefficients(state)[:, columns].transpose(1, 0, 2).tolist()
-    q, m = state.field.q, state.params.M
-    return all(rank_of_rows(rows, q) == m for rows in blocks)
+    coef, q, m = _coefficients(state), state.field.q, state.params.M
+    step = max(1, RANK_CHUNK // (m * m))
+    return all(rank_of_rows(rows, q) == m for start in range(0, len(columns), step)
+               for rows in coef[:, columns[start:start + step]].transpose(1, 0, 2).tolist())
 
 
 def encode(state: CodeState, file: FieldMatrix) -> tuple[FieldMatrix, ...]:

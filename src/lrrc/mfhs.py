@@ -88,12 +88,16 @@ exactly when pi sorts and covers h.
     F! / prod(equal-block multiplicities)! family arrangements, times,
     for each block, f! / prod(equal-value multiplicities)! orderings
     inside the family.
-h_enumerate therefore tests membership on the canonical candidates of
+h_enumerate therefore decides membership on the canonical candidates of
 total at most M alone, sums their orbit sizes into |H|, and expands
 only the orbits of total M, which Lemma A says are the maximal members.
-It holds them as one (N, n) int8 array in lexicographic order, the
-member order, built in numpy from per-pattern arrangement tables and
-sorted once; a member becomes a tuple only where an h is named.
+It decides a bounded int8 chunk of candidates at a time in numpy, by
+is_witness on each one's canonical order (h descending, ties by
+ascending node index), and runs h_membership's search only on the
+candidates that order leaves uncovered.  It holds the maximal members
+as one (N, n) int8 array in lexicographic order, the member order,
+built in numpy from per-pattern arrangement tables and sorted once; a
+member becomes a tuple only where an h is named.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .galois import check_keys, int_field
+from .galois import RANK_CHUNK, check_keys, int_field
 
 H_ENUMERATION_LIMIT = 10_000_000
 """Cap on what h_enumerate visits and lists, each checked before the
@@ -356,14 +360,13 @@ def h_membership(params: Params, h: Sequence[int]) -> MembershipResult:
     tries its lowest-index node first, and nothing has failed yet.  So
     is_witness runs first on that order, a single pass without the group
     and family-state bookkeeping, and when it holds, the order is the
-    witness the search would return.  The pass does not answer every
-    member: at (10,9,5,0), h = (5,2,0,0,0,4,4,4,4,2) is in H with
-    witness (1,6,7,8,9,10,2,3,4,5), which only the search finds, and a
-    sweep of 310 points with family size at least 3 found 6 such
-    members.  At the 98 scope points of the tests' reference sweep,
-    which calls this on every candidate, the pass alone answers all
-    126,015 members among the 138,071 candidates of total at most M, so
-    it keeps that sweep from lengthening the suite.
+    witness the search would return.  h_enumerate runs the same pass on
+    whole chunks of candidates (_canonical_covers) and calls this only
+    on the vectors it leaves uncovered.  At the 98 scope points of the
+    tests' reference sweep, which calls this on all (d + 1)^n vectors,
+    the pass alone answers all 126,015 members among the 138,071
+    vectors of total at most M, so it keeps that sweep from lengthening
+    the suite.
     """
     if len(h) != params.n:
         raise LengthMismatch(f"h over {len(h)} nodes, params say {params.n}")
@@ -409,6 +412,32 @@ def h_membership(params: Params, h: Sequence[int]) -> MembershipResult:
     return MembershipResult(found, Perm(tuple(order)) if found else None)
 
 
+def _canonical_covers(params: Params, rows: np.ndarray) -> np.ndarray:
+    """is_witness on the canonical order of each row of rows, a (B, n)
+    array of vectors with entries in 0..d totalling at most M: a True
+    row is in H with that order as h_membership's witness.
+
+    A stable argsort of -h orders each row by (-h, node index), and a
+    sort of -h gives the values along that order, negated.  The earlier
+    nodes of each position's family are counted pairwise, in a (B, n, n)
+    block, and the raw scores (d - outsiders)+ must keep every slack
+    prefix >= 0.
+
+    A False row may still be a member: at (10,9,5,0), h =
+    (5,2,0,0,0,4,4,4,4,2) is in H with witness (1,6,7,8,9,10,2,3,4,5),
+    which only h_membership's search finds, and the 310 points with
+    n <= 12, family size at least 3 and at most 200,000 canonical
+    candidates hold 6 such candidates.  At the 238 points with n <= 10
+    and at most 20,000 canonical candidates, this certifies every one
+    of the 51,437 members among the 55,701 candidates of total at most
+    M, and all 4,264 it leaves are non-members."""
+    n, negated = params.n, -rows
+    family = np.argsort(negated, axis=1, kind="stable") // params.family_size
+    placed = ((family[:, :, None] == family[:, None, :]) & np.tri(n, k=-1, dtype=bool)).sum(axis=2)
+    gains = np.maximum(params.d - np.arange(n) + placed, 0) + np.sort(negated, axis=1)
+    return (np.cumsum(gains, axis=1) >= 0).all(axis=1)
+
+
 def _orbit_representative(h: Sequence[int], f: int) -> tuple[int, ...]:
     """The canonical representative of h's orbit: every family block
     sorted nonincreasingly, then the blocks in nonincreasing order."""
@@ -430,18 +459,19 @@ def _canonical_candidates(params: Params) -> Iterator[tuple[tuple[int, ...], int
     blocks = list(itertools.combinations_with_replacement(range(params.d, -1, -1), params.family_size))
     totals = [sum(block) for block in blocks]
     orderings = [_orderings(block) for block in blocks]
+    families = params.num_families
 
     def extend(last: int, placed: int, run: int, size: int, budget: int
                ) -> Iterator[tuple[tuple[int, ...], int]]:
-        if placed == params.num_families:
-            yield (), size
-            return
         for i in range(max(last, 0), len(blocks)):
             if totals[i] <= budget:
                 r = run + 1 if i == last else 1
-                for rest, total in extend(i, placed + 1, r, size * (placed + 1) // r * orderings[i],
-                                          budget - totals[i]):
-                    yield blocks[i] + rest, total
+                grown = size * (placed + 1) // r * orderings[i]
+                if placed + 1 == families:
+                    yield blocks[i], grown
+                else:
+                    for rest, total in extend(i, placed + 1, r, grown, budget - totals[i]):
+                        yield blocks[i] + rest, total
 
     return extend(-1, 0, 0, 1, params.M)
 
@@ -624,24 +654,40 @@ class HSet:
 def h_enumerate(params: Params) -> HSet:
     """Build H from family-symmetry orbits (module docstring).
 
-    h_membership runs on each canonical candidate of total at most M;
-    |H| is the sum of the members' orbit sizes, and only the orbits of
-    total M are expanded, by _orbits, into the rows of the maximal
-    layer.  Cached per parameter set; raises TooLarge when the canonical
-    candidates or the maximal members number more than
+    The canonical candidates of total at most M are taken RANK_CHUNK //
+    n^2 at a time into an int8 array, so that _canonical_covers' (B, n,
+    n) block holds at most RANK_CHUNK entries; the candidates it leaves
+    uncovered go to h_membership, whose search decides them.  The
+    members stay int8 rows, and their orbit sizes Python ints, so |H|
+    is exact at any size.  Only when the orbits of total M hold at most
+    H_ENUMERATION_LIMIT members do the representatives become tuples
+    and those orbits get expanded, by _orbits, into the rows of the
+    maximal layer.  Cached per parameter set; raises TooLarge when the
+    canonical candidates or the maximal members number more than
     H_ENUMERATION_LIMIT, each counted before it is visited or listed.
     """
     f, families = params.family_size, params.num_families
     candidates = math.comb(math.comb(params.d + f, f) + families - 1, families)
     if candidates > H_ENUMERATION_LIMIT:
         raise TooLarge(f"{candidates} canonical candidates exceed {H_ENUMERATION_LIMIT}")
-    sizes = {h: size for h, size in _canonical_candidates(params) if h_membership(params, h).member}
-    top = [h for h in sizes if sum(h) == params.M]
-    top_size = sum(sizes[h] for h in top)
+    stream, step = _canonical_candidates(params), max(1, RANK_CHUNK // params.n ** 2)
+    chunks: list[np.ndarray] = []
+    sizes: list[int] = []
+    while chunk := list(itertools.islice(stream, step)):
+        vectors, counts = zip(*chunk)
+        rows = np.array(vectors, np.int8)
+        member = _canonical_covers(params, rows)
+        for i in np.flatnonzero(~member):
+            member[i] = h_membership(params, vectors[i]).member
+        chunks.append(rows[member])
+        sizes += itertools.compress(counts, member)
+    rows = np.concatenate(chunks)
+    top = rows.sum(axis=1) == params.M
+    top_size = sum(itertools.compress(sizes, top))
     if top_size > H_ENUMERATION_LIMIT:
         raise TooLarge(f"{top_size} maximal members exceed {H_ENUMERATION_LIMIT}")
-    return HSet(params=params, size=sum(sizes.values()), rows=_orbits(params, top),
-                representatives=frozenset(sizes))
+    return HSet(params=params, size=sum(sizes), rows=_orbits(params, rows[top].tolist()),
+                representatives=frozenset(map(tuple, rows.tolist())))
 
 
 def params_to_dict(params: Params) -> dict:

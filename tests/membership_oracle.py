@@ -11,7 +11,9 @@ references scan for domination, where lrrc reads the maximal members of
 H and the maximal repair targets off the members of total M.  The
 filtering enumeration runs h_membership on all (d+1)^n candidates,
 where lrrc.mfhs.h_enumerate tests one canonical candidate per
-family-symmetry orbit.  The orbit listing builds each orbit as tuples,
+family-symmetry orbit; the candidate enumeration runs h_membership on
+every canonical candidate, where h_enumerate certifies most of them in
+batches and searches only the rest.  The orbit listing builds each orbit as tuples,
 one vector at a time, where lrrc.mfhs expands all orbits at once into
 one numpy array.  These tests hold each pair against each other.
 """
@@ -23,6 +25,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from lrrc import mfhs
 from lrrc.mfhs import HSet, Params, Perm, h_membership, score_vectors
 
 
@@ -112,6 +115,14 @@ def filtered_h(params: Params) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple
             assert result.witness is not None
             witnesses.append(result.witness.order)
     return tuple(members), tuple(witnesses)
+
+
+def candidate_h(params: Params) -> tuple[int, frozenset[tuple[int, ...]], list[tuple[int, ...]]]:
+    """|H|, the orbit representatives in H and those of total M, by
+    running h_membership on every canonical candidate."""
+    sizes = {h: size for h, size in mfhs._canonical_candidates(params)
+             if h_membership(params, h).member}
+    return sum(sizes.values()), frozenset(sizes), [h for h in sizes if sum(h) == params.M]
 
 
 def maximal_by_domination(hset: HSet) -> tuple[tuple[int, ...], ...]:

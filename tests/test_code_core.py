@@ -351,6 +351,36 @@ def test_witness_gather_on_defects_and_above_the_int64_limit():
     assert any(verdicts) and not all(verdicts)
 
 
+@pytest.mark.parametrize("targets_per_chunk", (1, 7, 10_000))
+def test_witness_ranks_one_target_at_a_time_up_to_the_first_failure(targets_per_chunk,
+                                                                    monkeypatch):
+    # the blocks become lists chunk by chunk, but every target is still
+    # ranked by its own rank_of_rows call, and none after the first
+    # target below full rank
+    rng = random.Random("witness-chunks")
+    failed, helpers = rng.choice(_witness_keys(P641))
+    rows = witness_targets(H641, failed, helpers)
+    state = construct(P641, field_new(7639), H641, rng_seed=3)
+    monkeypatch.setattr(code_core, "RANK_CHUNK", targets_per_chunk * P641.M ** 2)
+    calls = []
+
+    def counting_rank(rows_, q):
+        calls.append(q)
+        return rank_of_rows(rows_, q)
+
+    monkeypatch.setattr(code_core, "rank_of_rows", counting_rank)
+    for broken in (None, 0, len(rows) // 2, len(rows) - 1):
+        checked = state if broken is None else _break_selection(state, H641.maximal[rows[broken]], rng)
+        coef = code_core._coefficients(checked)
+        columns = code_core._sweep_plan(H641)[0][rows]
+        ranks = [rank_of_rows(coef[:, c].T.tolist(), 7639) for c in columns]
+        first = next((i for i, r in enumerate(ranks) if r < P641.M), None)
+        calls.clear()
+        assert witness_holds(checked, failed, helpers, H641) == (first is None)
+        assert len(calls) == (len(rows) if first is None else first + 1), broken
+        assert (first is None) == (broken is None) and (first or 0) <= (broken or 0)
+
+
 def _refuse(*args):
     raise AssertionError("a witness check ran connect_run or a membership test")
 

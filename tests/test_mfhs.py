@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from lrrc.mfhs import (
 )
 
 from membership_oracle import (
+    candidate_h,
     covers_along,
     exhaustive_witness,
     in_scope_points,
@@ -248,6 +250,112 @@ def test_membership_search_finds_members_the_canonical_order_misses(nkdr, h, wit
     got = h_membership(p, h)
     assert got.member and got.witness.order == witness
     assert is_witness(p, h, witness) and covers_along(p, h, witness)
+
+
+def _canonical_order(params, h):
+    return sorted(range(1, params.n + 1), key=lambda node: (-h[node - 1], node))
+
+
+def _closed_form_candidates(point):
+    n, _, d, r = point
+    f = n - d - r
+    return math.comb(math.comb(d + f, f) + n // f - 1, n // f)
+
+
+# every in-scope point with n <= 10 that has at most 20,000 canonical candidates
+CERTIFICATE_POINTS = [p for p in in_scope_points(10) if _closed_form_candidates(p) <= 20_000]
+
+
+def test_certificate_sweep_counts():
+    # the batched canonical-order pass certifies every member of the
+    # sweep: members and rejects add up to the candidates, so the search
+    # h_enumerate runs on the rejects proves each of them a non-member
+    candidates = rejects = members = 0
+    for point in CERTIFICATE_POINTS:
+        params = params_new(*point)
+        rows = np.array([h for h, _ in mfhs._canonical_candidates(params)], np.int8)
+        candidates += len(rows)
+        rejects += int((~mfhs._canonical_covers(params, rows)).sum())
+        members += len(h_enumerate(params).representatives)
+    assert (len(CERTIFICATE_POINTS), candidates, members, rejects) == (238, 55_701, 51_437, 4_264)
+
+
+def test_membership_search_runs_on_the_rejects_alone(monkeypatch):
+    params = params_new(10, 9, 5, 0)
+    rows = np.array([h for h, _ in mfhs._canonical_candidates(params)], np.int8)
+    rejects = {tuple(h) for h in rows[~mfhs._canonical_covers(params, rows)].tolist()}
+    searched = []
+
+    def recording_membership(params_, h):
+        searched.append(h)
+        return h_membership(params_, h)
+
+    monkeypatch.setattr(mfhs, "h_membership", recording_membership)
+    assert (5, 2, 0, 0, 0, 4, 4, 4, 4, 2) in h_enumerate.__wrapped__(params)
+    assert sorted(searched) == sorted(rejects) and len(rejects) == 3_430
+
+
+@pytest.mark.parametrize("point", CERTIFICATE_POINTS, ids=lambda p: "-".join(map(str, p)))
+def test_batched_certificate_and_enumeration_match_the_references(point):
+    # the batched pass is is_witness on the canonical order, row for
+    # row, and h_enumerate equals h_membership run on every candidate
+    params = params_new(*point)
+    vectors = [h for h, _ in mfhs._canonical_candidates(params)]
+    certified = mfhs._canonical_covers(params, np.array(vectors, np.int8))
+    assert certified.tolist() == [is_witness(params, h, _canonical_order(params, h)) for h in vectors]
+    size, representatives, top = candidate_h(params)
+    hset = h_enumerate(params)
+    assert (hset.size, hset.representatives) == (size, representatives)
+    assert np.array_equal(hset.rows, mfhs._orbits(params, top))
+
+
+PLANTED = {
+    (10, 9, 5, 0): [(5, 2, 0, 0, 0, 4, 4, 4, 4, 2), (2, 5, 0, 4, 0, 4, 0, 4, 2, 4)],
+    (12, 9, 5, 1): [(5, 2, 0, 0, 0, 0, 4, 4, 4, 4, 2, 0)],
+    (8, 5, 3, 1): [(2, 0, 0, 0, 0, 3, 3, 0), (3, 0, 0, 0, 0, 3, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0)],
+    (6, 4, 3, 1): [(0, 2, 3, 0, 1, 1), (3, 3, 1, 0, 0, 0), (1, 1, 1, 1, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("point", sorted(PLANTED), ids=lambda p: "-".join(map(str, p)))
+def test_batched_certificate_on_planted_rejects(point):
+    # members only the search proves, non-members, and rows that are no
+    # canonical candidate, in one batch
+    params = params_new(*point)
+    certified = mfhs._canonical_covers(params, np.array(PLANTED[point], np.int8))
+    assert certified.tolist() == [is_witness(params, h, _canonical_order(params, h))
+                                  for h in PLANTED[point]]
+    if point[:2] in ((10, 9), (12, 9)):
+        assert not certified[0] and h_membership(params, PLANTED[point][0]).member
+
+
+@settings(deadline=None)
+@given(st.sampled_from(in_scope_points(10)), st.data())
+def test_batched_certificate_on_drawn_vectors(nkdr, data):
+    params = params_new(*nkdr)
+    vectors = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        h, budget = [0] * params.n, params.M
+        for node in data.draw(st.permutations(range(params.n))):
+            h[node] = data.draw(st.integers(0, min(params.d, budget)))
+            budget -= h[node]
+        vectors.append(tuple(h))
+    certified = mfhs._canonical_covers(params, np.array(vectors, np.int8))
+    assert certified.tolist() == [is_witness(params, h, _canonical_order(params, h)) for h in vectors]
+
+
+@pytest.mark.parametrize("point", [(6, 4, 3, 1), (8, 4, 2, 2), (10, 9, 5, 0)],
+                         ids=lambda p: "-".join(map(str, p)))
+def test_candidate_chunks_leave_the_hset_unchanged(point, monkeypatch):
+    # chunks of 1 and of 7 candidates; (10,9,5,0) holds a member that
+    # only the search proves
+    params = params_new(*point)
+    whole = h_enumerate.__wrapped__(params)
+    for rows_per_chunk in (1, 7):
+        monkeypatch.setattr(mfhs, "RANK_CHUNK", rows_per_chunk * params.n ** 2)
+        chunked = h_enumerate.__wrapped__(params)
+        assert (chunked.size, chunked.representatives) == (whole.size, whole.representatives)
+        assert np.array_equal(chunked.rows, whole.rows)
 
 
 def test_enumeration_budget_refuses_up_front():
