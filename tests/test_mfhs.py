@@ -234,6 +234,10 @@ def test_membership_covers_position_by_position():
     assert h_membership(p, (2, 0, 0, 0, 0, 3, 3, 0)).member is False
 
 
+def _canonical_order(params, h):
+    return sorted(range(1, params.n + 1), key=lambda node: (-h[node - 1], node))
+
+
 @pytest.mark.parametrize("nkdr,h,witness", [
     ((10, 9, 5, 0), (5, 2, 0, 0, 0, 4, 4, 4, 4, 2), (1, 6, 7, 8, 9, 10, 2, 3, 4, 5)),
     ((12, 9, 5, 1), (5, 2, 0, 0, 0, 0, 4, 4, 4, 4, 2, 0),
@@ -244,16 +248,11 @@ def test_membership_search_finds_members_the_canonical_order_misses(nkdr, h, wit
     # takes node 2 before the other node of value 2 and falls short, so
     # only the search past h_membership's first pass proves these members
     p = params_new(*nkdr)
-    canonical = sorted(range(1, p.n + 1), key=lambda node: (-h[node - 1], node))
-    assert not is_witness(p, h, canonical)
+    assert not is_witness(p, h, _canonical_order(p, h))
     assert exhaustive_witness(p, h) == witness
     got = h_membership(p, h)
     assert got.member and got.witness.order == witness
     assert is_witness(p, h, witness) and covers_along(p, h, witness)
-
-
-def _canonical_order(params, h):
-    return sorted(range(1, params.n + 1), key=lambda node: (-h[node - 1], node))
 
 
 def _closed_form_candidates(point):
