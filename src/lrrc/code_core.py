@@ -368,6 +368,13 @@ def _uniform(rng: np.random.Generator, q: int, shape: tuple[int, int]) -> np.nda
     return rng.integers(0, q, size=shape, dtype=np.int64)
 
 
+def _check_attempts(max_attempts: int) -> None:
+    """Raise CodeError when max_attempts is below 1; construct and
+    repair_random call this before any other work."""
+    if max_attempts < 1:
+        raise CodeError(f"max_attempts must be at least 1, got {max_attempts}")
+
+
 def _sample_until_accepted(
     sample: Callable[[np.random.Generator, int], CodeState],
     hset: HSet,
@@ -381,10 +388,9 @@ def _sample_until_accepted(
 
     invariant_check runs once per attempt.  When all max_attempts
     samples were rejected, raises error with the h that rejected each,
-    recomputed only then; raises CodeError when max_attempts is below 1.
+    recomputed only then.  Its callers have checked max_attempts with
+    _check_attempts.
     """
-    if max_attempts < 1:
-        raise CodeError(f"max_attempts must be at least 1, got {max_attempts}")
     rng = np.random.Generator(np.random.Philox(rng_seed))
     rejected = []
     for attempt in range(1, max_attempts + 1):
@@ -412,6 +418,7 @@ def construct(
     OutOfScope before any draw at a point where some repair can never
     pass (HSet.unrepairable).
     """
+    _check_attempts(max_attempts)
     _check_hset(params, hset)
     _check_repairable(hset)
     bound = required_field_size(params, hset)
@@ -464,6 +471,7 @@ def repair_random(
     too large to draw, and OutOfScope before any draw at a point where
     some repair can never pass (HSet.unrepairable).
     """
+    _check_attempts(max_attempts)
     params = state.params
     ordered = checked_helpers(params, failed, helpers)
     hset = h_enumerate(params)

@@ -28,10 +28,12 @@ one packet every helper sends (a coefficient pair over its two stored
 packets); the newcomer's 2x2 combine matrix is then solved, not
 guessed, from the coding matrices.  verify_exact_code decides every
 one of its 71 report entries -- structure, reconstruction and bit-exact
-regeneration -- by full-column-rank certificates, batched through
-galois.full_column_rank; its docstring proves that each certificate
-gives the verdict decode and exact_repair would.  Those two stay the
-reference the certificates are tested against.
+regeneration -- by full-column-rank certificates: 161 matrices of at
+most 6 x 4, each padded to exactly 6 x 4 without changing its verdict
+(Lemma P), gathered from the state's cached coefficient array and
+decided by one galois.full_column_rank call.  Its docstring proves
+that each certificate gives the verdict decode and exact_repair would.
+Those two stay the reference the certificates are tested against.
 """
 
 from __future__ import annotations
@@ -45,20 +47,17 @@ import numpy as np
 from .galois import (
     FieldConfig,
     FieldMatrix,
-    NotPrime,
     field_new,
     full_column_rank,
-    is_prime,
     mat_hstack,
     mat_inv,
     mat_mul,
     mat_solve,
-    residue_array,
 )
 from .code_core import (
     CodeState,
+    _coefficients,
     decode,  # unused here; perfbench/spans.py wraps this binding
-    reconstruct_verdicts,
 )
 from .mfhs import params_new
 
@@ -140,11 +139,11 @@ def build_exact_code(q: int = 7) -> CodeState:
     those six values are distinct in any field of size 7 or more, which
     is exactly what every repair rule's solvability needs.  All
     structural conditions are verified here rather than assumed.
+    Raises FieldTooSmall below 7 and, through field_new, NotPrime for
+    a composite q.
     """
     if q < MIN_FIELD:
         raise FieldTooSmall(f"GF({q}) cannot host the construction, need q >= {MIN_FIELD}")
-    if not is_prime(q):
-        raise NotPrime(q)
     field = field_new(q)
     p, pbar = ([pow(x - y, -1, q) for x in range(4)] for y in (4, 5))
 
@@ -168,37 +167,24 @@ def build_exact_code(q: int = 7) -> CodeState:
     return code
 
 
-def _arrays(code: CodeState) -> tuple[np.ndarray, np.ndarray]:
-    """The 4 x 6 generator and the 6 x 4 x 2 stack of coding matrices,
-    as galois.residue_array; the generator is the stack's first three
-    nodes side by side."""
-    nodes = residue_array([qm.entries for qm in code.Q], code.field.q).reshape(6, 4, 2)
-    return nodes[:3].transpose(1, 0, 2).reshape(4, 6), nodes
+# Every certificate is gathered from one source vector: the residues 0
+# and 1, then the state's cached coefficient array [Q_1 | ... | Q_6]
+# row by row, then (for verify_exact_code) the 30 rules' received
+# columns.  So the certificates are one fixed index table into it.
+_ZERO, _ONE = 0, 1
+_RECEIVED = 2 + 4 * 12  # past 0, 1 and the 4 x 12 coefficient array
 
 
-_MDS_COLUMNS = np.array(_MDS_SUBSETS, dtype=np.intp)
-_PAIR_NODES = np.array(_FAMILY_PAIRS, dtype=np.intp) - 1
+def _entry(node: int, row: int, col: int) -> int:
+    """Where entry (row, col) of Q_node sits in the source vector."""
+    return 2 + row * 12 + (node - 1) * 2 + col
 
 
-def _structural_entries(code: CodeState) -> tuple[list[dict], list[dict]]:
-    """Structural conditions every valid code instance satisfies.
-
-    Returns one entry per four-column generator selection (invertible
-    for the MDS property) and one per within-family node pair (its four
-    columns span the file), each with an "ok" verdict.  All 21 are 4 x 4
-    full-rank tests, decided in one batched kernel call.
-    """
-    generator, nodes = _arrays(code)
-    stack = np.concatenate([
-        generator[:, _MDS_COLUMNS].transpose(1, 0, 2),
-        np.concatenate([nodes[_PAIR_NODES[:, 0]], nodes[_PAIR_NODES[:, 1]]], axis=2),
-    ])
-    ok = full_column_rank(stack, code.field.q).tolist()
-    mds = [{"columns": [j + 1 for j in subset], "ok": v}
-           for subset, v in zip(_MDS_SUBSETS, ok)]
-    pairs = [{"pair": list(pair), "ok": v}
-             for pair, v in zip(_FAMILY_PAIRS, ok[len(_MDS_SUBSETS):])]
-    return mds, pairs
+def _source(code: CodeState) -> np.ndarray:
+    """The source vector up to the received columns, in the dtype of
+    code_core._coefficients, which keeps the array on the state."""
+    coef = _coefficients(code)
+    return np.concatenate([np.array([_ZERO, _ONE], dtype=coef.dtype), coef.ravel()])
 
 
 def _helpers(failed: int, unavailable: int) -> tuple[int, ...]:
@@ -207,29 +193,32 @@ def _helpers(failed: int, unavailable: int) -> tuple[int, ...]:
     return tuple([x for x in opposite if x != unavailable][:2])
 
 
-# Sends by the failed node's position in its family (see _sends_for).
+# Sends by the failed node's position in its family (see _send_entries).
 _POSITION_SENDS = ((1, 0), (0, 1), (1, 1))
 
 
-def _sends_for(code: CodeState, failed: int, helper: int) -> tuple[int, int]:
-    """Coefficient pair helper applies to its own packets for this repair.
+def _send_entries(failed: int, helper: int) -> tuple[int, int]:
+    """Where, in the source vector (_source), the coefficient pair that
+    helper applies to its own packets for this repair sits.
 
     A family-B newcomer's Q_failed is [top(c) bottom(c)] for one parity
     column c.  Node 1 stores [e1 e2], so sending the top half of c
     gives top(c); node 2 stores [e3 e4], so sending the bottom half of
     c gives bottom(c); both halves are read from Q_failed itself.  Every
     other send is _POSITION_SENDS at the failed node's position in its
-    family.  Node 3 stores [p pbar], and the family-B newcomer's packet
-    total top(c) + bottom(c) = c is p, pbar or p + pbar, so node 3 sends
-    that combination of its packets; a family-A newcomer asks each
-    family-B helper for its first packet, its second or their sum.
-    Either way two received packets pin the two lost ones down through
-    an invertible 2x2 system.
+    family, and its coefficients 0 and 1 are the source vector's first
+    two entries, so the pair is its own position.  Node 3 stores
+    [p pbar], and the family-B newcomer's packet total top(c) +
+    bottom(c) = c is p, pbar or p + pbar, so node 3 sends that
+    combination of its packets; a family-A newcomer asks each family-B
+    helper for its first packet, its second or their sum.  Either way
+    two received packets pin the two lost ones down through an
+    invertible 2x2 system.
     """
     if failed in FAMILY_B and helper in (1, 2):
-        # helper j sends half j of Q_failed's column j (entries are row-major)
-        column = code.Q[failed - 1].entries[helper - 1::2]
-        return column[2 * helper - 2:2 * helper]
+        # helper j sends half j of Q_failed's column j
+        return (_entry(failed, 2 * helper - 2, helper - 1),
+                _entry(failed, 2 * helper - 1, helper - 1))
     return _POSITION_SENDS[(failed - 1) % 3]
 
 
@@ -247,7 +236,8 @@ def repair_rule(code: CodeState, failed: int, unavailable: int) -> RepairRule:
     if failed == unavailable or not (1 <= failed <= 6) or not (1 <= unavailable <= 6):
         raise InvalidPair(f"failed={failed}, unavailable={unavailable}")
     helpers = _helpers(failed, unavailable)
-    sends = {x: _sends_for(code, failed, x) for x in helpers}
+    source = _source(code)
+    sends = {x: tuple(source[list(_send_entries(failed, x))].tolist()) for x in helpers}
 
     received = mat_hstack([
         mat_mul(code.Q[x - 1], _column(sends[x], code.field)) for x in helpers
@@ -312,19 +302,30 @@ def verify_exact_code(code: CodeState) -> ExactVerifyReport:
     Checks: all 15 four-column generator selections invertible, all six
     within-family node pairs full rank, file recovery from all 20 node
     triples, and bit-exact regeneration for all 30 (failed, unavailable)
-    pairs.  Every entry is a full-column-rank certificate, and the whole
-    report takes four batched galois.full_column_rank calls.  Nothing is
-    assumed from the construction; a tampered code yields a failing
-    report, not an exception.  Two lemmas show that each certificate
-    gives the verdict a replay through decode and exact_repair gives.
+    pairs.  Every entry is decided by full-column-rank certificates, 161
+    small matrices in all, and the whole report takes one
+    galois.full_column_rank call on them, each padded to 6 x 4 (Lemma
+    P).  Nothing is assumed from the construction; a tampered code
+    yields a failing report, not an exception.  Two lemmas show that
+    each certificate gives the verdict a replay through decode and
+    exact_repair gives.
+
+    Lemma P (padding).  For an m x s matrix A with s <= 4 and
+    m + 4 - s <= 6, let A' be [[A, 0], [0, I_{4-s}]] with zero rows
+    appended up to six.  Then A' has full column rank 4 exactly when A
+    has full column rank s.  Zero rows change no rank, and the block
+    diagonal matrix has rank rank(A) + (4 - s), which is 4 exactly when
+    rank(A) = s.  The certificates are 21 structural 4 x 4 matrices, 20
+    reconstruction blocks of 6 x 4, and Lemma E's 60 matrices of 4 x 2
+    and 60 of 4 x 3, so all 161 fit one 6 x 4 stack.
 
     Lemma R (reconstruction).  Triple T's entry passes exactly when its
-    6 x 4 block [Q_i]_{i in T}^T has full column rank, the per-subset
-    verdict of code_core.reconstruct_verdicts.  The stored packets are
-    encode(file), so decode's system Q_T^T X = P_T^T is consistent: the
-    file solves it.  mat_solve returns the unique solution, hence the
-    file, exactly when Q_T^T has full column rank, and None otherwise,
-    which decode raises as RankDeficient.
+    6 x 4 block [Q_i]_{i in T}^T has full column rank; that block is
+    the one code_core.reconstruct_verdicts ranks for T.  The stored
+    packets are encode(file), so decode's system Q_T^T X = P_T^T is
+    consistent: the file solves it.  mat_solve returns the unique
+    solution, hence the file, exactly when Q_T^T has full column rank,
+    and None otherwise, which decode raises as RankDeficient.
 
     Lemma E (exact repair).  Rule (f, u) passes exactly when Q_f and
     R = [Q_{h1} s_1 | Q_{h2} s_2] have full column rank and neither
@@ -342,11 +343,14 @@ def verify_exact_code(code: CodeState) -> ExactVerifyReport:
     exactly when the certificate holds.
     """
     _check_params(code)
-    mds, pairs = _structural_entries(code)
-    recon_ok = reconstruct_verdicts(code).tolist()
-    recon = [{"nodes": list(triple), "ok": v} for triple, v in zip(_TRIPLES, recon_ok)]
+    structural, recon_ok, rules = np.split(_certificate_verdicts(code),
+                                           [_STRUCTURAL, _STRUCTURAL + len(_TRIPLES)])
+    mds, pairs = _structural_report(structural.tolist())
+    recon = [{"nodes": list(triple), "ok": v} for triple, v in zip(_TRIPLES, recon_ok.tolist())]
+    own, received, first, second = rules.reshape(4, len(_RULES))
+    repair_ok = own & received & ~first & ~second
     repairs = [{"failed": f, "unavailable": u, "ok": v}
-               for (f, u), v in zip(_RULES, _repair_verdicts(code))]
+               for (f, u), v in zip(_RULES, repair_ok.tolist())]
     passed = all(e["ok"] for group in (mds, pairs, recon, repairs) for e in group)
     return ExactVerifyReport(
         q=code.field.q,
@@ -358,33 +362,86 @@ def verify_exact_code(code: CodeState) -> ExactVerifyReport:
     )
 
 
+def _padded(columns: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The 6 x 4 matrix [[A, 0], [0, I_{4-s}]], with zero rows below, of
+    the m x s matrix A whose columns are given as source positions; it
+    needs m + 4 - s <= 6.  See verify_exact_code's Lemma P."""
+    m, s = len(columns[0]), len(columns)
+    rows = [[column[i] for column in columns] + [_ZERO] * (4 - s) for i in range(m)]
+    rows += [[_ONE if j == s + i else _ZERO for j in range(4)] for i in range(4 - s)]
+    return rows + [[_ZERO] * 4] * (6 - len(rows))
+
+
+def _node(node: int) -> list[list[int]]:
+    """Q_node's two columns as source positions."""
+    return [[_entry(node, i, col) for i in range(4)] for col in range(2)]
+
+
+def _received(rule: int, j: int) -> list[int]:
+    """Column j of R for rule number rule of _RULES, as source
+    positions; _certificate_verdicts writes it there."""
+    return [_RECEIVED + rule * 8 + j * 4 + i for i in range(4)]
+
+
 _RULE_HELPERS = tuple(_helpers(f, u) for f, u in _RULES)
-_RULE_FAILED_INDEX = np.array([f for f, _ in _RULES], dtype=np.intp) - 1
-_RULE_HELPER_INDEX = np.array(_RULE_HELPERS, dtype=np.intp) - 1
+_STRUCTURAL = len(_MDS_SUBSETS) + len(_FAMILY_PAIRS)
+# The 161 certificates in report order, as one (161, 6, 4) index table
+# into the source vector: the 15 MDS selections, whose generator column
+# c is coefficient column c; the 6 within-family pairs [Q_a | Q_b]; the
+# 20 triples' blocks Q_T^T; then Lemma E's Q_f, R, [Q_f | r_1] and
+# [Q_f | r_2], 30 of each, in _RULES order.
+_CERTIFICATES = np.array(
+    [_padded([[_entry(c // 2 + 1, i, c % 2) for i in range(4)] for c in subset])
+     for subset in _MDS_SUBSETS]
+    + [_padded(_node(a) + _node(b)) for a, b in _FAMILY_PAIRS]
+    + [_padded([[_entry(x, i, col) for x in triple for col in range(2)] for i in range(4)])
+       for triple in _TRIPLES]
+    + [_padded(_node(f)) for f, _ in _RULES]
+    + [_padded([_received(rule, 0), _received(rule, 1)]) for rule in range(len(_RULES))]
+    + [_padded(_node(f) + [_received(rule, j)])
+       for j in (0, 1) for rule, (f, _) in enumerate(_RULES)],
+    dtype=np.intp,
+)
+# helper j's block of rule number rule, [rule, j, row, col], and the
+# pair it sends, [rule, j, col], both as source positions
+_HELPER_BLOCKS = np.array([[[[_entry(x, i, col) for col in range(2)] for i in range(4)]
+                            for x in helpers] for helpers in _RULE_HELPERS], dtype=np.intp)
+_SEND_ENTRIES = np.array([[_send_entries(f, x) for x in helpers]
+                          for (f, _), helpers in zip(_RULES, _RULE_HELPERS)], dtype=np.intp)
 
 
-def _repair_verdicts(code: CodeState) -> list[bool]:
-    """Lemma E's certificate for every rule, in _RULES order: two batched
-    kernel calls, one on 4 x 2 and one on 4 x 3 matrices."""
+def _certificate_verdicts(code: CodeState) -> np.ndarray:
+    """Which of the 161 certificates of _CERTIFICATES have full column
+    rank: one galois.full_column_rank call.  Column j of each rule's R
+    is helper j's block times its send pair, each product reduced mod q
+    before the sum, so the sum stays below 2q in any dtype."""
     q = code.field.q
-    _, nodes = _arrays(code)
-    sends = residue_array(
-        [[[v % q for v in _sends_for(code, f, h)] for h in helpers]
-         for (f, _), helpers in zip(_RULES, _RULE_HELPERS)],
-        q,
-    )
-    # column j of R is helper j's 4 x 2 block times its send pair; each
-    # of the two products stays under 2^30 in int32 (q < 2^15) and 2^62
-    # in int64 (q < 2^31), so their sum fits either dtype
-    products = nodes[_RULE_HELPER_INDEX] * sends[:, :, None, :]
-    received = (products.sum(axis=3) % q).transpose(0, 2, 1)
-    own = nodes[_RULE_FAILED_INDEX]
-    full = full_column_rank(np.concatenate([own, received]), q)
-    spans = full_column_rank(np.concatenate([
-        np.concatenate([own, received[:, :, j:j + 1]], axis=2) for j in (0, 1)
-    ]), q)
-    count = len(_RULES)
-    return (full[:count] & full[count:] & ~spans[:count] & ~spans[count:]).tolist()
+    source = _source(code)
+    products = source[_HELPER_BLOCKS] * source[_SEND_ENTRIES][:, :, None, :] % q
+    received = products.sum(axis=3) % q
+    return full_column_rank(np.concatenate([source, received.ravel()])[_CERTIFICATES], q)
+
+
+def _structural_report(ok: Sequence[bool]) -> tuple[list[dict], list[dict]]:
+    """The MDS and pair entries from the first _STRUCTURAL verdicts."""
+    mds = [{"columns": [j + 1 for j in subset], "ok": v}
+           for subset, v in zip(_MDS_SUBSETS, ok)]
+    pairs = [{"pair": list(pair), "ok": v}
+             for pair, v in zip(_FAMILY_PAIRS, ok[len(_MDS_SUBSETS):])]
+    return mds, pairs
+
+
+def _structural_entries(code: CodeState) -> tuple[list[dict], list[dict]]:
+    """Structural conditions every valid code instance satisfies.
+
+    Returns one entry per four-column generator selection (invertible
+    for the MDS property) and one per within-family node pair (its four
+    columns span the file), each with an "ok" verdict.  All 21 are 4 x 4
+    full-rank tests, decided in one batched kernel call on the first
+    _STRUCTURAL certificates less their two zero rows.
+    """
+    stack = _source(code)[_CERTIFICATES[:_STRUCTURAL, :4]]
+    return _structural_report(full_column_rank(stack, code.field.q).tolist())
 
 
 def code_to_dict(code: CodeState) -> dict:

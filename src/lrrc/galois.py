@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -138,8 +139,13 @@ class FieldConfig:
     q: int
 
 
+@lru_cache(maxsize=None, typed=True)
 def field_new(q: int) -> FieldConfig:
-    """Return a field context for prime q, rejecting composites."""
+    """Return a field context for prime q, rejecting composites.
+
+    Cached per q, so each field's primality is tested once however many
+    matrices name it; NotPrime is raised, never cached, so a composite
+    q raises on every call."""
     if not is_prime(q):
         raise NotPrime(q)
     return FieldConfig(q)

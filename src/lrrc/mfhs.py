@@ -94,10 +94,11 @@ only the orbits of total M, which Lemma A says are the maximal members.
 It decides a bounded int8 chunk of candidates at a time in numpy, by
 is_witness on each one's canonical order (h descending, ties by
 ascending node index), and runs h_membership's search only on the
-candidates that order leaves uncovered.  It holds the maximal members
-as one (N, n) int8 array in lexicographic order, the member order,
-built in numpy from per-pattern arrangement tables and sorted once; a
-member becomes a tuple only where an h is named.
+candidates that order leaves uncovered, starting from the orders it
+has already sorted.  It holds the maximal members as one (N, n) int8
+array in lexicographic order, the member order, built in numpy from
+per-pattern arrangement tables and sorted once; a member becomes a
+tuple only where an h is named.
 """
 
 from __future__ import annotations
@@ -361,21 +362,33 @@ def h_membership(params: Params, h: Sequence[int]) -> MembershipResult:
     is_witness runs first on that order, a single pass without the group
     and family-state bookkeeping, and when it holds, the order is the
     witness the search would return.  h_enumerate runs the same pass on
-    whole chunks of candidates (_canonical_covers) and calls this only
-    on the vectors it leaves uncovered.  At the 98 scope points of the
-    tests' reference sweep, which calls this on all (d + 1)^n vectors,
+    whole chunks of candidates (_canonical_covers) and hands the vectors
+    it leaves uncovered, with their canonical orders, straight to the
+    search, _membership_search.  At the 98 scope points of the tests'
+    reference sweep, which calls this on all (d + 1)^n vectors,
     the pass alone answers all 126,015 members among the 138,071
     vectors of total at most M, so it keeps that sweep from lengthening
     the suite.
     """
     if len(h) != params.n:
         raise LengthMismatch(f"h over {len(h)} nodes, params say {params.n}")
-    n, d, f = params.n, params.d, params.family_size
-    canonical = sorted(range(1, n + 1), key=lambda node: (-h[node - 1], node))
+    canonical = sorted(range(1, params.n + 1), key=lambda node: (-h[node - 1], node))
     if is_witness(params, h, canonical):
         return MembershipResult(True, Perm(tuple(canonical)))
     if sum(h) > params.M or min(h) < 0 or max(h) > params.d:
         return MembershipResult(False, None)
+    return _membership_search(params, h, canonical)
+
+
+def _membership_search(params: Params, h: Sequence[int],
+                       canonical: Sequence[int]) -> MembershipResult:
+    """h_membership's depth-first search past its first pass.
+
+    h has entries in 0..d totalling at most M, and canonical is its
+    canonical order, nodes 1..n sorted by (-h, node index), which the
+    search descends first; so a caller that has already found that the
+    order does not cover h sorts nothing again."""
+    n, d, f = params.n, params.d, params.family_size
     placed = [0] * params.num_families
     order: list[int] = []
     failed: set[tuple[tuple[int, ...], int]] = set()
@@ -412,10 +425,11 @@ def h_membership(params: Params, h: Sequence[int]) -> MembershipResult:
     return MembershipResult(found, Perm(tuple(order)) if found else None)
 
 
-def _canonical_covers(params: Params, rows: np.ndarray) -> np.ndarray:
+def _canonical_covers(params: Params, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """is_witness on the canonical order of each row of rows, a (B, n)
     array of vectors with entries in 0..d totalling at most M: a True
-    row is in H with that order as h_membership's witness.
+    row is in H with that order as h_membership's witness.  Returns the
+    verdicts and the (B, n) canonical orders, as 0-based node indices.
 
     A stable argsort of -h orders each row by (-h, node index), and a
     sort of -h gives the values along that order, negated.  The earlier
@@ -432,10 +446,11 @@ def _canonical_covers(params: Params, rows: np.ndarray) -> np.ndarray:
     of the 51,437 members among the 55,701 candidates of total at most
     M, and all 4,264 it leaves are non-members."""
     n, negated = params.n, -rows
-    family = np.argsort(negated, axis=1, kind="stable") // params.family_size
+    order = np.argsort(negated, axis=1, kind="stable")
+    family = order // params.family_size
     placed = ((family[:, :, None] == family[:, None, :]) & np.tri(n, k=-1, dtype=bool)).sum(axis=2)
     gains = np.maximum(params.d - np.arange(n) + placed, 0) + np.sort(negated, axis=1)
-    return (np.cumsum(gains, axis=1) >= 0).all(axis=1)
+    return (np.cumsum(gains, axis=1) >= 0).all(axis=1), order
 
 
 def _orbit_representative(h: Sequence[int], f: int) -> tuple[int, ...]:
@@ -657,9 +672,10 @@ def h_enumerate(params: Params) -> HSet:
     The canonical candidates of total at most M are taken RANK_CHUNK //
     n^2 at a time into an int8 array, so that _canonical_covers' (B, n,
     n) block holds at most RANK_CHUNK entries; the candidates it leaves
-    uncovered go to h_membership, whose search decides them.  The
-    members stay int8 rows, and their orbit sizes Python ints, so |H|
-    is exact at any size.  Only when the orbits of total M hold at most
+    uncovered go, with the canonical orders it computed, to
+    _membership_search, which decides them.  The members stay int8
+    rows, and their orbit sizes Python ints, so |H| is exact at any
+    size.  Only when the orbits of total M hold at most
     H_ENUMERATION_LIMIT members do the representatives become tuples
     and those orbits get expanded, by _orbits, into the rows of the
     maximal layer.  Cached per parameter set; raises TooLarge when the
@@ -676,9 +692,10 @@ def h_enumerate(params: Params) -> HSet:
     while chunk := list(itertools.islice(stream, step)):
         vectors, counts = zip(*chunk)
         rows = np.array(vectors, np.int8)
-        member = _canonical_covers(params, rows)
-        for i in np.flatnonzero(~member):
-            member[i] = h_membership(params, vectors[i]).member
+        member, order = _canonical_covers(params, rows)
+        rejects = np.flatnonzero(~member)
+        for i, canonical in zip(rejects, (order[rejects] + 1).tolist()):
+            member[i] = _membership_search(params, vectors[i], canonical).member
         chunks.append(rows[member])
         sizes += itertools.compress(counts, member)
     rows = np.concatenate(chunks)

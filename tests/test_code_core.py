@@ -109,6 +109,19 @@ def test_construct_below_bound_sets_flag(caplog):
     assert invariant_check(state, H321)
 
 
+def test_attempt_budget_is_checked_before_any_other_work(small_state, caplog):
+    # GF(101) is below the bound, yet a budget of 0 is refused before
+    # the warning; repair refuses it before checking its helpers
+    import logging
+
+    with caplog.at_level(logging.WARNING, logger="lrrc.code_core"):
+        with pytest.raises(CodeError, match="max_attempts must be at least 1"):
+            construct(P321, field_new(101), H321, rng_seed=5, max_attempts=0)
+        with pytest.raises(CodeError, match="max_attempts must be at least 1"):
+            repair_random(small_state, 1, (1, 2, 3), rng_seed=0, max_attempts=0)
+    assert caplog.records == []
+
+
 def test_construct_gives_up_over_tiny_field():
     with pytest.raises(ConstructionFailed) as err:
         construct(P321, field_new(2), H321, rng_seed=0, max_attempts=3)

@@ -6,8 +6,12 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lrrc import exact6321, galois
 from lrrc.exact6321 import (
     FAMILY_A,
     FAMILY_B,
@@ -23,7 +27,15 @@ from lrrc.exact6321 import (
     repair_rule,
     verify_exact_code,
 )
-from lrrc.galois import FieldMatrix, GaloisError, identity, mat_hstack, rank_of_rows
+from lrrc.galois import (
+    FieldMatrix,
+    GaloisError,
+    full_column_rank,
+    identity,
+    mat_hstack,
+    rank_of_rows,
+    residue_array,
+)
 from lrrc.mfhs import h_enumerate, params_new
 from lrrc.code_core import (
     CodeError,
@@ -346,3 +358,61 @@ def test_certificates_match_replay(q, count):
             seen[group].update(want)
         assert report["passed"] == all(all(v) for v in replay.values())
     assert all(verdicts == {True, False} for verdicts in seen.values()), seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # the int32 tier's last prime (32749), the int64 tier's first
+    # (32771) and last (2^31 - 1), and the Python-int fallback above
+    st.sampled_from([7, 32749, 32771, 2**31 - 1, 2147483659]),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_padding_keeps_full_column_rank(q, s, rows, count, seed):
+    """Lemma P on drawn m x s matrices, m <= min(6, s + 2): the 6 x 4
+    padding that _padded gathers has full column rank exactly when the
+    matrix has.  Some matrices get a last column that is a combination
+    of the others mod q, some a zero column."""
+    m = min(rows, s + 2)
+    rng = np.random.Generator(np.random.Philox(seed))
+    columns = [[2 + j * m + i for i in range(m)] for j in range(s)]
+    index = np.array(exact6321._padded(columns))
+    assert index.shape == (6, 4)
+    stack, want = [], []
+    for plant in rng.integers(0, 3, size=count).tolist():
+        cols = [[int(v) for v in rng.integers(0, q, size=m)] for _ in range(s)]
+        if plant == 1 and s > 1:
+            weights = [int(v) for v in rng.integers(0, q, size=s - 1)]
+            cols[-1] = [sum(w * c[i] for w, c in zip(weights, cols[:-1])) % q for i in range(m)]
+        elif plant == 2:
+            cols[int(rng.integers(0, s))] = [0] * m
+        stack.append(residue_array([0, 1] + [v for c in cols for v in c], q)[index])
+        want.append(rank_of_rows([[c[i] for c in cols] for i in range(m)], q) == s)
+    assert full_column_rank(np.stack(stack), q).tolist() == want
+
+
+@pytest.mark.parametrize("q", [7, 32771, 2147483659])
+def test_one_kernel_call_per_report(q, monkeypatch):
+    # the 71 verdicts of a report come from one full_column_rank call on
+    # the 161 padded certificates, and that call is the only elimination
+    code = build_exact_code(q)
+    tampered = dataclasses.replace(code, Q=code.Q[:5] + (code.Q[0],))
+    stacks, eliminations = [], []
+    full, eliminate = galois.full_column_rank, galois._eliminate
+
+    def counting_full(stack, q_):
+        stacks.append(stack.shape)
+        return full(stack, q_)
+
+    def counting_eliminate(a, q_):
+        eliminations.append(a.shape)
+        return eliminate(a, q_)
+
+    monkeypatch.setattr(exact6321, "full_column_rank", counting_full)
+    monkeypatch.setattr(galois, "_eliminate", counting_eliminate)
+    for candidate in (code, tampered):
+        del stacks[:], eliminations[:]
+        verify_exact_code(candidate)
+        assert stacks == [(161, 6, 4)] and eliminations == [(6, 4, 161)]

@@ -103,6 +103,22 @@ def test_field_new_rejects_composites():
     assert field_new(7).q == 7
 
 
+def test_field_new_tests_each_prime_once(monkeypatch):
+    # one field object per prime; a composite is never cached, so it
+    # raises on every call
+    tested, is_prime = [], galois.is_prime
+    monkeypatch.setattr(galois, "is_prime", lambda q: tested.append(q) or is_prime(q))
+    galois.field_new.cache_clear()
+    try:
+        assert field_new(7639) is field_new(7639)
+        for _ in range(2):
+            with pytest.raises(NotPrime):
+                field_new(7641)
+        assert tested == [7639, 7641, 7641]
+    finally:
+        galois.field_new.cache_clear()
+
+
 def _m(field, rows):
     return FieldMatrix.from_rows(rows, field)
 

@@ -274,7 +274,7 @@ def test_certificate_sweep_counts():
         params = params_new(*point)
         rows = np.array([h for h, _ in mfhs._canonical_candidates(params)], np.int8)
         candidates += len(rows)
-        rejects += int((~mfhs._canonical_covers(params, rows)).sum())
+        rejects += int((~mfhs._canonical_covers(params, rows)[0]).sum())
         members += len(h_enumerate(params).representatives)
     assert (len(CERTIFICATE_POINTS), candidates, members, rejects) == (238, 55_701, 51_437, 4_264)
 
@@ -282,14 +282,21 @@ def test_certificate_sweep_counts():
 def test_membership_search_runs_on_the_rejects_alone(monkeypatch):
     params = params_new(10, 9, 5, 0)
     rows = np.array([h for h, _ in mfhs._canonical_candidates(params)], np.int8)
-    rejects = {tuple(h) for h in rows[~mfhs._canonical_covers(params, rows)].tolist()}
+    rejects = {tuple(h) for h in rows[~mfhs._canonical_covers(params, rows)[0]].tolist()}
     searched = []
+    search = mfhs._membership_search
 
-    def recording_membership(params_, h):
+    def recording_search(params_, h, canonical):
+        # the batched pass hands over each reject's canonical order
+        assert list(canonical) == _canonical_order(params_, h)
         searched.append(h)
-        return h_membership(params_, h)
+        return search(params_, h, canonical)
 
-    monkeypatch.setattr(mfhs, "h_membership", recording_membership)
+    def refuse(*args):
+        raise AssertionError("h_enumerate reran h_membership's first pass")
+
+    monkeypatch.setattr(mfhs, "_membership_search", recording_search)
+    monkeypatch.setattr(mfhs, "h_membership", refuse)
     assert (5, 2, 0, 0, 0, 4, 4, 4, 4, 2) in h_enumerate.__wrapped__(params)
     assert sorted(searched) == sorted(rejects) and len(rejects) == 3_430
 
@@ -300,7 +307,7 @@ def test_batched_certificate_and_enumeration_match_the_references(point):
     # row, and h_enumerate equals h_membership run on every candidate
     params = params_new(*point)
     vectors = [h for h, _ in mfhs._canonical_candidates(params)]
-    certified = mfhs._canonical_covers(params, np.array(vectors, np.int8))
+    certified = mfhs._canonical_covers(params, np.array(vectors, np.int8))[0]
     assert certified.tolist() == [is_witness(params, h, _canonical_order(params, h)) for h in vectors]
     size, representatives, top = candidate_h(params)
     hset = h_enumerate(params)
@@ -321,7 +328,7 @@ def test_batched_certificate_on_planted_rejects(point):
     # members only the search proves, non-members, and rows that are no
     # canonical candidate, in one batch
     params = params_new(*point)
-    certified = mfhs._canonical_covers(params, np.array(PLANTED[point], np.int8))
+    certified = mfhs._canonical_covers(params, np.array(PLANTED[point], np.int8))[0]
     assert certified.tolist() == [is_witness(params, h, _canonical_order(params, h))
                                   for h in PLANTED[point]]
     if point[:2] in ((10, 9), (12, 9)):
@@ -339,7 +346,7 @@ def test_batched_certificate_on_drawn_vectors(nkdr, data):
             h[node] = data.draw(st.integers(0, min(params.d, budget)))
             budget -= h[node]
         vectors.append(tuple(h))
-    certified = mfhs._canonical_covers(params, np.array(vectors, np.int8))
+    certified = mfhs._canonical_covers(params, np.array(vectors, np.int8))[0]
     assert certified.tolist() == [is_witness(params, h, _canonical_order(params, h)) for h in vectors]
 
 
