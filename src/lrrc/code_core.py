@@ -23,6 +23,25 @@ residues once per column, and by rank_of_rows per selection above
 holds a failure, so a rejected state costs one chunk at most, and
 memory stays bounded at points with 10^5 and more maximal members.
 
+Each sweep is split at t selected columns, t chosen per HSet by
+_split_columns' cost model (0 where no split pays, and at q >= 2^31).
+Schur step: row operations keep rank, and eliminating the first t
+columns of an M x M selection whose prefix has rank t leaves
+[[U, X], [0, S]] with U upper triangular and its diagonal nonzero,
+whose rank is t + rank S.  So the selection has rank M exactly when its
+prefix has rank t and its (M - t)-square remainder S has full rank.
+The members whose selections share their first t columns are
+contiguous: a selection lists its columns ascending, node by node, and
+the member order is lexicographic in h, so the selections come in
+descending lexicographic order (at the first node j where h < h', h
+takes fewer of node j's columns, so its next column is a later one),
+and in a sorted list the rows that share a prefix are adjacent.  Each
+run is one label of _split_plan, and a chunk eliminates each label's
+prefix once, on [prefix | Q_1 | ... | Q_n], then each member's
+remainder.  Splitting by a column count, not by a node, gives every
+member of a sweep the same t, so a chunk takes one prefix elimination
+and one remainder elimination.
+
 This module alone knows that array's layout: node j's d columns sit at
 (j - 1)*d .. j*d - 1, so the array reshaped to M x n x d is a view
 indexed by node.  Every selection index is built in numpy by
@@ -82,6 +101,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .galois import (
+    BATCH_Q_LIMIT,
     FieldConfig,
     FieldMatrix,
     RANK_CHUNK,
@@ -173,8 +193,8 @@ class RepairFailed(AttemptsExhausted):
     a target, and witness_targets raises InternalContradiction on each.
     There a rejecting h can be structural.  The targets stay in H, on
     every key, at the 124 accepted in-scope points with n <= 8 and at
-    most 3 * 10^6 (member, key) pairs; ROADMAP item 5 plans the exact
-    check.
+    most 3 * 10^6 (member, key) pairs; the ROADMAP item "Repair targets
+    that stay in H" plans the exact check.
     """
 
     what = "repair"
@@ -292,14 +312,92 @@ def _sweep_plan(hset: HSet) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
             tuple(np.flatnonzero(reads).astype(np.int32) for reads in (hset.rows > 0).T))
 
 
+# The split model's costs, in entries updated: _eliminate's fixed
+# numpy dispatch per column of a chunk, and what a split adds per chunk
+# (the prefix stack, its remainders' gather and one more call).
+COLUMN_COST = 1500
+SPLIT_COST = 3500
+
+
+def _shared_prefixes(columns: np.ndarray) -> np.ndarray:
+    """How many leading columns each row of columns shares with the row
+    before it; 0 for the first row.  The rows are distinct."""
+    shared = np.zeros(len(columns), dtype=np.intp)
+    shared[1:] = (columns[1:] != columns[:-1]).argmax(axis=1)
+    return shared
+
+
+@lru_cache(maxsize=None)
+def _split_columns(hset: HSet, q: int) -> int:
+    """How many leading columns hset's sweeps in GF(q) split off: 0 at
+    q >= BATCH_Q_LIMIT, where _eliminate ranks each selection by
+    rank_of_rows, else the t that the cost model finds cheapest over
+    the full sweep and every node's, each counted once.
+
+    A sweep of B rows at split t ranks ceil(B / step) chunks of step =
+    RANK_CHUNK // (M - t)^2 rows.  Each chunk pays COLUMN_COST for each
+    of its M columns, and SPLIT_COST more when t > 0.  Its entries cost
+    one each: an (M - t)-square remainder updates sum_{j <= M - t} j^2
+    entries per row, and the prefix step (M - c) * (t + n*d - c) per
+    label for each column c < t, over the labels from the sweep's first
+    row's to its last row's plus one per chunk boundary.  The members
+    that share their first t columns are contiguous (see the module
+    docstring), so the labels are counted off the rows where the shared
+    prefix with the row before is shorter than t.
+    """
+    if q >= BATCH_Q_LIMIT:
+        return 0
+    columns, node_rows = _sweep_plan(hset)
+    m, width = hset.params.M, hset.params.n * hset.params.d
+    spans = [(0, len(columns) - 1, len(columns))]
+    spans += [(rows[0], rows[-1], len(rows)) for rows in node_rows if len(rows)]
+    shared = _shared_prefixes(columns)
+    costs = []
+    for t in range(m):
+        step = max(1, RANK_CHUNK // (m - t) ** 2)
+        new = np.cumsum(shared < t)
+        cost = 0
+        for first, last, count in spans:
+            chunks = -(-count // step)
+            cost += chunks * m * COLUMN_COST + count * sum(j * j for j in range(1, m - t + 1))
+            if t:
+                labels = int(new[last] - new[first]) + chunks
+                cost += chunks * SPLIT_COST + labels * sum(
+                    (m - c) * (t + width - c) for c in range(t))
+        costs.append(cost)
+    return costs.index(min(costs))
+
+
+@lru_cache(maxsize=None)
+def _split_plan(hset: HSet, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(prefixes, remainders), the arguments of first_rank_deficient's
+    split of hset's full sweep at t columns, read off the _sweep_plan
+    columns.  A new label starts at each row whose first t columns
+    differ from the row before's; prefixes[g] holds label g's t columns
+    and remainders[i] = g_i * n*d + (row i's other M - t columns).  A
+    node's sweep takes its rows of remainders, so it shares the plan.
+    Both are int32 while every entry fits, as at every point whose
+    sweep runs in reasonable time."""
+    columns = _sweep_plan(hset)[0]
+    new = _shared_prefixes(columns) < t
+    new[0] = True
+    width = hset.params.n * hset.params.d
+    labels = np.cumsum(new) - 1
+    dtype = np.int32 if int(labels[-1] + 1) * width < 2**31 else np.int64
+    remainders = columns[:, t:].astype(dtype)
+    remainders += (labels * width).astype(dtype)[:, None]
+    return np.ascontiguousarray(columns[new, :t]), remainders
+
+
 def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     """First maximal h, in member order, whose selection loses full
     column rank; None when every admissible selection keeps it.
 
     Checking the maximal members suffices: see the module docstring.
-    They all total M, so their M x M selections decide them, gathered
-    by their rows of the _sweep_plan columns and ranked by
-    galois.first_rank_deficient in chunks.
+    They all total M, so their M x M selections decide them, ranked by
+    galois.first_rank_deficient in chunks: by their rows of the
+    _sweep_plan columns, or of the _split_plan remainders when
+    _split_columns splits the sweep.
     A candidate that repair_random marked as differing from a passing
     state only at node x is ranked on the plan's node_rows[x - 1] alone:
     every other maximal h selects the columns that passed in that state,
@@ -309,12 +407,15 @@ def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     """
     _check_hset(state.params, hset)
     columns, node_rows = _sweep_plan(hset)
+    q = state.field.q
+    t = _split_columns(hset, q)
+    prefixes, columns = _split_plan(hset, t) if t else (None, columns)
     memo = state._checked
     rows = None
     if memo is not None and memo[0] is hset and memo[1] is not None:
         rows = node_rows[memo[1] - 1]
         columns = columns[rows]
-    first = first_rank_deficient(_coefficients(state), columns, state.field.q)
+    first = first_rank_deficient(_coefficients(state), columns, q, prefixes)
     if first is None:
         object.__setattr__(state, "_checked", (hset, None))
         return None

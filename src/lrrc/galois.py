@@ -13,14 +13,21 @@ Matrices are immutable, row-major, and store canonical residues in
   equal-shape matrices at once, and first_rank_deficient, which gathers
   such stacks from the columns of one coefficient array in chunks of
   at most RANK_CHUNK entries and names the first matrix that fails.
-  Both run one elimination loop on an integer array with the batch as
-  its last axis for q < 2^31, int32 for q < 2^15 and int64 above;
-  above 2^31 they fall back to rank_of_rows per matrix.  Each column's
-  update writes the trailing block into a new contiguous array, so the
-  loop always works on a compact block.  Each column after the first
-  starts with one reduction of that block to residues in [0, q), as
-  a - a // q * q, so no update or reduction nears the dtype's limit L
-  (2^31 or 2^63) while 2 * (q - 1) * q < L.
+  Both run one elimination loop, _eliminate, on an integer array with
+  the batch as its last axis for q < 2^31, int32 for q < 2^15 and
+  int64 above; above 2^31 they fall back to rank_of_rows per matrix.
+  Each column's update writes the trailing block into a new contiguous
+  array, so the loop always works on a compact block.  Each column
+  after the first starts with one reduction of that block to residues
+  in [0, q), as a - a // q * q, so no update or reduction nears the
+  dtype's limit L (2^31 or 2^63) while 2 * (q - 1) * q < L.
+- A split: the loop can stop after t columns and return the trailing
+  block, reduced to residues.  first_rank_deficient uses that to
+  eliminate a prefix of t columns shared by a run of rows once, then
+  rank each row's (m - t) x (s - t) remainder in a second pass of the
+  same loop; by the Schur step a row has full column rank exactly when
+  its prefix has rank t and its remainder full column rank.  The two
+  passes take s columns in all, as one unsplit pass does.
 """
 
 from __future__ import annotations
@@ -328,19 +335,32 @@ def residue_array(values: Sequence, q: int) -> np.ndarray:
     return np.array(values, dtype=_residue_dtype(q))
 
 
-def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
+def _eliminate(a: np.ndarray, q: int, stop: int | None = None) -> np.ndarray:
     """Which matrices of an (m, s, B) stack, batch last, have full column
     rank s mod q; the elimination loop behind full_column_rank and
     first_rank_deficient.  It owns a and overwrites it.
 
-    Entries must be canonical residues.  For q < BATCH_Q_LIMIT they must
-    sit in a signed integer array whose limit L = 2^(bits - 1) exceeds
-    2 * (q - 1) * q, as _residue_dtype(q) and every wider dtype do; a
-    narrower one could wrap, so OutOfRange is raised.  Above the limit
-    each matrix goes to rank_of_rows instead.  Below it the whole stack
-    is eliminated together, fraction-free: each lower row becomes
-    row * p - f * pivot_row, with pivot p and the row's own entry f
-    below it, so no modular inverse is needed.
+    With stop <= m and stop < s it eliminates only the first stop
+    columns and returns the trailing (m - stop) x (s - stop) x B block
+    of the transformed rows stop..m-1, reduced to canonical residues.
+    This is the Schur step first_rank_deficient ranks remainders by.
+    Row operations keep rank, and they bring a matrix whose first stop
+    columns have rank stop to [[U, X], [0, S]], with U upper triangular
+    and its diagonal nonzero; that has rank stop + rank S, so it has
+    full column rank exactly when S, its slice of the block, has.  A
+    matrix whose first stop columns have lower rank lacks a pivot at
+    some column, and there all its trailing rows zero out (see Pivots),
+    so its slice of the block is zero.
+
+    Entries must be canonical residues, in Python ints (dtype=object),
+    which cannot wrap, or in a signed integer array whose limit
+    L = 2^(bits - 1) exceeds 2 * (q - 1) * q, as _residue_dtype(q) and
+    every wider dtype do; a narrower one could wrap, so OutOfRange is
+    raised.  Above BATCH_Q_LIMIT, where residues are Python ints, a
+    full elimination hands each matrix to rank_of_rows.  Otherwise the
+    whole stack is eliminated together, fraction-free: each lower row
+    becomes row * p - f * pivot_row, with pivot p and the row's own
+    entry f below it, so no modular inverse is needed.
 
     Layout.  At column col, a is the trailing (m - col) x (s - col) x B
     block, C-contiguous with the batch as its last axis: row 0 is the
@@ -358,7 +378,8 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
 
     Reductions.  Every column after the first starts with one
     reduction of the whole block, a - a // q * q, into [0, q); the first
-    column holds canonical residues already.  So each column starts
+    column holds canonical residues already, and a stopped elimination
+    reduces the block it returns the same way.  So each column starts
     from residues, an entry is zero exactly when it is 0 mod q, and
     nothing can wrap:
     - each product of an update is at most (q - 1)^2;
@@ -369,17 +390,18 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
     rows of a, which are residues at that point.
     """
     m, s, count = a.shape
-    if q >= BATCH_Q_LIMIT:
+    stop = s if stop is None else stop
+    if q >= BATCH_Q_LIMIT and stop == s:
         return np.array([rank_of_rows(a[:, :, i].tolist(), q) == s for i in range(count)],
                         dtype=bool)
     limit = 2 ** (8 * a.dtype.itemsize - 1)
-    if a.dtype.kind != "i" or 2 * (q - 1) * q >= limit:
+    if a.dtype != object and (a.dtype.kind != "i" or 2 * (q - 1) * q >= limit):
         raise OutOfRange(f"GF({q}) residues need {np.dtype(_residue_dtype(q))} or wider, "
                          f"got {a.dtype}")
-    if s > m:
+    if stop > m:
         return np.zeros(count, dtype=bool)
     ok = np.ones(count, dtype=bool)
-    for col in range(s):
+    for col in range(stop):
         if col:  # the first column holds canonical residues already
             a -= a // q * q
         diagonal = a[0, 0]
@@ -396,7 +418,10 @@ def _eliminate(a: np.ndarray, q: int) -> np.ndarray:
         if col + 1 == s:
             break
         a = a[1:, 1:] * a[0, 0] - a[1:, 0, None] * a[0, 1:]
-    return ok
+    if stop == s:
+        return ok
+    a -= a // q * q
+    return a
 
 
 def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
@@ -411,21 +436,57 @@ def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
     return _eliminate(np.array(stack.transpose(1, 2, 0), dtype=_residue_dtype(q), order="C"), q)
 
 
-def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int) -> int | None:
-    """The first row of columns whose selection of coef's columns lacks
-    full column rank mod q, or None when every selection has it.
+def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int,
+                         prefixes: np.ndarray | None = None) -> int | None:
+    """The first row of columns whose selection lacks full column rank
+    mod q, or None when every selection has it.
 
-    coef is an m x N residue_array and columns a (B, s) index array into
-    its columns.  Row i selects the m x s matrix coef[:, columns[i]].
-    The rows are gathered in member order, RANK_CHUNK // (m * s) at a
-    time, straight into the batch-last layout that _eliminate works on,
-    and the call returns at the first chunk that holds a failure.  The
-    index it returns is the one a single call on all rows would give,
-    and memory stays bounded however many rows there are.
+    coef is an m x N residue_array.  Without prefixes, columns is a
+    (B, s) index array into coef's columns, and row i selects the m x s
+    matrix coef[:, columns[i]].  The rows are taken in member order,
+    RANK_CHUNK // ((m - t) * (s - t)) at a time for a split at t
+    columns (t = 0 without one), and the call returns at the first chunk
+    that holds a failure.  The index it returns is the one a single call
+    on all rows would give, with or without a split, and memory stays
+    bounded however many rows there are.
+
+    Without a split each chunk's selections are gathered straight into
+    the batch-last layout that _eliminate works on.  A split at t
+    columns, 0 < t <= m and t < s, takes prefixes, a (G, t) index array
+    into coef's columns, one row per label g, and columns becomes a
+    (B, s - t) array of entries g * N + c: row i has one label g_i,
+    labels do not fall down the rows, and row i selects
+    [coef[:, prefixes[g_i]] | coef[:, columns[i] - g_i * N]].  A chunk
+    stacks [coef[:, prefixes[g]] | coef], m x (t + N), once for each
+    label g from its first row's to its last row's, eliminates only the
+    first t columns, and ranks each row's (m - t) x (s - t) remainder:
+    the transformed rows t..m-1 of its label's stack at its other
+    columns.  Row operations keep rank, so by _eliminate's Schur step a
+    selection has full column rank exactly when its prefix has rank t
+    and its remainder has full column rank.  A prefix of lower rank
+    needs no verdict of its own: the kernel zeroes the trailing rows of
+    a matrix that lacks a pivot, so each remainder read from that stack
+    is zero and fails.
     """
-    step = max(1, RANK_CHUNK // max(1, coef.shape[0] * columns.shape[1]))
+    m, width = coef.shape
+    split = 0 if prefixes is None else prefixes.shape[1]
+    s = split + columns.shape[1]
+    if split and not (split <= m and split < s):
+        raise OutOfRange(f"a split at {split} columns of {m} x {s} selections")
+    step = max(1, RANK_CHUNK // max(1, (m - split) * (s - split)))
     for start in range(0, len(columns), step):
-        ok = _eliminate(np.take(coef, columns[start:start + step].T, axis=1), q)
+        chunk = columns[start:start + step]
+        if split:
+            first = int(chunk[0, 0]) // width
+            count = int(chunk[-1, 0]) // width - first + 1
+            stack = np.empty((m, split + width, count), dtype=coef.dtype)
+            stack[:, :split] = np.take(coef, prefixes[first:first + count].T, axis=1)
+            stack[:, split:] = coef[:, :, None]
+            # label-major, so that column c of label first + g sits at g * N + c
+            rest = _eliminate(stack, q, split).transpose(0, 2, 1).reshape(m - split, -1)
+            ok = _eliminate(np.take(rest, (chunk - first * width).T, axis=1), q)
+        else:
+            ok = _eliminate(np.take(coef, chunk.T, axis=1), q)
         if not ok.all():
             return start + int(np.argmin(ok))
     return None

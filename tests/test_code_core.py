@@ -714,6 +714,78 @@ def test_sweep_plan_pinned_row():
     assert row.tolist() == [0, 1, 2, 3, 4, 6, 7]
 
 
+P10632 = params_new(10, 6, 3, 2)
+
+
+@pytest.mark.parametrize("params", CROSS_CHECK_POINTS + (P10632,), ids=_point_id)
+def test_split_plan_rebuilds_the_sweep_columns(params):
+    """At every t, a row's label prefix and its other columns are its
+    plan columns, labels count up by one where the first t columns
+    change, and consecutive prefixes differ."""
+    hset = h_enumerate(params)
+    columns = code_core._sweep_plan(hset)[0].tolist()
+    width = params.n * params.d
+    for t in range(1, params.M):
+        prefixes, remainders = code_core._split_plan(hset, t)
+        assert code_core._split_plan(hset, t)[0] is prefixes
+        assert prefixes.dtype == remainders.dtype == np.int32
+        labels = remainders[:, 0] // width
+        assert (remainders // width == labels[:, None]).all()
+        assert labels[0] == 0 and set(np.diff(labels).tolist()) <= {0, 1}
+        assert [list(prefixes[g]) + [c - g * width for c in row]
+                for g, row in zip(labels.tolist(), remainders.tolist())] == columns
+        assert (prefixes[1:] != prefixes[:-1]).any(axis=1).all()
+        assert [columns[i][:t] != columns[i - 1][:t] for i in range(1, len(columns))] == \
+            np.diff(labels).astype(bool).tolist()
+
+
+def test_the_cost_model_splits_where_it_pays():
+    """The model's t, pinned: it splits the (6,4,3,1) and (10,6,3,2)
+    sweeps, leaves the M = 4 points unsplit, where no split beat the
+    unsplit sweep, and splits nothing at q >= 2^31, where each
+    selection goes to rank_of_rows."""
+    for params, t in ((P641, 2), (P10632, 4), (P321, 0), (P8422, 0)):
+        hset = h_enumerate(params)
+        for q in (307, 142151, BATCH_Q_LIMIT - 1):
+            assert code_core._split_columns(hset, q) == t, (params, q)
+        assert code_core._split_columns(hset, next_prime(BATCH_Q_LIMIT)) == 0
+
+
+SPLIT_QS = [2, 3, 7639, 142151, BATCH_Q_LIMIT - 1, next_prime(BATCH_Q_LIMIT)]
+
+
+@pytest.mark.parametrize("q", SPLIT_QS)
+@pytest.mark.parametrize("params", [P641, P10632], ids=_point_id)
+def test_every_split_names_the_unsplit_first_failure(params, q, monkeypatch):
+    """Random states and states with one selection broken early, midway
+    and last in member order, swept in full and on one node's rows with
+    t forced to every value: each names the h the unsplit sweep names.
+    Above 2^31 the (10,6,3,2) sweeps rank their remainders one at a time
+    in pure Python, so there only a state broken at its first row is
+    swept, in full, at t <= 5."""
+    hset = h_enumerate(params)
+    rng = random.Random(f"split/{params}/{q}")
+    base = _random_state(params, q, rng)
+    slow = q >= BATCH_Q_LIMIT and params == P10632
+    broken_rows = (0,) if slow else (0, len(hset.maximal) // 2, len(hset.maximal) - 1)
+    states = [_break_selection(base, hset.maximal[i], rng) for i in broken_rows]
+    states += [] if slow else [base]
+    memos = (None,) if slow else ((hset, rng.randrange(1, params.n + 1)), None)
+    splits = range(6) if slow else range(params.M)
+    names = []
+    for state in states:
+        for memo in memos:
+            got = []
+            for t in splits:
+                monkeypatch.setattr(code_core, "_split_columns", lambda hset, q, t=t: t)
+                fresh = replace(state)
+                object.__setattr__(fresh, "_checked", memo)
+                got.append(invariant_failure(fresh, hset))
+            assert got == [got[0]] * len(splits), (memo, got)
+            names.append(got[0])
+    assert any(name is not None for name in names)
+
+
 @pytest.mark.parametrize("q", [7639, next_prime(2**31)])
 def test_subset_gather_matches_the_column_gather(q, monkeypatch):
     # reconstruct_verdicts gathers each k-node block by node; the
@@ -748,33 +820,55 @@ def test_subset_gather_matches_the_column_gather(q, monkeypatch):
 
 def test_sweep_ranks_chunks_up_to_the_first_failure(monkeypatch):
     """At (10,6,3,2) the 25,050 maximal 9 x 9 selections make sixteen
-    chunks, fifteen of RANK_CHUNK // 81 = 1618 and one of 780.
-    A passing state ranks all of them; a state whose first failing h
-    lies in chunk c ranks chunks 0..c only and names that h."""
+    chunks unsplit, fifteen of RANK_CHUNK // 81 = 1618 and one of 780.
+    Split at the cost model's t = 4 they make five, four of
+    RANK_CHUNK // 25 = 5242 and one of 4082, each ranked right after one
+    prefix step over the labels its rows span.  A passing state ranks
+    all of them; a state whose first failing h lies in chunk c ranks
+    chunks 0..c only and names that h, at either split."""
     params = params_new(10, 6, 3, 2)
     hset = h_enumerate(params)
     assert len(hset.maximal) == 25050
     state = _recommended_state(params, hset, seed=1)
+    assert code_core._split_columns(hset, state.field.q) == 4
+    width = params.n * params.d
     eliminate = galois._eliminate
-    chunks = []
+    calls = []
 
-    def recording(a, q):
-        chunks.append(a.shape[-1])
-        return eliminate(a, q)
+    def recording(a, q, stop=None):
+        calls.append((stop, a.shape[-1]))
+        return eliminate(a, q, stop)
 
     monkeypatch.setattr(galois, "_eliminate", recording)
-    assert invariant_failure(state, hset) is None
-    chunk = RANK_CHUNK // 81
-    assert chunks == [chunk] * 15 + [25050 - 15 * chunk] == [1618] * 15 + [780]
     zero = FieldMatrix(params.M, params.d, (0,) * (params.M * params.d), state.field)
-    # a zero Q_x fails exactly the maximal h with h_x > 0; node 10 is
-    # selected by the first of them, node 1 first in chunk 6
-    for x, first in ((10, 0), (1, 10781)):
-        chunks.clear()
-        broken = replace(state, Q=tuple(zero if i == x else qm for i, qm in enumerate(state.Q, 1)))
-        assert invariant_failure(broken, hset) == hset.maximal[first]
-        assert [h[x - 1] > 0 for h in hset.maximal[:first + 1]] == [False] * first + [True]
-        assert chunks == [chunk] * (first // chunk + 1)
+    for t, chunk, sizes in ((0, 1618, [1618] * 15 + [780]), (4, 5242, [5242] * 4 + [4082])):
+        monkeypatch.setattr(code_core, "_split_columns", lambda hset, q, t=t: t)
+
+        def chunks():
+            """The remainder batches ranked, in order, after checking that
+            each came right after its chunk's prefix step when t > 0."""
+            ranked = [size for stop, size in calls if stop is None]
+            if t:
+                remainders = code_core._split_plan(hset, t)[1]
+                labels = [remainders[start:start + chunk, 0] // width
+                          for start in range(0, chunk * len(ranked), chunk)]
+                assert calls == [call for size, label in zip(ranked, labels)
+                                 for call in ((t, int(label[-1] - label[0]) + 1), (None, size))]
+            else:
+                assert all(stop is None for stop, _ in calls)
+            calls.clear()
+            return ranked
+
+        assert invariant_failure(state, hset) is None
+        assert chunks() == sizes
+        # a zero Q_x fails exactly the maximal h with h_x > 0; node 10 is
+        # selected by the first of them, node 1 first in row 10781
+        for x, first in ((10, 0), (1, 10781)):
+            broken = replace(state, Q=tuple(zero if i == x else qm
+                                            for i, qm in enumerate(state.Q, 1)))
+            assert invariant_failure(broken, hset) == hset.maximal[first]
+            assert [h[x - 1] > 0 for h in hset.maximal[:first + 1]] == [False] * first + [True]
+            assert chunks() == [chunk] * (first // chunk + 1)
 
 
 def test_serialization_round_trip(small_state):
@@ -1044,9 +1138,15 @@ def test_repair_ranks_only_the_failed_nodes_rows(params, monkeypatch):
     _, node_rows = code_core._sweep_plan(hset)
     stacks = []
 
-    def recording(coef, columns, q):
-        stacks.append(coef[:, columns].transpose(1, 0, 2))
-        return first_rank_deficient(coef, columns, q)
+    def recording(coef, columns, q, prefixes=None):
+        # a split row's selection is its label's prefix, then its other
+        # columns, each entry label * n*d + column
+        selected = columns
+        if prefixes is not None:
+            labels = columns[:, 0] // coef.shape[1]
+            selected = np.hstack([prefixes[labels], columns - labels[:, None] * coef.shape[1]])
+        stacks.append(coef[:, selected].transpose(1, 0, 2))
+        return first_rank_deficient(coef, columns, q, prefixes)
 
     def batches():
         sizes = [len(stack) for stack in stacks]

@@ -564,6 +564,86 @@ def test_first_rank_deficient_ranks_chunks_up_to_the_first_failure(q, monkeypatc
         assert chunks == [chunk] * (bad // chunk + 1)
 
 
+SPLIT_QS = [2, 3, 7639, 142151, 2**31 - 1, next_prime(BATCH_Q_LIMIT)]
+
+
+def _split_arguments(coef: np.ndarray, columns: list[tuple[int, ...]], t: int):
+    """first_rank_deficient's split of the rows at t columns, in pure
+    Python: one label per run of rows with equal first t columns."""
+    width = coef.shape[1]
+    prefixes, remainders = [], []
+    for prefix, rows in itertools.groupby(columns, key=lambda row: row[:t]):
+        prefixes.append(prefix)
+        remainders += [[(len(prefixes) - 1) * width + c for c in row[t:]] for row in rows]
+    return np.array(remainders, dtype=np.int32), np.array(prefixes, dtype=np.int32)
+
+
+@pytest.mark.parametrize("q", SPLIT_QS)
+def test_stopped_elimination_leaves_the_schur_block(q):
+    """Stopped after t columns, the kernel returns the transformed rows
+    t..m-1 of the other columns.  Where the first t columns have rank t,
+    the matrix's rank is t plus that block's; elsewhere the block is
+    zero."""
+    rng = np.random.Generator(np.random.Philox(q))
+    m, s, t = 5, 7, 2
+    stack = _residues(rng, q, (300, m, s))
+    stack[::4, :, 1] = stack[::4, :, 0]  # prefix singular
+    stack[1::4, :, 4] = stack[1::4, :, 0]  # remainder singular
+    stack[2::4, :, 1] = stack[2::4, :, 3] = 0  # both
+    rest = galois._eliminate(np.array(stack.transpose(1, 2, 0), dtype=galois._residue_dtype(q),
+                                      order="C"), q, t)
+    assert rest.shape == (m - t, s - t, len(stack))
+    prefix_ranks = [rank_of_rows(mat[:, :t].tolist(), q) for mat in stack]
+    assert t in prefix_ranks and any(rank < t for rank in prefix_ranks)
+    for i, mat in enumerate(stack):
+        block = rest[:, :, i].tolist()
+        assert all(0 <= v < q for row in block for v in row)
+        if prefix_ranks[i] == t:
+            assert rank_of_rows(mat.tolist(), q) == t + rank_of_rows(block, q)
+        else:
+            assert not any(v for row in block for v in row)
+
+
+@pytest.mark.parametrize("q", SPLIT_QS)
+def test_every_split_names_the_first_deficient_row(q):
+    """5 x 5 selections of the sorted 5-subsets of 9 columns, split at
+    every t: the first failing row is named from every start, as the
+    unsplit call names it.  Column 1 is a multiple of column 0 and
+    column 6 of column 4, so some rows fail in the prefix alone, some in
+    the remainder alone and some in both."""
+    rng = np.random.Generator(np.random.Philox(q))
+    m, width = 5, 9
+    coef = _residues(rng, q, (m, width))
+    coef[:, 1] = coef[:, 0] * 2 % q
+    coef[:, 6] = coef[:, 4] * 3 % q
+    coef = residue_array(coef.tolist(), q)
+    rows = list(itertools.combinations(range(width), m))
+    columns = np.array(rows, dtype=np.int32)
+    full = [rank_of_rows(coef[:, row].tolist(), q) == m for row in rows]
+    assert not all(full)
+    cases = set()
+    for t in range(1, m):
+        remainders, prefixes = _split_arguments(coef, rows, t)
+        cases |= {(rank_of_rows(coef[:, row[:t]].tolist(), q) == t,
+                   rank_of_rows(coef[:, row[t:]].tolist(), q) == m - t, ok)
+                  for row, ok in zip(rows, full)}
+        for start in range(len(rows)):
+            want = first_rank_deficient(coef, columns[start:], q)
+            assert want == next((i for i, ok in enumerate(full[start:]) if not ok), None)
+            # a slice of the rows keeps its labels: they need not start at 0
+            assert first_rank_deficient(coef, remainders[start:], q, prefixes) == want, (t, start)
+    assert {(False, True, False), (True, False, False), (False, False, False)} <= cases
+
+
+def test_a_split_needs_a_remainder():
+    coef = residue_array([[1, 0, 0], [0, 1, 0]], 7)
+    remainders = np.array([[1]], dtype=np.int32)
+    for prefixes in ([[0, 1, 2]], [[0, 1, 2, 0]]):  # t > m
+        with pytest.raises(OutOfRange, match="split at"):
+            first_rank_deficient(coef, remainders, 7, np.array(prefixes, dtype=np.int32))
+    assert first_rank_deficient(coef, remainders, 7, np.array([[0]], dtype=np.int32)) is None
+
+
 def test_full_column_rank_falls_back_above_limit():
     q = next_prime(BATCH_Q_LIMIT)
     top = q - 1

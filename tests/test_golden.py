@@ -31,6 +31,15 @@ SIMULATIONS = {
         "785796457c6b34224aac3e6c0d9484fbf28000d6c448458597eff5ff8595d9ed",
     ((4, 2, 1, 1), 3, 1, 8):
         "a7c8dc44e6b07e6b0c32912f3b27c48db9d52c10e66fd93585a2ff268db90e37",
+    # the points above have M <= 4, where the sweeps run unsplit; these
+    # split theirs; at GF(307) more than half the attempts are rejected,
+    # and the (10,6,3,2) sweeps take several chunks
+    ((6, 4, 3, 1), "auto", 3, 12):
+        "1fb5088298554f4a9eb37b144a44af7152dfda8e735a290b4f26248eec2986d9",
+    ((6, 4, 3, 1), 307, 1, 12):
+        "d2c1ad9bfe908fb83219be7cd46485a4354e1793edd9e3bbae2f1a2843826096",
+    ((10, 6, 3, 2), "auto", 3, 2):
+        "31ec0e32d941f530b62b5349a62ff6360ae5ce78762081dbb2736205312014de",
 }
 
 
