@@ -376,8 +376,8 @@ def _split_plan(hset: HSet, t: int) -> tuple[np.ndarray, np.ndarray]:
     differ from the row before's; prefixes[g] holds label g's t columns
     and remainders[i] = g_i * n*d + (row i's other M - t columns).  A
     node's sweep takes its rows of remainders, so it shares the plan.
-    Both are int32 while every entry fits, as at every point whose
-    sweep runs in reasonable time."""
+    Both are int32, and remainders int64 where a label's offset
+    g * n*d would not fit."""
     columns = _sweep_plan(hset)[0]
     new = _shared_prefixes(columns) < t
     new[0] = True

@@ -483,7 +483,7 @@ def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int,
             stack[:, :split] = np.take(coef, prefixes[first:first + count].T, axis=1)
             stack[:, split:] = coef[:, :, None]
             # label-major, so that column c of label first + g sits at g * N + c
-            rest = _eliminate(stack, q, split).transpose(0, 2, 1).reshape(m - split, -1)
+            rest = _eliminate(stack, q, split).transpose(0, 2, 1).reshape(m - split, count * width)
             ok = _eliminate(np.take(rest, (chunk - first * width).T, axis=1), q)
         else:
             ok = _eliminate(np.take(coef, chunk.T, axis=1), q)

@@ -642,6 +642,8 @@ def test_a_split_needs_a_remainder():
         with pytest.raises(OutOfRange, match="split at"):
             first_rank_deficient(coef, remainders, 7, np.array(prefixes, dtype=np.int32))
     assert first_rank_deficient(coef, remainders, 7, np.array([[0]], dtype=np.int32)) is None
+    # t = m leaves remainders of no rows: 2 x 3 selections never pass
+    assert first_rank_deficient(coef, remainders, 7, np.array([[0, 1]], dtype=np.int32)) == 0
 
 
 def test_full_column_rank_falls_back_above_limit():
