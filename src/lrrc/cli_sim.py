@@ -324,8 +324,12 @@ def _emit(payload: dict) -> None:
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    return tuple(int_field(part, f"{flag} entry", ModelError)
-                 for part in text.split(",") if part.strip() != "")
+    """The comma-separated integers of flag, read strictly: an empty
+    entry, as in "3,,4" or "3,4,", is an error that names the flag."""
+    parts = text.split(",")
+    if any(part.strip() == "" for part in parts):
+        raise ModelError(f"{flag} has an empty entry: {json.dumps(text)}")
+    return tuple(int_field(part, f"{flag} entry", ModelError) for part in parts)
 
 
 def _parse_checks(text: str) -> list[str]:
@@ -425,7 +429,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ModelError("witness check needs --witness-failed and --witness-helpers")
     if not witness and (args.witness_failed is not None or args.witness_helpers is not None):
         raise ModelError("--witness-failed and --witness-helpers need the witness check")
-    helpers = _parse_int_list(args.witness_helpers or "", "--witness-helpers")
+    helpers = _parse_int_list(args.witness_helpers, "--witness-helpers") if witness else ()
     state = _load_state(args.state)
     # reconstruction reads no H, so H is enumerated only for the others
     hset = h_enumerate(state.params) if witness or "invariant" in wanted else None

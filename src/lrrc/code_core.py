@@ -16,15 +16,15 @@ independent columns stays independent, so the maximal members decide
 the whole of H.  Their selections are gathered from one M x (n*d) array
 [Q_1 | ... | Q_n], which each CodeState builds once and keeps, by
 galois.first_rank_deficient: in member order, in chunks of at most
-galois.RANK_CHUNK entries, each eliminated in batched numpy for q <
-2^31 (int32 for q < 2^15, int64 above), reducing the block to
-residues once per column, and by rank_of_rows per selection above
-2^31.  The sweep stops at the first chunk that
-holds a failure, so a rejected state costs one chunk at most, and
-memory stays bounded at points with 10^5 and more maximal members.
+galois.RANK_CHUNK entries, each eliminated in one batched numpy loop
+at every q (int32 for q < 2^15, int64 for q < 2^31, Python ints
+above), reducing the block to residues once per column.  The sweep
+stops at the first chunk that holds a failure, so a rejected state
+costs one chunk at most, and memory stays bounded at points with 10^5
+and more maximal members.
 
 Each sweep is split at t selected columns, t chosen per HSet by
-_split_columns' cost model (0 where no split pays, and at q >= 2^31).
+_split_columns' cost model (0 where no split pays), at every q.
 Schur step: row operations keep rank, and eliminating the first t
 columns of an M x M selection whose prefix has rank t leaves
 [[U, X], [0, S]] with U upper triangular and its diagonal nonzero,
@@ -101,7 +101,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .galois import (
-    BATCH_Q_LIMIT,
     FieldConfig,
     FieldMatrix,
     RANK_CHUNK,
@@ -328,11 +327,10 @@ def _shared_prefixes(columns: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _split_columns(hset: HSet, q: int) -> int:
-    """How many leading columns hset's sweeps in GF(q) split off: 0 at
-    q >= BATCH_Q_LIMIT, where _eliminate ranks each selection by
-    rank_of_rows, else the t that the cost model finds cheapest over
-    the full sweep and every node's, each counted once.
+def _split_columns(hset: HSet) -> int:
+    """How many leading columns hset's sweeps split off, in every field:
+    the t that the cost model finds cheapest over the full sweep and
+    every node's, each counted once.
 
     A sweep of B rows at split t ranks ceil(B / step) chunks of step =
     RANK_CHUNK // (M - t)^2 rows.  Each chunk pays COLUMN_COST for each
@@ -345,8 +343,6 @@ def _split_columns(hset: HSet, q: int) -> int:
     docstring), so the labels are counted off the rows where the shared
     prefix with the row before is shorter than t.
     """
-    if q >= BATCH_Q_LIMIT:
-        return 0
     columns, node_rows = _sweep_plan(hset)
     m, width = hset.params.M, hset.params.n * hset.params.d
     spans = [(0, len(columns) - 1, len(columns))]
@@ -374,7 +370,9 @@ def _split_plan(hset: HSet, t: int) -> tuple[np.ndarray, np.ndarray]:
     split of hset's full sweep at t columns, read off the _sweep_plan
     columns.  A new label starts at each row whose first t columns
     differ from the row before's; prefixes[g] holds label g's t columns
-    and remainders[i] = g_i * n*d + (row i's other M - t columns).  A
+    and remainders[i] = g_i * n*d + (row i's other M - t columns).  At
+    t = 0 there is one label, whose prefix is empty, so prefixes is
+    1 x 0 and remainders are the plan columns, the unsplit sweep.  A
     node's sweep takes its rows of remainders, so it shares the plan.
     Both are int32, and remainders int64 where a label's offset
     g * n*d would not fit."""
@@ -395,9 +393,9 @@ def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
 
     Checking the maximal members suffices: see the module docstring.
     They all total M, so their M x M selections decide them, ranked by
-    galois.first_rank_deficient in chunks: by their rows of the
-    _sweep_plan columns, or of the _split_plan remainders when
-    _split_columns splits the sweep.
+    galois.first_rank_deficient in chunks, by their rows of the
+    _split_plan remainders at the HSet's _split_columns (the plan
+    columns themselves at t = 0).
     A candidate that repair_random marked as differing from a passing
     state only at node x is ranked on the plan's node_rows[x - 1] alone:
     every other maximal h selects the columns that passed in that state,
@@ -406,16 +404,14 @@ def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     the one row of hset.rows made a tuple of Python ints.
     """
     _check_hset(state.params, hset)
-    columns, node_rows = _sweep_plan(hset)
-    q = state.field.q
-    t = _split_columns(hset, q)
-    prefixes, columns = _split_plan(hset, t) if t else (None, columns)
+    node_rows = _sweep_plan(hset)[1]
+    prefixes, columns = _split_plan(hset, _split_columns(hset))
     memo = state._checked
     rows = None
     if memo is not None and memo[0] is hset and memo[1] is not None:
         rows = node_rows[memo[1] - 1]
         columns = columns[rows]
-    first = first_rank_deficient(_coefficients(state), columns, q, prefixes)
+    first = first_rank_deficient(_coefficients(state), columns, state.field.q, prefixes)
     if first is None:
         object.__setattr__(state, "_checked", (hset, None))
         return None

@@ -13,14 +13,16 @@ Matrices are immutable, row-major, and store canonical residues in
   equal-shape matrices at once, and first_rank_deficient, which gathers
   such stacks from the columns of one coefficient array in chunks of
   at most RANK_CHUNK entries and names the first matrix that fails.
-  Both run one elimination loop, _eliminate, on an integer array with
-  the batch as its last axis for q < 2^31, int32 for q < 2^15 and
-  int64 above; above 2^31 they fall back to rank_of_rows per matrix.
+  Both run one elimination loop, _eliminate, at every q, on an array
+  with the batch as its last axis: int32 for q < 2^15, int64 for
+  q < 2^31 and Python ints (dtype=object) above, whose products cannot
+  wrap.
   Each column's update writes the trailing block into a new contiguous
   array, so the loop always works on a compact block.  Each column
   after the first starts with one reduction of that block to residues
   in [0, q), as a - a // q * q, so no update or reduction nears the
-  dtype's limit L (2^31 or 2^63) while 2 * (q - 1) * q < L.
+  dtype's limit L (2^31 or 2^63) while 2 * (q - 1) * q < L; Python
+  ints have none.
 - A split: the loop can stop after t columns and return the trailing
   block, reduced to residues.  first_rank_deficient uses that to
   eliminate a prefix of t columns shared by a run of rows once, then
@@ -261,9 +263,9 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
     unit-pivot elimination would hold, so the swaps, the pivot columns
     and the rank are the same.  rows is left in echelon form with
     nonzero pivots and canonical residues.  It serves mat_solve (and so
-    mat_inv and decode), the batched kernel's fallback at q >= 2^31,
-    the witness ranks of lrrc.code_core and the tests' reference; the
-    verification sweeps run on full_column_rank.
+    mat_inv and decode), the witness ranks of lrrc.code_core and the
+    tests' reference; the verification sweeps run on full_column_rank
+    and first_rank_deficient at every q.
     """
     m = len(rows)
     if m == 0:
@@ -293,11 +295,11 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
     return rank
 
 
-# Below this modulus the kernel eliminates in numpy: each column starts
+# Below this modulus the kernel eliminates in int64: each column starts
 # from residues in [0, q), so every value an update or the next
 # reduction makes lies within q * (q - 1) of 0, and 2 * (q - 1) * q <
 # 2 * q * q <= 2^63, so the elimination loop never overflows int64.
-# Above it each matrix goes to the pure-Python rank_of_rows.
+# At and above it the same loop runs on Python ints (dtype=object).
 BATCH_Q_LIMIT = 2**31
 
 # first_rank_deficient eliminates at most this many entries at once,
@@ -318,9 +320,10 @@ def _residue_dtype(q: int) -> type:
     int32 below 2^15, where 2 * (q - 1) * q < 2^31, so an update of
     residues and its reduction are exact, as BATCH_Q_LIMIT gives for
     int64, and its products and divisions are cheaper; int64 below
-    BATCH_Q_LIMIT; Python ints (object) above.  Every residue
-    array and kernel stack is built in it, so this is the one place that
-    picks it."""
+    BATCH_Q_LIMIT; Python ints (object) above, where no product can
+    wrap, and the same elimination loop runs, more slowly.  Every
+    residue array and kernel stack is built in it, so this is the one
+    place that picks it."""
     if q < 2**15:
         return np.int32
     return np.int64 if q < BATCH_Q_LIMIT else object
@@ -329,9 +332,8 @@ def _residue_dtype(q: int) -> type:
 def residue_array(values: Sequence, q: int) -> np.ndarray:
     """Canonical residues mod q as an array to gather full_column_rank
     stacks from, in _residue_dtype(q): int32 or int64 below
-    BATCH_Q_LIMIT, where the kernel eliminates in numpy, and Python ints
-    (dtype=object) above it, so any residue fits and no product
-    overflows."""
+    BATCH_Q_LIMIT, and Python ints (dtype=object) above it, so any
+    residue fits and no product overflows."""
     return np.array(values, dtype=_residue_dtype(q))
 
 
@@ -356,11 +358,10 @@ def _eliminate(a: np.ndarray, q: int, stop: int | None = None) -> np.ndarray:
     which cannot wrap, or in a signed integer array whose limit
     L = 2^(bits - 1) exceeds 2 * (q - 1) * q, as _residue_dtype(q) and
     every wider dtype do; a narrower one could wrap, so OutOfRange is
-    raised.  Above BATCH_Q_LIMIT, where residues are Python ints, a
-    full elimination hands each matrix to rank_of_rows.  Otherwise the
-    whole stack is eliminated together, fraction-free: each lower row
-    becomes row * p - f * pivot_row, with pivot p and the row's own
-    entry f below it, so no modular inverse is needed.
+    raised.  At every q the whole stack is eliminated together,
+    fraction-free: each lower row becomes row * p - f * pivot_row, with
+    pivot p and the row's own entry f below it, so no modular inverse
+    is needed.
 
     Layout.  At column col, a is the trailing (m - col) x (s - col) x B
     block, C-contiguous with the batch as its last axis: row 0 is the
@@ -386,14 +387,12 @@ def _eliminate(a: np.ndarray, q: int, stop: int | None = None) -> np.ndarray:
     - so is the magnitude of its difference, row * p - f * pivot_row;
     - the next reduction's a // q * q lies in (entry - q, entry], so it
       is at least -(q - 1)^2 - q + 1 = -q(q - 1).
-    All three lie under L, since 2 * (q - 1) * q < L.  A swap exchanges
-    rows of a, which are residues at that point.
+    All three lie under L, since 2 * (q - 1) * q < L, and Python ints
+    have no limit.  A swap exchanges rows of a, which are residues at
+    that point.
     """
     m, s, count = a.shape
     stop = s if stop is None else stop
-    if q >= BATCH_Q_LIMIT and stop == s:
-        return np.array([rank_of_rows(a[:, :, i].tolist(), q) == s for i in range(count)],
-                        dtype=bool)
     limit = 2 ** (8 * a.dtype.itemsize - 1)
     if a.dtype != object and (a.dtype.kind != "i" or 2 * (q - 1) * q >= limit):
         raise OutOfRange(f"GF({q}) residues need {np.dtype(_residue_dtype(q))} or wider, "
@@ -441,9 +440,10 @@ def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int,
     """The first row of columns whose selection lacks full column rank
     mod q, or None when every selection has it.
 
-    coef is an m x N residue_array.  Without prefixes, columns is a
-    (B, s) index array into coef's columns, and row i selects the m x s
-    matrix coef[:, columns[i]].  The rows are taken in member order,
+    coef is an m x N residue_array.  Without prefixes, or with
+    prefixes of no columns, columns is a (B, s) index array into coef's
+    columns, and row i selects the m x s matrix coef[:, columns[i]].
+    The rows are taken in member order,
     RANK_CHUNK // ((m - t) * (s - t)) at a time for a split at t
     columns (t = 0 without one), and the call returns at the first chunk
     that holds a failure.  The index it returns is the one a single call

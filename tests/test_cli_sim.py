@@ -621,6 +621,27 @@ def test_unparsable_integer_names_its_field(tmp_path, capsys, monkeypatch):
         assert 'error: LRRC_SEED must be an integer, got "abc"' in err
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (("connect", "6", "4", "3", "1", "--h", "3,2,,2,0,0,0", "--failed", "1", "--helpers", "3,4,5"),
+     "--h", "3,2,,2,0,0,0"),
+    (("connect", "6", "4", "3", "1", "--h", "3,2,2,0,0,0", "--failed", "1", "--helpers", "3,4,5,"),
+     "--helpers", "3,4,5,"),
+    (("connect", "6", "4", "3", "1", "--h", "", "--failed", "1", "--helpers", "3,4,5"),
+     "--h", ""),
+    (("repair", "--state", "{state}", "--failed", "1", "--helpers", ",4,5"), "--helpers", ",4,5"),
+    (("verify", "--state", "{state}", "--checks", "witness", "--witness-failed", "1",
+      "--witness-helpers", "4, ,5"), "--witness-helpers", "4, ,5"),
+], ids=["h-inner", "helpers-trailing", "h-empty", "repair-leading", "witness-blank"])
+def test_list_flags_refuse_empty_entries(tmp_path, capsys, argv, flag, text):
+    # a list flag is read strictly: an empty entry is a usage error that
+    # names the flag, not an entry silently dropped
+    state = tmp_path / "state.json"
+    assert invoke(capsys, "construct", "6", "3", "2", "1", "--out", str(state))[0] == 0
+    code, out, err = invoke(capsys, *(arg.format(state=state) for arg in argv))
+    assert (code, out) == (2, "")
+    assert f"error: {flag} has an empty entry: {json.dumps(text)}" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert invoke(capsys, "no-such-command")[0] == 2
     assert invoke(capsys, "params", "6", "4")[0] == 2

@@ -739,16 +739,29 @@ def test_split_plan_rebuilds_the_sweep_columns(params):
             np.diff(labels).astype(bool).tolist()
 
 
-def test_the_cost_model_splits_where_it_pays():
+def test_the_cost_model_splits_where_it_pays(monkeypatch):
     """The model's t, pinned: it splits the (6,4,3,1) and (10,6,3,2)
-    sweeps, leaves the M = 4 points unsplit, where no split beat the
-    unsplit sweep, and splits nothing at q >= 2^31, where each
-    selection goes to rank_of_rows."""
+    sweeps and leaves the M = 4 points unsplit, where no split beat the
+    unsplit sweep.  t depends on the HSet alone, so invariant_failure
+    hands first_rank_deficient prefixes of t columns in every field,
+    above 2^31 too."""
+    widths = []
+
+    def recording(coef, columns, q, prefixes=None):
+        widths.append(prefixes.shape[1])
+        return first_rank_deficient(coef, columns, q, prefixes)
+
+    monkeypatch.setattr(code_core, "first_rank_deficient", recording)
+    rng = random.Random("cost-model")
     for params, t in ((P641, 2), (P10632, 4), (P321, 0), (P8422, 0)):
         hset = h_enumerate(params)
-        for q in (307, 142151, BATCH_Q_LIMIT - 1):
-            assert code_core._split_columns(hset, q) == t, (params, q)
-        assert code_core._split_columns(hset, next_prime(BATCH_Q_LIMIT)) == 0
+        assert code_core._split_columns(hset) == t, params
+        for q in (307, 142151, BATCH_Q_LIMIT - 1, next_prime(BATCH_Q_LIMIT)):
+            # broken at its first row, so the sweep stops after one chunk
+            state = _break_selection(_random_state(params, q, rng), hset.maximal[0], rng)
+            widths.clear()
+            assert invariant_failure(state, hset) == hset.maximal[0]
+            assert widths == [t], (params, q)
 
 
 SPLIT_QS = [2, 3, 7639, 142151, BATCH_Q_LIMIT - 1, next_prime(BATCH_Q_LIMIT)]
@@ -760,9 +773,9 @@ def test_every_split_names_the_unsplit_first_failure(params, q, monkeypatch):
     """Random states and states with one selection broken early, midway
     and last in member order, swept in full and on one node's rows with
     t forced to every value: each names the h the unsplit sweep names.
-    Above 2^31 the (10,6,3,2) sweeps rank their remainders one at a time
-    in pure Python, so there only a state broken at its first row is
-    swept, in full, at t <= 5."""
+    Above 2^31 the (10,6,3,2) sweeps run the kernel on Python ints, so
+    there only a state broken at its first row is swept, in full, at
+    t <= 5."""
     hset = h_enumerate(params)
     rng = random.Random(f"split/{params}/{q}")
     base = _random_state(params, q, rng)
@@ -777,7 +790,7 @@ def test_every_split_names_the_unsplit_first_failure(params, q, monkeypatch):
         for memo in memos:
             got = []
             for t in splits:
-                monkeypatch.setattr(code_core, "_split_columns", lambda hset, q, t=t: t)
+                monkeypatch.setattr(code_core, "_split_columns", lambda hset, t=t: t)
                 fresh = replace(state)
                 object.__setattr__(fresh, "_checked", memo)
                 got.append(invariant_failure(fresh, hset))
@@ -830,7 +843,7 @@ def test_sweep_ranks_chunks_up_to_the_first_failure(monkeypatch):
     hset = h_enumerate(params)
     assert len(hset.maximal) == 25050
     state = _recommended_state(params, hset, seed=1)
-    assert code_core._split_columns(hset, state.field.q) == 4
+    assert code_core._split_columns(hset) == 4
     width = params.n * params.d
     eliminate = galois._eliminate
     calls = []
@@ -842,7 +855,7 @@ def test_sweep_ranks_chunks_up_to_the_first_failure(monkeypatch):
     monkeypatch.setattr(galois, "_eliminate", recording)
     zero = FieldMatrix(params.M, params.d, (0,) * (params.M * params.d), state.field)
     for t, chunk, sizes in ((0, 1618, [1618] * 15 + [780]), (4, 5242, [5242] * 4 + [4082])):
-        monkeypatch.setattr(code_core, "_split_columns", lambda hset, q, t=t: t)
+        monkeypatch.setattr(code_core, "_split_columns", lambda hset, t=t: t)
 
         def chunks():
             """The remainder batches ranked, in order, after checking that
@@ -1201,7 +1214,7 @@ def test_repair_of_unmarked_corrupt_state_keeps_its_rejections():
     assert err.value.rejected_by == ((0, 0, 1, 0, 3, 3),) * 3
 
 
-def test_large_field_falls_back_to_pure_kernel():
+def test_large_field_sweeps_python_ints_in_the_batched_kernel():
     q = next_prime(2**31)
     assert q >= BATCH_Q_LIMIT
     state = construct(P321, field_new(q), H321, rng_seed=11)
@@ -1213,6 +1226,49 @@ def test_large_field_falls_back_to_pure_kernel():
     broken = _plant_defect(repaired, H321, random.Random(13))
     assert not invariant_check(broken, H321)
     assert _short_rank(broken, invariant_failure(broken, H321))
+
+
+def test_sweeps_above_the_int64_limit_never_call_rank_of_rows(monkeypatch):
+    """Above 2^31 the sweeps, full and per node, the reconstruction
+    verdicts and the six-node code's certificates all run the batched
+    kernel on Python ints: no rank_of_rows call, under either binding.
+    decode (through mat_solve) and witness_holds still rank by it."""
+    from lrrc.exact6321 import build_exact_code, verify_exact_code
+
+    q = next_prime(2**31)
+    assert q == 2147483659
+    calls = []
+
+    def counting(name, real):
+        def rank(rows, q):
+            calls.append(name)
+            return real(rows, q)
+        return rank
+
+    state = construct(P641, field_new(q), H641, rng_seed=5)
+    exact = build_exact_code(q)
+    file = FieldMatrix.from_rows([[7 * i + 1] for i in range(P641.M)], state.field)
+    stored = encode(state, file)
+    failed, helpers = _witness_keys(P641)[0]
+    for module in (galois, code_core):
+        monkeypatch.setattr(module, "rank_of_rows", counting(module.__name__, module.rank_of_rows))
+    assert code_core._split_columns(H641) == 2
+    broken = _break_selection(state, H641.maximal[len(H641.maximal) // 2], random.Random(5))
+    passed = []
+    for checked in (state, broken):
+        for memo in (None, (H641, 3)):
+            fresh = replace(checked)
+            object.__setattr__(fresh, "_checked", memo)
+            passed.append(invariant_failure(fresh, H641) is None)
+    assert passed[:3] == [True, True, False]
+    assert code_core.reconstruct_verdicts(state).all()
+    assert verify_exact_code(exact).passed
+    assert calls == []
+    assert decode(state, range(1, P641.k + 1), stored[:P641.k]) == file
+    assert calls and set(calls) == {"lrrc.galois"}
+    calls.clear()
+    assert witness_holds(state, failed, helpers, H641)
+    assert calls and set(calls) == {"lrrc.code_core"}
 
 
 # every in-scope point with n <= 8 whose (d+1)^n candidates fit 100,000

@@ -363,7 +363,7 @@ def test_certificates_match_replay(q, count):
 @settings(max_examples=200, deadline=None)
 @given(
     # the int32 tier's last prime (32749), the int64 tier's first
-    # (32771) and last (2^31 - 1), and the Python-int fallback above
+    # (32771) and last (2^31 - 1), and the Python-int tier above
     st.sampled_from([7, 32749, 32771, 2**31 - 1, 2147483659]),
     st.integers(1, 4),
     st.integers(1, 6),

@@ -218,9 +218,11 @@ def _residues(rng: np.random.Generator, q: int, shape: tuple[int, ...]) -> np.nd
 @settings(max_examples=150, deadline=None)
 @given(
     # small fields (2, 7, 13), int32 fields up to its last prime (7639,
-    # 32749) and int64 fields from its first prime up to the last below
-    # 2^31 (32771, 142151, 15556861, 2^31 - 1)
-    st.sampled_from([2, 7, 13, 7639, 32749, 32771, 142151, 15556861, 2147483647]),
+    # 32749), int64 fields from its first prime up to the last below
+    # 2^31 (32771, 142151, 15556861, 2^31 - 1), and the first prime
+    # above, whose residues the same loop eliminates as Python ints
+    st.sampled_from([2, 7, 13, 7639, 32749, 32771, 142151, 15556861, 2147483647,
+                     2147483659]),
     st.integers(1, 9),
     st.integers(0, 3),
     st.integers(1, 5),
@@ -235,7 +237,6 @@ def test_full_column_rank_matches_rank_of_rows(q, s, extra_rows, count, seed):
     modular arithmetic cancels it, so a kernel whose products wrap
     would call those matrices regular.
     """
-    assert q < BATCH_Q_LIMIT
     m = s + extra_rows
     rng = np.random.Generator(np.random.Philox(seed))
     stack = _residues(rng, q, (count, m, s))
@@ -646,7 +647,7 @@ def test_a_split_needs_a_remainder():
     assert first_rank_deficient(coef, remainders, 7, np.array([[0, 1]], dtype=np.int32)) == 0
 
 
-def test_full_column_rank_falls_back_above_limit():
+def test_full_column_rank_eliminates_python_ints_above_limit():
     q = next_prime(BATCH_Q_LIMIT)
     top = q - 1
     stack = np.array(
