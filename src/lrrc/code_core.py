@@ -29,7 +29,10 @@ Schur step: row operations keep rank, and eliminating the first t
 columns of an M x M selection whose prefix has rank t leaves
 [[U, X], [0, S]] with U upper triangular and its diagonal nonzero,
 whose rank is t + rank S.  So the selection has rank M exactly when its
-prefix has rank t and its (M - t)-square remainder S has full rank.
+prefix has rank t and its (M - t)-square remainder S has full rank;
+a prefix of lower rank needs no verdict of its own, since the kernel
+leaves its stack a zero trailing block, so every remainder read from
+it fails.
 The members whose selections share their first t columns are
 contiguous: a selection lists its columns ascending, node by node, and
 the member order is lexicographic in h, so the selections come in
@@ -94,7 +97,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -456,7 +459,7 @@ def reconstruct_check(state: CodeState) -> bool:
     return bool(reconstruct_verdicts(state).all())
 
 
-def _uniform(rng: np.random.Generator, q: int, shape: tuple[int, int]) -> np.ndarray:
+def _uniform(rng: np.random.Generator, q: int, shape: tuple[int, ...]) -> np.ndarray:
     """Uniform residues mod q, drawn by rng.integers as int64; raises
     CodeError for a field too large for int64 draws."""
     if q >= 2**63:
@@ -581,13 +584,14 @@ def repair_random(
     blocks = coef.reshape(m, n, d)[:, np.array(ordered) - 1]
 
     def sample(rng: np.random.Generator, attempt: int) -> CodeState:
-        combine = residue_array(_uniform(rng, q, (d, d)).T, q)
-        mix = residue_array(_uniform(rng, q, (d, d)), q)
-        columns = (blocks * combine % q).sum(axis=2) % q
+        # one draw of both: B's d * d residues, then Z's
+        combine, mix = residue_array(_uniform(rng, q, (2, d, d)), q)
+        columns = (blocks * combine.T % q).sum(axis=2) % q
         replacement = (columns[:, :, None] * mix % q).sum(axis=1) % q
         new_q = list(state.Q)
         new_q[failed - 1] = FieldMatrix(m, d, tuple(replacement.reshape(-1).tolist()), field)
-        candidate = replace(state, Q=tuple(new_q), attempts=attempt)
+        candidate = CodeState(params=params, field=field, packet_width=state.packet_width,
+                              Q=tuple(new_q), attempts=attempt)
         new_coef = coef.copy()
         new_coef.reshape(m, n, d)[:, failed - 1] = replacement
         new_coef.setflags(write=False)

@@ -3,8 +3,8 @@
 Matrices are immutable, row-major, and store canonical residues in
 [0, q).  There are two elimination routines:
 
-- rank_of_rows, pure-Python fraction-free Gaussian elimination with
-  row swaps to echelon form with nonzero (not unit) pivots.  Over a
+- rank_of_rows, pure-Python fraction-free Gaussian elimination that
+  swaps rows to echelon form with nonzero (not unit) pivots.  Over a
   field any nonzero pivot is exact, so no pivoting strategy beyond
   "first nonzero" is needed.  mat_solve and mat_inv (through
   mat_solve) run on it, and it is the reference the batched kernel is
@@ -17,6 +17,9 @@ Matrices are immutable, row-major, and store canonical residues in
   with the batch as its last axis: int32 for q < 2^15, int64 for
   q < 2^31 and Python ints (dtype=object) above, whose products cannot
   wrap.
+  No row moves there: a zero pivot is mended by adding a lower row
+  with a nonzero entry to the pivot row, and each matrix's verdict is
+  read once, at its last column.
   Each column's update writes the trailing block into a new contiguous
   array, so the loop always works on a compact block.  Each column
   after the first starts with one reduction of that block to residues
@@ -371,11 +374,14 @@ def _eliminate(a: np.ndarray, q: int, stop: int | None = None) -> np.ndarray:
     contiguous entries, and the reductions on one contiguous array.
     During an update a, the result and one product are alive.
 
-    Pivots.  With every entry a[0, 0] nonzero, each matrix's pivot is
-    row 0, so that row alone is tested and no row moves.  Otherwise only
-    the matrices whose a[0, 0] is 0 are searched, and those with a
-    nonzero entry below it swap that row up.  A matrix without one is
-    rank deficient; it keeps p = f = 0, so its rows just zero out.
+    Pivots.  No row moves.  Where a[0, 0] is 0, the first row below it
+    with a nonzero entry in column 0 is added to row 0, and the sum is
+    reduced mod q; that is one row operation, so rank is kept, and the
+    new pivot is nonzero.  A matrix with no such row gets row 0 added to
+    itself; its p and every f are 0, so its trailing rows zero out and
+    stay zero.  So a matrix has full column rank exactly when its last
+    column has a nonzero entry in some remaining row, and that is the
+    one verdict read, at column s - 1.
 
     Reductions.  Every column after the first starts with one
     reduction of the whole block, a - a // q * q, into [0, q); the first
@@ -388,8 +394,8 @@ def _eliminate(a: np.ndarray, q: int, stop: int | None = None) -> np.ndarray:
     - the next reduction's a // q * q lies in (entry - q, entry], so it
       is at least -(q - 1)^2 - q + 1 = -q(q - 1).
     All three lie under L, since 2 * (q - 1) * q < L, and Python ints
-    have no limit.  A swap exchanges rows of a, which are residues at
-    that point.
+    have no limit.  A pivot row added to row 0 holds residues at that
+    point, so the sum is under 2q before its reduction.
     """
     m, s, count = a.shape
     stop = s if stop is None else stop
@@ -399,26 +405,19 @@ def _eliminate(a: np.ndarray, q: int, stop: int | None = None) -> np.ndarray:
                          f"got {a.dtype}")
     if stop > m:
         return np.zeros(count, dtype=bool)
-    ok = np.ones(count, dtype=bool)
     for col in range(stop):
         if col:  # the first column holds canonical residues already
             a -= a // q * q
+        if col + 1 == s:
+            return a[:, 0].any(axis=0)
         diagonal = a[0, 0]
         if np.count_nonzero(diagonal) < count:
             lacking = np.flatnonzero(diagonal == 0)
-            below = a[:, 0, lacking] != 0
-            found = below.any(axis=0)
-            ok[lacking[~found]] = False
-            swap = lacking[found]
-            pivot = below[:, found].argmax(axis=0)
-            rows = a[pivot, :, swap]
-            a[pivot, :, swap] = a[0, :, swap]
-            a[0, :, swap] = rows
-        if col + 1 == s:
-            break
+            pivot = (a[:, 0, lacking] != 0).argmax(axis=0)
+            a[0, :, lacking] = (a[0, :, lacking] + a[pivot, :, lacking]) % q
         a = a[1:, 1:] * a[0, 0] - a[1:, 0, None] * a[0, 1:]
-    if stop == s:
-        return ok
+    if stop == s:  # no columns
+        return np.ones(count, dtype=bool)
     a -= a // q * q
     return a
 
@@ -464,9 +463,10 @@ def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int,
     columns.  Row operations keep rank, so by _eliminate's Schur step a
     selection has full column rank exactly when its prefix has rank t
     and its remainder has full column rank.  A prefix of lower rank
-    needs no verdict of its own: the kernel zeroes the trailing rows of
-    a matrix that lacks a pivot, so each remainder read from that stack
-    is zero and fails.
+    needs no verdict of its own: at the first column where a stack
+    lacks a pivot, the kernel's pivot step leaves it p = f = 0, so its
+    trailing rows zero out, and each remainder read from that stack is
+    zero and fails.
     """
     m, width = coef.shape
     split = 0 if prefixes is None else prefixes.shape[1]

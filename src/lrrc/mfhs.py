@@ -234,8 +234,10 @@ def params_new(n: int, k: int, d: int, r: int) -> Params:
     return Params(n=n, k=k, d=d, r=r, M=M, alpha=d, beta=1)
 
 
+@lru_cache(maxsize=None)
 def helper_universe(params: Params, node: int) -> frozenset[int]:
-    """All nodes outside node's family; exactly d + r of them."""
+    """All nodes outside node's family; exactly d + r of them.  Cached:
+    a repair event reads it twice."""
     if not (1 <= node <= params.n):
         raise OutOfScope(f"node {node} outside 1..{params.n}")
     f = params.family_size

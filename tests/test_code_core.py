@@ -639,9 +639,10 @@ def test_repair_random_matches_pure_products(q, monkeypatch):
         helpers = tuple(rng.sample(sorted(helper_universe(P641, failed)), d))
         seed = rng.randrange(2**32)
         repaired = repair_random(state, failed, helpers, rng_seed=seed)
-        combine, mix = rngs[-1].draws
+        # one draw of shape (2, d, d): B, then Z
+        [(combine, mix)] = rngs[-1].draws
         if trial > 0:
-            # B then Z, the call's first two draws from Philox(seed)
+            # B then Z, the first two d x d draws from Philox(seed)
             philox = np.random.Generator(np.random.Philox(seed))
             assert [philox.integers(0, q, size=(d, d), dtype=np.int64).tolist()
                     for _ in range(2)] == [combine, mix]

@@ -270,7 +270,8 @@ def _swap_skip_stack(q: int, m: int, s: int, col: int, swapped: str) -> np.ndarr
     diagonal, so elimination finds every pivot on the diagonal until
     column col.  There rows col and col + 1 trade places in no, some or
     all of them (swapped = "none", "some", "all"), which leaves a zero
-    diagonal entry.  Two "some" members lose rank instead: one has an
+    diagonal entry, so the kernel's pivot step adds row col + 1 to the
+    pivot row.  Two "some" members lose rank instead: one has an
     all-zero column col, one a last column summing the others."""
     rng = np.random.Generator(np.random.Philox(q * 100 + m * 10 + col))
     stack = np.triu(rng.integers(0, q, size=(12, m, s)))
@@ -288,9 +289,9 @@ def _swap_skip_stack(q: int, m: int, s: int, col: int, swapped: str) -> np.ndarr
 @pytest.mark.parametrize("swapped", ["none", "some", "all"])
 @pytest.mark.parametrize("m,s,col", [(4, 4, 0), (4, 4, 2), (6, 4, 1), (5, 5, 3)])
 def test_full_column_rank_with_and_without_pivot_swaps(q, swapped, m, s, col):
-    """The kernel skips a column's pivot swap when every diagonal entry
+    """The kernel skips a column's pivot step when every diagonal entry
     there is nonzero; the verdicts must match the pure kernel whether
-    no, some or all matrices need the swap."""
+    no, some or all matrices need a row added to their pivot row."""
     stack = _swap_skip_stack(q, m, s, col, swapped)
     want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
     assert full_column_rank(stack, q).tolist() == want
@@ -318,9 +319,10 @@ def test_full_column_rank_of_an_empty_batch(q, m, s):
 @pytest.mark.parametrize("q", EDGE_QS)
 @pytest.mark.parametrize("m", [1, 2, 6])
 def test_full_column_rank_of_single_columns(q, m):
-    """s = 1: the first column is also the last, so no update runs.
-    Every fourth column is zero and every fourth has a zero top entry,
-    which needs a swap when some entry below it is nonzero."""
+    """s = 1: the first column is also the last, so no update runs and
+    the verdict is read straight from it.  Every fourth column is zero
+    and every fourth has a zero top entry, which passes exactly when
+    some entry below it is nonzero."""
     rng = np.random.Generator(np.random.Philox(q + m))
     stack = _residues(rng, q, (40, m, 1))
     stack[::4] = 0
@@ -337,8 +339,9 @@ def test_full_column_rank_of_single_columns(q, m):
 def test_full_column_rank_swaps_only_at_the_last_column_of_a_tall_stack(q, m, s):
     """Tall upper-triangular stacks whose rows s - 1 and s trade places
     in some members: every pivot up to the last column is on the
-    diagonal, and the last column's pivot of those members is in row s,
-    below the square part, which the block's last update brought up."""
+    diagonal, and the last column's nonzero entry of those members is
+    in row s, below the square part, where the verdict read at the last
+    column must find it."""
     stack = _swap_skip_stack(q, m, s, s - 1, "some")
     want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
     assert not want[2] and not want[7] and sum(want) == 10
@@ -350,7 +353,7 @@ def _limit(q: int) -> int:
     return 2 ** (8 * np.dtype(galois._residue_dtype(q)).itemsize - 1)
 
 
-# The column of the first pivot swap in the deep-swap stacks below, per
+# The column of the first zero pivot in the deep stacks below, per
 # EDGE_QS field: the stack is col + 3 by col + 2.
 SWAP_COLUMN = {2: 15, 142151: 2, 2147483647: 1}
 
@@ -358,10 +361,10 @@ SWAP_COLUMN = {2: 15, 142151: 2, 2147483647: 1}
 @pytest.mark.parametrize("q", EDGE_QS)
 @pytest.mark.parametrize("swapped", ["some", "all"])
 def test_full_column_rank_swaps_right_after_a_delayed_reduction(q, swapped):
-    """The first pivot swap falls at column col >= 1, which starts with
-    a reduction of the whole block, so the swap moves rows that were
-    just reduced, after col updates: 15 at q = 2, 2 at 142151 and 1 at
-    2^31 - 1."""
+    """The first zero pivot falls at column col >= 1, which starts with
+    a reduction of the whole block, so the pivot step adds rows that
+    were just reduced, after col updates: 15 at q = 2, 2 at 142151 and
+    1 at 2^31 - 1."""
     col = SWAP_COLUMN[q]
     stack = _swap_skip_stack(q, col + 3, col + 2, col, swapped)
     want = [rank_of_rows(mat.tolist(), q) == col + 2 for mat in stack]
@@ -371,12 +374,13 @@ def test_full_column_rank_swaps_right_after_a_delayed_reduction(q, swapped):
 
 def _delayed_reduction_stack(q: int, m: int, s: int) -> np.ndarray:
     """Eight m x s matrices over GF(q) whose elimination meets the
-    largest entries, the pivot swaps and the cancellations:
+    largest entries, the zero pivots and the cancellations:
     0. every entry q - 1 (rank 1);
     1. q - 2 on the diagonal and q - 1 elsewhere, -(I + J) mod q;
     2. random;
     3. random with a last column that is a combination of the others;
-    4. random with a zero diagonal, so each column may need a swap;
+    4. random with a zero diagonal, so each column may need a row added
+       to its pivot row;
     5. the same with the planted last column;
     6, 7. matrices 1 and 2 with their rows reversed."""
     rng = np.random.Generator(np.random.Philox(q * 1000 + m * 10 + s))
@@ -521,14 +525,74 @@ def test_eliminate_refuses_an_array_narrower_than_its_field_needs():
 def test_full_column_rank_swaps_only_the_zero_diagonals(q, m, s):
     """Over GF(2) and GF(3) about 1/q of a column's diagonal entries are
     zero, and every third matrix starts with its whole diagonal zero, so
-    nearly every column mixes matrices that need a pivot swap, some that
-    find none, and matrices that need no swap."""
+    nearly every column mixes matrices that need a row added to their
+    pivot row, some that find none, and matrices that need no step."""
     rng = np.random.Generator(np.random.Philox(q * 100 + m * 10 + s))
     stack = rng.integers(0, q, size=(600, m, s))
     stack[::3, np.arange(s), np.arange(s)] = 0
     want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
     assert 0 < sum(want) < len(want)
     assert full_column_rank(stack, q).tolist() == want
+
+
+# q = 2, where a row added to itself reduces to zero, GF(3), the last
+# int32 and int64 primes, and the first prime eliminated as Python ints
+ROW_ADD_QS = [2, 3, 32749, 2147483647, next_prime(BATCH_Q_LIMIT)]
+
+
+def _row_add_stack(q: int, m: int, s: int, col: int) -> np.ndarray:
+    """Twelve m x s matrices over GF(q), upper triangular with every
+    entry on and above the diagonal q - 1, except a zero at (col, col).
+    Elimination finds each pivot before col on the diagonal, so at col
+    the pivot row is row col, with a zero pivot entry, and below it:
+    0-2. q - 1 in row col + 1: the pivot step adds that row, q - 1 from
+         col on, to the pivot row, and the matrix is regular;
+    3-5. q - 1 in row m - 1 alone, the farthest row;
+    6-8. nothing: column col has no pivot, so the pivot row is added to
+         itself (at q = 2 it reduces to zero), and the matrix is rank
+         deficient;
+    9-11. q - 1 in row col + 1, with a last column that sums the others,
+         so the matrix is rank deficient after the addition."""
+    stack = np.triu(np.full((12, m, s), q - 1, dtype=np.int64))
+    stack[:, col, col] = 0
+    stack[0:3, col + 1, col] = stack[9:12, col + 1, col] = q - 1
+    stack[3:6, m - 1, col] = q - 1
+    stack[9:12, :, -1] = stack[9:12, :, :-1].sum(axis=2) % q
+    return stack
+
+
+@pytest.mark.parametrize("q", ROW_ADD_QS)
+@pytest.mark.parametrize("m,s,col", [(4, 4, 0), (5, 5, 2), (7, 5, 1), (6, 4, 3)])
+def test_full_column_rank_adds_a_row_to_a_zero_pivot(q, m, s, col):
+    """Verdicts of stacks whose zero pivot at col forces the row
+    addition, against the pure kernel: at the first column, after a
+    reduction, and at the last column of a tall stack."""
+    stack = _row_add_stack(q, m, s, col)
+    want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
+    assert all(want[0:3]) and not any(want[6:12])
+    assert full_column_rank(stack, q).tolist() == want
+
+
+@pytest.mark.parametrize("q", ROW_ADD_QS)
+@pytest.mark.parametrize("col,t", [(0, 1), (0, 3), (1, 2), (2, 3)])
+def test_stopped_elimination_after_a_row_addition(q, col, t):
+    """Stopped after t columns, past the zero pivot at col: a prefix
+    with no pivot there leaves an all-zero block, and a regular prefix
+    leaves residues whose rank, plus t, is the matrix's."""
+    m, s = 6, 5
+    stack = _row_add_stack(q, m, s, col)
+    rest = galois._eliminate(np.array(stack.transpose(1, 2, 0), dtype=galois._residue_dtype(q),
+                                      order="C"), q, t)
+    assert rest.shape == (m - t, s - t, len(stack))
+    regular = [rank_of_rows(mat[:, :t].tolist(), q) == t for mat in stack]
+    assert all(regular[0:3]) and not any(regular[6:9]) and all(regular[9:12])
+    for i, mat in enumerate(stack):
+        block = rest[:, :, i].tolist()
+        if regular[i]:
+            assert all(0 <= v < q for row in block for v in row)
+            assert rank_of_rows(mat.tolist(), q) == t + rank_of_rows(block, q)
+        else:
+            assert not any(v for row in block for v in row)
 
 
 @pytest.mark.parametrize("q", [7639, next_prime(BATCH_Q_LIMIT)])
