@@ -552,7 +552,9 @@ def _row_add_stack(q: int, m: int, s: int, col: int) -> np.ndarray:
          itself (at q = 2 it reduces to zero), and the matrix is rank
          deficient;
     9-11. q - 1 in row col + 1, with a last column that sums the others,
-         so the matrix is rank deficient after the addition."""
+         so the matrix is rank deficient after the addition.
+    At col = s - 1 no row is added: the verdict is read there, from
+    every remaining row."""
     stack = np.triu(np.full((12, m, s), q - 1, dtype=np.int64))
     stack[:, col, col] = 0
     stack[0:3, col + 1, col] = stack[9:12, col + 1, col] = q - 1
@@ -565,8 +567,9 @@ def _row_add_stack(q: int, m: int, s: int, col: int) -> np.ndarray:
 @pytest.mark.parametrize("m,s,col", [(4, 4, 0), (5, 5, 2), (7, 5, 1), (6, 4, 3)])
 def test_full_column_rank_adds_a_row_to_a_zero_pivot(q, m, s, col):
     """Verdicts of stacks whose zero pivot at col forces the row
-    addition, against the pure kernel: at the first column, after a
-    reduction, and at the last column of a tall stack."""
+    addition, against the pure kernel: at the first column and after a
+    reduction; and a zero pivot at the last column of a tall stack,
+    where the verdict must find the entry in a lower row."""
     stack = _row_add_stack(q, m, s, col)
     want = [rank_of_rows(mat.tolist(), q) == s for mat in stack]
     assert all(want[0:3]) and not any(want[6:12])
