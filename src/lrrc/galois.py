@@ -262,9 +262,10 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
     elimination is fraction-free, with _eliminate's update: with pivot p
     and the entry f below it, each lower row becomes
     (row * p - f * pivot_row) % q, so no modular inverse is taken and no
-    pivot row is scaled.  Every row stays a nonzero multiple of the row
-    unit-pivot elimination would hold, so the swaps, the pivot columns
-    and the rank are the same.  rows is left in echelon form with
+    pivot row is scaled; its entry in the pivot column becomes
+    f * p - f * p = 0, written without being computed.  Every row stays
+    a nonzero multiple of the row unit-pivot elimination would hold, so
+    the swaps, the pivot columns and the rank are the same.  rows is left in echelon form with
     nonzero pivots and canonical residues.  It serves mat_solve (and so
     mat_inv and decode), the witness ranks of lrrc.code_core and the
     tests' reference; the verification sweeps run on full_column_rank
@@ -290,7 +291,8 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
             f = rows[r][col]
             if f:
                 rrow = rows[r]
-                for j in range(col, n):
+                rrow[col] = 0  # f * p - f * p
+                for j in range(col + 1, n):
                     rrow[j] = (rrow[j] * p - f * prow[j]) % q
         rank += 1
         if rank == m:
@@ -439,10 +441,12 @@ def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int,
     """The first row of columns whose selection lacks full column rank
     mod q, or None when every selection has it.
 
-    coef is an m x N residue_array.  Without prefixes, or with
-    prefixes of no columns, columns is a (B, s) index array into coef's
-    columns, and row i selects the m x s matrix coef[:, columns[i]].
-    The rows are taken in member order,
+    coef is an m x N residue_array, or a K x m x N stack of K of them,
+    one per candidate, read as the m x K*N array [coef_0 | ... |
+    coef_{K-1}]; an index c + k*N names column c of candidate k.  Without
+    prefixes, or with prefixes of no columns, columns is a (B, s) index
+    array into those columns, and row i selects the m x s matrix of the
+    columns it names.  The rows are taken in order,
     RANK_CHUNK // ((m - t) * (s - t)) at a time for a split at t
     columns (t = 0 without one), and the call returns at the first chunk
     that holds a failure.  The index it returns is the one a single call
@@ -452,23 +456,26 @@ def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int,
     Without a split each chunk's selections are gathered straight into
     the batch-last layout that _eliminate works on.  A split at t
     columns, 0 < t <= m and t < s, takes prefixes, a (G, t) index array
-    into coef's columns, one row per label g, and columns becomes a
-    (B, s - t) array of entries g * N + c: row i has one label g_i,
-    labels do not fall down the rows, and row i selects
-    [coef[:, prefixes[g_i]] | coef[:, columns[i] - g_i * N]].  A chunk
-    stacks [coef[:, prefixes[g]] | coef], m x (t + N), once for each
-    label g from its first row's to its last row's, eliminates only the
-    first t columns, and ranks each row's (m - t) x (s - t) remainder:
-    the transformed rows t..m-1 of its label's stack at its other
-    columns.  Row operations keep rank, so by _eliminate's Schur step a
-    selection has full column rank exactly when its prefix has rank t
-    and its remainder has full column rank.  A prefix of lower rank
-    needs no verdict of its own: at the first column where a stack
+    into those K*N columns, one row per label g, all of whose columns
+    belong to one candidate k_g, and columns becomes a (B, s - t) array
+    of entries g * N + c: row i has one label g_i, labels do not fall
+    down the rows, and row i selects [prefix of g_i | coef_{k_{g_i}}[:,
+    columns[i] - g_i * N]].  A chunk stacks [prefix of g | coef_{k_g}],
+    m x (t + N), once for each label g from its first row's to its last
+    row's, so each label reads its own candidate's N columns, eliminates
+    only the first t columns, and ranks each row's (m - t) x (s - t)
+    remainder: the transformed rows t..m-1 of its label's stack at its
+    other columns.  Row operations keep rank, so by _eliminate's Schur
+    step a selection has full column rank exactly when its prefix has
+    rank t and its remainder has full column rank.  A prefix of lower
+    rank needs no verdict of its own: at the first column where a stack
     lacks a pivot, the kernel's pivot step leaves it p = f = 0, so its
     trailing rows zero out, and each remainder read from that stack is
     zero and fails.
     """
-    m, width = coef.shape
+    coefs = coef if coef.ndim == 3 else coef[None]
+    m, width = coefs.shape[1:]
+    flat = coef if coef.ndim == 2 else coefs.transpose(1, 0, 2).reshape(m, -1)
     split = 0 if prefixes is None else prefixes.shape[1]
     s = split + columns.shape[1]
     if split and not (split <= m and split < s):
@@ -479,14 +486,16 @@ def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int,
         if split:
             first = int(chunk[0, 0]) // width
             count = int(chunk[-1, 0]) // width - first + 1
+            labels = prefixes[first:first + count]
             stack = np.empty((m, split + width, count), dtype=coef.dtype)
-            stack[:, :split] = np.take(coef, prefixes[first:first + count].T, axis=1)
-            stack[:, split:] = coef[:, :, None]
+            stack[:, :split] = np.take(flat, labels.T, axis=1)
+            stack[:, split:] = (coefs[0, :, :, None] if len(coefs) == 1
+                                else coefs[labels[:, 0] // width].transpose(1, 2, 0))
             # label-major, so that column c of label first + g sits at g * N + c
             rest = _eliminate(stack, q, split).transpose(0, 2, 1).reshape(m - split, count * width)
             ok = _eliminate(np.take(rest, (chunk - first * width).T, axis=1), q)
         else:
-            ok = _eliminate(np.take(coef, chunk.T, axis=1), q)
+            ok = _eliminate(np.take(flat, chunk.T, axis=1), q)
         if not ok.all():
             return start + int(np.argmin(ok))
     return None

@@ -602,8 +602,8 @@ def test_targets_never_fall_along_unit_raises(point):
 
 
 class _RecordingRng:
-    """Stands in for repair_random's Philox generator: hands out its
-    draws, or all q - 1 when top, and keeps each one."""
+    """Stands in for repair_random's re-keyed Philox generator: hands
+    out its draws, or all q - 1 when top, and keeps each one."""
 
     def __init__(self, rng, top):
         self.rng, self.top, self.draws = rng, top, []
@@ -620,15 +620,17 @@ def test_repair_random_matches_pure_products(q, monkeypatch):
     # 32749 and 2^31 - 1 are the largest int32 and int64 fields, where
     # products of residues come closest to 2^30 and 2^62;
     # next_prime(2^31) takes the object path.  The
-    # all-(q - 1) state fails the invariant, so each call keeps its
-    # first candidate unverified, and the first call draws all q - 1.
+    # all-(q - 1) state fails the invariant, so each call's window
+    # accepts its first candidate unverified, and the first call draws
+    # all q - 1.
     rngs = []
 
-    def first_sample(sample, hset, rng_seed, max_attempts, error):
+    def recording_generator(rng_seed):
         rngs.append(_RecordingRng(np.random.Generator(np.random.Philox(rng_seed)), not rngs))
-        return sample(rngs[-1], 1)
+        return rngs[-1]
 
-    monkeypatch.setattr(code_core, "_sample_until_accepted", first_sample)
+    monkeypatch.setattr(code_core, "_generator", recording_generator)
+    monkeypatch.setattr(code_core.RepairWindow, "verify", lambda window: None)
     rng = random.Random(q)
     f = field_new(q)
     d = P641.d
@@ -1458,3 +1460,58 @@ def test_encode_and_decode_refuse_arguments_that_do_not_fit(small_state):
         decode(small_state, (1, 2, 3), stored[:2])
     with pytest.raises(CodeError, match=r"duplicate nodes in \(1, 2, 1\)"):
         decode(small_state, (1, 2, 1), [stored[0], stored[1], stored[0]])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 123456789012345, 2**63 - 1])
+def test_rekeyed_generator_draws_what_a_fresh_philox_draws(seed):
+    # the module's one generator, re-keyed per seed, against a fresh
+    # Generator(Philox(seed)), with another stream drawn in between
+    for shape, q in (((5, 2, 3, 3), 142151), ((2, 3, 3), 7), ((2, 4, 4), 2**31 - 1),
+                     ((7,), 2**62), ((3, 1), 2)):
+        fresh = np.random.Generator(np.random.Philox(seed))
+        want = [fresh.integers(0, q, size=shape, dtype=np.int64).tolist() for _ in range(3)]
+        code_core._generator(seed + 1).integers(0, 5, size=9)
+        rng = code_core._generator(seed)
+        assert [rng.integers(0, q, size=shape, dtype=np.int64).tolist() for _ in range(3)] == want
+
+
+def _philox_repair(state, failed, helpers, seed, attempt):
+    """The candidate of a repair's attempt-th sample, by pure-Python
+    products from the draws of a fresh Generator(Philox(seed))."""
+    f, d = state.field, state.params.d
+    philox = np.random.Generator(np.random.Philox(seed))
+    for _ in range(attempt):
+        combine, mix = philox.integers(0, f.q, size=(2, d, d), dtype=np.int64).tolist()
+    return _mat_mul_repair(state, failed, sorted(helpers),
+                           [FieldMatrix(d, 1, tuple(row[j] for row in combine), f)
+                            for j in range(d)],
+                           FieldMatrix.from_rows(mix, f))
+
+
+def test_window_rekeys_per_repair_and_resumes_on_its_own_stream():
+    """Three repairs, each on the one before: every first attempt is
+    drawn from its own seed's stream.  With the middle one made to fail,
+    verify accepts the first alone, and resume draws the middle one's
+    second attempt from its stream, after its first."""
+    state = _recommended_state(P641, H641, seed=3)
+    assert invariant_check(state, H641)
+    jobs = [(1, (3, 4, 5), 11), (3, (1, 2, 6), 12), (5, (1, 3, 4), 13)]
+    window = code_core.RepairWindow(H641)
+    for k, (failed, helpers, seed) in enumerate(jobs):
+        window.add(state if k == 0 else k - 1, failed, helpers, seed)
+    bases = [state] + window.candidates[:-1]
+    for base, candidate, (failed, helpers, seed) in zip(bases, window.candidates, jobs):
+        assert candidate.Q == _philox_repair(base, failed, helpers, seed, 1).Q
+        assert candidate.attempts == 1
+    failed, helpers, seed = jobs[1]
+    zero = FieldMatrix(P641.M, P641.d, (0,) * (P641.M * P641.d), state.field)
+    broken = replace(window.candidates[1], Q=tuple(
+        zero if i == failed else qm for i, qm in enumerate(window.candidates[1].Q, 1)))
+    object.__setattr__(broken, "_checked", window.candidates[1]._checked)
+    window.candidates[1] = broken
+    assert window.verify() == 1
+    assert invariant_check(window.candidates[0], H641)
+    resumed = window.resume(1)
+    assert resumed.attempts == 2
+    assert resumed.Q == _philox_repair(window.candidates[0], failed, helpers, seed, 2).Q
+    assert invariant_check(resumed, H641)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -860,3 +861,35 @@ def test_all_two_by_two_ranks_over_gf2():
         regular = det_by_cofactors([list(entries[:2]), list(entries[2:])], 2) != 0
         expect = 2 if regular else (1 if any(entries) else 0)
         assert _rank(a) == expect
+
+
+def _rank_updating_the_pivot_column(rows: list[list[int]], q: int) -> int:
+    """rank_of_rows as it was before it wrote the pivot column's zero
+    instead of computing it."""
+    m, n, rank = len(rows), len(rows[0]), 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, m) if rows[r][col]), -1)
+        if pivot < 0:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow, p = rows[rank], rows[rank][col]
+        for r in range(rank + 1, m):
+            f = rows[r][col]
+            if f:
+                rows[r] = [(a * p - f * b) % q for a, b in zip(rows[r], prow)]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+@pytest.mark.parametrize("q", [2, 7, 7639, 142151])
+def test_rank_of_rows_leaves_the_rows_computing_the_zeros_would(q):
+    rng = random.Random(f"pivot-zero/{q}")
+    for shape in ((4, 4), (6, 9), (9, 6), (12, 8), (8, 12)):
+        for _ in range(40):
+            rows = [[rng.randrange(q) if rng.random() < 0.8 else 0 for _ in range(shape[1])]
+                    for _ in range(shape[0])]
+            mine, theirs = [row[:] for row in rows], [row[:] for row in rows]
+            assert rank_of_rows(mine, q) == _rank_updating_the_pivot_column(theirs, q)
+            assert mine == theirs
