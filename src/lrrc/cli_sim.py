@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import random
 import sys
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from . import __version__
@@ -42,7 +41,6 @@ from .code_core import (
     CodeState,
     ConstructionFailed,
     RepairFailed,
-    RepairWindow,
     construct,
     invariant_check,
     reconstruct_check,
@@ -197,49 +195,12 @@ def _helper_sets(config: SimConfig, failed: int, master: random.Random) -> list[
     return list(itertools.combinations(universe, config.params.d))
 
 
-class _Event:
-    """One failure event while simulate runs it: its report entry, the
-    helper sets and seeds drawn for its repairs, the event before it,
-    and what its first repair made."""
-
-    def __init__(self, round_no: int, failed: int, helper_sets: list[tuple[int, ...]],
-                 seeds: list[int], previous: "_Event | None") -> None:
-        self.record: dict = {"round": round_no, "failed": failed,
-                             "helper_sets": [list(hs) for hs in helper_sets], "attempts": []}
-        self.failed, self.helper_sets, self.seeds = failed, helper_sets, seeds
-        self.previous = previous
-        # the first repair's accepted state, or, until it is accepted,
-        # its index in the window that holds it
-        self.advanced: CodeState | int | None = None
-        self.seconds = 0.0  # spent on its repairs and checks so far
-
-
 def simulate(config: SimConfig) -> SimReport:
     """Construct a code, then run the configured failure rounds.
 
     Construction or repair giving up is recorded in the report (with
     the offending round) and stops the run; nothing is raised.  The
     state only ever advances through accepted repairs.
-
-    An event repairs its failed node once per helper set, each time on
-    the state the event before it left, and advances the state to its
-    first repair.  The repairs run in code_core.RepairWindow windows of
-    consecutive repairs, in order, with every helper set and seed drawn
-    from the master generator in the order a repair at a time draws
-    them, so a window decides what repair_random decides for each.  A
-    window takes as many repairs as its size allows while they fit in
-    code_core.WINDOW_BYTES; its size starts unbounded, drops to 1 after
-    a window with a rejection and doubles after a window whose repairs
-    were all accepted at their first attempt.  The repairs after a
-    rejected one go back to the queue, and the next window starts with
-    them.
-
-    An event's wall_time_s sums, over its repairs, an equal share of the
-    time of the window that decided the repair (drawing the window's
-    helper sets and seeds, its first attempts and its pass), plus the
-    time of the repair's later attempts and of the event's checks.  So
-    the events sum to the time of the repair loop, and no event carries
-    alone a pause that its window's work caused.
     """
     t_start = time.perf_counter()
     params = config.params
@@ -251,10 +212,10 @@ def simulate(config: SimConfig) -> SimReport:
     events: list[dict] = []
     failure: dict | None = None
     exhausted = 0  # attempts spent by the repair that gave up
-    # construct and RepairWindow accept a state only after it passed
-    # the invariant on this same cached hset, and by Lemma C of
-    # lrrc.code_core every k nodes of such a state recover the file, so
-    # both verdicts are recorded, not computed again
+    # construct and repair_random return a state only after
+    # invariant_check(state, hset) passed on this same cached hset, and
+    # by Lemma C of lrrc.code_core every k nodes of such a state recover
+    # the file, so both verdicts are recorded, not computed again
     carried = {"invariant": True} if config.check_invariant else {}
     if config.check_reconstruction:
         carried["reconstruction"] = True
@@ -282,69 +243,46 @@ def simulate(config: SimConfig) -> SimReport:
         planned = _planned_failures(config, master)
     construction["wall_time_s"] = time.perf_counter() - t0
 
-    schedule = ((round_no, failed) for round_no, failures in enumerate(planned, start=1)
-                for failed in failures)
-    pending: deque[tuple[_Event, int]] = deque()  # (event, helper set index)
-    last: _Event | None = None
-    size = math.inf
-    while failure is None:
-        start = time.perf_counter()
-        window = RepairWindow(hset, config.max_attempts)
-        members: list[tuple[_Event, int]] = []
-        while len(members) < size:
-            if not pending:
-                planned_event = next(schedule, None)
-                if planned_event is None:
-                    break
-                helper_sets = _helper_sets(config, planned_event[1], master)
-                seeds = [master.getrandbits(63) for _ in helper_sets]
-                last = _Event(*planned_event, helper_sets, seeds, last)
-                pending.extend((last, idx) for idx in range(len(helper_sets)))
-            event, idx = pending[0]
-            previous = event.previous
-            base = state if previous is None else previous.advanced
-            if not window.fits(base, event.failed):
-                break
-            pending.popleft()
-            if idx == 0:
-                event.advanced = len(members)
-            window.add(base, event.failed, event.helper_sets[idx], event.seeds[idx])
-            members.append((event, idx))
-        if not members:
+    for round_no, failures in enumerate(planned, start=1):
+        if failure:
             break
-        rejected = window.verify()
-        decided = members if rejected is None else members[:rejected + 1]
-        share = (time.perf_counter() - start) / len(decided)
-        for i, (event, idx) in enumerate(decided):
+        for failed in failures:
+            helper_sets = _helper_sets(config, failed, master)
+            base = state
+            advanced: CodeState | None = None
+            event: dict = {
+                "round": round_no,
+                "failed": failed,
+                "helper_sets": [list(hs) for hs in helper_sets],
+                "attempts": [],
+            }
             t0 = time.perf_counter()
             try:
-                repaired = window.candidates[i] if i != rejected else window.resume(i)
+                for idx, hs in enumerate(helper_sets):
+                    candidate = repair_random(
+                        base, failed, hs, rng_seed=master.getrandbits(63),
+                        max_attempts=config.max_attempts,
+                    )
+                    event["attempts"].append(candidate.attempts)
+                    if idx == 0:
+                        advanced = candidate
             except RepairFailed as exc:
                 exhausted = exc.attempts
                 rejected_by = [list(h) for h in exc.rejected_by]
-                event.record["error"] = "RepairFailed"
-                event.record["rejected_by"] = rejected_by
-                event.record["wall_time_s"] = event.seconds + share + time.perf_counter() - t0
-                events.append(event.record)
-                failure = {"round": event.record["round"], "failed": event.failed,
-                           "error": "RepairFailed", "rejected_by": rejected_by}
+                event["error"] = "RepairFailed"
+                event["rejected_by"] = rejected_by
+                event["wall_time_s"] = time.perf_counter() - t0
+                events.append(event)
+                failure = {"round": round_no, "failed": failed, "error": "RepairFailed",
+                           "rejected_by": rejected_by}
                 break
-            event.record["attempts"].append(repaired.attempts)
-            if idx == 0:
-                event.advanced = repaired
-            if idx + 1 == len(event.helper_sets):
-                event.record["checks"] = dict(carried)
-                if config.check_witness:
-                    event.record["checks"]["witness"] = witness_holds(
-                        event.advanced, event.failed, event.helper_sets[0], hset)
-                events.append(event.record)
-            event.seconds += share + time.perf_counter() - t0
-            event.record["wall_time_s"] = event.seconds
-        if rejected is None:
-            size = 2 * len(members)
-        else:
-            size = 1
-            pending.extendleft(reversed(members[rejected + 1:]))
+            assert advanced is not None
+            state = advanced
+            event["checks"] = dict(carried)
+            if config.check_witness:
+                event["checks"]["witness"] = witness_holds(state, failed, helper_sets[0], hset)
+            event["wall_time_s"] = time.perf_counter() - t0
+            events.append(event)
 
     def event_ok(e: dict) -> bool:
         return "error" not in e and all(e.get("checks", {}).values())

@@ -65,19 +65,6 @@ array with node x's d columns replaced by the new Q_x, which
 repair_random computes in numpy from the helpers' columns of that same
 array.
 
-A window of consecutive repairs (RepairWindow) is verified in one
-kernel pass.  Each repair's first attempt is drawn on the previous
-repair's first attempt, or on a state that passed, and is marked as
-differing from it only at its failed node; _first_failure ranks every
-candidate's node rows in one galois.first_rank_deficient call, in
-repair order, and names the first candidate that fails.  Every
-candidate before it is accepted, by induction in order: the first one's
-base passed, so ranking its node rows decides the whole invariant;
-once it passed in full, the next one's base passed, and so on.  The
-rejected repair goes on from its second attempt on its own stream, as
-repair_random would, and the repairs after it are drawn again on what
-it returns.  repair_random is the window of one repair.
-
 Lemma C: every set S of k nodes contains the support of a maximal
 member of H, so every state that passes invariant_check lets any k
 nodes recover the file.
@@ -102,9 +89,8 @@ reconstruct_verdicts, decide lrrc.exact6321's reconstruction entries.
 
 Construction and repair draw coefficients uniformly at random (one
 Philox counter-based generator, re-keyed for each seed) and retry on
-rejection.  At the
-mandated field size a single attempt fails only with polynomially small
-probability, so retries are rare and bounded.
+rejection.  At the mandated field size a single attempt fails only
+with polynomially small probability, so retries are rare and bounded.
 """
 
 from __future__ import annotations
@@ -253,7 +239,7 @@ class CodeState:
                 raise CodeError(
                     f"Q_{i} is {qm.rows}x{qm.cols}, expected {self.params.M}x{self.params.d}"
                 )
-            if qm.field != self.field:
+            if qm.field is not self.field and qm.field != self.field:
                 raise CodeError(f"Q_{i} lives in GF({qm.field.q}), state says GF({self.field.q})")
         if self.packet_width < 1:
             raise CodeError("packet width must be positive")
@@ -404,81 +390,6 @@ def _split_plan(hset: HSet, t: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(columns[new, :t]), remainders
 
 
-@lru_cache(maxsize=None)
-def _node_plan(hset: HSet, t: int, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(prefixes, remainders) of the _sweep_plan node_rows[x - 1], as
-    _split_plan gives them at t, with their labels, from the first
-    row's to the last row's, renumbered from 0.  Kept per node for the
-    sweeps that a window ranks together; a sweep ranked alone takes its
-    rows of the plan, with no copy that stays."""
-    prefixes, remainders = _split_plan(hset, t)
-    part = remainders[_sweep_plan(hset)[1][x - 1]]
-    if not len(part):
-        return prefixes[:1], part
-    width = hset.params.n * hset.params.d
-    lo, hi = int(part[0, 0]) // width, int(part[-1, 0]) // width + 1
-    part -= part.dtype.type(lo * width)
-    return prefixes[lo:hi], part
-
-
-def _first_failure(states: Sequence[CodeState], hset: HSet) -> tuple[int, tuple[int, ...]] | None:
-    """(i, h) for the first of states, in order, that fails the
-    invariant, and the first maximal h, in member order, whose selection
-    in it loses full column rank; None when every state passes.
-
-    Each state is ranked on the rows of hset's sweep that its memo
-    leaves open: the plan's node_rows[x - 1] for a state marked as
-    differing only at node x, all rows for any other.  One state is
-    ranked by its rows of the _split_plan remainders, in chunks, by
-    galois.first_rank_deficient.  Several are ranked in the same one
-    call, on the stack of their coefficient arrays: each state's rows
-    keep its labels' range of the plan, renumbered after the labels of
-    the states before it, and its labels' prefixes index its own array,
-    so each label's stack reads its own state's columns.  The states
-    before the returned one are marked as passing on this hset, all of
-    them when None is returned.
-    """
-    for state in states:
-        _check_hset(state.params, hset)
-    node_rows = _sweep_plan(hset)[1]
-    t = _split_columns(hset)
-    # per state, the node whose rows it is ranked on, or None for all
-    nodes = [memo[1] if memo is not None and memo[0] is hset else None
-             for memo in (state._checked for state in states)]
-    if len(states) == 1:
-        prefixes, columns = _split_plan(hset, t)
-        if nodes[0] is not None:
-            columns = columns[node_rows[nodes[0] - 1]]
-        first = first_rank_deficient(_coefficients(states[0]), columns, states[0].field.q, prefixes)
-        failing, row = (1, None) if first is None else (0, first)
-    else:
-        width = hset.params.n * hset.params.d
-        plans = [_split_plan(hset, t) if x is None else _node_plan(hset, t, x) for x in nodes]
-        parts = [part for _, part in plans]
-        labels = [len(prefixes) for prefixes, _ in plans]
-        # state k's labels follow the labels of the states before it,
-        # and its prefixes index its own columns, k * width onwards
-        columns = np.concatenate(parts, dtype=np.intp)
-        starts = (np.cumsum(labels) - labels) * width
-        columns += np.repeat(starts, [len(part) for part in parts])[:, None]
-        prefixes = np.concatenate([prefixes for prefixes, _ in plans], dtype=np.intp)
-        prefixes += np.repeat(np.arange(len(states)) * width, labels)[:, None]
-        coef = np.stack([_coefficients(state) for state in states])
-        first = first_rank_deficient(coef, columns, states[0].field.q, prefixes)
-        failing, row = len(states), None
-        if first is not None:
-            ends = np.cumsum([len(part) for part in parts])
-            failing = int(np.searchsorted(ends, first, side="right"))
-            row = first - (int(ends[failing - 1]) if failing else 0)
-    for state in states[:failing]:
-        object.__setattr__(state, "_checked", (hset, None))
-    if row is None:
-        return None
-    if nodes[failing] is not None:
-        row = node_rows[nodes[failing] - 1][row]
-    return failing, tuple(hset.rows[row].tolist())
-
-
 def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     """First maximal h, in member order, whose selection loses full
     column rank; None when every admissible selection keeps it.
@@ -493,11 +404,21 @@ def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     every other maximal h selects the columns that passed in that state,
     so the first failure in member order is among those rows.  A state
     that passes is marked as passing on this hset.  The failing h is
-    the one row of hset.rows made a tuple of Python ints.  This is
-    _first_failure of the one state.
+    the one row of hset.rows made a tuple of Python ints.
     """
-    failure = _first_failure([state], hset)
-    return None if failure is None else failure[1]
+    _check_hset(state.params, hset)
+    node_rows = _sweep_plan(hset)[1]
+    prefixes, columns = _split_plan(hset, _split_columns(hset))
+    memo = state._checked
+    rows = None
+    if memo is not None and memo[0] is hset and memo[1] is not None:
+        rows = node_rows[memo[1] - 1]
+        columns = np.take(columns, rows, axis=0)
+    first = first_rank_deficient(_coefficients(state), columns, state.field.q, prefixes)
+    if first is None:
+        object.__setattr__(state, "_checked", (hset, None))
+        return None
+    return tuple(hset.rows[first if rows is None else rows[first]].tolist())
 
 
 def invariant_check(state: CodeState, hset: HSet) -> bool:
@@ -554,11 +475,15 @@ def _check_attempts(max_attempts: int) -> None:
         raise CodeError(f"max_attempts must be at least 1, got {max_attempts}")
 
 
-# The one Philox bit generator every sample draws from, re-keyed per
-# seed by _generator, and the Generator drawing from it.
-_PHILOX = np.random.Philox(0)
-_GENERATOR = np.random.Generator(_PHILOX)
 _EMPTY = np.zeros(4, dtype=np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _philox() -> np.random.Generator:
+    """The one Generator every sample draws from, over a Philox bit
+    generator, built on first use (so importing lrrc loads no
+    numpy.random) and re-keyed per seed by _generator."""
+    return np.random.Generator(np.random.Philox(0))
 
 
 def _generator(rng_seed: int) -> np.random.Generator:
@@ -566,35 +491,35 @@ def _generator(rng_seed: int) -> np.random.Generator:
     np.random.Generator(np.random.Philox(rng_seed)) starts: counter 0,
     key SeedSequence(rng_seed).generate_state(2, np.uint64), empty
     buffer.  Re-keying skips building a bit generator and a Generator
-    per call, which cost about as much as the keying itself."""
-    _PHILOX.state = {
+    per call."""
+    rng = _philox()
+    rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _EMPTY,
                   "key": np.random.SeedSequence(rng_seed).generate_state(2, np.uint64)},
         "buffer": _EMPTY, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return _GENERATOR
+    return rng
 
 
 def _sample_until_accepted(
     sample: Callable[[np.random.Generator, int], CodeState],
     hset: HSet,
-    rng: np.random.Generator,
+    rng_seed: int,
     max_attempts: int,
     error: type[AttemptsExhausted],
-    rejected: Sequence[CodeState] = (),
 ) -> CodeState:
-    """The first sample(rng, attempt), for attempt = len(rejected) + 1
-    .. max_attempts, that passes invariant_check; rejected holds the
-    samples of the earlier attempts, drawn from rng before it got here
-    and rejected already.
+    """The first sample(rng, attempt), for attempt = 1..max_attempts,
+    that passes invariant_check; every sample draws from the stream of
+    Philox seeded with rng_seed, which _generator starts.
 
     invariant_check runs once per attempt.  When all max_attempts
     samples were rejected, raises error with the h that rejected each,
     recomputed only then.  Its callers have checked max_attempts with
     _check_attempts.
     """
-    rejected = list(rejected)
-    for attempt in range(len(rejected) + 1, max_attempts + 1):
+    rng = _generator(rng_seed)
+    rejected = []
+    for attempt in range(1, max_attempts + 1):
         state = sample(rng, attempt)
         if invariant_check(state, hset):
             return state
@@ -637,145 +562,7 @@ def construct(
         return CodeState(params=params, field=field, packet_width=packet_width, Q=matrices,
                          attempts=attempt)
 
-    return _sample_until_accepted(sample, hset, _generator(rng_seed), max_attempts,
-                                  ConstructionFailed)
-
-
-def _repair_sampler(state: CodeState, failed: int, helpers: Sequence[int], hset: HSet,
-                    marked: bool) -> Callable[[np.random.Generator, int], CodeState]:
-    """sample(rng, attempt), one repair candidate of node failed of
-    state, as repair_random describes it, marked as differing from
-    state only at node failed when marked."""
-    params = state.params
-    _check_hset(params, hset)
-    ordered = checked_helpers(params, failed, helpers)
-    field, m, n, d, q = state.field, params.M, params.n, params.d, state.field.q
-    coef = _coefficients(state)
-    # blocks[i, j, c] is entry (i, c) of Q_{ordered[j]}
-    blocks = coef.reshape(m, n, d)[:, np.array(ordered) - 1]
-
-    def sample(rng: np.random.Generator, attempt: int) -> CodeState:
-        # one draw of both: B's d * d residues, then Z's
-        combine, mix = residue_array(_uniform(rng, q, (2, d, d)), q)
-        columns = (blocks * combine.T % q).sum(axis=2) % q
-        replacement = (columns[:, :, None] * mix % q).sum(axis=1) % q
-        new_q = list(state.Q)
-        new_q[failed - 1] = FieldMatrix(m, d, tuple(replacement.reshape(-1).tolist()), field)
-        candidate = CodeState(params=params, field=field, packet_width=state.packet_width,
-                              Q=tuple(new_q), attempts=attempt)
-        new_coef = coef.copy()
-        new_coef.reshape(m, n, d)[:, failed - 1] = replacement
-        new_coef.setflags(write=False)
-        object.__setattr__(candidate, "_coef", new_coef)
-        if marked:
-            object.__setattr__(candidate, "_checked", (hset, failed))
-        return candidate
-
-    return sample
-
-
-# A window's remainder stack, the largest array its pass builds, may
-# take this many bytes (RepairWindow.fits).  Up to it glibc's malloc
-# serves the pass's arrays from its heap; above it, each pass maps or
-# trims them afresh and their pages fault in again: in a simulate
-# process at (6,4,3,1) on a 2-core Xeon VM, windows of 159 and 212 KiB
-# took 26 and 21 minor page faults per event, windows of 128 KiB none.
-WINDOW_BYTES = 2**17
-
-
-class RepairWindow:
-    """Consecutive repairs whose first attempts are verified in one
-    kernel pass.
-
-    add draws a repair's first attempt, on a state or on the first
-    attempt of an earlier repair of the window; verify ranks all of them
-    at once and names the first one rejected; resume carries that one on
-    from its second attempt.  The repairs before it are accepted: each
-    candidate is ranked only on the selections that read its failed
-    node, and the state it repairs either passed the invariant or is an
-    earlier candidate of the window, which by induction, in order,
-    passed it in full when every candidate before it passed its rows
-    (see the module docstring).  So a window decides what repair_random
-    decides for each repair, one after another, with the same draws:
-    its first attempt, and for the one rejected its later attempts, on
-    its own stream.  repair_random is the window of one repair.
-
-    Raises CodeError when max_attempts is below 1, and OutOfScope
-    before any draw at a point where some repair can never pass
-    (HSet.unrepairable).
-    """
-
-    def __init__(self, hset: HSet, max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> None:
-        _check_attempts(max_attempts)
-        _check_repairable(hset)
-        self.hset = hset
-        self.max_attempts = max_attempts
-        self.candidates: list[CodeState] = []
-        self.stack_bytes = 0  # of the remainder stack verify ranks
-        self._node_rows = _sweep_plan(hset)[1]
-        self._entries_per_row = (hset.params.M - _split_columns(hset)) ** 2
-        # per repair: its sampler and the seed of its stream
-        self._streams: list[tuple[Callable[[np.random.Generator, int], CodeState], int]] = []
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def _base(self, base: CodeState | int) -> tuple[CodeState, bool]:
-        """The state a repair of base repairs, and whether its candidate
-        is marked: base passed the invariant on this window's hset, or
-        is an earlier repair of the window."""
-        if isinstance(base, int):
-            return self.candidates[base], True
-        memo = base._checked
-        return base, memo is not None and memo[0] is self.hset and memo[1] is None
-
-    def _stack_bytes(self, state: CodeState, marked: bool, failed: int) -> int:
-        """The bytes of the remainder stack that a candidate of node
-        failed of state is ranked on: its node's rows when marked, else
-        every row."""
-        rows = len(self._node_rows[failed - 1] if marked else self.hset.rows)
-        return rows * self._entries_per_row * _coefficients(state).itemsize
-
-    def fits(self, base: CodeState | int, failed: int) -> bool:
-        """Whether a repair of node failed of base keeps the window's
-        remainder stack within WINDOW_BYTES; an empty window takes any
-        repair."""
-        return not self.candidates or (
-            self.stack_bytes + self._stack_bytes(*self._base(base), failed) <= WINDOW_BYTES)
-
-    def add(self, base: CodeState | int, failed: int, helpers: Sequence[int],
-            rng_seed: int) -> CodeState:
-        """Draw the first attempt of a repair of node failed, from the
-        stream of rng_seed, on base: a state, or the index of an earlier
-        repair of the window whose first attempt it repairs.  Raises
-        InvalidHelpers when helpers fail mfhs.checked_helpers, and
-        CodeError when q is too large to draw or base is a state of
-        other parameters."""
-        state, marked = self._base(base)
-        sample = _repair_sampler(state, failed, helpers, self.hset, marked)
-        candidate = sample(_generator(rng_seed), 1)
-        self._streams.append((sample, rng_seed))
-        self.candidates.append(candidate)
-        self.stack_bytes += self._stack_bytes(state, marked, failed)
-        return candidate
-
-    def verify(self) -> int | None:
-        """The index of the first candidate that fails the invariant,
-        None when every one passes; the candidates before it are
-        accepted, and marked as passing.  One _first_failure call."""
-        failure = _first_failure(self.candidates, self.hset)
-        return None if failure is None else failure[0]
-
-    def resume(self, index: int) -> CodeState:
-        """The repair at index, which verify named, from its second
-        attempt on, each drawn from its own stream after its first:
-        the first accepted state, or RepairFailed with the h that
-        rejected each attempt, its first included."""
-        sample, rng_seed = self._streams[index]
-        rng = _generator(rng_seed)
-        sample(rng, 1)  # draws the first attempt again, to reach the second
-        return _sample_until_accepted(sample, self.hset, rng, self.max_attempts, RepairFailed,
-                                      self.candidates[index:index + 1])
+    return _sample_until_accepted(sample, hset, rng_seed, max_attempts, ConstructionFailed)
 
 
 def repair_random(
@@ -808,12 +595,38 @@ def repair_random(
     returned or mutated.  Raises InvalidHelpers when helpers fail
     mfhs.checked_helpers, CodeError when max_attempts is below 1 or q is
     too large to draw, and OutOfScope before any draw at a point where
-    some repair can never pass (HSet.unrepairable).  This is the
-    RepairWindow of one repair.
+    some repair can never pass (HSet.unrepairable).
     """
-    window = RepairWindow(h_enumerate(state.params), max_attempts)
-    candidate = window.add(state, failed, helpers, rng_seed)
-    return candidate if window.verify() is None else window.resume(0)
+    _check_attempts(max_attempts)
+    params = state.params
+    ordered = checked_helpers(params, failed, helpers)
+    hset = h_enumerate(params)
+    _check_repairable(hset)
+    memo = state._checked
+    base_passed = memo is not None and memo[0] is hset and memo[1] is None
+    field, m, n, d, q = state.field, params.M, params.n, params.d, state.field.q
+    coef = _coefficients(state)
+    # blocks[i, j, c] is entry (i, c) of Q_{ordered[j]}
+    blocks = np.take(coef.reshape(m, n, d), [x - 1 for x in ordered], axis=1)
+
+    def sample(rng: np.random.Generator, attempt: int) -> CodeState:
+        # one draw of both: B's d * d residues, then Z's
+        combine, mix = residue_array(_uniform(rng, q, (2, d, d)), q)
+        columns = (blocks * combine.T % q).sum(axis=2) % q
+        replacement = (columns[:, :, None] * mix % q).sum(axis=1) % q
+        new_q = list(state.Q)
+        new_q[failed - 1] = FieldMatrix(m, d, tuple(replacement.reshape(-1).tolist()), field)
+        candidate = CodeState(params=params, field=field, packet_width=state.packet_width,
+                              Q=tuple(new_q), attempts=attempt)
+        new_coef = coef.copy()
+        new_coef.reshape(m, n, d)[:, failed - 1] = replacement
+        new_coef.setflags(write=False)
+        object.__setattr__(candidate, "_coef", new_coef)
+        if base_passed:
+            object.__setattr__(candidate, "_checked", (hset, failed))
+        return candidate
+
+    return _sample_until_accepted(sample, hset, rng_seed, max_attempts, RepairFailed)
 
 
 def witness_repair_check(

@@ -22,8 +22,10 @@ Matrices are immutable, row-major, and store canonical residues in
   read once, at its last column.
   Each column's update writes the trailing block into a new contiguous
   array, so the loop always works on a compact block.  Each column
-  after the first starts with one reduction of that block to residues
-  in [0, q), as a - a // q * q, so no update or reduction nears the
+  after the first but the last starts with one in-place reduction of
+  that block to residues in [0, q), as a - a // q * q, and the last
+  column's verdict reads its entries mod q, so no update or reduction
+  nears the
   dtype's limit L (2^31 or 2^63) while 2 * (q - 1) * q < L; Python
   ints have none.
 - A split: the loop can stop after t columns and return the trailing
@@ -136,8 +138,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def next_prime(n: int) -> int:
-    """Smallest prime greater than or equal to n."""
+    """Smallest prime greater than or equal to n; cached, as simulate
+    asks for the same one on every call."""
     candidate = max(2, n)
     while not is_prime(candidate):
         candidate += 1
@@ -265,8 +269,8 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
     pivot row is scaled; its entry in the pivot column becomes
     f * p - f * p = 0, written without being computed.  Every row stays
     a nonzero multiple of the row unit-pivot elimination would hold, so
-    the swaps, the pivot columns and the rank are the same.  rows is left in echelon form with
-    nonzero pivots and canonical residues.  It serves mat_solve (and so
+    the swaps, the pivot columns and the rank are the same.  rows is
+    left in echelon form with nonzero pivots and canonical residues.  It serves mat_solve (and so
     mat_inv and decode), the witness ranks of lrrc.code_core and the
     tests' reference; the verification sweeps run on full_column_rank
     and first_rank_deficient at every q.
@@ -382,14 +386,15 @@ def _eliminate(a: np.ndarray, q: int, stop: int | None = None) -> np.ndarray:
     new pivot is nonzero.  A matrix with no such row gets row 0 added to
     itself; its p and every f are 0, so its trailing rows zero out and
     stay zero.  So a matrix has full column rank exactly when its last
-    column has a nonzero entry in some remaining row, and that is the
-    one verdict read, at column s - 1.
+    column has a nonzero entry mod q in some remaining row, and that is
+    the one verdict read, at column s - 1, as (a[:, 0] % q).any(axis=0).
 
-    Reductions.  Every column after the first starts with one
-    reduction of the whole block, a - a // q * q, into [0, q); the first
-    column holds canonical residues already, and a stopped elimination
-    reduces the block it returns the same way.  So each column starts
-    from residues, an entry is zero exactly when it is 0 mod q, and
+    Reductions.  Every column after the first, up to the last, starts
+    with one reduction of the whole block, a - a // q * q, into [0, q),
+    made in place (_reduce); the first column holds canonical residues
+    already, the last is read mod q as above, and a stopped elimination
+    reduces the block it returns the same way.  So each pivot step works
+    on residues, an entry is zero exactly when it is 0 mod q, and
     nothing can wrap:
     - each product of an update is at most (q - 1)^2;
     - so is the magnitude of its difference, row * p - f * pivot_row;
@@ -408,20 +413,30 @@ def _eliminate(a: np.ndarray, q: int, stop: int | None = None) -> np.ndarray:
     if stop > m:
         return np.zeros(count, dtype=bool)
     for col in range(stop):
-        if col:  # the first column holds canonical residues already
-            a -= a // q * q
         if col + 1 == s:
-            return a[:, 0].any(axis=0)
+            return (a[:, 0] % q).any(axis=0)
+        if col:  # the first column holds canonical residues already
+            _reduce(a, q)
         diagonal = a[0, 0]
         if np.count_nonzero(diagonal) < count:
             lacking = np.flatnonzero(diagonal == 0)
             pivot = (a[:, 0, lacking] != 0).argmax(axis=0)
             a[0, :, lacking] = (a[0, :, lacking] + a[pivot, :, lacking]) % q
-        a = a[1:, 1:] * a[0, 0] - a[1:, 0, None] * a[0, 1:]
+        update = a[1:, 1:] * diagonal
+        update -= a[1:, 0, None] * a[0, 1:]
+        a = update
     if stop == s:  # no columns
         return np.ones(count, dtype=bool)
-    a -= a // q * q
+    _reduce(a, q)
     return a
+
+
+def _reduce(a: np.ndarray, q: int) -> None:
+    """Reduce a to canonical residues mod q in place, as a - a // q * q:
+    one quotient array, scaled and subtracted in place."""
+    quotient = a // q
+    quotient *= q
+    a -= quotient
 
 
 def full_column_rank(stack: np.ndarray, q: int) -> np.ndarray:
@@ -441,12 +456,10 @@ def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int,
     """The first row of columns whose selection lacks full column rank
     mod q, or None when every selection has it.
 
-    coef is an m x N residue_array, or a K x m x N stack of K of them,
-    one per candidate, read as the m x K*N array [coef_0 | ... |
-    coef_{K-1}]; an index c + k*N names column c of candidate k.  Without
-    prefixes, or with prefixes of no columns, columns is a (B, s) index
-    array into those columns, and row i selects the m x s matrix of the
-    columns it names.  The rows are taken in order,
+    coef is an m x N residue_array.  Without prefixes, or with
+    prefixes of no columns, columns is a (B, s) index array into coef's
+    columns, and row i selects the m x s matrix coef[:, columns[i]].
+    The rows are taken in member order,
     RANK_CHUNK // ((m - t) * (s - t)) at a time for a split at t
     columns (t = 0 without one), and the call returns at the first chunk
     that holds a failure.  The index it returns is the one a single call
@@ -456,26 +469,23 @@ def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int,
     Without a split each chunk's selections are gathered straight into
     the batch-last layout that _eliminate works on.  A split at t
     columns, 0 < t <= m and t < s, takes prefixes, a (G, t) index array
-    into those K*N columns, one row per label g, all of whose columns
-    belong to one candidate k_g, and columns becomes a (B, s - t) array
-    of entries g * N + c: row i has one label g_i, labels do not fall
-    down the rows, and row i selects [prefix of g_i | coef_{k_{g_i}}[:,
-    columns[i] - g_i * N]].  A chunk stacks [prefix of g | coef_{k_g}],
-    m x (t + N), once for each label g from its first row's to its last
-    row's, so each label reads its own candidate's N columns, eliminates
-    only the first t columns, and ranks each row's (m - t) x (s - t)
-    remainder: the transformed rows t..m-1 of its label's stack at its
-    other columns.  Row operations keep rank, so by _eliminate's Schur
-    step a selection has full column rank exactly when its prefix has
-    rank t and its remainder has full column rank.  A prefix of lower
-    rank needs no verdict of its own: at the first column where a stack
+    into coef's columns, one row per label g, and columns becomes a
+    (B, s - t) array of entries g * N + c: row i has one label g_i,
+    labels do not fall down the rows, and row i selects
+    [coef[:, prefixes[g_i]] | coef[:, columns[i] - g_i * N]].  A chunk
+    stacks [coef[:, prefixes[g]] | coef], m x (t + N), once for each
+    label g from its first row's to its last row's, eliminates only the
+    first t columns, and ranks each row's (m - t) x (s - t) remainder:
+    the transformed rows t..m-1 of its label's stack at its other
+    columns.  Row operations keep rank, so by _eliminate's Schur step a
+    selection has full column rank exactly when its prefix has rank t
+    and its remainder has full column rank.  A prefix of lower rank
+    needs no verdict of its own: at the first column where a stack
     lacks a pivot, the kernel's pivot step leaves it p = f = 0, so its
     trailing rows zero out, and each remainder read from that stack is
     zero and fails.
     """
-    coefs = coef if coef.ndim == 3 else coef[None]
-    m, width = coefs.shape[1:]
-    flat = coef if coef.ndim == 2 else coefs.transpose(1, 0, 2).reshape(m, -1)
+    m, width = coef.shape
     split = 0 if prefixes is None else prefixes.shape[1]
     s = split + columns.shape[1]
     if split and not (split <= m and split < s):
@@ -486,16 +496,14 @@ def first_rank_deficient(coef: np.ndarray, columns: np.ndarray, q: int,
         if split:
             first = int(chunk[0, 0]) // width
             count = int(chunk[-1, 0]) // width - first + 1
-            labels = prefixes[first:first + count]
             stack = np.empty((m, split + width, count), dtype=coef.dtype)
-            stack[:, :split] = np.take(flat, labels.T, axis=1)
-            stack[:, split:] = (coefs[0, :, :, None] if len(coefs) == 1
-                                else coefs[labels[:, 0] // width].transpose(1, 2, 0))
+            stack[:, :split] = np.take(coef, prefixes[first:first + count].T, axis=1)
+            stack[:, split:] = coef[:, :, None]
             # label-major, so that column c of label first + g sits at g * N + c
             rest = _eliminate(stack, q, split).transpose(0, 2, 1).reshape(m - split, count * width)
             ok = _eliminate(np.take(rest, (chunk - first * width).T, axis=1), q)
         else:
-            ok = _eliminate(np.take(flat, chunk.T, axis=1), q)
+            ok = _eliminate(np.take(coef, chunk.T, axis=1), q)
         if not ok.all():
             return start + int(np.argmin(ok))
     return None

@@ -7,10 +7,9 @@ import json
 import random
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
-from lrrc import cli_sim, code_core, galois
+from lrrc import cli_sim, code_core
 from lrrc.cli_sim import SimConfig, run_cli, sim_config_from_dict, simulate
 from lrrc.galois import FieldMatrix, field_new
 from lrrc.mfhs import ModelError, checked_helpers, h_enumerate, params_new, params_to_dict
@@ -492,16 +491,16 @@ def test_repair_failure_report_names_the_rejecting_h(monkeypatch):
     # GF(3) at (4,2,1,1): round 5's repair of node 1 from node 3 is
     # rejected twice, both times by h = (1, 0, 0, 0)
     raised = []
-    real_resume = code_core.RepairWindow.resume
+    real_repair = cli_sim.repair_random
 
-    def recording_resume(window, index):
+    def recording_repair(*args, **kwargs):
         try:
-            return real_resume(window, index)
+            return real_repair(*args, **kwargs)
         except code_core.RepairFailed as exc:
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(code_core.RepairWindow, "resume", recording_resume)
+    monkeypatch.setattr(cli_sim, "repair_random", recording_repair)
     report = simulate(SimConfig(params=params_new(4, 2, 1, 1), q=3, seed=1, rounds=8,
                                 max_attempts=2))
     assert report.passed is False
@@ -828,155 +827,3 @@ def test_negative_config_seed_is_usage_error(capsys, tmp_path):
         2, "", "error: seed must be nonnegative, got -5\n")
     with pytest.raises(ModelError, match="seed must be nonnegative"):
         SimConfig(params=params_new(6, 3, 2, 1), seed=-1)
-
-
-def _reference_run(config, seeds=None):
-    """simulate's repairs one repair_random call at a time, drawing from
-    the master generator in simulate's order: per event, its helper
-    sets, then one seed per helper set, each appended to seeds.
-    Returns, per event, (attempts, rejected_by or None, the state it
-    advanced to or None)."""
-    params = config.params
-    hset = h_enumerate(params)
-    q, _ = cli_sim._resolve_field(params, hset, config.q)
-    master = random.Random(config.seed)
-    state = code_core.construct(params, field_new(q), hset, rng_seed=master.getrandbits(63),
-                                max_attempts=config.max_attempts)
-    out = []
-    for failures in cli_sim._planned_failures(config, master):
-        for failed in failures:
-            helper_sets = cli_sim._helper_sets(config, failed, master)
-            attempts, advanced = [], None
-            for idx, helpers in enumerate(helper_sets):
-                seed = master.getrandbits(63)
-                if seeds is not None:
-                    seeds.append(seed)
-                try:
-                    repaired = code_core.repair_random(state, failed, helpers, seed,
-                                                       config.max_attempts)
-                except code_core.RepairFailed as exc:
-                    out.append((attempts, [list(h) for h in exc.rejected_by], None))
-                    return out
-                attempts.append(repaired.attempts)
-                advanced = repaired if idx == 0 else advanced
-            out.append((attempts, None, advanced))
-            state = advanced
-    return out
-
-
-def _planted(seeds):
-    """A _repair_sampler and a _generator under which the first attempt
-    of each repair drawn from a seed in seeds is the candidate with its
-    failed node zeroed, which fails every maximal h that reads that
-    node."""
-    real_sampler, real_generator = code_core._repair_sampler, code_core._generator
-    drawn = []
-
-    def generator(rng_seed):
-        drawn.append(rng_seed)
-        return real_generator(rng_seed)
-
-    def sampler(state, failed, helpers, hset, marked):
-        sample = real_sampler(state, failed, helpers, hset, marked)
-
-        def planted(rng, attempt):
-            candidate = sample(rng, attempt)
-            if attempt > 1 or drawn[-1] not in seeds:
-                return candidate
-            params = state.params
-            zero = FieldMatrix(params.M, params.d, (0,) * (params.M * params.d), state.field)
-            broken = dataclasses.replace(candidate, Q=tuple(
-                zero if i == failed else qm for i, qm in enumerate(candidate.Q, 1)))
-            object.__setattr__(broken, "_checked", candidate._checked)
-            return broken
-
-        return planted
-
-    return sampler, generator
-
-
-def _plant_spots(jobs, cap):
-    """Repair indices to plant, so that simulate's windows of at most cap
-    repairs, which start unbounded, drop to 1 after a rejection and
-    double after a window without one, meet a planted rejection last,
-    then first, then midway in windows of three or more repairs."""
-    planted, start, size, wanted = [], 0, cap, ["last", "first", "middle"]
-    while start < jobs:
-        n = min(size, cap, jobs - start)
-        if n >= 3 and wanted:
-            spot = wanted.pop(0)
-            planted.append(start + {"first": 0, "middle": 1, "last": n - 1}[spot])
-            start, size = planted[-1] + 1, 1
-        else:
-            start, size = start + n, 2 * n
-    return planted
-
-
-WINDOW_RUNS = [
-    # (6,4,3,1) sweeps split at t = 2, (8,4,2,2) unsplit; at their
-    # recommended fields these seeds meet no rejection but the planted
-    # ones.  The GF(307) runs meet rejections of their own, the
-    # exhaustive one several repairs per event.
-    ((6, 4, 3, 1), 142151, "round-robin", "uniform-random", 24, 1),
-    ((8, 4, 2, 2), "auto", "uniform-random", "uniform-random", 30, 7),
-    ((6, 4, 3, 1), 307, "round-robin", "uniform-random", 18, 7),
-    ((6, 4, 3, 1), 307, "adversarial-sweep", "exhaustive-per-failure", 1, 7),
-]
-
-
-@pytest.mark.parametrize("size", [1, 2, 3, 8])
-@pytest.mark.parametrize("run", WINDOW_RUNS, ids=lambda r: "-".join(map(str, r[:4])))
-def test_windows_decide_what_single_repairs_decide(run, size, monkeypatch):
-    """simulate's windows against a loop of single repair_random calls:
-    the same attempts, rejected_by and states, with the byte budget set
-    to size candidates' node sweeps (every node's sweep has as many
-    rows at these points), and with the first attempt of some repairs
-    planted to fail.  Each window stays within the budget; at the
-    recommended fields, on the split and the unsplit sweep, the planted
-    rejections land last, first and midway in windows of three or more
-    repairs."""
-    nkdr, q, failure_policy, helper_policy, rounds, seed = run
-    params = params_new(*nkdr)
-    hset = h_enumerate(params)
-    config = SimConfig(params=params, q=q, seed=seed, rounds=rounds, failure_policy=failure_policy,
-                       helper_policy=helper_policy, check_witness=True, max_attempts=64)
-    field_q = cli_sim._resolve_field(params, hset, q)[0]
-    rows = {len(r) for r in code_core._sweep_plan(hset)[1]}
-    assert len(rows) == 1
-    side = params.M - code_core._split_columns(hset)
-    itemsize = np.dtype(galois._residue_dtype(field_q)).itemsize
-    monkeypatch.setattr(code_core, "WINDOW_BYTES", size * rows.pop() * side * side * itemsize)
-    seeds = []
-    unplanted = _reference_run(config, seeds)
-    natural = any(a > 1 for attempts, _, _ in unplanted for a in attempts)
-    assert natural == (q == 307)
-    planted = {seeds[i] for i in _plant_spots(len(seeds), size)} | {seeds[-1]}
-    sampler, generator = _planted(planted)
-    monkeypatch.setattr(code_core, "_repair_sampler", sampler)
-    monkeypatch.setattr(code_core, "_generator", generator)
-    want = _reference_run(config)
-
-    windows, advanced = [], []
-    real_verify = code_core.RepairWindow.verify
-
-    def verify(window):
-        assert window.stack_bytes <= code_core.WINDOW_BYTES or len(window) == 1
-        rejected = real_verify(window)
-        windows.append((len(window), rejected))
-        return rejected
-
-    def holds(state, failed, helpers, hset):
-        advanced.append(state)
-        return True
-
-    monkeypatch.setattr(code_core.RepairWindow, "verify", verify)
-    monkeypatch.setattr(cli_sim, "witness_holds", holds)
-    report = simulate(config)
-    assert [e["attempts"] for e in report.events] == [attempts for attempts, _, _ in want]
-    assert [e.get("rejected_by") for e in report.events] == [rejected for _, rejected, _ in want]
-    assert [s.Q for s in advanced] == [s.Q for _, _, s in want if s is not None]
-    assert max(n for n, _ in windows) == size
-    if size >= 3 and not natural:
-        spots = {"first" if r == 0 else "last" if r == n - 1 else "middle"
-                 for n, r in windows if r is not None and n >= 3}
-        assert spots == {"first", "middle", "last"}, windows

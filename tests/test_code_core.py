@@ -602,8 +602,8 @@ def test_targets_never_fall_along_unit_raises(point):
 
 
 class _RecordingRng:
-    """Stands in for repair_random's re-keyed Philox generator: hands
-    out its draws, or all q - 1 when top, and keeps each one."""
+    """Stands in for repair_random's Philox generator: hands out its
+    draws, or all q - 1 when top, and keeps each one."""
 
     def __init__(self, rng, top):
         self.rng, self.top, self.draws = rng, top, []
@@ -620,17 +620,15 @@ def test_repair_random_matches_pure_products(q, monkeypatch):
     # 32749 and 2^31 - 1 are the largest int32 and int64 fields, where
     # products of residues come closest to 2^30 and 2^62;
     # next_prime(2^31) takes the object path.  The
-    # all-(q - 1) state fails the invariant, so each call's window
-    # accepts its first candidate unverified, and the first call draws
-    # all q - 1.
+    # all-(q - 1) state fails the invariant, so each call keeps its
+    # first candidate unverified, and the first call draws all q - 1.
     rngs = []
 
-    def recording_generator(rng_seed):
+    def first_sample(sample, hset, rng_seed, max_attempts, error):
         rngs.append(_RecordingRng(np.random.Generator(np.random.Philox(rng_seed)), not rngs))
-        return rngs[-1]
+        return sample(rngs[-1], 1)
 
-    monkeypatch.setattr(code_core, "_generator", recording_generator)
-    monkeypatch.setattr(code_core.RepairWindow, "verify", lambda window: None)
+    monkeypatch.setattr(code_core, "_sample_until_accepted", first_sample)
     rng = random.Random(q)
     f = field_new(q)
     d = P641.d
@@ -1488,30 +1486,20 @@ def _philox_repair(state, failed, helpers, seed, attempt):
                            FieldMatrix.from_rows(mix, f))
 
 
-def test_window_rekeys_per_repair_and_resumes_on_its_own_stream():
-    """Three repairs, each on the one before: every first attempt is
-    drawn from its own seed's stream.  With the middle one made to fail,
-    verify accepts the first alone, and resume draws the middle one's
-    second attempt from its stream, after its first."""
-    state = _recommended_state(P641, H641, seed=3)
-    assert invariant_check(state, H641)
-    jobs = [(1, (3, 4, 5), 11), (3, (1, 2, 6), 12), (5, (1, 3, 4), 13)]
-    window = code_core.RepairWindow(H641)
-    for k, (failed, helpers, seed) in enumerate(jobs):
-        window.add(state if k == 0 else k - 1, failed, helpers, seed)
-    bases = [state] + window.candidates[:-1]
-    for base, candidate, (failed, helpers, seed) in zip(bases, window.candidates, jobs):
-        assert candidate.Q == _philox_repair(base, failed, helpers, seed, 1).Q
-        assert candidate.attempts == 1
-    failed, helpers, seed = jobs[1]
-    zero = FieldMatrix(P641.M, P641.d, (0,) * (P641.M * P641.d), state.field)
-    broken = replace(window.candidates[1], Q=tuple(
-        zero if i == failed else qm for i, qm in enumerate(window.candidates[1].Q, 1)))
-    object.__setattr__(broken, "_checked", window.candidates[1]._checked)
-    window.candidates[1] = broken
-    assert window.verify() == 1
-    assert invariant_check(window.candidates[0], H641)
-    resumed = window.resume(1)
-    assert resumed.attempts == 2
-    assert resumed.Q == _philox_repair(window.candidates[0], failed, helpers, seed, 2).Q
-    assert invariant_check(resumed, H641)
+def test_repairs_rekey_per_call_and_retry_on_their_own_stream():
+    """Consecutive repairs, each on the one before, over GF(307), where
+    many first attempts are rejected: every call draws from its own
+    seed's stream from its start, whatever the call before drew, and a
+    call whose first attempt was rejected draws its later attempts after
+    it on that stream."""
+    state = construct(P641, field_new(307), H641, rng_seed=3, max_attempts=64)
+    rng = random.Random("rekey/307")
+    retried = 0
+    for seed in range(40, 64):
+        failed = rng.randrange(1, P641.n + 1)
+        helpers = tuple(rng.sample(sorted(helper_universe(P641, failed)), P641.d))
+        repaired = repair_random(state, failed, helpers, seed, max_attempts=64)
+        assert repaired.Q == _philox_repair(state, failed, helpers, seed, repaired.attempts).Q
+        retried += repaired.attempts > 1
+        state = repaired
+    assert retried >= 3
