@@ -25,9 +25,8 @@ Matrices are immutable, row-major, and store canonical residues in
   after the first but the last starts with one in-place reduction of
   that block to residues in [0, q), as a - a // q * q, and the last
   column's verdict reads its entries mod q, so no update or reduction
-  nears the
-  dtype's limit L (2^31 or 2^63) while 2 * (q - 1) * q < L; Python
-  ints have none.
+  nears the dtype's limit L (2^31 or 2^63) while 2 * (q - 1) * q < L;
+  Python ints have none.
 - A split: the loop can stop after t columns and return the trailing
   block, reduced to residues.  first_rank_deficient uses that to
   eliminate a prefix of t columns shared by a run of rows once, then
@@ -270,10 +269,10 @@ def rank_of_rows(rows: list[list[int]], q: int) -> int:
     f * p - f * p = 0, written without being computed.  Every row stays
     a nonzero multiple of the row unit-pivot elimination would hold, so
     the swaps, the pivot columns and the rank are the same.  rows is
-    left in echelon form with nonzero pivots and canonical residues.  It serves mat_solve (and so
-    mat_inv and decode), the witness ranks of lrrc.code_core and the
-    tests' reference; the verification sweeps run on full_column_rank
-    and first_rank_deficient at every q.
+    left in echelon form with nonzero pivots and canonical residues.  It
+    serves mat_solve (and so mat_inv and decode), the witness ranks of
+    lrrc.code_core and the tests' reference; the verification sweeps run
+    on full_column_rank and first_rank_deficient at every q.
     """
     m = len(rows)
     if m == 0:
