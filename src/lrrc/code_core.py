@@ -84,8 +84,10 @@ nodes recover the file.
 So simulate, whose states all passed invariant_check, records the
 reconstruction verdict instead of computing it.  reconstruct_check
 still decides the C(n, k) blocks directly, batched like the invariant,
-for lrrc verify and as the tests' reference; its per-subset verdicts,
-reconstruct_verdicts, decide lrrc.exact6321's reconstruction entries.
+for lrrc verify and as the tests' reference.  lrrc.exact6321 ranks the
+same blocks for its 20 triples, as certificates in its own one kernel
+call (its Lemma R), so reconstruct_verdicts serves reconstruct_check
+alone.
 
 Construction and repair draw coefficients uniformly at random (one
 Philox counter-based generator, re-keyed for each seed) and retry on

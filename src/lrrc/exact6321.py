@@ -30,10 +30,14 @@ guessed, from the coding matrices.  verify_exact_code decides every
 one of its 71 report entries -- structure, reconstruction and bit-exact
 regeneration -- by full-column-rank certificates: 161 matrices of at
 most 6 x 4, each padded to exactly 6 x 4 without changing its verdict
-(Lemma P), gathered from the state's cached coefficient array and
-decided by one galois.full_column_rank call.  Its docstring proves
-that each certificate gives the verdict decode and exact_repair would.
-Those two stay the reference the certificates are tested against.
+(Lemma P), gathered from the six matrices' entries and decided by one
+galois.full_column_rank call.  Its docstring proves that each
+certificate gives the verdict decode and exact_repair would.  Those two
+stay the reference the certificates are tested against.
+build_exact_code ranks nothing: its docstring proves that the 21
+structural certificates hold for every code it builds, and
+verify_exact_code is the one place that decides them, for a valid code
+and a tampered one alike.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from typing import Sequence
 import numpy as np
 
 from .galois import (
-    FieldConfig,
     FieldMatrix,
     field_new,
     full_column_rank,
@@ -53,10 +56,10 @@ from .galois import (
     mat_inv,
     mat_mul,
     mat_solve,
+    residue_array,
 )
 from .code_core import (
     CodeState,
-    _coefficients,
     decode,  # unused here; perfbench/spans.py wraps this binding
 )
 from .mfhs import params_new
@@ -127,20 +130,29 @@ def _check_params(code: CodeState) -> None:
         raise ExactCodeError(f"the six-node code is (6,3,2,1), got ({p.n},{p.k},{p.d},{p.r})")
 
 
-def _column(vec: Sequence[int], field: FieldConfig) -> FieldMatrix:
-    return FieldMatrix(len(vec), 1, tuple(v % field.q for v in vec), field)
-
-
 def build_exact_code(q: int = 7) -> CodeState:
     """Construct the code over GF(q), q prime and at least 7.
 
     The parity columns are p = 1/(x - 4) and pbar = 1/(x - 5) over
-    x = 0, 1, 2, 3, the Cauchy array 1/(x_i - y_j) with y = (4, 5);
-    those six values are distinct in any field of size 7 or more, which
-    is exactly what every repair rule's solvability needs.  All
-    structural conditions are verified here rather than assumed.
+    x = 0, 1, 2, 3, the Cauchy array 1/(x_i - y_j) with y = (4, 5).
     Raises FieldTooSmall below 7 and, through field_new, NotPrime for
     a composite q.
+
+    Nothing is ranked here, because the 21 structural certificates that
+    verify_exact_code decides hold for every code this builds:
+      - x = 0..3 and y = 4, 5 are six values, distinct mod any prime
+        q >= 7, so every square submatrix of [p pbar] is a nonsingular
+        Cauchy matrix.
+      - MDS: any four columns of G = [I_4 | p pbar] have, as their
+        determinant, +- a minor of the parity block [p pbar] (the empty
+        minor being 1), on the rows of the identity columns left out.
+      - Family A: [Q_1 | Q_2] = I_4, and [Q_1 | Q_3] and [Q_2 | Q_3]
+        are MDS selections.
+      - Family B: [Q_a | Q_b] = [top(c) bottom(c) top(c') bottom(c')]
+        permutes to a block-diagonal matrix.  Its two 2 x 2 blocks are
+        the top and bottom minors of [c c'] = [p pbar] T, where T's
+        columns are two of (1,0), (0,1) and (1,1); any two of those are
+        independent, so T is invertible and both blocks are nonsingular.
     """
     if q < MIN_FIELD:
         raise FieldTooSmall(f"GF({q}) cannot host the construction, need q >= {MIN_FIELD}")
@@ -158,33 +170,28 @@ def build_exact_code(q: int = 7) -> CodeState:
         halves(pbar),
         halves([x + y for x, y in zip(p, pbar)]),
     )
-    code = CodeState(params=_PARAMS6321, field=field, packet_width=1,
+    return CodeState(params=_PARAMS6321, field=field, packet_width=1,
                      Q=tuple(FieldMatrix.from_rows(r, field) for r in rows))
-    mds, pairs = _structural_entries(code)
-    failing = [e for e in mds + pairs if not e["ok"]]
-    if failing:
-        raise ExactCodeError(f"structural checks failed: {failing}")
-    return code
 
 
 # Every certificate is gathered from one source vector: the residues 0
-# and 1, then the state's cached coefficient array [Q_1 | ... | Q_6]
-# row by row, then (for verify_exact_code) the 30 rules' received
-# columns.  So the certificates are one fixed index table into it.
+# and 1, then Q_1, ..., Q_6, each as its row-major 4 x 2 entries, then
+# (for verify_exact_code) the 30 rules' received columns.  So the
+# certificates are one fixed index table into it.
 _ZERO, _ONE = 0, 1
-_RECEIVED = 2 + 4 * 12  # past 0, 1 and the 4 x 12 coefficient array
+_RECEIVED = 2 + 6 * 8  # past 0, 1 and the six matrices' 8 entries each
 
 
 def _entry(node: int, row: int, col: int) -> int:
     """Where entry (row, col) of Q_node sits in the source vector."""
-    return 2 + row * 12 + (node - 1) * 2 + col
+    return 2 + (node - 1) * 8 + row * 2 + col
 
 
 def _source(code: CodeState) -> np.ndarray:
-    """The source vector up to the received columns, in the dtype of
-    code_core._coefficients, which keeps the array on the state."""
-    coef = _coefficients(code)
-    return np.concatenate([np.array([_ZERO, _ONE], dtype=coef.dtype), coef.ravel()])
+    """The source vector up to the received columns, as a
+    galois.residue_array of the code's field."""
+    return residue_array([_ZERO, _ONE, *itertools.chain.from_iterable(
+        qm.entries for qm in code.Q)], code.field.q)
 
 
 def _helpers(failed: int, unavailable: int) -> tuple[int, ...]:
@@ -240,7 +247,8 @@ def repair_rule(code: CodeState, failed: int, unavailable: int) -> RepairRule:
     sends = {x: tuple(source[list(_send_entries(failed, x))].tolist()) for x in helpers}
 
     received = mat_hstack([
-        mat_mul(code.Q[x - 1], _column(sends[x], code.field)) for x in helpers
+        mat_mul(code.Q[x - 1], FieldMatrix.from_rows([[v] for v in sends[x]], code.field))
+        for x in helpers
     ])
     coeffs = mat_solve(code.Q[failed - 1], received)
     if coeffs is None:
@@ -268,7 +276,8 @@ def exact_repair(
     """
     rule = repair_rule(code, failed, unavailable)
     received = mat_hstack([
-        mat_mul(stored[x - 1], _column(rule.helper_sends[x], code.field))
+        mat_mul(stored[x - 1], FieldMatrix.from_rows([[v] for v in rule.helper_sends[x]],
+                                                     code.field))
         for x in rule.helpers
     ])
     return mat_mul(received, rule.newcomer_combine)
@@ -343,9 +352,12 @@ def verify_exact_code(code: CodeState) -> ExactVerifyReport:
     exactly when the certificate holds.
     """
     _check_params(code)
-    structural, recon_ok, rules = np.split(_certificate_verdicts(code),
-                                           [_STRUCTURAL, _STRUCTURAL + len(_TRIPLES)])
-    mds, pairs = _structural_report(structural.tolist())
+    mds_ok, pairs_ok, recon_ok, rules = np.split(
+        _certificate_verdicts(code),
+        np.cumsum([len(_MDS_SUBSETS), len(_FAMILY_PAIRS), len(_TRIPLES)]))
+    mds = [{"columns": [j + 1 for j in subset], "ok": v}
+           for subset, v in zip(_MDS_SUBSETS, mds_ok.tolist())]
+    pairs = [{"pair": list(pair), "ok": v} for pair, v in zip(_FAMILY_PAIRS, pairs_ok.tolist())]
     recon = [{"nodes": list(triple), "ok": v} for triple, v in zip(_TRIPLES, recon_ok.tolist())]
     own, received, first, second = rules.reshape(4, len(_RULES))
     repair_ok = own & received & ~first & ~second
@@ -384,12 +396,11 @@ def _received(rule: int, j: int) -> list[int]:
 
 
 _RULE_HELPERS = tuple(_helpers(f, u) for f, u in _RULES)
-_STRUCTURAL = len(_MDS_SUBSETS) + len(_FAMILY_PAIRS)
 # The 161 certificates in report order, as one (161, 6, 4) index table
 # into the source vector: the 15 MDS selections, whose generator column
-# c is coefficient column c; the 6 within-family pairs [Q_a | Q_b]; the
-# 20 triples' blocks Q_T^T; then Lemma E's Q_f, R, [Q_f | r_1] and
-# [Q_f | r_2], 30 of each, in _RULES order.
+# c is column c % 2 of Q_{c // 2 + 1}; the 6 within-family pairs
+# [Q_a | Q_b]; the 20 triples' blocks Q_T^T; then Lemma E's Q_f, R,
+# [Q_f | r_1] and [Q_f | r_2], 30 of each, in _RULES order.
 _CERTIFICATES = np.array(
     [_padded([[_entry(c // 2 + 1, i, c % 2) for i in range(4)] for c in subset])
      for subset in _MDS_SUBSETS]
@@ -420,28 +431,6 @@ def _certificate_verdicts(code: CodeState) -> np.ndarray:
     products = source[_HELPER_BLOCKS] * source[_SEND_ENTRIES][:, :, None, :] % q
     received = products.sum(axis=3) % q
     return full_column_rank(np.concatenate([source, received.ravel()])[_CERTIFICATES], q)
-
-
-def _structural_report(ok: Sequence[bool]) -> tuple[list[dict], list[dict]]:
-    """The MDS and pair entries from the first _STRUCTURAL verdicts."""
-    mds = [{"columns": [j + 1 for j in subset], "ok": v}
-           for subset, v in zip(_MDS_SUBSETS, ok)]
-    pairs = [{"pair": list(pair), "ok": v}
-             for pair, v in zip(_FAMILY_PAIRS, ok[len(_MDS_SUBSETS):])]
-    return mds, pairs
-
-
-def _structural_entries(code: CodeState) -> tuple[list[dict], list[dict]]:
-    """Structural conditions every valid code instance satisfies.
-
-    Returns one entry per four-column generator selection (invertible
-    for the MDS property) and one per within-family node pair (its four
-    columns span the file), each with an "ok" verdict.  All 21 are 4 x 4
-    full-rank tests, decided in one batched kernel call on the first
-    _STRUCTURAL certificates less their two zero rows.
-    """
-    stack = _source(code)[_CERTIFICATES[:_STRUCTURAL, :4]]
-    return _structural_report(full_column_rank(stack, code.field.q).tolist())
 
 
 def code_to_dict(code: CodeState) -> dict:

@@ -18,7 +18,6 @@ from lrrc.exact6321 import (
     ExactCodeError,
     FieldTooSmall,
     InvalidPair,
-    _structural_entries,
     build_exact_code,
     code_to_dict,
     exact_repair,
@@ -213,10 +212,8 @@ def test_tampered_code_fails_verification(code7):
     broken = dataclasses.replace(code7, Q=code7.Q[:5] + (zero,))
     report = verify_exact_code(broken)
     assert not report.passed
-    mds, pairs = _structural_entries(broken)
-    assert all(e["ok"] for e in mds)
-    assert [e["pair"] for e in pairs if not e["ok"]] == [[4, 6], [5, 6]]
-    assert report.family_pairs == tuple(pairs)
+    assert all(e["ok"] for e in report.mds_subsets)
+    assert [e["pair"] for e in report.family_pairs if not e["ok"]] == [[4, 6], [5, 6]]
 
 
 def test_generic_view_reconstructs_but_skips_random_invariant(code7):
@@ -396,9 +393,8 @@ def test_padding_keeps_full_column_rank(q, s, rows, count, seed):
 @pytest.mark.parametrize("q", [7, 32771, 2147483659])
 def test_one_kernel_call_per_report(q, monkeypatch):
     # the 71 verdicts of a report come from one full_column_rank call on
-    # the 161 padded certificates, and that call is the only elimination
-    code = build_exact_code(q)
-    tampered = dataclasses.replace(code, Q=code.Q[:5] + (code.Q[0],))
+    # the 161 padded certificates, and that call is the only elimination;
+    # the build ranks nothing, so build and verify make that one call
     stacks, eliminations = [], []
     full, eliminate = galois.full_column_rank, galois._eliminate
 
@@ -412,7 +408,27 @@ def test_one_kernel_call_per_report(q, monkeypatch):
 
     monkeypatch.setattr(exact6321, "full_column_rank", counting_full)
     monkeypatch.setattr(galois, "_eliminate", counting_eliminate)
+    code = build_exact_code(q)
+    assert stacks == [] and eliminations == []
+    tampered = dataclasses.replace(code, Q=code.Q[:5] + (code.Q[0],))
     for candidate in (code, tampered):
-        del stacks[:], eliminations[:]
         verify_exact_code(candidate)
         assert stacks == [(161, 6, 4)] and eliminations == [(6, 4, 161)]
+        del stacks[:], eliminations[:]
+
+
+# every prime field the construction accepts below 1000, and the kernel
+# tiers' edges: int32's last prime, int64's first and last, and a
+# Python-int prime above 2^31
+STRUCTURAL_PRIMES = [q for q in range(7, 1000) if galois.is_prime(q)] + [
+    32749, 32771, 2**31 - 1, 2147483659]
+
+
+def test_structural_certificates_hold_in_every_field():
+    # build_exact_code's docstring proves that its codes meet all 21
+    # structural certificates at every prime q >= 7 and so ranks none;
+    # verify_exact_code decides them, and here finds every one passing
+    for q in STRUCTURAL_PRIMES:
+        report = verify_exact_code(build_exact_code(q))
+        structural = report.mds_subsets + report.family_pairs
+        assert len(structural) == 21 and all(e["ok"] for e in structural), q

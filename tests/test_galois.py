@@ -893,3 +893,31 @@ def test_rank_of_rows_leaves_the_rows_computing_the_zeros_would(q):
             mine, theirs = [row[:] for row in rows], [row[:] for row in rows]
             assert rank_of_rows(mine, q) == _rank_updating_the_pivot_column(theirs, q)
             assert mine == theirs
+
+
+F7, F11 = field_new(7), field_new(11)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FieldMatrix(-1, 2, (), F7), OutOfRange, "bad shape -1x2"),
+    (lambda: FieldMatrix(2, 2, (0, 0, 0), F7), DimensionMismatch,
+     "2x2 matrix needs 4 entries, got 3"),
+    (lambda: FieldMatrix.from_rows([[1, 2], [3]], F7), DimensionMismatch, "ragged rows"),
+    (lambda: mat_mul(galois.identity(2, F7), galois.identity(2, F11)), galois.FieldMismatch,
+     "GF(7) vs GF(11)"),
+    (lambda: mat_hstack([]), DimensionMismatch, "nothing to stack"),
+    (lambda: mat_hstack([galois.identity(2, F7), galois.identity(3, F7)]), DimensionMismatch,
+     "row counts differ"),
+    (lambda: mat_solve(galois.identity(2, F7), FieldMatrix(3, 1, (0, 0, 0), F7)),
+     DimensionMismatch, "2 equation rows vs 3 rhs rows"),
+    (lambda: mat_inv(FieldMatrix(2, 3, (0,) * 6, F7)), galois.NotSquare, "2x3"),
+], ids=["negative-shape", "entry-count", "ragged-rows", "mul-fields", "hstack-empty",
+        "hstack-rows", "solve-rows", "inv-not-square"])
+def test_malformed_operands_are_rejected(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_rank_of_no_rows_is_zero():
+    assert rank_of_rows([], 7) == 0

@@ -3,7 +3,8 @@ byte-identical is checked by the suite rather than by hand.
 
 Each digest is the sha256 of a canonical JSON text: a simulate report
 with all three checks on, a six-node exact-code verification report,
-and H's members with their witnesses.  A digest that moves means an
+the six-node code's JSON form with its rule table, and H's members with
+their witnesses.  A digest that moves means an
 output moved; if the change is intended, the new digest goes in with
 the reason for the change.
 """
@@ -16,7 +17,7 @@ import json
 import pytest
 
 from lrrc.cli_sim import SimConfig, simulate
-from lrrc.exact6321 import build_exact_code, verify_exact_code
+from lrrc.exact6321 import build_exact_code, code_to_dict, verify_exact_code
 from lrrc.mfhs import h_enumerate, params_new
 
 
@@ -57,6 +58,11 @@ def test_simulate_report_digest(case):
 EXACT_REPORTS = {
     7: "2622894e0f579b90d3420365952947f2d597afcc9aeab693f956672de19ea027",
     11: "ee550b9ecd32548c86fcae47bf6093fb5b9437ecd48f541b86ba8a1e66fe4455",
+    # the int32 tier's last prime, the int64 tier's first, and a prime
+    # above 2^31, whose residues are Python ints
+    32749: "6233ecf0129922fc7f6aa9017ba8f5ee629a62959935939f3f6540367e38da28",
+    32771: "ba12282ac5b778aaa1b90719e483c5c8653902c13affbdf4193bef71000a2705",
+    2147483659: "fb034bcb62508bc57a4abb60983f533e18a4ddab3c6071ea7738b3f6f96eac55",
 }
 
 
@@ -65,6 +71,22 @@ def test_exact_code_report_digest(q):
     report = verify_exact_code(build_exact_code(q))
     assert report.passed
     assert digest(json.dumps(report.to_dict(), sort_keys=True)) == EXACT_REPORTS[q]
+
+
+# code_to_dict spells out the 30 repair rules, whose send pairs
+# repair_rule reads from the code's entries, so these pin that read
+EXACT_CODES = {
+    7: "cd50e3990d8d664dc1303b7d593d0fe6a5f77c7c1a9bc6b1547d020b4c887958",
+    11: "540eae3a9f0c3211d08f96f65974ffc02bd1246e3dfd0adfafe42c43cb4a6a43",
+    32771: "e0f5bf0ebb75dee16bd3dd7c31972fc1a745e19963a0665a93722d0aadc23493",
+    2147483659: "a6b6eb7aa73a32a00d2df5d69cb4f7f85e0a0e2384f9e82295d3a4a735209af8",
+}
+
+
+@pytest.mark.parametrize("q", sorted(EXACT_CODES))
+def test_exact_code_rule_table_digest(q):
+    text = json.dumps(code_to_dict(build_exact_code(q)), sort_keys=True)
+    assert digest(text) == EXACT_CODES[q]
 
 
 def test_h_members_and_witnesses_digest():

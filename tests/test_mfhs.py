@@ -557,3 +557,18 @@ def test_connectable_vectors_expected_shape(data):
 
 def test_hnotmember_is_exported_exception():
     assert issubclass(HNotMember, Exception)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Perm((1, 1, 2)), PreconditionViolated, "(1, 1, 2) is not a permutation of 1..3"),
+    (lambda: params_new(6.0, 4, 3, 1), OutOfScope, "n must be an integer, got 6.0"),
+    (lambda: helper_universe(params_new(6, 4, 3, 1), 0), OutOfScope, "node 0 outside 1..6"),
+    (lambda: score_vectors(params_new(6, 4, 3, 1), Perm((1, 2, 3, 4, 5))), LengthMismatch,
+     "order over 5 nodes, params say 6"),
+    (lambda: is_witness(params_new(6, 4, 3, 1), (1, 1, 1), (1, 2, 3, 4, 5, 6)), LengthMismatch,
+     "h over 3 nodes, params say 6"),
+], ids=["perm-repeats", "params-float", "universe-node", "score-length", "witness-length"])
+def test_malformed_arguments_are_rejected(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
