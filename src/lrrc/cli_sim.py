@@ -212,10 +212,10 @@ def simulate(config: SimConfig) -> SimReport:
     events: list[dict] = []
     failure: dict | None = None
     exhausted = 0  # attempts spent by the repair that gave up
-    # construct and repair_random return a state only after
-    # invariant_check(state, hset) passed on this same cached hset, and
-    # by Lemma C of lrrc.code_core every k nodes of such a state recover
-    # the file, so both verdicts are recorded, not computed again
+    # construct and repair_random return a state only after it passed
+    # the invariant on this same cached hset, and by Lemma C of
+    # lrrc.code_core every k nodes of such a state recover the file, so
+    # both verdicts are recorded, not computed again
     carried = {"invariant": True} if config.check_invariant else {}
     if config.check_reconstruction:
         carried["reconstruction"] = True

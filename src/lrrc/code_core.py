@@ -54,16 +54,19 @@ lrrc.mfhs, which finds H, knows nothing of columns.
 A repair rechecks only the selections it changes.  Repairing node x
 replaces Q_x alone, so a maximal h with h_x = 0 selects the same
 columns before and after: the columns are unchanged, so the ranks are
-unchanged.  When the state under repair passed invariant_failure on
-the same HSet object, each candidate is ranked on the plan's
+unchanged.  When the state under repair passed the invariant on the
+same HSet object, each candidate is ranked on the plan's
 node_rows[x - 1] only, the maximal members with h_x > 0 (265 of 384 at
-(6,4,3,1)).  A CodeState remembers that it passed in a private field
-that is no part of its content or JSON form; a state made by its
+(6,4,3,1)).  A CodeState remembers the HSet it passed on in a private
+field that is no part of its content or JSON form; a state made by its
 constructor, by dataclasses.replace or by state_from_dict starts
-without it and is ranked in full.  The candidate's array is the base's
-array with node x's d columns replaced by the new Q_x, which
-repair_random computes in numpy from the helpers' columns of that same
-array.
+without it and is ranked in full.  Construction and repair sample
+coefficient arrays, not states: a candidate is an M x (n*d) array,
+for a repair the base's array with node x's d columns replaced by the
+new Q_x, which repair_random computes in numpy from the helpers'
+columns of that same array.  _first_failure ranks it, and only the
+accepted array becomes FieldMatrix objects and a CodeState, which
+keeps the array and is marked as passed.
 
 Lemma C: every set S of k nodes contains the support of a maximal
 member of H, so every state that passes invariant_check lets any k
@@ -148,13 +151,14 @@ class CodeError(Exception):
 class AttemptsExhausted(CodeError):
     """No sample passed verification within the attempt budget.
 
-    rejected_by holds, per attempt, the selection vector h that
-    invariant_failure reported.  Each subclass says why no single h
-    there is structural, at the points construct and repair_random
-    accept.  Only all conditions together can fail, and only at a small
-    q: by the random linear network coding bound (Ho et al., IEEE
-    Trans. IT 2006), a uniform sample fails some condition with
-    probability below 1 once q reaches required_field_size.
+    rejected_by holds, per attempt, the selection vector h that rejected
+    it, the one invariant_failure names on the state built from that
+    sample.  Each subclass says why no single h there is structural, at
+    the points construct and repair_random accept.  Only all conditions
+    together can fail, and only at a small q: by the random linear
+    network coding bound (Ho et al., IEEE Trans. IT 2006), a uniform
+    sample fails some condition with probability below 1 once q reaches
+    required_field_size.
     """
 
     what = "sampling"
@@ -221,16 +225,15 @@ class CodeState:
     packet_width: int
     Q: tuple[FieldMatrix, ...]
     attempts: int = dc_field(default=1, compare=False)
-    # (hset, None) once this state passed invariant_failure on that
-    # hset object in full; (hset, x) while it differs only at node x
-    # from a state that did.  Set only by invariant_failure and
-    # repair_random; __init__, replace and state_from_dict leave it
+    # The HSet object this state passed the invariant on, in full or, for
+    # a repair of a state that had, on the repaired node's rows.  Set
+    # only by invariant_failure and by construct's and repair_random's
+    # accepted sample; __init__, replace and state_from_dict leave it
     # empty, so such states are ranked in full.
-    _checked: tuple[HSet, int | None] | None = dc_field(
-        default=None, init=False, compare=False, repr=False)
-    # [Q_1 | ... | Q_n] as a read-only array, once _coefficients or
-    # repair_random has built it; never content, never copied by
-    # replace.
+    _checked: HSet | None = dc_field(default=None, init=False, compare=False, repr=False)
+    # [Q_1 | ... | Q_n] as a read-only array, once _coefficients has
+    # built it or a sample was accepted from it; never content, never
+    # copied by replace.
     _coef: np.ndarray | None = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -392,35 +395,43 @@ def _split_plan(hset: HSet, t: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(columns[new, :t]), remainders
 
 
+def _first_failure(coef: np.ndarray, q: int, hset: HSet,
+                   node: int | None = None) -> tuple[int, ...] | None:
+    """First maximal h, in member order, whose selection of the
+    coefficient array coef loses full column rank mod q; None when every
+    one keeps it.  With node, only the plan's node_rows[node - 1] are
+    ranked, the maximal h that read node's columns.
+
+    The selections are ranked by galois.first_rank_deficient in chunks,
+    by their rows of the _split_plan remainders at the HSet's
+    _split_columns (the plan columns themselves at t = 0).  The failing
+    h is the one row of hset.rows made a tuple of Python ints.
+    """
+    prefixes, columns = _split_plan(hset, _split_columns(hset))
+    rows = None
+    if node is not None:
+        rows = _sweep_plan(hset)[1][node - 1]
+        columns = np.take(columns, rows, axis=0)
+    first = first_rank_deficient(coef, columns, q, prefixes)
+    if first is None:
+        return None
+    return tuple(hset.rows[first if rows is None else rows[first]].tolist())
+
+
 def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
     """First maximal h, in member order, whose selection loses full
     column rank; None when every admissible selection keeps it.
 
     Checking the maximal members suffices: see the module docstring.
     They all total M, so their M x M selections decide them, ranked by
-    galois.first_rank_deficient in chunks, by their rows of the
-    _split_plan remainders at the HSet's _split_columns (the plan
-    columns themselves at t = 0).
-    A candidate that repair_random marked as differing from a passing
-    state only at node x is ranked on the plan's node_rows[x - 1] alone:
-    every other maximal h selects the columns that passed in that state,
-    so the first failure in member order is among those rows.  A state
-    that passes is marked as passing on this hset.  The failing h is
-    the one row of hset.rows made a tuple of Python ints.
+    _first_failure over the full sweep.  A state that passes is marked
+    as passing on this hset.
     """
     _check_hset(state.params, hset)
-    node_rows = _sweep_plan(hset)[1]
-    prefixes, columns = _split_plan(hset, _split_columns(hset))
-    memo = state._checked
-    rows = None
-    if memo is not None and memo[0] is hset and memo[1] is not None:
-        rows = node_rows[memo[1] - 1]
-        columns = np.take(columns, rows, axis=0)
-    first = first_rank_deficient(_coefficients(state), columns, state.field.q, prefixes)
-    if first is None:
-        object.__setattr__(state, "_checked", (hset, None))
-        return None
-    return tuple(hset.rows[first if rows is None else rows[first]].tolist())
+    h = _first_failure(_coefficients(state), state.field.q, hset)
+    if h is None:
+        object.__setattr__(state, "_checked", hset)
+    return h
 
 
 def invariant_check(state: CodeState, hset: HSet) -> bool:
@@ -503,30 +514,48 @@ def _generator(rng_seed: int) -> np.random.Generator:
     return rng
 
 
+def _accepted(state: CodeState, coef: np.ndarray, hset: HSet) -> CodeState:
+    """state, built from the accepted sample coef, carrying coef as its
+    read-only coefficient array and marked as passed on hset."""
+    coef.setflags(write=False)
+    object.__setattr__(state, "_coef", coef)
+    object.__setattr__(state, "_checked", hset)
+    return state
+
+
 def _sample_until_accepted(
-    sample: Callable[[np.random.Generator, int], CodeState],
+    draw: Callable[[np.random.Generator], np.ndarray],
+    build: Callable[[np.ndarray, int], CodeState],
     hset: HSet,
+    q: int,
     rng_seed: int,
     max_attempts: int,
     error: type[AttemptsExhausted],
+    node: int | None = None,
 ) -> CodeState:
-    """The first sample(rng, attempt), for attempt = 1..max_attempts,
-    that passes invariant_check; every sample draws from the stream of
-    Philox seeded with rng_seed, which _generator starts.
+    """build(coef, attempt) for the first coef = draw(rng), for attempt
+    = 1..max_attempts, that passes the invariant on hset; every draw
+    reads the stream of Philox seeded with rng_seed, which _generator
+    starts.
 
-    invariant_check runs once per attempt.  When all max_attempts
+    draw returns a candidate's M x (n*d) coefficient array in
+    _coefficients' layout, and _first_failure ranks it, on node's rows
+    alone when node is given.  So a rejected attempt builds no
+    FieldMatrix and no CodeState; build runs once, for the accepted
+    array, and marks its state with _accepted.  When all max_attempts
     samples were rejected, raises error with the h that rejected each,
-    recomputed only then.  Its callers have checked max_attempts with
-    _check_attempts.
+    recorded as each attempt failed.  Its callers have checked
+    max_attempts with _check_attempts.
     """
     rng = _generator(rng_seed)
     rejected = []
     for attempt in range(1, max_attempts + 1):
-        state = sample(rng, attempt)
-        if invariant_check(state, hset):
-            return state
-        rejected.append(state)
-    raise error(max_attempts, tuple(invariant_failure(state, hset) for state in rejected))
+        coef = draw(rng)
+        h = _first_failure(coef, q, hset, node)
+        if h is None:
+            return build(coef, attempt)
+        rejected.append(h)
+    raise error(max_attempts, tuple(rejected))
 
 
 def construct(
@@ -540,15 +569,22 @@ def construct(
     """Sample uniform coding matrices until verification accepts.
 
     The sampling order is fixed (node 1 first, each matrix row-major),
-    so one seed always yields one code.  Raises ConstructionFailed when
-    max_attempts samples were all rejected, and CodeError when
-    max_attempts is below 1 or hset is H of other parameters.  Raises
-    OutOfScope before any draw at a point where some repair can never
-    pass (HSet.unrepairable).
+    so one seed always yields one code.  Each attempt draws an
+    (n, M, d) block of residues and lays it out as the M x (n*d)
+    coefficient array with one transposed copy; the invariant is ranked
+    on that array, and only the accepted one becomes n FieldMatrix
+    objects and a CodeState.  Raises ConstructionFailed when
+    max_attempts samples were all rejected, and CodeError, before any
+    draw, when max_attempts is below 1, packet_width is below 1 or hset
+    is H of other parameters.  Raises OutOfScope before any draw at a
+    point where some repair can never pass (HSet.unrepairable).
     """
     _check_attempts(max_attempts)
+    if packet_width < 1:
+        raise CodeError("packet width must be positive")
     _check_hset(params, hset)
     _check_repairable(hset)
+    m, n, d, q = params.M, params.n, params.d, field.q
     bound = required_field_size(params, hset)
     if field.q < bound:
         logger.warning(
@@ -557,14 +593,19 @@ def construct(
             bound,
         )
 
-    def sample(rng: np.random.Generator, attempt: int) -> CodeState:
-        draws = _uniform(rng, field.q, (params.n, params.M * params.d))
-        matrices = tuple(FieldMatrix(params.M, params.d, tuple(row), field)
-                         for row in draws.tolist())
-        return CodeState(params=params, field=field, packet_width=packet_width, Q=matrices,
-                         attempts=attempt)
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        # draws[j, i, c] is entry (i, c) of Q_{j + 1}
+        draws = _uniform(rng, q, (n, m, d))
+        return residue_array(draws.transpose(1, 0, 2), q).reshape(m, n * d)
 
-    return _sample_until_accepted(sample, hset, rng_seed, max_attempts, ConstructionFailed)
+    def build(coef: np.ndarray, attempt: int) -> CodeState:
+        blocks = coef.reshape(m, n, d).transpose(1, 0, 2).reshape(n, m * d).tolist()
+        matrices = tuple(FieldMatrix(m, d, tuple(row), field) for row in blocks)
+        return _accepted(CodeState(params=params, field=field, packet_width=packet_width,
+                                   Q=matrices, attempts=attempt), coef, hset)
+
+    return _sample_until_accepted(draw, build, hset, q, rng_seed, max_attempts,
+                                  ConstructionFailed)
 
 
 def repair_random(
@@ -585,50 +626,47 @@ def repair_random(
     view, in its residue_array dtype: int32 below 2^15 and int64 below
     2^31, where each product of two residues stays below 2^30 or 2^62
     and is reduced mod q before the sums (which numpy takes in int64),
-    and Python ints above.  The candidate keeps a copy of that array
-    with the failed node's block replaced through the same view.
+    and Python ints above.  The candidate is a copy of that array with
+    the failed node's block replaced through the same view.
 
-    A candidate is kept only if the whole state passes invariant_check
-    again.  When state passed invariant_failure on this hset, each
-    candidate is marked as differing from it only at node failed, so
-    that check ranks only the maximal h with h_failed > 0 (see the
-    module docstring).  The returned state's attempts field counts the
-    samples used.  States whose candidate was rejected are never
-    returned or mutated.  Raises InvalidHelpers when helpers fail
-    mfhs.checked_helpers, CodeError when max_attempts is below 1 or q is
-    too large to draw, and OutOfScope before any draw at a point where
-    some repair can never pass (HSet.unrepairable).
+    A candidate is kept only if the whole state passes the invariant
+    again.  When state passed the invariant on this hset, each
+    candidate is ranked on the maximal h with h_failed > 0 alone (see
+    the module docstring).  Only the accepted candidate becomes a
+    FieldMatrix and a CodeState, which shares state's other matrices;
+    its attempts field counts the samples used.  Raises InvalidHelpers
+    when helpers fail mfhs.checked_helpers, CodeError when max_attempts
+    is below 1 or q is too large to draw, and OutOfScope before any draw
+    at a point where some repair can never pass (HSet.unrepairable).
     """
     _check_attempts(max_attempts)
     params = state.params
     ordered = checked_helpers(params, failed, helpers)
     hset = h_enumerate(params)
     _check_repairable(hset)
-    memo = state._checked
-    base_passed = memo is not None and memo[0] is hset and memo[1] is None
     field, m, n, d, q = state.field, params.M, params.n, params.d, state.field.q
     coef = _coefficients(state)
     # blocks[i, j, c] is entry (i, c) of Q_{ordered[j]}
     blocks = np.take(coef.reshape(m, n, d), [x - 1 for x in ordered], axis=1)
 
-    def sample(rng: np.random.Generator, attempt: int) -> CodeState:
+    def draw(rng: np.random.Generator) -> np.ndarray:
         # one draw of both: B's d * d residues, then Z's
         combine, mix = residue_array(_uniform(rng, q, (2, d, d)), q)
         columns = (blocks * combine.T % q).sum(axis=2) % q
-        replacement = (columns[:, :, None] * mix % q).sum(axis=1) % q
-        new_q = list(state.Q)
-        new_q[failed - 1] = FieldMatrix(m, d, tuple(replacement.reshape(-1).tolist()), field)
-        candidate = CodeState(params=params, field=field, packet_width=state.packet_width,
-                              Q=tuple(new_q), attempts=attempt)
-        new_coef = coef.copy()
-        new_coef.reshape(m, n, d)[:, failed - 1] = replacement
-        new_coef.setflags(write=False)
-        object.__setattr__(candidate, "_coef", new_coef)
-        if base_passed:
-            object.__setattr__(candidate, "_checked", (hset, failed))
+        candidate = coef.copy()
+        candidate.reshape(m, n, d)[:, failed - 1] = (columns[:, :, None] * mix % q).sum(axis=1) % q
         return candidate
 
-    return _sample_until_accepted(sample, hset, rng_seed, max_attempts, RepairFailed)
+    def build(candidate: np.ndarray, attempt: int) -> CodeState:
+        new_q = list(state.Q)
+        entries = candidate.reshape(m, n, d)[:, failed - 1].reshape(-1).tolist()
+        new_q[failed - 1] = FieldMatrix(m, d, tuple(entries), field)
+        return _accepted(CodeState(params=params, field=field, packet_width=state.packet_width,
+                                   Q=tuple(new_q), attempts=attempt), candidate, hset)
+
+    node = failed if state._checked is hset else None
+    return _sample_until_accepted(draw, build, hset, q, rng_seed, max_attempts, RepairFailed,
+                                  node)
 
 
 def witness_repair_check(

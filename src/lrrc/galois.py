@@ -184,9 +184,9 @@ class FieldMatrix:
                 f"entries, got {len(self.entries)}"
             )
         q = self.field.q
-        for e in self.entries:
-            if e < 0 or e >= q:
-                raise OutOfRange(f"entry {e} is not a canonical residue mod {q}")
+        if self.entries and (min(self.entries) < 0 or max(self.entries) >= q):
+            bad = next(e for e in self.entries if e < 0 or e >= q)
+            raise OutOfRange(f"entry {bad} is not a canonical residue mod {q}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], field: FieldConfig) -> "FieldMatrix":
@@ -338,11 +338,11 @@ def _residue_dtype(q: int) -> type:
 
 
 def residue_array(values: Sequence, q: int) -> np.ndarray:
-    """Canonical residues mod q as an array to gather full_column_rank
-    stacks from, in _residue_dtype(q): int32 or int64 below
-    BATCH_Q_LIMIT, and Python ints (dtype=object) above it, so any
+    """Canonical residues mod q as a C-contiguous array to gather
+    full_column_rank stacks from, in _residue_dtype(q): int32 or int64
+    below BATCH_Q_LIMIT, and Python ints (dtype=object) above it, so any
     residue fits and no product overflows."""
-    return np.array(values, dtype=_residue_dtype(q))
+    return np.array(values, dtype=_residue_dtype(q), order="C")
 
 
 def _eliminate(a: np.ndarray, q: int, stop: int | None = None) -> np.ndarray:
@@ -564,6 +564,8 @@ def int_field(value: object, name: str, error: type[Exception] = GaloisError) ->
     that names its field, not a TypeError, a bare ValueError or a
     silent truncation.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise error(f"{name} must be an integer, got {json.dumps(value)}")
     try:

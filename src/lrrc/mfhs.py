@@ -106,7 +106,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -710,7 +710,10 @@ def h_enumerate(params: Params) -> HSet:
 
 
 def params_to_dict(params: Params) -> dict:
-    return asdict(params)
+    """Params as a dict of its fields, in declaration order; equal to
+    dataclasses.asdict(params), without its recursive copy."""
+    return {"n": params.n, "k": params.k, "d": params.d, "r": params.r, "M": params.M,
+            "alpha": params.alpha, "beta": params.beta}
 
 
 def params_from_dict(d: dict) -> Params:

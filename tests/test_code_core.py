@@ -122,6 +122,16 @@ def test_attempt_budget_is_checked_before_any_other_work(small_state, caplog):
     assert caplog.records == []
 
 
+@pytest.mark.parametrize("q", [2, next_prime(required_field_size(P321, H321))])
+def test_packet_width_is_checked_before_drawing(q, monkeypatch):
+    # only the accepted sample becomes a CodeState, whose own check
+    # would come after a sweep, or never at q = 2, where every attempt
+    # fails; construct refuses the width before its first draw
+    monkeypatch.setattr(code_core, "_uniform", _draws)
+    with pytest.raises(CodeError, match="^packet width must be positive$"):
+        construct(P321, field_new(q), H321, rng_seed=5, packet_width=0)
+
+
 def test_construct_gives_up_over_tiny_field():
     with pytest.raises(ConstructionFailed) as err:
         construct(P321, field_new(2), H321, rng_seed=0, max_attempts=3)
@@ -624,9 +634,9 @@ def test_repair_random_matches_pure_products(q, monkeypatch):
     # first candidate unverified, and the first call draws all q - 1.
     rngs = []
 
-    def first_sample(sample, hset, rng_seed, max_attempts, error):
+    def first_sample(draw, build, hset, q, rng_seed, max_attempts, error, node=None):
         rngs.append(_RecordingRng(np.random.Generator(np.random.Philox(rng_seed)), not rngs))
-        return sample(rngs[-1], 1)
+        return build(draw(rngs[-1]), 1)
 
     monkeypatch.setattr(code_core, "_sample_until_accepted", first_sample)
     rng = random.Random(q)
@@ -659,6 +669,83 @@ def test_repair_random_matches_pure_products(q, monkeypatch):
         assert np.array_equal(code_core._coefficients(repaired), code_core._coefficients(fresh))
         # repair the repaired state next, from the array it carries
         state = repaired
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 123456789012345])
+def test_construct_draws_the_flat_stream_node_by_node(seed):
+    # the (n, M, d) draw is the (n, M*d) one reshaped: node 1's matrix
+    # first, each row-major; each seed's first attempt passes
+    n, m, d = P641.n, P641.M, P641.d
+    flat = code_core._uniform(np.random.Generator(np.random.Philox(seed)), 142151, (n, m * d))
+    blocks = code_core._uniform(np.random.Generator(np.random.Philox(seed)), 142151, (n, m, d))
+    assert blocks.tolist() == flat.reshape(n, m, d).tolist()
+    state = construct(P641, field_new(142151), H641, rng_seed=seed)
+    assert state.attempts == 1
+    assert [qm.entries for qm in state.Q] == [tuple(row) for row in flat.tolist()]
+
+
+def test_only_the_accepted_sample_becomes_matrices(monkeypatch):
+    # at GF(307) seed 3 takes 9 attempts, and its repair below 2; only
+    # the accepted sample is built, as n matrices and as one
+    built = []
+    check = galois.FieldMatrix.__post_init__
+
+    def counting(matrix):
+        built.append(matrix)
+        check(matrix)
+
+    monkeypatch.setattr(galois.FieldMatrix, "__post_init__", counting)
+    state = construct(P641, field_new(307), H641, rng_seed=3, max_attempts=64)
+    assert state.attempts == 9
+    assert built == list(state.Q)
+    assert state._checked is H641
+    built.clear()
+    repaired = repair_random(state, 1, (3, 4, 5), rng_seed=1, max_attempts=64)
+    assert repaired.attempts == 2
+    assert built == [repaired.Q[0]]
+    assert all(a is b for a, b in zip(repaired.Q[1:], state.Q[1:]))
+    assert repaired._checked is H641
+    for accepted in (state, repaired):
+        fresh = state_from_dict(state_to_dict(accepted))
+        assert np.array_equal(accepted._coef, code_core._coefficients(fresh))
+
+
+def test_rejected_by_names_what_each_rejected_draw_fails_on(monkeypatch):
+    # each rejected attempt's h, recorded as it fails, is the h that a
+    # full sweep of the state built from that attempt's draw names
+    draws = []
+    uniform = code_core._uniform
+
+    def recording(rng, q, shape):
+        drawn = uniform(rng, q, shape)
+        draws.append(drawn.tolist())
+        return drawn
+
+    monkeypatch.setattr(code_core, "_uniform", recording)
+    f = field_new(89)
+    with pytest.raises(ConstructionFailed) as refused:
+        construct(P641, f, H641, rng_seed=0, max_attempts=4)
+    states = [CodeState(params=P641, field=f, packet_width=1,
+                        Q=tuple(FieldMatrix(P641.M, P641.d, tuple(itertools.chain(*block)), f)
+                                for block in drawn))
+              for drawn in draws]
+    assert len(states) == 4
+    assert refused.value.rejected_by == tuple(invariant_failure(s, H641) for s in states)
+    assert None not in refused.value.rejected_by
+    # a repair of a state that passed is ranked on node 1's rows alone
+    f, d = field_new(29), P321.d
+    base = construct(P321, f, H321, rng_seed=0, max_attempts=64)
+    draws.clear()
+    with pytest.raises(RepairFailed) as refused:
+        repair_random(base, 1, (4, 5), rng_seed=0, max_attempts=3)
+    candidates = [_mat_mul_repair(base, 1, (4, 5),
+                                  [FieldMatrix(d, 1, tuple(row[j] for row in combine), f)
+                                   for j in range(d)],
+                                  FieldMatrix.from_rows(mix, f))
+                  for combine, mix in draws]
+    assert len(candidates) == 3
+    assert refused.value.rejected_by == tuple(invariant_failure(c, H321) for c in candidates)
+    assert None not in refused.value.rejected_by
 
 
 def test_coefficient_array_is_cached_read_only(small_state):
@@ -784,18 +871,17 @@ def test_every_split_names_the_unsplit_first_failure(params, q, monkeypatch):
     broken_rows = (0,) if slow else (0, len(hset.maximal) // 2, len(hset.maximal) - 1)
     states = [_break_selection(base, hset.maximal[i], rng) for i in broken_rows]
     states += [] if slow else [base]
-    memos = (None,) if slow else ((hset, rng.randrange(1, params.n + 1)), None)
+    nodes = (None,) if slow else (rng.randrange(1, params.n + 1), None)
     splits = range(6) if slow else range(params.M)
     names = []
     for state in states:
-        for memo in memos:
+        coef = code_core._coefficients(state)
+        for node in nodes:
             got = []
             for t in splits:
                 monkeypatch.setattr(code_core, "_split_columns", lambda hset, t=t: t)
-                fresh = replace(state)
-                object.__setattr__(fresh, "_checked", memo)
-                got.append(invariant_failure(fresh, hset))
-            assert got == [got[0]] * len(splits), (memo, got)
+                got.append(code_core._first_failure(coef, q, hset, node))
+            assert got == [got[0]] * len(splits), (node, got)
             names.append(got[0])
     assert any(name is not None for name in names)
 
@@ -1127,9 +1213,9 @@ def _low_entropy_plan(state, rng, q_plan):
 
 @pytest.mark.parametrize("params", CROSS_CHECK_POINTS, ids=_point_id)
 def test_marked_candidate_reports_what_a_full_sweep_reports(params):
-    # A candidate that differs from a passing state only at the failed
-    # node is ranked on that node's rows alone; the first failing h must
-    # be the one the full sweep of an unmarked copy names.
+    # A repair candidate of a passing state is ranked on the failed
+    # node's rows alone; the first failing h must be the one a full
+    # sweep of the same array, and of an unmarked copy, names.
     hset = h_enumerate(params)
     base = _recommended_state(params, hset, seed=21)
     assert invariant_failure(base, hset) is None
@@ -1138,9 +1224,10 @@ def test_marked_candidate_reports_what_a_full_sweep_reports(params):
     for q_plan in (2, 3, 5):
         for _ in range(10):
             failed, candidate = _low_entropy_plan(base, rng, q_plan)
-            object.__setattr__(candidate, "_checked", (hset, failed))
+            coef, q = code_core._coefficients(candidate), base.field.q
             unmarked = state_from_dict(state_to_dict(candidate))
-            h = invariant_failure(candidate, hset)
+            h = code_core._first_failure(coef, q, hset, failed)
+            assert h == code_core._first_failure(coef, q, hset), (q_plan, failed, candidate.Q)
             assert h == invariant_failure(unmarked, hset), (q_plan, failed, candidate.Q)
             verdicts.add(h is None)
     assert verdicts == {True, False}
@@ -1257,10 +1344,9 @@ def test_sweeps_above_the_int64_limit_never_call_rank_of_rows(monkeypatch):
     broken = _break_selection(state, H641.maximal[len(H641.maximal) // 2], random.Random(5))
     passed = []
     for checked in (state, broken):
-        for memo in (None, (H641, 3)):
-            fresh = replace(checked)
-            object.__setattr__(fresh, "_checked", memo)
-            passed.append(invariant_failure(fresh, H641) is None)
+        for node in (None, 3):
+            passed.append(code_core._first_failure(code_core._coefficients(checked), q, H641,
+                                                   node) is None)
     assert passed[:3] == [True, True, False]
     assert code_core.reconstruct_verdicts(state).all()
     assert verify_exact_code(exact).passed

@@ -837,6 +837,40 @@ def test_int_field_refuses_fractions_and_bools():
             int_field(value, "x", OutOfRange)
 
 
+# int_field's verdicts: the value it returns, or its error's message
+INT_FIELD_VERDICTS = [
+    (3, 3),
+    (-1, -1),
+    (2**70, 2**70),
+    (True, "x must be an integer, got true"),
+    (3.0, 3),
+    (3.5, "x must be an integer, got 3.5"),
+    ("4", 4),
+    (None, "x must be an integer, got NoneType"),
+    ([1], "x must be an integer, got list"),
+]
+
+
+@pytest.mark.parametrize("value,verdict", INT_FIELD_VERDICTS, ids=repr)
+def test_int_field_keeps_every_verdict(value, verdict):
+    if isinstance(verdict, str):
+        with pytest.raises(OutOfRange) as refused:
+            int_field(value, "x", OutOfRange)
+        assert str(refused.value) == verdict
+    else:
+        got = int_field(value, "x", OutOfRange)
+        assert type(got) is int and got == verdict
+
+
+def test_matrix_names_its_first_entry_outside_the_field():
+    f = field_new(7)
+    for entries, named in (((0, 7, -1), 7), ((0, -1, 7), -1), ((8, 1, 9), 8)):
+        with pytest.raises(OutOfRange, match=f"^entry {named} is not a canonical residue mod 7$"):
+            FieldMatrix(1, 3, entries, f)
+    assert FieldMatrix(1, 3, (0, 6, 3), f).entries == (0, 6, 3)
+    assert FieldMatrix(0, 3, (), f).entries == ()
+
+
 def test_serialization_round_trip():
     f = field_new(101)
     a = _m(f, [[1, 2, 3], [4, 5, 6]])

@@ -7,6 +7,7 @@ permutations directly.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -528,6 +529,13 @@ def test_params_serialization_round_trip():
     d["M"] = 99
     with pytest.raises(OutOfScope):
         params_from_dict(d)
+
+
+@pytest.mark.parametrize("nkdr", [(6, 4, 3, 1), (8, 4, 2, 2), (10, 6, 3, 2)])
+def test_params_to_dict_is_the_dataclass_dict(nkdr):
+    p = params_new(*nkdr)
+    assert params_to_dict(p) == dataclasses.asdict(p)
+    assert list(params_to_dict(p)) == list(dataclasses.asdict(p))
 
 
 @settings(max_examples=120, deadline=None)
