@@ -27,6 +27,7 @@ from .mfhs import (
     HSet,
     ModelError,
     Params,
+    checked_helpers,
     h_enumerate,
     helper_universe,
     params_from_dict,
@@ -44,11 +45,14 @@ from .code_core import (
     construct,
     invariant_check,
     reconstruct_check,
+    repair_array,
+    repair_base,
     repair_random,
     required_field_size,
     state_from_dict,
     state_to_dict,
     witness_holds,
+    witness_holds_array,
     witness_repair_check,  # unused here; perfbench's tracer wraps this binding
 )
 from .exact6321 import ExactCodeError, build_exact_code, code_to_dict, verify_exact_code
@@ -200,7 +204,10 @@ def simulate(config: SimConfig) -> SimReport:
 
     Construction or repair giving up is recorded in the report (with
     the offending round) and stops the run; nothing is raised.  The
-    state only ever advances through accepted repairs.
+    code only ever advances through accepted repairs.  After the
+    construction the run carries the code as its coefficient array,
+    which code_core.repair_array takes and returns, so an event builds
+    no CodeState and no FieldMatrix.
     """
     t_start = time.perf_counter()
     params = config.params
@@ -212,9 +219,10 @@ def simulate(config: SimConfig) -> SimReport:
     events: list[dict] = []
     failure: dict | None = None
     exhausted = 0  # attempts spent by the repair that gave up
-    # construct and repair_random return a state only after it passed
-    # the invariant on this same cached hset, and by Lemma C of
-    # lrrc.code_core every k nodes of such a state recover the file, so
+    # construct returns a state, and repair_array an array, only after
+    # it passed the invariant on this same cached hset (a repair on the
+    # failed node's rows, when its base had passed), and by Lemma C of
+    # lrrc.code_core every k nodes of such a code recover the file, so
     # both verdicts are recorded, not computed again
     carried = {"invariant": True} if config.check_invariant else {}
     if config.check_reconstruction:
@@ -241,6 +249,8 @@ def simulate(config: SimConfig) -> SimReport:
             "checks": dict(carried),
         }
         planned = _planned_failures(config, master)
+        # the code as its coefficient array, and whether it passed on hset
+        coef, passed = repair_base(state, hset)
     construction["wall_time_s"] = time.perf_counter() - t0
 
     for round_no, failures in enumerate(planned, start=1):
@@ -248,8 +258,6 @@ def simulate(config: SimConfig) -> SimReport:
             break
         for failed in failures:
             helper_sets = _helper_sets(config, failed, master)
-            base = state
-            advanced: CodeState | None = None
             event: dict = {
                 "round": round_no,
                 "failed": failed,
@@ -259,13 +267,13 @@ def simulate(config: SimConfig) -> SimReport:
             t0 = time.perf_counter()
             try:
                 for idx, hs in enumerate(helper_sets):
-                    candidate = repair_random(
-                        base, failed, hs, rng_seed=master.getrandbits(63),
-                        max_attempts=config.max_attempts,
-                    )
-                    event["attempts"].append(candidate.attempts)
+                    ordered = checked_helpers(params, failed, hs)
+                    repaired, attempts = repair_array(
+                        coef, q, hset, failed, ordered, master.getrandbits(63),
+                        config.max_attempts, passed)
+                    event["attempts"].append(attempts)
                     if idx == 0:
-                        advanced = candidate
+                        advanced, helpers = repaired, ordered
             except RepairFailed as exc:
                 exhausted = exc.attempts
                 rejected_by = [list(h) for h in exc.rejected_by]
@@ -276,11 +284,10 @@ def simulate(config: SimConfig) -> SimReport:
                 failure = {"round": round_no, "failed": failed, "error": "RepairFailed",
                            "rejected_by": rejected_by}
                 break
-            assert advanced is not None
-            state = advanced
+            coef, passed = advanced, True
             event["checks"] = dict(carried)
             if config.check_witness:
-                event["checks"]["witness"] = witness_holds(state, failed, helper_sets[0], hset)
+                event["checks"]["witness"] = witness_holds_array(coef, q, hset, failed, helpers)
             event["wall_time_s"] = time.perf_counter() - t0
             events.append(event)
 

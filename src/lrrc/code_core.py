@@ -54,19 +54,27 @@ lrrc.mfhs, which finds H, knows nothing of columns.
 A repair rechecks only the selections it changes.  Repairing node x
 replaces Q_x alone, so a maximal h with h_x = 0 selects the same
 columns before and after: the columns are unchanged, so the ranks are
-unchanged.  When the state under repair passed the invariant on the
+unchanged.  When the base under repair passed the invariant on the
 same HSet object, each candidate is ranked on the plan's
 node_rows[x - 1] only, the maximal members with h_x > 0 (265 of 384 at
-(6,4,3,1)).  A CodeState remembers the HSet it passed on in a private
-field that is no part of its content or JSON form; a state made by its
-constructor, by dataclasses.replace or by state_from_dict starts
-without it and is ranked in full.  Construction and repair sample
-coefficient arrays, not states: a candidate is an M x (n*d) array,
-for a repair the base's array with node x's d columns replaced by the
-new Q_x, which repair_random computes in numpy from the helpers'
-columns of that same array.  _first_failure ranks it, and only the
-accepted array becomes FieldMatrix objects and a CodeState, which
-keeps the array and is marked as passed.
+(6,4,3,1)), taken from the plan once per repair.  A CodeState
+remembers the HSet it passed on in a private field that is no part of
+its content or JSON form; a state made by its constructor, by
+dataclasses.replace or by state_from_dict starts without it and is
+ranked in full.
+
+Construction and repair sample coefficient arrays, not states: a
+candidate is an M x (n*d) array, for a repair the base's array with
+node x's d columns replaced by the new Q_x, computed in numpy from the
+helpers' columns of that same array.  _sample_until_accepted ranks each
+candidate and returns the accepted array with its attempt count.
+repair_array is the one repair path: it takes a base array, and
+whether that base passed, and returns the accepted array, so
+lrrc.cli_sim's simulate carries the array from repair to repair and
+builds no FieldMatrix and no CodeState per event; witness_holds_array
+reads the same array.  construct and repair_random turn only the
+accepted array into FieldMatrix objects and a CodeState, which keeps
+the array and is marked as passed.
 
 Lemma C: every set S of k nodes contains the support of a maximal
 member of H, so every state that passes invariant_check lets any k
@@ -395,12 +403,14 @@ def _split_plan(hset: HSet, t: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(columns[new, :t]), remainders
 
 
-def _first_failure(coef: np.ndarray, q: int, hset: HSet,
-                   node: int | None = None) -> tuple[int, ...] | None:
-    """First maximal h, in member order, whose selection of the
-    coefficient array coef loses full column rank mod q; None when every
-    one keeps it.  With node, only the plan's node_rows[node - 1] are
-    ranked, the maximal h that read node's columns.
+def _failure_sweep(hset: HSet, q: int,
+                   node: int | None = None) -> Callable[[np.ndarray], tuple[int, ...] | None]:
+    """The sweep that names, for a coefficient array coef, the first
+    maximal h, in member order, whose selection of coef loses full column
+    rank mod q, or None when every one keeps it.  With node, only the
+    plan's node_rows[node - 1] are ranked, the maximal h that read
+    node's columns; they are taken here, once for every array the sweep
+    ranks.
 
     The selections are ranked by galois.first_rank_deficient in chunks,
     by their rows of the _split_plan remainders at the HSet's
@@ -412,10 +422,14 @@ def _first_failure(coef: np.ndarray, q: int, hset: HSet,
     if node is not None:
         rows = _sweep_plan(hset)[1][node - 1]
         columns = np.take(columns, rows, axis=0)
-    first = first_rank_deficient(coef, columns, q, prefixes)
-    if first is None:
-        return None
-    return tuple(hset.rows[first if rows is None else rows[first]].tolist())
+
+    def first_failure(coef: np.ndarray) -> tuple[int, ...] | None:
+        first = first_rank_deficient(coef, columns, q, prefixes)
+        if first is None:
+            return None
+        return tuple(hset.rows[first if rows is None else rows[first]].tolist())
+
+    return first_failure
 
 
 def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
@@ -424,11 +438,11 @@ def invariant_failure(state: CodeState, hset: HSet) -> tuple[int, ...] | None:
 
     Checking the maximal members suffices: see the module docstring.
     They all total M, so their M x M selections decide them, ranked by
-    _first_failure over the full sweep.  A state that passes is marked
+    _failure_sweep over the full sweep.  A state that passes is marked
     as passing on this hset.
     """
     _check_hset(state.params, hset)
-    h = _first_failure(_coefficients(state), state.field.q, hset)
+    h = _failure_sweep(hset, state.field.q)(_coefficients(state))
     if h is None:
         object.__setattr__(state, "_checked", hset)
     return h
@@ -516,8 +530,7 @@ def _generator(rng_seed: int) -> np.random.Generator:
 
 def _accepted(state: CodeState, coef: np.ndarray, hset: HSet) -> CodeState:
     """state, built from the accepted sample coef, carrying coef as its
-    read-only coefficient array and marked as passed on hset."""
-    coef.setflags(write=False)
+    coefficient array and marked as passed on hset."""
     object.__setattr__(state, "_coef", coef)
     object.__setattr__(state, "_checked", hset)
     return state
@@ -525,35 +538,35 @@ def _accepted(state: CodeState, coef: np.ndarray, hset: HSet) -> CodeState:
 
 def _sample_until_accepted(
     draw: Callable[[np.random.Generator], np.ndarray],
-    build: Callable[[np.ndarray, int], CodeState],
     hset: HSet,
     q: int,
     rng_seed: int,
     max_attempts: int,
     error: type[AttemptsExhausted],
     node: int | None = None,
-) -> CodeState:
-    """build(coef, attempt) for the first coef = draw(rng), for attempt
-    = 1..max_attempts, that passes the invariant on hset; every draw
-    reads the stream of Philox seeded with rng_seed, which _generator
-    starts.
+) -> tuple[np.ndarray, int]:
+    """(coef, attempt) for the first coef = draw(rng), for attempt =
+    1..max_attempts, that passes the invariant on hset, made read-only;
+    every draw reads the stream of Philox seeded with rng_seed, which
+    _generator starts.
 
     draw returns a candidate's M x (n*d) coefficient array in
-    _coefficients' layout, and _first_failure ranks it, on node's rows
-    alone when node is given.  So a rejected attempt builds no
-    FieldMatrix and no CodeState; build runs once, for the accepted
-    array, and marks its state with _accepted.  When all max_attempts
-    samples were rejected, raises error with the h that rejected each,
-    recorded as each attempt failed.  Its callers have checked
-    max_attempts with _check_attempts.
+    _coefficients' layout, and one _failure_sweep ranks every candidate,
+    on node's rows alone when node is given.  So no attempt builds a
+    FieldMatrix or a CodeState.  When all max_attempts samples were
+    rejected, raises error with the h that rejected each, recorded as
+    each attempt failed.  Its callers have checked max_attempts with
+    _check_attempts.
     """
+    first_failure = _failure_sweep(hset, q, node)
     rng = _generator(rng_seed)
     rejected = []
     for attempt in range(1, max_attempts + 1):
         coef = draw(rng)
-        h = _first_failure(coef, q, hset, node)
+        h = first_failure(coef)
         if h is None:
-            return build(coef, attempt)
+            coef.setflags(write=False)
+            return coef, attempt
         rejected.append(h)
     raise error(max_attempts, tuple(rejected))
 
@@ -598,54 +611,49 @@ def construct(
         draws = _uniform(rng, q, (n, m, d))
         return residue_array(draws.transpose(1, 0, 2), q).reshape(m, n * d)
 
-    def build(coef: np.ndarray, attempt: int) -> CodeState:
-        blocks = coef.reshape(m, n, d).transpose(1, 0, 2).reshape(n, m * d).tolist()
-        matrices = tuple(FieldMatrix(m, d, tuple(row), field) for row in blocks)
-        return _accepted(CodeState(params=params, field=field, packet_width=packet_width,
-                                   Q=matrices, attempts=attempt), coef, hset)
-
-    return _sample_until_accepted(draw, build, hset, q, rng_seed, max_attempts,
-                                  ConstructionFailed)
+    coef, attempts = _sample_until_accepted(draw, hset, q, rng_seed, max_attempts,
+                                            ConstructionFailed)
+    blocks = coef.reshape(m, n, d).transpose(1, 0, 2).reshape(n, m * d).tolist()
+    matrices = tuple(FieldMatrix(m, d, tuple(row), field) for row in blocks)
+    return _accepted(CodeState(params=params, field=field, packet_width=packet_width,
+                               Q=matrices, attempts=attempts), coef, hset)
 
 
-def repair_random(
-    state: CodeState,
-    failed: int,
-    helpers: Sequence[int],
-    rng_seed: int,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> CodeState:
-    """Regenerate one node from d helpers, one packet each.
+def repair_base(state: CodeState, hset: HSet) -> tuple[np.ndarray, bool]:
+    """What repair_array takes as the base of a repair of state: its
+    read-only coefficient array, and whether state passed the invariant
+    on this hset object."""
+    return _coefficients(state), state._checked is hset
+
+
+def repair_array(coef: np.ndarray, q: int, hset: HSet, failed: int, ordered: tuple[int, ...],
+                 rng_seed: int, max_attempts: int, passed: bool) -> tuple[np.ndarray, int]:
+    """The accepted coefficient array of a repair of the base array coef
+    over GF(q), and the attempts it took; raises RepairFailed, with the
+    h that rejected each attempt, when none of max_attempts passed.
+
+    ordered holds the helpers as checked_helpers returns them, hset is
+    H of coef's point and passes _check_repairable, and max_attempts
+    passes _check_attempts: repair_random checks all three, and
+    lrrc.cli_sim's simulate the last two through construct.
 
     Each attempt draws a d x d matrix B and then a d x d matrix Z,
-    uniformly.  Helper x_j, in checked_helpers order, sends its packets
-    combined by column b_j of B, and the newcomer mixes what it gets by
-    Z, so the candidate Q_failed is [Q_{x_1} b_1 | ... | Q_{x_d} b_d] @ Z.
-    It is computed in numpy from the helpers' blocks of state's
-    coefficient array, gathered once per call through its M x n x d
-    view, in its residue_array dtype: int32 below 2^15 and int64 below
-    2^31, where each product of two residues stays below 2^30 or 2^62
-    and is reduced mod q before the sums (which numpy takes in int64),
-    and Python ints above.  The candidate is a copy of that array with
-    the failed node's block replaced through the same view.
+    uniformly.  Helper x_j sends its packets combined by column b_j of
+    B, and the newcomer mixes what it gets by Z, so the candidate
+    Q_failed is [Q_{x_1} b_1 | ... | Q_{x_d} b_d] @ Z.  It is computed in numpy from the helpers' blocks of coef, gathered
+    once per call through its M x n x d view, in its residue_array
+    dtype: int32 below 2^15 and int64 below 2^31, where each product of
+    two residues stays below 2^30 or 2^62 and is reduced mod q before
+    the sums (which numpy takes in int64), and Python ints above.  The
+    candidate is a copy of coef with the failed node's block replaced
+    through the same view.
 
     A candidate is kept only if the whole state passes the invariant
-    again.  When state passed the invariant on this hset, each
-    candidate is ranked on the maximal h with h_failed > 0 alone (see
-    the module docstring).  Only the accepted candidate becomes a
-    FieldMatrix and a CodeState, which shares state's other matrices;
-    its attempts field counts the samples used.  Raises InvalidHelpers
-    when helpers fail mfhs.checked_helpers, CodeError when max_attempts
-    is below 1 or q is too large to draw, and OutOfScope before any draw
-    at a point where some repair can never pass (HSet.unrepairable).
+    again.  When the base passed the invariant on this hset (passed),
+    each candidate is ranked on the maximal h with h_failed > 0 alone
+    (see the module docstring).
     """
-    _check_attempts(max_attempts)
-    params = state.params
-    ordered = checked_helpers(params, failed, helpers)
-    hset = h_enumerate(params)
-    _check_repairable(hset)
-    field, m, n, d, q = state.field, params.M, params.n, params.d, state.field.q
-    coef = _coefficients(state)
+    m, n, d = hset.params.M, hset.params.n, hset.params.d
     # blocks[i, j, c] is entry (i, c) of Q_{ordered[j]}
     blocks = np.take(coef.reshape(m, n, d), [x - 1 for x in ordered], axis=1)
 
@@ -657,16 +665,42 @@ def repair_random(
         candidate.reshape(m, n, d)[:, failed - 1] = (columns[:, :, None] * mix % q).sum(axis=1) % q
         return candidate
 
-    def build(candidate: np.ndarray, attempt: int) -> CodeState:
-        new_q = list(state.Q)
-        entries = candidate.reshape(m, n, d)[:, failed - 1].reshape(-1).tolist()
-        new_q[failed - 1] = FieldMatrix(m, d, tuple(entries), field)
-        return _accepted(CodeState(params=params, field=field, packet_width=state.packet_width,
-                                   Q=tuple(new_q), attempts=attempt), candidate, hset)
+    return _sample_until_accepted(draw, hset, q, rng_seed, max_attempts, RepairFailed,
+                                  failed if passed else None)
 
-    node = failed if state._checked is hset else None
-    return _sample_until_accepted(draw, build, hset, q, rng_seed, max_attempts, RepairFailed,
-                                  node)
+
+def repair_random(
+    state: CodeState,
+    failed: int,
+    helpers: Sequence[int],
+    rng_seed: int,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+) -> CodeState:
+    """Regenerate one node from d helpers, one packet each: repair_array
+    on state's coefficient array, after the checks it leaves to its
+    callers.
+
+    Only the accepted candidate becomes a FieldMatrix and a CodeState,
+    which shares state's other matrices; its attempts field counts the
+    samples used.  Raises InvalidHelpers when helpers fail
+    mfhs.checked_helpers, CodeError when max_attempts is below 1 or q is
+    too large to draw, and OutOfScope before any draw at a point where
+    some repair can never pass (HSet.unrepairable).
+    """
+    _check_attempts(max_attempts)
+    params, field = state.params, state.field
+    ordered = checked_helpers(params, failed, helpers)
+    hset = h_enumerate(params)
+    _check_repairable(hset)
+    base, passed = repair_base(state, hset)
+    coef, attempts = repair_array(base, field.q, hset, failed, ordered, rng_seed, max_attempts,
+                                  passed)
+    m, n, d = params.M, params.n, params.d
+    new_q = list(state.Q)
+    entries = coef.reshape(m, n, d)[:, failed - 1].reshape(-1).tolist()
+    new_q[failed - 1] = FieldMatrix(m, d, tuple(entries), field)
+    return _accepted(CodeState(params=params, field=field, packet_width=state.packet_width,
+                               Q=tuple(new_q), attempts=attempts), coef, hset)
 
 
 def witness_repair_check(
@@ -767,28 +801,39 @@ def witness_targets(hset: HSet, failed: int, helpers: tuple[int, ...]) -> np.nda
 
 
 def witness_holds(state: CodeState, failed: int, helpers: Sequence[int], hset: HSet) -> bool:
-    """True iff the repair witness holds for every h in hset.
+    """True iff the repair witness holds for every h in hset:
+    witness_holds_array on state's coefficient array, after its checks.
 
     Equal to all(witness_repair_check(state, failed, helpers, h, hset)
-    for h in hset), decided by one rank at each maximal target that
-    witness_targets memoizes per key.  The targets' selections are
-    gathered from one array of the Q matrices by their rows of the
-    _sweep_plan columns, as in invariant_failure, and each is ranked
-    by rank_of_rows against M, the total of every maximal target.  The
-    targets' blocks become Python lists RANK_CHUNK entries at a time,
-    and the first rank below M stops the call before later chunks are
-    built, so memory stays bounded at keys with 10^5 targets.
-    Helpers are validated first, so bad ones raise InvalidHelpers
-    before the memo is consulted; a key runs no connect_run and no
-    membership test, cold or warm.  Raises OutOfScope, as construct
-    does, at a point where some repair can never pass
-    (HSet.unrepairable): a target there can leave H.
+    for h in hset).  Helpers are validated first, so bad ones raise
+    InvalidHelpers before the memo of witness_targets is consulted.
+    Raises OutOfScope, as construct does, at a point where some repair
+    can never pass (HSet.unrepairable): a target there can leave H.
     """
     _check_hset(state.params, hset)
     _check_repairable(hset)
     ordered = checked_helpers(state.params, failed, helpers)
+    return witness_holds_array(_coefficients(state), state.field.q, hset, failed, ordered)
+
+
+def witness_holds_array(coef: np.ndarray, q: int, hset: HSet, failed: int,
+                        ordered: tuple[int, ...]) -> bool:
+    """witness_holds for the code whose coefficient array over GF(q) is
+    coef, with helpers as checked_helpers returns them, at a point
+    _check_repairable accepts.
+
+    Decided by one rank at each maximal target that witness_targets
+    memoizes per key, so a key runs no connect_run and no membership
+    test, cold or warm.  The targets' selections are gathered from coef
+    by their rows of the _sweep_plan columns, as in invariant_failure,
+    and each is ranked by rank_of_rows against M, the total of every
+    maximal target.  The targets' blocks become Python lists RANK_CHUNK
+    entries at a time, and the first rank below M stops the call before
+    later chunks are built, so memory stays bounded at keys with 10^5
+    targets.
+    """
     columns = _sweep_plan(hset)[0][witness_targets(hset, failed, ordered)]
-    coef, q, m = _coefficients(state), state.field.q, state.params.M
+    m = hset.params.M
     step = max(1, RANK_CHUNK // (m * m))
     return all(rank_of_rows(rows, q) == m for start in range(0, len(columns), step)
                for rows in coef[:, columns[start:start + step]].transpose(1, 0, 2).tolist())

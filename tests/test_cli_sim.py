@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from lrrc import cli_sim, code_core
 from lrrc.cli_sim import SimConfig, run_cli, sim_config_from_dict, simulate
 from lrrc.galois import FieldMatrix, field_new
-from lrrc.mfhs import ModelError, checked_helpers, h_enumerate, params_new, params_to_dict
+from lrrc.mfhs import ModelError, h_enumerate, params_new, params_to_dict
 
 
 def invoke(capsys, *argv):
@@ -491,7 +492,7 @@ def test_repair_failure_report_names_the_rejecting_h(monkeypatch):
     # GF(3) at (4,2,1,1): round 5's repair of node 1 from node 3 is
     # rejected twice, both times by h = (1, 0, 0, 0)
     raised = []
-    real_repair = cli_sim.repair_random
+    real_repair = cli_sim.repair_array
 
     def recording_repair(*args, **kwargs):
         try:
@@ -500,7 +501,7 @@ def test_repair_failure_report_names_the_rejecting_h(monkeypatch):
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(cli_sim, "repair_random", recording_repair)
+    monkeypatch.setattr(cli_sim, "repair_array", recording_repair)
     report = simulate(SimConfig(params=params_new(4, 2, 1, 1), q=3, seed=1, rounds=8,
                                 max_attempts=2))
     assert report.passed is False
@@ -533,26 +534,97 @@ def test_witness_event_ranks_each_maximal_target_once(q, monkeypatch):
     # code_core's binding
     calls, events = [], []
     real_rank = code_core.rank_of_rows
-    real_holds = cli_sim.witness_holds
+    real_holds = cli_sim.witness_holds_array
 
     def counting_rank(rows, field_q):
         calls.append(len(rows))
         return real_rank(rows, field_q)
 
-    def counting_holds(state, failed, helpers, hset):
+    def counting_holds(coef, field_q, hset, failed, ordered):
         calls.clear()
-        verdict = real_holds(state, failed, helpers, hset)
-        ordered = checked_helpers(hset.params, failed, helpers)
+        verdict = real_holds(coef, field_q, hset, failed, ordered)
         events.append((verdict, len(calls), len(code_core.witness_targets(hset, failed, ordered))))
         return verdict
 
     monkeypatch.setattr(code_core, "rank_of_rows", counting_rank)
-    monkeypatch.setattr(cli_sim, "witness_holds", counting_holds)
+    monkeypatch.setattr(cli_sim, "witness_holds_array", counting_holds)
     params = params_new(6, 3, 2, 1)
     report = simulate(SimConfig(params=params, q=q, seed=6, rounds=4, check_witness=True))
     assert report.passed
     assert len(events) == report.aggregate["events_total"] == 4
     assert all(verdict and ranks == targets > 0 for verdict, ranks, targets in events)
+
+
+@pytest.mark.parametrize("witness", [False, True], ids=["no-witness", "witness"])
+def test_simulate_builds_objects_for_the_construction_alone(witness, monkeypatch):
+    # the repair chain carries coefficient arrays: the construction makes
+    # n matrices and one CodeState, and no event makes either
+    built = Counter()
+    for cls in (FieldMatrix, code_core.CodeState):
+        def counting(obj, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(obj)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    params = params_new(6, 4, 3, 1)
+    report = simulate(SimConfig(params=params, seed=3, rounds=12, check_witness=witness))
+    assert report.passed
+    assert report.aggregate["events_total"] == 12
+    assert built == {"FieldMatrix": params.n, "CodeState": 1}
+
+
+def _replayed_events(config: SimConfig, q: int) -> list[tuple]:
+    """simulate's events, replayed from its master stream through
+    construct, chained repair_random calls on CodeState objects and
+    witness_holds: (round, failed, attempts, error, rejected_by,
+    witness verdict) per event."""
+    params = config.params
+    hset = h_enumerate(params)
+    master = random.Random(config.seed)
+    state = code_core.construct(params, field_new(q), hset, rng_seed=master.getrandbits(63),
+                                max_attempts=config.max_attempts)
+    events = []
+    for round_no, failures in enumerate(cli_sim._planned_failures(config, master), start=1):
+        for failed in failures:
+            helper_sets = cli_sim._helper_sets(config, failed, master)
+            repaired = []
+            try:
+                for hs in helper_sets:
+                    repaired.append(code_core.repair_random(
+                        state, failed, hs, rng_seed=master.getrandbits(63),
+                        max_attempts=config.max_attempts))
+            except code_core.RepairFailed as exc:
+                events.append((round_no, failed, [r.attempts for r in repaired], "RepairFailed",
+                               [list(h) for h in exc.rejected_by], None))
+                return events
+            state = repaired[0]
+            witness = (code_core.witness_holds(state, failed, helper_sets[0], hset)
+                       if config.check_witness else None)
+            events.append((round_no, failed, [r.attempts for r in repaired], None, None, witness))
+    return events
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(params=params_new(6, 4, 3, 1), q=307, seed=0, rounds=3, max_attempts=64,
+              failure_policy="adversarial-sweep", helper_policy="exhaustive-per-failure",
+              check_witness=True),
+    SimConfig(params=params_new(8, 4, 2, 2), seed=5, rounds=40, check_witness=True),
+    SimConfig(params=params_new(6, 3, 2, 1), q=29, seed=0, rounds=24, max_attempts=6,
+              check_witness=True),
+], ids=["6431-q307-sweep", "8422-auto", "6321-q29-gives-up"])
+def test_simulate_chain_matches_chained_repair_random(config):
+    # simulate's array chain and repair_random's CodeState chain take the
+    # same draws, so every event agrees on attempts, error, rejected_by
+    # and the witness verdict
+    report = simulate(config)
+    assert report.construction["ok"]
+    got = [(e["round"], e["failed"], e["attempts"], e.get("error"), e.get("rejected_by"),
+            e.get("checks", {}).get("witness")) for e in report.events]
+    assert got == _replayed_events(config, report.q)
+    if config.q != "auto":
+        # the low fields reject draws, so rejections are compared too
+        assert any(a > 1 for event in got for a in event[2])
+    assert (got[-1][3] == "RepairFailed") is (config.q == 29)
 
 
 def test_sim_config_validation():

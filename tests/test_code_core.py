@@ -634,9 +634,9 @@ def test_repair_random_matches_pure_products(q, monkeypatch):
     # first candidate unverified, and the first call draws all q - 1.
     rngs = []
 
-    def first_sample(draw, build, hset, q, rng_seed, max_attempts, error, node=None):
+    def first_sample(draw, hset, q, rng_seed, max_attempts, error, node=None):
         rngs.append(_RecordingRng(np.random.Generator(np.random.Philox(rng_seed)), not rngs))
-        return build(draw(rngs[-1]), 1)
+        return draw(rngs[-1]), 1
 
     monkeypatch.setattr(code_core, "_sample_until_accepted", first_sample)
     rng = random.Random(q)
@@ -880,7 +880,7 @@ def test_every_split_names_the_unsplit_first_failure(params, q, monkeypatch):
             got = []
             for t in splits:
                 monkeypatch.setattr(code_core, "_split_columns", lambda hset, t=t: t)
-                got.append(code_core._first_failure(coef, q, hset, node))
+                got.append(code_core._failure_sweep(hset, q, node)(coef))
             assert got == [got[0]] * len(splits), (node, got)
             names.append(got[0])
     assert any(name is not None for name in names)
@@ -1226,8 +1226,8 @@ def test_marked_candidate_reports_what_a_full_sweep_reports(params):
             failed, candidate = _low_entropy_plan(base, rng, q_plan)
             coef, q = code_core._coefficients(candidate), base.field.q
             unmarked = state_from_dict(state_to_dict(candidate))
-            h = code_core._first_failure(coef, q, hset, failed)
-            assert h == code_core._first_failure(coef, q, hset), (q_plan, failed, candidate.Q)
+            h = code_core._failure_sweep(hset, q, failed)(coef)
+            assert h == code_core._failure_sweep(hset, q)(coef), (q_plan, failed, candidate.Q)
             assert h == invariant_failure(unmarked, hset), (q_plan, failed, candidate.Q)
             verdicts.add(h is None)
     assert verdicts == {True, False}
@@ -1345,8 +1345,8 @@ def test_sweeps_above_the_int64_limit_never_call_rank_of_rows(monkeypatch):
     passed = []
     for checked in (state, broken):
         for node in (None, 3):
-            passed.append(code_core._first_failure(code_core._coefficients(checked), q, H641,
-                                                   node) is None)
+            passed.append(code_core._failure_sweep(H641, q, node)(
+                code_core._coefficients(checked)) is None)
     assert passed[:3] == [True, True, False]
     assert code_core.reconstruct_verdicts(state).all()
     assert verify_exact_code(exact).passed
