@@ -47,6 +47,7 @@ from .code_core import (
     reconstruct_check,
     repair_array,
     repair_base,
+    repair_candidate,
     repair_random,
     required_field_size,
     state_from_dict,
@@ -54,6 +55,8 @@ from .code_core import (
     witness_holds,
     witness_holds_array,
     witness_repair_check,  # unused here; perfbench's tracer wraps this binding
+    window_failure,
+    window_size,
 )
 from .exact6321 import ExactCodeError, build_exact_code, code_to_dict, verify_exact_code
 
@@ -199,6 +202,24 @@ def _helper_sets(config: SimConfig, failed: int, master: random.Random) -> list[
     return list(itertools.combinations(universe, config.params.d))
 
 
+def _repair_units(config: SimConfig, planned: list[list[int]],
+                  master: random.Random) -> list[tuple[dict, int, tuple[int, ...], int]]:
+    """simulate's repair units in run order, one per (event, helper set),
+    as (event record, helper set index, ordered helpers, seed), drawn
+    from master event by event: the event's helper sets, then one seed
+    per helper set."""
+    units = []
+    for round_no, failures in enumerate(planned, start=1):
+        for failed in failures:
+            helper_sets = _helper_sets(config, failed, master)
+            event = {"round": round_no, "failed": failed,
+                     "helper_sets": [list(hs) for hs in helper_sets], "attempts": [],
+                     "wall_time_s": 0.0}
+            units += [(event, idx, checked_helpers(config.params, failed, hs),
+                       master.getrandbits(63)) for idx, hs in enumerate(helper_sets)]
+    return units
+
+
 def simulate(config: SimConfig) -> SimReport:
     """Construct a code, then run the configured failure rounds.
 
@@ -208,6 +229,28 @@ def simulate(config: SimConfig) -> SimReport:
     construction the run carries the code as its coefficient array,
     which code_core.repair_array takes and returns, so an event builds
     no CodeState and no FieldMatrix.
+
+    The repairs run in windows of units, one unit per (event, helper
+    set).  A window draws each unit's first attempt with
+    code_core.repair_candidate, on the array the units before it leave
+    if each of them passes, and ranks all of the window's node sweeps in
+    one code_core.window_failure call.  The units are then accepted in
+    order with 1 attempt each, up to the first that failed: that one
+    runs repair_array from its own base, which draws and rejects its
+    first attempt again, so its attempts, rejected_by and RepairFailed
+    are those of a serial run, and the units after it are drawn again in
+    the next window.  A draw depends on its base, helpers and seed
+    alone, so the report is the same at every window size.  A window of
+    one unit, or one whose base has not passed the invariant on H, runs
+    repair_array alone.  Windows hold at most code_core.window_size(H)
+    units; after a retry the next holds as many as were accepted before
+    it (at least 1), and after a window without one, twice as many, so
+    a low field, where draws often fail, draws few units twice.
+
+    Each event's wall_time_s is its own work (a retried repair, the
+    witness) plus, for each of its units in a window, an equal share of
+    that window's draw-and-rank pass, so the events' times add up to at
+    most the run's.
     """
     t_start = time.perf_counter()
     params = config.params
@@ -253,43 +296,67 @@ def simulate(config: SimConfig) -> SimReport:
         coef, passed = repair_base(state, hset)
     construction["wall_time_s"] = time.perf_counter() - t0
 
-    for round_no, failures in enumerate(planned, start=1):
+    units = _repair_units(config, planned, master)
+    size = limit = window_size(hset)
+    start = 0  # the first unit not yet accepted
+    advanced = helpers = None  # the current event's first repair and its helpers
+    while start < len(units):
+        window = units[start:start + size]
+        # first is the unit that runs repair_array, None when every unit passed
+        first, mark = 0, time.perf_counter()
+        if passed and len(window) > 1:
+            candidates, base, following = [], coef, advanced
+            for event, idx, ordered, seed in window:
+                if idx == 0 and candidates:
+                    base = following
+                candidates.append(repair_candidate(base, q, hset, event["failed"], ordered, seed))
+                if idx == 0:
+                    following = candidates[-1]
+            first = window_failure(candidates, [unit[0]["failed"] for unit in window], q, hset)
+            now = time.perf_counter()
+            for unit in window:
+                unit[0]["wall_time_s"] += (now - mark) / len(window)
+            mark = now
+        for k, (event, idx, ordered, seed) in enumerate(window):
+            failed = event["failed"]
+            if k == first:
+                # coef is the unit's base: the events before it have advanced it
+                try:
+                    repaired, attempts = repair_array(coef, q, hset, failed, ordered, seed,
+                                                      config.max_attempts, passed)
+                except RepairFailed as exc:
+                    exhausted = exc.attempts
+                    rejected_by = [list(h) for h in exc.rejected_by]
+                    event["error"] = "RepairFailed"
+                    event["rejected_by"] = rejected_by
+                    event["wall_time_s"] += time.perf_counter() - mark
+                    events.append(event)
+                    failure = {"round": event["round"], "failed": failed,
+                               "error": "RepairFailed", "rejected_by": rejected_by}
+                    break
+            else:
+                repaired, attempts = candidates[k], 1
+            event["attempts"].append(attempts)
+            if idx == 0:
+                advanced, helpers = repaired, ordered
+            if idx == len(event["helper_sets"]) - 1:
+                coef, passed, advanced = advanced, True, None
+                event["checks"] = dict(carried)
+                if config.check_witness:
+                    event["checks"]["witness"] = witness_holds_array(coef, q, hset, failed,
+                                                                     helpers)
+                events.append(event)
+            now = time.perf_counter()
+            event["wall_time_s"] += now - mark
+            mark = now
+            if k == first:
+                break
         if failure:
             break
-        for failed in failures:
-            helper_sets = _helper_sets(config, failed, master)
-            event: dict = {
-                "round": round_no,
-                "failed": failed,
-                "helper_sets": [list(hs) for hs in helper_sets],
-                "attempts": [],
-            }
-            t0 = time.perf_counter()
-            try:
-                for idx, hs in enumerate(helper_sets):
-                    ordered = checked_helpers(params, failed, hs)
-                    repaired, attempts = repair_array(
-                        coef, q, hset, failed, ordered, master.getrandbits(63),
-                        config.max_attempts, passed)
-                    event["attempts"].append(attempts)
-                    if idx == 0:
-                        advanced, helpers = repaired, ordered
-            except RepairFailed as exc:
-                exhausted = exc.attempts
-                rejected_by = [list(h) for h in exc.rejected_by]
-                event["error"] = "RepairFailed"
-                event["rejected_by"] = rejected_by
-                event["wall_time_s"] = time.perf_counter() - t0
-                events.append(event)
-                failure = {"round": round_no, "failed": failed, "error": "RepairFailed",
-                           "rejected_by": rejected_by}
-                break
-            coef, passed = advanced, True
-            event["checks"] = dict(carried)
-            if config.check_witness:
-                event["checks"]["witness"] = witness_holds_array(coef, q, hset, failed, helpers)
-            event["wall_time_s"] = time.perf_counter() - t0
-            events.append(event)
+        start += k + 1
+        # only the last unit taken can have retried: the next window holds
+        # the units accepted before it, or twice as many when none did
+        size = min(limit, 2 * size) if attempts == 1 else max(1, k)
 
     def event_ok(e: dict) -> bool:
         return "error" not in e and all(e.get("checks", {}).values())

@@ -72,7 +72,11 @@ repair_array is the one repair path: it takes a base array, and
 whether that base passed, and returns the accepted array, so
 lrrc.cli_sim's simulate carries the array from repair to repair and
 builds no FieldMatrix and no CodeState per event; witness_holds_array
-reads the same array.  construct and repair_random turn only the
+reads the same array.  simulate first ranks a window of first
+attempts, each drawn by repair_candidate through repair_array's draw
+on the one before, in one window_failure call, and accepts them in
+order up to the first that fails, which repair_array then runs from
+its own base.  construct and repair_random turn only the
 accepted array into FieldMatrix objects and a CodeState, which keeps
 the array and is marked as passed.
 
@@ -110,6 +114,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -626,32 +631,22 @@ def repair_base(state: CodeState, hset: HSet) -> tuple[np.ndarray, bool]:
     return _coefficients(state), state._checked is hset
 
 
-def repair_array(coef: np.ndarray, q: int, hset: HSet, failed: int, ordered: tuple[int, ...],
-                 rng_seed: int, max_attempts: int, passed: bool) -> tuple[np.ndarray, int]:
-    """The accepted coefficient array of a repair of the base array coef
-    over GF(q), and the attempts it took; raises RepairFailed, with the
-    h that rejected each attempt, when none of max_attempts passed.
+def _repair_draw(coef: np.ndarray, q: int, hset: HSet, failed: int,
+                 ordered: tuple[int, ...]) -> Callable[[np.random.Generator], np.ndarray]:
+    """The draw of a repair of the base array coef over GF(q), which
+    returns one candidate M x (n*d) array per call; repair_array and
+    repair_candidate both draw through it.
 
-    ordered holds the helpers as checked_helpers returns them, hset is
-    H of coef's point and passes _check_repairable, and max_attempts
-    passes _check_attempts: repair_random checks all three, and
-    lrrc.cli_sim's simulate the last two through construct.
-
-    Each attempt draws a d x d matrix B and then a d x d matrix Z,
+    Each call draws a d x d matrix B and then a d x d matrix Z,
     uniformly.  Helper x_j sends its packets combined by column b_j of
     B, and the newcomer mixes what it gets by Z, so the candidate
-    Q_failed is [Q_{x_1} b_1 | ... | Q_{x_d} b_d] @ Z.  It is computed in numpy from the helpers' blocks of coef, gathered
-    once per call through its M x n x d view, in its residue_array
-    dtype: int32 below 2^15 and int64 below 2^31, where each product of
-    two residues stays below 2^30 or 2^62 and is reduced mod q before
-    the sums (which numpy takes in int64), and Python ints above.  The
-    candidate is a copy of coef with the failed node's block replaced
-    through the same view.
-
-    A candidate is kept only if the whole state passes the invariant
-    again.  When the base passed the invariant on this hset (passed),
-    each candidate is ranked on the maximal h with h_failed > 0 alone
-    (see the module docstring).
+    Q_failed is [Q_{x_1} b_1 | ... | Q_{x_d} b_d] @ Z.  It is computed
+    in numpy from the helpers' blocks of coef, gathered once here
+    through its M x n x d view, in its residue_array dtype: int32 below
+    2^15 and int64 below 2^31, where each product of two residues stays
+    below 2^30 or 2^62 and is reduced mod q before the sums (which numpy
+    takes in int64), and Python ints above.  The candidate is a copy of
+    coef with the failed node's block replaced through the same view.
     """
     m, n, d = hset.params.M, hset.params.n, hset.params.d
     # blocks[i, j, c] is entry (i, c) of Q_{ordered[j]}
@@ -665,8 +660,107 @@ def repair_array(coef: np.ndarray, q: int, hset: HSet, failed: int, ordered: tup
         candidate.reshape(m, n, d)[:, failed - 1] = (columns[:, :, None] * mix % q).sum(axis=1) % q
         return candidate
 
-    return _sample_until_accepted(draw, hset, q, rng_seed, max_attempts, RepairFailed,
+    return draw
+
+
+def repair_array(coef: np.ndarray, q: int, hset: HSet, failed: int, ordered: tuple[int, ...],
+                 rng_seed: int, max_attempts: int, passed: bool) -> tuple[np.ndarray, int]:
+    """The accepted coefficient array of a repair of the base array coef
+    over GF(q), and the attempts it took; raises RepairFailed, with the
+    h that rejected each attempt, when none of max_attempts passed.
+
+    ordered holds the helpers as checked_helpers returns them, hset is
+    H of coef's point and passes _check_repairable, and max_attempts
+    passes _check_attempts: repair_random checks all three, and
+    lrrc.cli_sim's simulate the last two through construct.  Each
+    attempt is one call of _repair_draw's draw.
+
+    A candidate is kept only if the whole state passes the invariant
+    again.  When the base passed the invariant on this hset (passed),
+    each candidate is ranked on the maximal h with h_failed > 0 alone
+    (see the module docstring).
+    """
+    return _sample_until_accepted(_repair_draw(coef, q, hset, failed, ordered), hset, q,
+                                  rng_seed, max_attempts, RepairFailed,
                                   failed if passed else None)
+
+
+def repair_candidate(coef: np.ndarray, q: int, hset: HSet, failed: int,
+                     ordered: tuple[int, ...], rng_seed: int) -> np.ndarray:
+    """The first attempt of repair_array(coef, q, hset, failed, ordered,
+    rng_seed, ...), drawn and not ranked: the array repair_array accepts
+    at attempt 1 when it passes."""
+    return _repair_draw(coef, q, hset, failed, ordered)(_generator(rng_seed))
+
+
+# The most entries one window_failure call of simulate holds (see
+# window_size): 2^14 takes windows of 10 node sweeps at (8,4,2,2), 24 at
+# (6,3,2,1) and 1 at (6,4,3,1), where windows of 2 ran no faster than
+# single sweeps and one window of 4 ranked slower than 4 single sweeps.
+# 80-round (8,4,2,2) runs made 36%, 48% and 55% more events per second
+# than serial repairs at 2^13, 2^14 and 2^15 (windows of 5, 10 and 20);
+# 2^14 keeps most of that with smaller arrays.  It stays below
+# galois.RANK_CHUNK, so a window is one kernel chunk.
+WINDOW_ENTRIES = 2**14
+
+
+def window_size(hset: HSet) -> int:
+    """How many repair candidates lrrc.cli_sim's simulate ranks in one
+    window_failure call at hset: the most K, at least 1, whose window
+    fits in WINDOW_ENTRIES entries.
+
+    A window of K candidates ranks K of the largest node sweep's
+    remainders, (M - t)^2 entries per member at the split t.  At a
+    split it also eliminates the prefixes of K*G labels, G per
+    candidate, each on a stack of M x (t + K*n*d) entries, since the
+    kernel stacks each label's prefix with the whole window; that term
+    grows as K^2, which is why split points take small windows.
+    """
+    m, t, width = hset.params.M, _split_columns(hset), hset.params.n * hset.params.d
+    remainder = max(len(rows) for rows in _sweep_plan(hset)[1]) * (m - t) ** 2
+    labels = len(_split_plan(hset, t)[0]) if t else 0
+    # the most K with a*K^2 + b*K <= WINDOW_ENTRIES
+    a, b = labels * m * width, remainder + labels * m * t
+    most = (WINDOW_ENTRIES // b if not a
+            else (math.isqrt(b * b + 4 * a * WINDOW_ENTRIES) - b) // (2 * a))
+    return max(1, most)
+
+
+def window_failure(candidates: Sequence[np.ndarray], nodes: Sequence[int], q: int,
+                   hset: HSet) -> int | None:
+    """The first k whose candidates[k] fails its node sweep, that is,
+    for which _failure_sweep(hset, q, nodes[k])(candidates[k]) is not
+    None; None when every candidate passes.  One first_rank_deficient
+    call ranks them all.
+
+    The K candidates are stacked side by side, M x (K*n*d), so
+    candidate k's column c sits at k*n*d + c.  The window plan takes
+    each candidate's node rows of the _split_plan at the HSet's
+    _split_columns t, candidate by candidate.  Unsplit, a row's columns
+    c become k*n*d + c.  Split, candidate k's G labels become
+    k*G .. k*G + G - 1, with their prefix columns offset by k*n*d, and a
+    remainder g*n*d + c becomes (k*G + g)*K*n*d + k*n*d + c, in int64
+    where that could pass 2^31.  Labels rise down the rows, as the kernel
+    needs, and the first failing row is the first failing candidate's.
+    """
+    t = _split_columns(hset)
+    prefixes, remainders = _split_plan(hset, t)
+    node_rows = _sweep_plan(hset)[1]
+    count, width = len(candidates), hset.params.n * hset.params.d
+    rows = [node_rows[x - 1] for x in nodes]
+    owner = np.repeat(np.arange(count), [len(r) for r in rows])
+    # one label's columns in the window, and one candidate's offset
+    span = count * width if t else 0
+    step = len(prefixes) * span + width
+    dtype = np.int32 if count * step < 2**31 else np.int64
+    labels, columns = np.divmod(remainders[np.concatenate(rows)].astype(dtype), width)
+    columns += labels * span
+    columns += (owner * step).astype(dtype)[:, None]
+    if t:
+        offsets = np.arange(0, count * width, width, dtype=prefixes.dtype)
+        prefixes = (prefixes + offsets[:, None, None]).reshape(-1, t)
+    first = first_rank_deficient(np.concatenate(candidates, axis=1), columns, q, prefixes)
+    return None if first is None else int(owner[first])
 
 
 def repair_random(

@@ -557,7 +557,8 @@ def test_witness_event_ranks_each_maximal_target_once(q, monkeypatch):
 
 @pytest.mark.parametrize("witness", [False, True], ids=["no-witness", "witness"])
 def test_simulate_builds_objects_for_the_construction_alone(witness, monkeypatch):
-    # the repair chain carries coefficient arrays: the construction makes
+    # the repair chain carries coefficient arrays, serially at (6,4,3,1)
+    # and in windows of 10 repairs at (8,4,2,2): the construction makes
     # n matrices and one CodeState, and no event makes either
     built = Counter()
     for cls in (FieldMatrix, code_core.CodeState):
@@ -566,11 +567,12 @@ def test_simulate_builds_objects_for_the_construction_alone(witness, monkeypatch
             check(obj)
 
         monkeypatch.setattr(cls, "__post_init__", counting)
-    params = params_new(6, 4, 3, 1)
-    report = simulate(SimConfig(params=params, seed=3, rounds=12, check_witness=witness))
-    assert report.passed
-    assert report.aggregate["events_total"] == 12
-    assert built == {"FieldMatrix": params.n, "CodeState": 1}
+    for params in (params_new(6, 4, 3, 1), params_new(8, 4, 2, 2)):
+        built.clear()
+        report = simulate(SimConfig(params=params, seed=3, rounds=12, check_witness=witness))
+        assert report.passed
+        assert report.aggregate["events_total"] == 12
+        assert built == {"FieldMatrix": params.n, "CodeState": 1}
 
 
 def _replayed_events(config: SimConfig, q: int) -> list[tuple]:
@@ -611,7 +613,8 @@ def _replayed_events(config: SimConfig, q: int) -> list[tuple]:
     SimConfig(params=params_new(8, 4, 2, 2), seed=5, rounds=40, check_witness=True),
     SimConfig(params=params_new(6, 3, 2, 1), q=29, seed=0, rounds=24, max_attempts=6,
               check_witness=True),
-], ids=["6431-q307-sweep", "8422-auto", "6321-q29-gives-up"])
+    SimConfig(params=params_new(8, 4, 2, 2), q=307, seed=0, rounds=80, max_attempts=64),
+], ids=["6431-q307-sweep", "8422-auto", "6321-q29-gives-up", "8422-q307"])
 def test_simulate_chain_matches_chained_repair_random(config):
     # simulate's array chain and repair_random's CodeState chain take the
     # same draws, so every event agrees on attempts, error, rejected_by
@@ -625,6 +628,80 @@ def test_simulate_chain_matches_chained_repair_random(config):
         # the low fields reject draws, so rejections are compared too
         assert any(a > 1 for event in got for a in event[2])
     assert (got[-1][3] == "RepairFailed") is (config.q == 29)
+
+
+def _set_window(monkeypatch, hset, units):
+    """Set code_core.WINDOW_ENTRIES to the least budget at which
+    simulate's windows hold units repairs at hset."""
+    low, high = 1, 2**24
+    while low < high:
+        budget = (low + high) // 2
+        monkeypatch.setattr(code_core, "WINDOW_ENTRIES", budget)
+        if code_core.window_size(hset) < units:
+            low = budget + 1
+        else:
+            high = budget
+    monkeypatch.setattr(code_core, "WINDOW_ENTRIES", low)
+    assert code_core.window_size(hset) == units
+
+
+WINDOW_RUNS = {
+    # 24 of 80 repairs retry
+    "8422-q307": SimConfig(params=params_new(8, 4, 2, 2), q=307, seed=0, rounds=80,
+                           max_attempts=64),
+    # gives up in round 12, inside a window
+    "6321-q29-gives-up": SimConfig(params=params_new(6, 3, 2, 1), q=29, seed=0, rounds=24,
+                                   max_attempts=6, check_witness=True),
+    # several repairs per event, from one base
+    "6431-q307-sweep": SimConfig(params=params_new(6, 4, 3, 1), q=307, seed=0, rounds=3,
+                                 max_attempts=64, failure_policy="adversarial-sweep",
+                                 helper_policy="exhaustive-per-failure"),
+    # the benchmark's simulate points at the recommended field, where
+    # one (6,4,3,1) repair retries
+    "6431-auto": SimConfig(params=params_new(6, 4, 3, 1), seed=0, rounds=12),
+    "8422-auto": SimConfig(params=params_new(8, 4, 2, 2), seed=0, rounds=80),
+    "6321-auto-witness": SimConfig(params=params_new(6, 3, 2, 1), seed=0, rounds=36,
+                                   check_invariant=False, check_reconstruction=False,
+                                   check_witness=True),
+}
+
+
+@pytest.mark.parametrize("name", WINDOW_RUNS)
+def test_reports_do_not_depend_on_the_window_size(name, monkeypatch):
+    # a window ranks first draws made on the draws before it; accepted
+    # units keep them and a failed unit retries serially, so windows of
+    # 1, 2 and 3 repairs and the default all report the same run
+    config = WINDOW_RUNS[name]
+    hset = h_enumerate(config.params)
+    default = simulate(config)
+    windows = []
+    real_window = cli_sim.window_failure
+
+    def counting_window(candidates, nodes, q, hset):
+        windows.append(len(candidates))
+        return real_window(candidates, nodes, q, hset)
+
+    monkeypatch.setattr(cli_sim, "window_failure", counting_window)
+    for units in (1, 2, 3):
+        windows.clear()
+        _set_window(monkeypatch, hset, units)
+        assert simulate(config).canonical_json() == default.canonical_json(), units
+        assert max(windows, default=1) == units
+    retried = sum(a > 1 for e in default.events for a in e["attempts"])
+    assert retried == {"8422-q307": 24, "6321-q29-gives-up": 8, "6431-q307-sweep": 29,
+                       "6431-auto": 1}.get(name, 0)
+    assert (default.events[-1].get("error") == "RepairFailed") is (name == "6321-q29-gives-up")
+
+
+@pytest.mark.parametrize("name", ["8422-q307", "6321-q29-gives-up", "6431-q307-sweep",
+                                  "8422-auto"])
+def test_event_times_add_up_to_at_most_the_run(name):
+    # each event records its own work and a share of each window's draw
+    # and rank pass, so no time is counted twice
+    report = simulate(WINDOW_RUNS[name])
+    times = [e["wall_time_s"] for e in report.events]
+    assert times and all(t >= 0 for t in times)
+    assert sum(times) <= report.aggregate["wall_time_s"]
 
 
 def test_sim_config_validation():

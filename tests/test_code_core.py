@@ -886,6 +886,53 @@ def test_every_split_names_the_unsplit_first_failure(params, q, monkeypatch):
     assert any(name is not None for name in names)
 
 
+def _break_node(coef, hset, node, q, rng):
+    """A copy of coef in which one of node's columns, under a random
+    maximal h with h_node > 0, is a random combination of the other
+    columns h selects: the selection under h loses full rank."""
+    d = hset.params.d
+    h = rng.choice([row.tolist() for row in hset.rows if row[node - 1] > 0])
+    others = [j * d + c for j, v in enumerate(h) for c in range(v)]
+    target = (node - 1) * d + rng.randrange(h[node - 1])
+    others.remove(target)
+    weights = [rng.randrange(1, q) for _ in others]
+    broken = coef.copy()
+    for r, row in enumerate(coef.tolist()):
+        broken[r, target] = sum(w * row[c] for w, c in zip(weights, others)) % q
+    return broken
+
+
+@pytest.mark.parametrize("q", [7639, 142151, 2**31 - 1, next_prime(2**31)])
+@pytest.mark.parametrize("params", [P8422, P641], ids=_point_id)
+def test_window_failure_names_the_first_failing_candidate(params, q):
+    # one kernel call over a window of repair candidates names the first
+    # one that its own node sweep rejects, unsplit at (8,4,2,2) and split
+    # at t = 2 at (6,4,3,1), in the int32, int64 and Python-int tiers
+    hset = h_enumerate(params)
+    assert code_core._split_columns(hset) == (0 if params == P8422 else 2)
+    rng = random.Random(f"window/{params}/{q}")
+    coef = code_core._coefficients(construct(params, field_new(q), hset, rng_seed=3,
+                                             max_attempts=64))
+    candidates, nodes = [], []
+    while len(candidates) < 5:
+        node = rng.randrange(1, params.n + 1)
+        helpers = tuple(sorted(rng.sample(sorted(helper_universe(params, node)), params.d)))
+        candidate = code_core.repair_candidate(coef, q, hset, node, helpers, rng.getrandbits(63))
+        if code_core._failure_sweep(hset, q, node)(candidate) is None:
+            candidates.append(candidate)
+            nodes.append(node)
+            coef = candidate
+    assert len(set(nodes)) > 1
+    assert code_core.window_failure(candidates, nodes, q, hset) is None
+    for planted in ([0], [2], [4], [2, 4]):
+        broken = [_break_node(c, hset, x, q, rng) if k in planted else c
+                  for k, (c, x) in enumerate(zip(candidates, nodes))]
+        swept = [code_core._failure_sweep(hset, q, x)(c) is not None
+                 for c, x in zip(broken, nodes)]
+        assert [k for k, failed in enumerate(swept) if failed] == planted
+        assert code_core.window_failure(broken, nodes, q, hset) == planted[0]
+
+
 @pytest.mark.parametrize("q", [7639, next_prime(2**31)])
 def test_subset_gather_matches_the_column_gather(q, monkeypatch):
     # reconstruct_verdicts gathers each k-node block by node; the
